@@ -7,12 +7,13 @@ L^p growth, and the oscillatory-integral machinery behind them, and
 compares each against closed-form or independently derived predictions.
 """
 
+# lab, the experiment harness, is loaded by cli, its only importer
 from . import (  # noqa: F401
     cli,
     eigensolve,
     errors,
+    fits,
     geometry,
-    lab,
     specfun,
     spectral,
     statphase,
@@ -20,12 +21,6 @@ from . import (  # noqa: F401
     weylcoef,
 )
 from .errors import EquiweylError  # noqa: F401
-from .lab import (  # noqa: F401
-    EXPERIMENTS,
-    PowerLawFit,
-    fit_power_law,
-    run_experiment,
-    run_suite,
-)
+from .fits import PowerLawFit, fit_power_law  # noqa: F401
 
 __version__ = "0.1.0"

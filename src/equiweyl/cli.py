@@ -1,4 +1,4 @@
-"""Command-line front end for the experiment registry.
+"""Command-line front end, generated from the subcommand records in ``lab``.
 
 A JSON config file and the flags share one key set per subcommand; flags
 win over file keys.  Exit codes: 0 when every invoked experiment passes,
@@ -9,15 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from . import geometry, lab, spectral
+from . import lab
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -26,13 +22,17 @@ from .errors import (
     ResourceLimitError,
     TruncationError,
 )
+# the flag grammar lives with the parameter records
+from .lab import parse_grid as _parse_grid, parse_pair as _parse_pair  # noqa: F401
+from .lab import parse_plist as _parse_plist  # noqa: F401
 from .util import get_thread_count
 
+SUBCOMMANDS = tuple(lab.COMMANDS)
 
-SUBCOMMANDS = (
-    "weyl", "counting", "concentration", "lpnorms", "kuznecov",
-    "statphase", "hybrid", "interp", "critscan", "suite",
-)
+# every subcommand's key -> Param, for a bare config file, which may carry
+# the keys of any subcommand
+_PARAMS = {p.key: p for c in lab.COMMANDS.values() for p in c.params}
+_RUN_KEYS = dict.fromkeys(("out_dir", "threads"))
 
 
 @dataclass
@@ -41,62 +41,10 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     out_dir: str | None = None
     threads: int = 1
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
 # flag / file parsing
-
-
-def _parse_grid(text):
-    """A geometric grid "start:stop:count", or an explicit "a,b,c" list."""
-    text = str(text)
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid {text!r} is not start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if start <= 0 or stop <= start or count < 2:
-            raise ValueError(f"grid {text!r} needs 0 < start < stop and count >= 2")
-        return list(np.geomspace(start, stop, count))
-    return [float(v) for v in text.split(",")]
-
-
-def _parse_pair(text):
-    vals = [float(v) for v in str(text).split(",")]
-    if len(vals) != 2:
-        raise ValueError(f"expected two comma-separated values, got {text!r}")
-    return vals
-
-
-def _parse_plist(text):
-    out = []
-    for piece in str(text).split(","):
-        piece = piece.strip().lower()
-        out.append(math.inf if piece in ("inf", "infinity") else float(piece))
-    return out
-
-
-# every option is declared with default=None so that "was it given on the
-# command line" stays decidable; hard defaults live in _DEFAULTS
-_DEFAULTS = {
-    "weyl": {"manifold": "sphere", "m": 0, "theta": math.pi / 2,
-             "x": [0.25, 0.35], "lambda_min": 1e3, "lambda_max": 1e6,
-             "tolerance": None},
-    "counting": {"manifold": "sphere", "m": None, "lambda_top": 1e6,
-                 "tolerance": 0.01},
-    "concentration": {"k_window": 500},
-    "lpnorms": {"manifold": "sphere", "m": None, "p_list": [2.0, math.inf]},
-    "kuznecov": {"lambda_top": 1e4, "points": 20, "seed": 20260815},
-    "statphase": {"preset": "gaussian", "mu_grid": None},
-    "hybrid": {"mu_grid": None},
-    "interp": {"epsilon": 1.0, "mu_tau_grid": None},
-    "critscan": {"theta": 1.2},
-    "suite": {"names": None, "all": False},
-}
-
-_PARSERS = {"x": _parse_pair, "mu_grid": _parse_grid, "mu_tau_grid": _parse_grid,
-            "p_list": _parse_plist}
 
 
 def build_parser():
@@ -105,77 +53,25 @@ def build_parser():
         description="numerical experiments on reduced spectral asymptotics",
     )
     sub = top.add_subparsers(dest="experiment", required=True)
-
-    def common(p):
+    for command in lab.COMMANDS.values():
+        p = sub.add_parser(command.name, help=command.help)
+        # every option defaults to None so that "was it given on the command
+        # line" stays decidable; the records hold the real defaults
+        for param in command.params:
+            kind = (dict(action="store_true", default=None) if param.switch
+                    else dict(type=param.parse, choices=param.choices))
+            p.add_argument(param.flag, dest=param.key, help=param.help, **kind)
         p.add_argument("--config", help="JSON file; flags override its keys")
         p.add_argument("--out-dir", dest="out_dir",
                        help="write <experiment>.json/.csv report pairs here")
         p.add_argument("--threads", type=int, default=None,
                        help="worker pool size (default: EQUIWEYL_THREADS or 1)")
-
-    p = sub.add_parser("weyl", help="local growth of the reduced diagonal")
-    p.add_argument("--manifold", choices=("sphere", "torus"))
-    p.add_argument("--m", type=int)
-    p.add_argument("--theta", type=float, help="colatitude of the sphere point")
-    p.add_argument("--x", help="torus point 'a,b'")
-    p.add_argument("--lambda-min", dest="lambda_min", type=float)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p.add_argument("--tolerance", type=float)
-    common(p)
-
-    p = sub.add_parser("counting", help="isotypic eigenvalue counts")
-    p.add_argument("--manifold", choices=("sphere", "torus"))
-    p.add_argument("--m", type=int)
-    p.add_argument("--lambda", dest="lambda_top", type=float)
-    p.add_argument("--tolerance", type=float)
-    common(p)
-
-    p = sub.add_parser("concentration", help="zonal cluster-sum profiles")
-    p.add_argument("--k-window", dest="k_window", type=int)
-    common(p)
-
-    p = sub.add_parser("lpnorms", help="cluster L^p norm growth")
-    p.add_argument("--manifold", choices=("sphere", "torus"))
-    p.add_argument("--m", type=int)
-    p.add_argument("--p-list", dest="p_list", type=_parse_plist,
-                   help="comma list, 'inf' allowed")
-    common(p)
-
-    p = sub.add_parser("kuznecov", help="group-averaged sums vs trivial diagonal")
-    p.add_argument("--lambda", dest="lambda_top", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-
-    p = sub.add_parser("statphase", help="oscillatory-integral benchmarks")
-    p.add_argument("--preset", choices=("gaussian", "sphere"))
-    p.add_argument("--mu-grid", dest="mu_grid", type=_parse_grid,
-                   help="geometric grid start:stop:count")
-    common(p)
-
-    p = sub.add_parser("hybrid", help="orbit-pair decay rates")
-    p.add_argument("--mu-grid", dest="mu_grid", type=_parse_grid)
-    common(p)
-
-    p = sub.add_parser("interp", help="caustic-regularized prediction quality")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--mu-tau-grid", dest="mu_tau_grid", type=_parse_grid)
-    common(p)
-
-    p = sub.add_parser("critscan", help="critical-set geometry of the pairing phase")
-    p.add_argument("--theta", type=float)
-    common(p)
-
-    p = sub.add_parser("suite", help="run many experiments and write reports")
-    p.add_argument("--all", action="store_true", default=None,
-                   help="run the whole registry")
-    p.add_argument("--names", help="comma list of experiment ids")
-    common(p)
-
     return top
 
 
 def _load_config_file(path, allowed):
+    """allowed: key -> Param (None for keys outside the records).  A key may
+    also be spelled as its flag, e.g. "lambda" for lambda_top."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -184,19 +80,20 @@ def _load_config_file(path, allowed):
         raise ConfigError(f"config file {path!r}: invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r}: top level must be an object")
+    aliases = {p.flag[2:].replace("-", "_"): key for key, p in allowed.items() if p}
     out = {}
     violations = []
     for key, value in raw.items():
         norm = key.replace("-", "_")
-        if norm == "lambda":
-            norm = "lambda_top"
+        norm = aliases.get(norm, norm)
         if norm not in allowed:
             violations.append(
                 f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
             continue
-        if norm in _PARSERS and isinstance(value, str):
+        param = allowed[norm]
+        if param is not None and param.parse is not None and isinstance(value, str):
             try:
-                value = _PARSERS[norm](value)
+                value = param.parse(value)
             except ValueError as exc:
                 violations.append(f"key {key!r}: {exc}")
                 continue
@@ -206,48 +103,18 @@ def _load_config_file(path, allowed):
     return out
 
 
-def _validate(experiment, params):
+def _validate(command, params):
     bad = []
-
-    def positive(key):
-        v = params.get(key)
-        if v is not None and not (isinstance(v, (int, float)) and v > 0):
-            bad.append(f"{key} must be a positive number, got {v!r}")
-
-    for key in ("lambda_min", "lambda_max", "lambda_top", "epsilon", "tolerance"):
-        if key in params:
-            positive(key)
-    lo, hi = params.get("lambda_min"), params.get("lambda_max")
-    if isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and not lo < hi:
-        bad.append(f"lambda_min {lo} must be below lambda_max {hi}")
-    th = params.get("theta")
-    if th is not None and not 0.0 <= th <= math.pi:
-        bad.append(f"theta must lie in [0, pi], got {th}")
-    for key in ("m", "points", "k_window", "seed"):
-        v = params.get(key)
-        if v is not None and not isinstance(v, int):
-            bad.append(f"{key} must be an integer, got {v!r}")
-    if params.get("points") is not None and params["points"] < 1:
-        bad.append("points must be at least 1")
-    if params.get("k_window") is not None and params["k_window"] < 1:
-        bad.append("k_window must be at least 1")
-    for key in ("mu_grid", "mu_tau_grid"):
-        g = params.get(key)
-        if g is not None:
-            arr = np.asarray(g, dtype=float)
-            if arr.size < 2 or np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
-                bad.append(f"{key} must be a strictly increasing positive grid")
-    for p in params.get("p_list") or []:
-        if not p >= 2:
-            bad.append(f"p_list entries must be >= 2, got {p}")
-    if experiment == "suite":
-        names = params.get("names")
-        if names is not None:
-            for n in str(names).split(","):
-                if n and n not in lab.EXPERIMENTS:
-                    bad.append(f"unknown experiment {n!r} in names")
-        elif not params.get("all"):
-            bad.append("suite needs --all or --names")
+    for key, value in params.items():
+        if value is None:
+            continue
+        param = _PARAMS[key]
+        if param.choices is not None and value not in param.choices:
+            bad.append(f"{key} must be one of {', '.join(param.choices)}, got {value!r}")
+        if param.check is not None:
+            bad.extend(param.check(key, value))
+    if command.check is not None:
+        bad.extend(command.check(params))
     if bad:
         raise ConfigError("; ".join(bad))
 
@@ -255,114 +122,45 @@ def _validate(experiment, params):
 def parse_config(argv):
     """argv (list of flags) or a config-file path -> validated RunConfig."""
     if isinstance(argv, (str, Path)):
-        raw = _load_config_file(argv, set().union(*(_DEFAULTS[s] for s in SUBCOMMANDS),
-                                                  {"experiment", "out_dir", "threads"}))
-        experiment = raw.pop("experiment", None)
+        given = _load_config_file(argv, {**_PARAMS, **_RUN_KEYS, "experiment": None})
+        experiment = given.pop("experiment", None)
         if experiment not in SUBCOMMANDS:
             raise ConfigError(f"config file must set experiment to one of {SUBCOMMANDS}")
-        ns_dict = raw
     else:
-        ns = build_parser().parse_args(argv)
-        ns_dict = vars(ns)
-        experiment = ns_dict.pop("experiment")
-        path = ns_dict.pop("config", None)
+        given = vars(build_parser().parse_args(argv))
+        experiment = given.pop("experiment")
+        path = given.pop("config", None)
         if path:
-            allowed = set(_DEFAULTS[experiment]) | {"out_dir", "threads"}
-            file_vals = _load_config_file(path, allowed)
-            for key, value in file_vals.items():
-                if ns_dict.get(key) is None:
-                    ns_dict[key] = value
-
-    out_dir = ns_dict.pop("out_dir", None)
-    threads = ns_dict.pop("threads", None)
-    params = dict(_DEFAULTS[experiment])
-    for key, value in ns_dict.items():
-        if value is not None:
-            params[key] = value
-    seed = params.get("seed")
-    _validate(experiment, params)
-    return RunConfig(experiment, params, out_dir,
-                     get_thread_count(threads), seed)
+            own = {p.key: p for p in lab.COMMANDS[experiment].params}
+            for key, value in _load_config_file(path, {**own, **_RUN_KEYS}).items():
+                if given.get(key) is None:
+                    given[key] = value
+    out_dir = given.pop("out_dir", None)
+    threads = given.pop("threads", None)
+    command = lab.COMMANDS[experiment]
+    params = command.resolve(given)
+    # keys of other subcommands (bare config file) are checked, then dropped
+    _validate(command, {**given, **params})
+    return RunConfig(experiment, params, out_dir, get_thread_count(threads))
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _manifold_of(params):
-    if params["manifold"] == "sphere":
-        return geometry.RoundSphere2()
-    return geometry.FlatTorus2()
-
-
-def _run_weyl(cfg):
+def _run(cfg):
+    if cfg.experiment != "suite":
+        return [lab.run_command(cfg.experiment, cfg.params)]
     p = cfg.params
-    grid = lab.default_lambda_grid(p["lambda_min"], p["lambda_max"])
-    man = _manifold_of(p)
-    if p["manifold"] == "sphere":
-        x = geometry.sphere_point(p["theta"], 0.0)
-        tol = p["tolerance"] if p["tolerance"] is not None else 0.05
-    else:
-        x = tuple(p["x"])
-        tol = p["tolerance"] if p["tolerance"] is not None else 0.01
-    return [lab.run_local_weyl_experiment(man, x, p["m"], grid, tolerance=tol)]
-
-
-def _run_counting(cfg):
-    p = cfg.params
-    man = _manifold_of(p)
-    m = p["m"] if p["m"] is not None else (0 if p["manifold"] == "sphere" else 2)
-    return [lab.run_counting_experiment(man, m, lambda_grid=[p["lambda_top"]] if
-                                        p["manifold"] == "sphere" else None,
-                                        tolerance=p["tolerance"])]
-
-
-def _run_lpnorms(cfg):
-    p = cfg.params
-    man = _manifold_of(p)
-    m = p["m"] if p["m"] is not None else (0 if p["manifold"] == "sphere" else 3)
-    return [lab.run_lp_experiment(man, m, p_list=tuple(p["p_list"]))]
-
-
-def _run_statphase(cfg):
-    p = cfg.params
-    if p["preset"] == "gaussian":
-        return [lab.run_statphase_gaussian_experiment(mu_grid=p["mu_grid"])]
-    return [lab.run_statphase_sphere_experiment(mu_grid=p["mu_grid"])]
-
-
-def _run_suite(cfg):
-    p = cfg.params
-    names = list(lab.EXPERIMENTS) if p.get("all") or not p.get("names") \
-        else [n for n in str(p["names"]).split(",") if n]
+    names = None if p["all"] else [n for n in str(p["names"] or "").split(",") if n]
     out_dir = cfg.out_dir if cfg.out_dir is not None else "reports"
     return lab.run_suite(names, out_dir=out_dir, threads=cfg.threads)
 
 
-_RUNNERS = {
-    "weyl": _run_weyl,
-    "counting": _run_counting,
-    "concentration": lambda cfg: [lab.run_concentration_experiment(
-        k_window=cfg.params["k_window"])],
-    "lpnorms": _run_lpnorms,
-    "kuznecov": lambda cfg: [lab.run_kuznecov_experiment(
-        lambda_identity=cfg.params["lambda_top"],
-        n_points=cfg.params["points"], seed=cfg.params["seed"])],
-    "statphase": _run_statphase,
-    "hybrid": lambda cfg: [lab.run_hybrid_experiment(mu_grid=cfg.params["mu_grid"])],
-    "interp": lambda cfg: [lab.run_interp_experiment(
-        mu_tau_grid=cfg.params["mu_tau_grid"], epsilon=cfg.params["epsilon"])],
-    "critscan": lambda cfg: [lab.run_critscan_experiment(theta=cfg.params["theta"])],
-    "suite": _run_suite,
-}
-
-
 def _summary_line(cfg, report):
     if cfg.experiment == "counting" and cfg.params["manifold"] == "sphere":
-        m = cfg.params["m"] if cfg.params["m"] is not None else 0
-        lam = cfg.params["lambda_top"]
-        count = int(spectral.sphere_count_direct(m, lam))
-        predicted = max(0, math.isqrt(int(lam)) - abs(m))
+        row = next(r for r in report["series"] if r["grid"] == cfg.params["m"])
+        count, predicted = int(row["measured"]), int(row["predicted"])
         return f"count={count} predicted={predicted} dev={count - predicted}"
     bits = [f"{report['experiment']}: {report['verdict']}"]
     fit = report.get("fit")
@@ -386,7 +184,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        reports = _RUNNERS[cfg.experiment](cfg)
+        reports = _run(cfg)
     except (ResourceLimitError, ConvergenceError, ResolutionError,
             TruncationError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)

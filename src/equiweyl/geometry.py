@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidPointError, SingularProfileError
-from .util import gauss_nodes, pairwise_sum
+from .util import gauss_nodes
 
 _POLE_TOL = 1e-12
 
@@ -76,11 +76,6 @@ class SurfaceOfRevolution:
         rp = np.asarray(self.r_prime(s))
         if np.any(np.abs(rp) > 1 + 1e-10):
             raise SingularProfileError("|r'(s)| > 1 violates the arclength normalization")
-
-    def z_prime(self, s):
-        # arclength: r'^2 + z'^2 = 1
-        rp = np.asarray(self.r_prime(s))
-        return np.sqrt(np.clip(1.0 - rp * rp, 0.0, None))
 
 
 def sphere_profile():
@@ -212,8 +207,8 @@ class IsotypicLabel:
             raise ValueError("residue label must satisfy 0 <= m < modulus")
 
 
-def label_int(label):
-    return label.m if isinstance(label, IsotypicLabel) else int(label)
+def as_label(label):
+    return label if isinstance(label, IsotypicLabel) else IsotypicLabel(int(label))
 
 
 @dataclass(frozen=True)
@@ -270,11 +265,10 @@ class OrbitData:
     stratum_distance: float
     orbit_length: float
     _mult_kind: str = field(default="principal-circle", repr=False)
-    _order: int = field(default=0, repr=False)
 
     def trivial_multiplicity(self, label):
         """[pi_label restricted to the isotropy group : trivial]."""
-        m = label_int(label)
+        m = as_label(label).m
         if self._mult_kind == "principal-circle":
             return 1.0
         if self._mult_kind == "fixed-circle":
@@ -356,10 +350,9 @@ def rotate_cotangent(manifold, pt, t):
     raise InvalidPointError(f"unsupported manifold {manifold!r}")
 
 
-def _sor_lifted_speed(manifold, s, xi_s, xi_phi, t):
+def _sor_lifted_speed(manifold, s, xi_s, xi_phi):
     # ambient speed of t -> (g_t x, g_t v), v the metric dual of xi;
-    # rotation preserves chart components, so the integrand is t-independent,
-    # but it is still evaluated pointwise for the adaptive rule below
+    # rotation preserves chart components, so the speed does not depend on t
     r = float(manifold.r(s))
     rp = float(manifold.r_prime(s))
     x_xy2 = r * r
@@ -371,29 +364,12 @@ def _sor_lifted_speed(manifold, s, xi_s, xi_phi, t):
     return math.sqrt(x_xy2 + v_xy2)
 
 
-def _adaptive_trapezoid_circle(f, rtol=1e-8, n0=8, n_max=1 << 16):
-    # trapezoid on [0, 2pi) with doubling until the relative change is small
-    n = n0
-    t = np.arange(n) * (2 * math.pi / n)
-    vals = np.array([f(ti) for ti in t])
-    prev = (2 * math.pi / n) * float(pairwise_sum(vals))
-    while n < n_max:
-        n *= 2
-        t = np.arange(n) * (2 * math.pi / n)
-        vals = np.array([f(ti) for ti in t])
-        cur = (2 * math.pi / n) * float(pairwise_sum(vals))
-        if abs(cur - prev) <= rtol * max(1e-300, abs(cur)):
-            return cur
-        prev = cur
-    return prev
-
-
 def lifted_orbit_volume(manifold, pt):
     """Length of the lifted orbit of (x, xi) in TM embedded in R^3 x R^3.
 
-    Closed forms for the sphere and flat torus; numerical arclength for
-    surfaces of revolution.  For finite-cyclic actions the orbit is a finite
-    point set and the counting measure (orbit size) is returned.
+    Closed forms throughout: on a surface of revolution the lifted orbit is
+    traced at constant speed.  For finite-cyclic actions the orbit is a
+    finite point set and the counting measure (orbit size) is returned.
     """
     x = np.asarray(pt.x)
     xi = np.asarray(pt.xi)
@@ -405,19 +381,12 @@ def lifted_orbit_volume(manifold, pt):
         return float(manifold.order)
     if isinstance(manifold, SurfaceOfRevolution):
         s, xi_s, xi_phi = float(x[0]), float(xi[0]), float(xi[1])
-        return _adaptive_trapezoid_circle(
-            lambda t: _sor_lifted_speed(manifold, s, xi_s, xi_phi, t)
-        )
+        return 2 * math.pi * _sor_lifted_speed(manifold, s, xi_s, xi_phi)
     raise InvalidPointError(f"unsupported manifold {manifold!r}")
 
 
 # ---------------------------------------------------------------------------
 # cosphere fiber slices
-
-
-def _gauss_legendre(n):
-    nodes, weights = gauss_nodes(int(n))
-    return nodes, weights
 
 
 def cosphere_fiber_slice(manifold, x, n_nodes):
@@ -433,8 +402,8 @@ def cosphere_fiber_slice(manifold, x, n_nodes):
     if isinstance(manifold, RoundSphere2):
         theta = _sphere_colatitude(x)
         if min(theta, math.pi - theta) <= _POLE_TOL:
-            return _disc_nodes_sphere(manifold, x, n_nodes)
-        c, w = _gauss_legendre(n_nodes)
+            return _disc_nodes(manifold, x, n_nodes, pad=(0.0,))
+        c, w = gauss_nodes(n_nodes)
         phi = math.atan2(x[1], x[0])
         # unit conormal (meridian direction, metric-dual ambient vector)
         mer = np.array(
@@ -442,14 +411,14 @@ def cosphere_fiber_slice(manifold, x, n_nodes):
         )
         return [cotangent_point(manifold, x, ci * mer, weight=wi) for ci, wi in zip(c, w)]
     if isinstance(manifold, FlatTorus2):
-        c, w = _gauss_legendre(n_nodes)
+        c, w = gauss_nodes(n_nodes)
         return [cotangent_point(manifold, x, [0.0, ci], weight=wi) for ci, wi in zip(c, w)]
     if isinstance(manifold, FlatTorus2FiniteCyclic):
-        return _disc_nodes_plane(manifold, x, n_nodes)
+        return _disc_nodes(manifold, x, n_nodes)
     if isinstance(manifold, SurfaceOfRevolution):
         od = orbit_data(manifold, x)
         if od.kappa_x == 1:
-            c, w = _gauss_legendre(n_nodes)
+            c, w = gauss_nodes(n_nodes)
             return [cotangent_point(manifold, x, [ci, 0.0], weight=wi) for ci, wi in zip(c, w)]
         return _disc_nodes_sor(manifold, x, n_nodes)
     raise InvalidPointError(f"unsupported manifold {manifold!r}")
@@ -457,7 +426,7 @@ def cosphere_fiber_slice(manifold, x, n_nodes):
 
 def _polar_rule(n_nodes):
     # radial Gauss on (0,1) x uniform angles; weights include the Jacobian rho
-    t, u = _gauss_legendre(n_nodes)
+    t, u = gauss_nodes(n_nodes)
     rho = 0.5 * (t + 1.0)
     wr = 0.5 * u
     n_phi = max(8, int(n_nodes))
@@ -466,22 +435,13 @@ def _polar_rule(n_nodes):
     return rho, wr, phis, dphi
 
 
-def _disc_nodes_sphere(manifold, x, n_nodes):
+def _disc_nodes(manifold, x, n_nodes, pad=()):
+    # the fiber disc in the ambient (sphere: pad=(0.0,)) or chart coordinates
     rho, wr, phis, dphi = _polar_rule(n_nodes)
     out = []
     for rj, wj in zip(rho, wr):
         for ph in phis:
-            xi = rj * np.array([math.cos(ph), math.sin(ph), 0.0])
-            out.append(cotangent_point(manifold, x, xi, weight=rj * wj * dphi))
-    return out
-
-
-def _disc_nodes_plane(manifold, x, n_nodes):
-    rho, wr, phis, dphi = _polar_rule(n_nodes)
-    out = []
-    for rj, wj in zip(rho, wr):
-        for ph in phis:
-            xi = rj * np.array([math.cos(ph), math.sin(ph)])
+            xi = rj * np.array([math.cos(ph), math.sin(ph), *pad])
             out.append(cotangent_point(manifold, x, xi, weight=rj * wj * dphi))
     return out
 

@@ -1,19 +1,28 @@
-"""Experiment harness: power-law fits, parameter sweeps comparing measured
-spectral quantities against predicted leading coefficients and exponents, and
-deterministic JSON/CSV reports."""
+"""Experiment harness: the subcommand records (parameters with their
+defaults, parsers and checks, and the run function), the suite ids built
+from them, parameter sweeps comparing measured spectral quantities against
+predicted leading coefficients and exponents, and deterministic JSON/CSV
+reports.
+
+Every experiment is described once, here; the command-line front end is
+generated from ``COMMANDS`` and the suite runs ``EXPERIMENTS``.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import geometry, specfun, spectral, weylcoef
-from .errors import DegenerateDataError, DomainError, RegimeWarning
+from . import eigensolve, geometry, specfun, spectral, statphase, weylcoef
+from .errors import DomainError, RegimeWarning
+from .fits import PowerLawFit, envelope_maxima, fit_power_law
 from .util import (
     atomic_write_text,
     csv_text,
@@ -23,76 +32,18 @@ from .util import (
     pairwise_sum,
 )
 
-SQRT2 = math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# power-law fitting
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    grid: tuple
-
-    def amplitude(self):
-        return math.exp(self.intercept)
-
-
-def fit_power_law(xs, ys):
-    """Least squares of log y on log x.  Demands positive, nonconstant data
-    on a strictly increasing grid of at least 5 points."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise DomainError("fit_power_law needs two equal-length 1d arrays")
-    if len(xs) < 5:
-        raise DomainError(f"need at least 5 points, got {len(xs)}")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise DegenerateDataError("power-law fit needs strictly positive data")
-    if np.any(np.diff(xs) <= 0):
-        raise DegenerateDataError("abscissa must be strictly increasing")
-    lx = np.log(xs)
-    ly = np.log(ys)
-    if np.ptp(lx) < 1e-300 or np.ptp(ly) == 0.0:
-        raise DegenerateDataError("constant data cannot pin a power law")
-    vx = lx - lx.mean()
-    slope = float(np.dot(vx, ly - ly.mean()) / np.dot(vx, vx))
-    intercept = float(ly.mean() - slope * lx.mean())
-    resid = ly - (intercept + slope * lx)
-    ss_tot = float(np.dot(ly - ly.mean(), ly - ly.mean()))
-    r2 = 1.0 - float(np.dot(resid, resid)) / ss_tot
-    return PowerLawFit(slope, intercept, max(0.0, min(1.0, r2)), tuple(float(v) for v in xs))
-
-
-def _fit_dict(fit):
-    if fit is None:
-        return None
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "grid": list(fit.grid),
-    }
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
 
-def _now():
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
 def make_report(experiment, params, series, fit, prediction, tolerances, verdict, extra=None):
+    # _stamped fills timestamp and runtime_s; they are listed here to fix the key order
     report = {
         "experiment": experiment,
-        "timestamp": _now(),
+        "timestamp": None,
         "params": params,
         "series": series,
-        "fit": _fit_dict(fit) if not isinstance(fit, dict) else fit,
+        "fit": fit.as_dict() if isinstance(fit, PowerLawFit) else fit,
         "prediction": prediction,
         "tolerances": tolerances,
         "verdict": verdict,
@@ -103,6 +54,21 @@ def make_report(experiment, params, series, fit, prediction, tolerances, verdict
     return report
 
 
+def _stamped(run):
+    """Decorate a function returning a report: stamp the report's
+    wall-clock fields, the only ones that differ between runs."""
+
+    @functools.wraps(run)
+    def stamped(*args, **kwargs):
+        t0 = time.perf_counter()
+        report = run(*args, **kwargs)
+        report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        report["runtime_s"] = time.perf_counter() - t0
+        return report
+
+    return stamped
+
+
 def write_report(report, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -110,11 +76,7 @@ def write_report(report, out_dir):
     atomic_write_text(out / f"{name}.json", json_dumps(report) + "\n")
     rows = report.get("series") or []
     if rows:
-        header = []
-        for row in rows:
-            for key in row:
-                if key not in header:
-                    header.append(key)
+        header = list(dict.fromkeys(key for row in rows for key in row))
         cells = [[row.get(h, "") for h in header] for row in rows]
         atomic_write_text(out / f"{name}.csv", csv_text(header, cells))
     return out / f"{name}.json"
@@ -152,17 +114,24 @@ def window_averaged_diag(diag, lam, windows=5):
 
 
 def default_lambda_grid(lo=1e3, hi=1e6):
-    return geometric_grid(lo, hi, SQRT2)
+    return geometric_grid(lo, hi)
+
+
+def _series(grid, measured, predicted):
+    return [{"grid": float(g), "measured": float(mv), "predicted": float(pv)}
+            for g, mv, pv in zip(grid, measured, predicted)]
 
 
 # ---------------------------------------------------------------------------
 # core experiments
 
+# zonal degrees of the concentration and L^p sweeps, about sqrt(2) apart
+_K_GRID = (100, 141, 200, 283, 400, 566, 800)
 
-def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance=0.01):
-    t0 = time.perf_counter()
+
+def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance):
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    m = int(getattr(label, "m", label))
+    m = geometry.as_label(label).m
     if isinstance(manifold, geometry.RoundSphere2):
         theta = math.acos(max(-1.0, min(1.0, float(x[2]))))
         diag = lambda lam: spectral.sphere_diag_direct(m, theta, lam)
@@ -183,10 +152,7 @@ def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance=0.01):
     pred = weylcoef.local_leading_coefficient(manifold, x, label)
     measured = np.array([window_averaged_diag(diag, lam) for lam in lambda_grid])
     predicted = np.array([pred.evaluate(lam) for lam in lambda_grid])
-    series = [
-        {"grid": float(l), "measured": float(mv), "predicted": float(pv)}
-        for l, mv, pv in zip(lambda_grid, measured, predicted)
-    ]
+    series = _series(lambda_grid, measured, predicted)
     params = {
         "manifold": manifold.kind,
         "x": [float(v) for v in np.atleast_1d(x)],
@@ -197,16 +163,14 @@ def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance=0.01):
     tolerances = {"relative_error_at_top": tolerance}
     if np.max(measured) == 0.0 and pred.coefficient == 0.0:
         # zero-multiplicity label: nothing to fit, trivially consistent
-        report = make_report(
+        return make_report(
             name, params, series, None, {"coefficient": 0.0, "exponent": pred.exponent},
             tolerances, "pass", extra={"ratio_at_top": 1.0},
         )
-        report["runtime_s"] = time.perf_counter() - t0
-        return report
     fit = fit_power_law(lambda_grid, np.maximum(measured, 1e-300))
     ratio = float(measured[-1] / predicted[-1])
     checks = [abs(ratio - 1.0) <= tolerance]
-    report = make_report(
+    return make_report(
         name,
         params,
         series,
@@ -216,19 +180,11 @@ def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance=0.01):
         verdict_from(checks),
         extra={"ratio_at_top": ratio},
     )
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
 
 
-def run_concentration_experiment(k_window=500, theta_grid=None, k_grid=None,
-                                 theta_tol=0.15, pole_tol=0.01):
+def run_concentration_experiment(k_window, k_grid=_K_GRID, theta_tol=0.15, pole_tol=0.01):
     """Zonal cluster-sum profile: envelope vs 1/sin(theta), pole value vs k."""
-    t0 = time.perf_counter()
-    if theta_grid is None:
-        theta_grid = geometric_grid(0.05, 1.0, 2 ** 0.25)
-    if k_grid is None:
-        k_grid = [100, 141, 200, 283, 400, 566, 800]
-    theta_grid = np.asarray(theta_grid, dtype=float)
+    theta_grid = geometric_grid(0.05, 1.0, 2 ** 0.25)
     if np.any(k_window * np.sin(theta_grid) <= 1.0):
         warnings.warn("k sin(theta) <= 1 on part of the grid: pole regime mixes in",
                       RegimeWarning)
@@ -248,16 +204,14 @@ def run_concentration_experiment(k_window=500, theta_grid=None, k_grid=None,
         [float(specfun.assoc_legendre_normalized(kk, 0, np.array([1.0]))[0] ** 2) for kk in k_grid]
     )
     pole_fit = fit_power_law(np.asarray(k_grid, dtype=float), pole_measured)
-    series = [
-        {"grid": float(t), "measured": float(v), "predicted": float(envelope[-1] * math.sin(theta_grid[-1]) / math.sin(t))}
-        for t, v in zip(theta_grid, envelope)
-    ]
+    series = _series(theta_grid, envelope,
+                     [envelope[-1] * math.sin(theta_grid[-1]) / math.sin(t) for t in theta_grid])
     checks = [
         abs(theta_fit.slope - (-1.0)) <= theta_tol,
         abs(pole_fit.slope - 1.0) <= pole_tol,
         bool(np.max(np.abs(pole_measured - pole_vals) / pole_vals) <= 1e-10),
     ]
-    report = make_report(
+    return make_report(
         "concentration",
         {"k_window": k, "theta_min": float(theta_grid[0]), "theta_max": float(theta_grid[-1]),
          "k_grid": [int(kk) for kk in k_grid]},
@@ -266,10 +220,8 @@ def run_concentration_experiment(k_window=500, theta_grid=None, k_grid=None,
         {"theta_slope": -1.0, "pole_slope": 1.0},
         {"theta_slope_tol": theta_tol, "pole_slope_tol": pole_tol},
         verdict_from(checks),
-        extra={"fit_pole": _fit_dict(pole_fit)},
+        extra={"fit_pole": pole_fit.as_dict()},
     )
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
 
 
 def _zonal_lp_norm(k, p, n_nodes=None):
@@ -288,17 +240,13 @@ def _zonal_lp_norm(k, p, n_nodes=None):
     return float((2.0 * math.pi * pairwise_sum(vals * w)) ** (1.0 / p))
 
 
-def run_lp_experiment(manifold, label, p_list=(2.0, math.inf), k_grid=None,
+def run_lp_experiment(manifold, m, p_list, k_grid=_K_GRID,
                       slope_tol=0.02, const_tol=1e-6):
-    t0 = time.perf_counter()
-    if k_grid is None:
-        k_grid = [100, 141, 200, 283, 400, 566, 800]
-    m = int(getattr(label, "m", label))
+    """Cluster L^p growth on the "sphere" (zonal clusters) or the "torus"."""
     series = []
     fits = {}
     checks = []
-    if isinstance(manifold, geometry.RoundSphere2):
-        name = "lpnorms-sphere"
+    if manifold == "sphere":
         lam = np.array([kk * (kk + 1.0) for kk in k_grid])
         for p in p_list:
             norms = np.array([_zonal_lp_norm(kk, p) for kk in k_grid])
@@ -307,51 +255,41 @@ def run_lp_experiment(manifold, label, p_list=(2.0, math.inf), k_grid=None,
             # collapses; the growth there follows the full-dimension exponent
             expected = spectral.exponent_delta(2, 0, p) / 2.0
             if np.ptp(norms) <= 1e-12 * max(1.0, np.max(norms)):
-                fits[key] = {"slope": 0.0, "intercept": float(np.log(norms[0])),
-                             "r_squared": 1.0, "grid": [float(v) for v in lam]}
+                fits[key] = PowerLawFit(0.0, float(np.log(norms[0])), 1.0,
+                                        tuple(float(v) for v in lam)).as_dict()
                 checks.append(abs(expected - 0.0) <= const_tol)
             else:
                 fit = fit_power_law(lam, norms)
-                fits[key] = _fit_dict(fit)
+                fits[key] = fit.as_dict()
                 checks.append(abs(fit.slope - expected) <= slope_tol)
             for l, v in zip(lam, norms):
                 series.append({"grid": float(l), "p": key, "measured": float(v),
                                "predicted": float(l ** expected)})
-    elif isinstance(manifold, geometry.FlatTorus2):
-        name = "lpnorms-torus"
-        lam = np.array([4.0 * math.pi ** 2 * (m * m + j * j) for j in range(1, 9)])
-        sups = np.ones_like(lam)  # |e^{2 pi i <k,x>}| = 1 at unit L^2 norm
-        checks.append(bool(np.max(np.abs(sups - 1.0)) <= 1e-12))
-        fits["inf"] = {"slope": 0.0, "intercept": 0.0, "r_squared": 1.0,
-                       "grid": [float(v) for v in lam]}
-        for l, v in zip(lam, sups):
-            series.append({"grid": float(l), "p": "inf", "measured": float(v),
-                           "predicted": 1.0})
     else:
-        raise DomainError("lp sweeps cover the sphere and the flat torus")
-    report = make_report(
-        name,
+        lam = np.array([4.0 * math.pi ** 2 * (m * m + j * j) for j in range(1, 9)])
+        # |e^{2 pi i <k,x>}| = 1 at unit L^2 norm: every sup norm is exactly 1
+        fits["inf"] = PowerLawFit(0.0, 0.0, 1.0, tuple(float(v) for v in lam)).as_dict()
+        series = [{"grid": float(l), "p": "inf", "measured": 1.0, "predicted": 1.0} for l in lam]
+    return make_report(
+        f"lpnorms-{manifold}",
         {"m": m, "k_grid": [int(kk) for kk in k_grid],
          "p_list": ["inf" if math.isinf(p) else float(p) for p in p_list]},
         series,
         fits.get("inf"),
         {"exponent_of_lambda": spectral.exponent_delta(2, 0, math.inf) / 2.0
-                               if isinstance(manifold, geometry.RoundSphere2)
-                               else 0.0},
+                               if manifold == "sphere" else 0.0},
         {"slope_tol": slope_tol, "const_tol": const_tol},
         verdict_from(checks),
         extra={"fits": fits},
     )
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
 
 
-def run_counting_experiment(manifold, label, lambda_grid=None, tolerance=0.01):
-    t0 = time.perf_counter()
-    m = int(getattr(label, "m", label))
-    if isinstance(manifold, geometry.RoundSphere2):
-        name = "counting-sphere"
-        lam_top = 1e6 if lambda_grid is None else float(np.max(lambda_grid))
+def run_counting_experiment(manifold, m, lambda_top, tolerance):
+    """Isotypic counts: on the "sphere" every |m| <= 100 (or the one label
+    m) at lambda_top, exactly; on the "torus" the sqrt(lambda) growth over
+    the fixed grid 1e4..1e6, which does not read lambda_top."""
+    if manifold == "sphere":
+        lam_top = float(lambda_top)
         ms = range(-100, 101) if m == 0 else [m]
         series = []
         devs = []
@@ -362,92 +300,78 @@ def run_counting_experiment(manifold, label, lambda_grid=None, tolerance=0.01):
                            "predicted": float(predicted)})
             devs.append(abs(count - predicted))
         checks = [max(devs) == 0]
-        report = make_report(
-            name, {"m_range": 100, "lambda": lam_top}, series, None,
+        return make_report(
+            "counting-sphere", {"m_range": 100, "lambda": lam_top}, series, None,
             {"count_rule": "sqrt(lambda) - |m|"}, {"max_deviation": 0},
             verdict_from(checks), extra={"max_deviation": float(max(devs))},
         )
-    elif isinstance(manifold, geometry.FlatTorus2):
-        name = "counting-torus"
-        if lambda_grid is None:
-            lambda_grid = default_lambda_grid(1e4, 1e6)
-        lambda_grid = np.asarray(lambda_grid, dtype=float)
-        counts = np.array([spectral.torus_count_direct(m, lam) for lam in lambda_grid])
-        pred_coeff = 1.0 / math.pi
-        series = [
-            {"grid": float(l), "measured": float(c), "predicted": float(pred_coeff * math.sqrt(l))}
-            for l, c in zip(lambda_grid, counts)
-        ]
-        fit = fit_power_law(lambda_grid, counts)
-        coeff_top = float(counts[-1] / math.sqrt(lambda_grid[-1]))
-        checks = [abs(coeff_top - pred_coeff) <= tolerance * pred_coeff]
-        report = make_report(
-            name, {"m": m, "lambda_max": float(lambda_grid[-1])}, series, fit,
-            {"coefficient": pred_coeff, "exponent": 0.5},
-            {"coefficient_rel_tol": tolerance}, verdict_from(checks),
-            extra={"coefficient_at_top": coeff_top},
-        )
-    else:
-        raise DomainError("counting sweeps cover the sphere and the flat torus")
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
+    lambda_grid = default_lambda_grid(1e4, 1e6)
+    counts = np.array([spectral.torus_count_direct(m, lam) for lam in lambda_grid])
+    pred_coeff = 1.0 / math.pi
+    series = _series(lambda_grid, counts, [pred_coeff * math.sqrt(l) for l in lambda_grid])
+    fit = fit_power_law(lambda_grid, counts)
+    coeff_top = float(counts[-1] / math.sqrt(lambda_grid[-1]))
+    checks = [abs(coeff_top - pred_coeff) <= tolerance * pred_coeff]
+    return make_report(
+        "counting-torus", {"m": m, "lambda_max": float(lambda_grid[-1])}, series, fit,
+        {"coefficient": pred_coeff, "exponent": 0.5},
+        {"coefficient_rel_tol": tolerance}, verdict_from(checks),
+        extra={"coefficient_at_top": coeff_top},
+    )
 
 
-def run_kuznecov_experiment(lambda_identity=1e4, n_points=20, seed=20260815,
-                            identity_tol=1e-10, growth_tol=0.05):
+def run_kuznecov_experiment(lambda_top, points, seed, identity_tol=1e-10, growth_tol=0.05):
     """Group-averaged squared sums against the trivial-isotypic diagonal."""
-    t0 = time.perf_counter()
-    from . import eigensolve
-
-    basis = eigensolve.sphere_basis(lambda_identity)
+    basis = eigensolve.sphere_basis(lambda_top)
     rsf = spectral.ReducedSpectralFunction(basis, 0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     series = []
-    for _ in range(n_points):
+    for _ in range(points):
         theta = math.acos(rng.uniform(-1.0, 1.0))
         phi = rng.uniform(0.0, 2.0 * math.pi)
         x = geometry.sphere_point(theta, phi)
-        ks = spectral.kuznecov_sum(basis, x, lambda_identity)
-        diag = spectral.reduced_spectral_diag(rsf, x, lambda_identity)
+        ks = spectral.kuznecov_sum(basis, x, lambda_top)
+        diag = spectral.reduced_spectral_diag(rsf, x, lambda_top)
         rel = abs(ks - diag) / max(1.0, abs(diag))
         worst = max(worst, rel)
         series.append({"grid": float(theta), "measured": float(ks), "predicted": float(diag)})
     # equator growth against the closed-form coefficient
-    lam_top = 1e6
-    equator = window_averaged_diag(lambda l: spectral.sphere_diag_direct(0, math.pi / 2, l), lam_top)
+    lam_equator = 1e6
+    equator = window_averaged_diag(lambda l: spectral.sphere_diag_direct(0, math.pi / 2, l),
+                                   lam_equator)
     coeff = weylcoef.equator_coefficient_closed_form(math.pi / 2)
-    growth_ratio = equator / (coeff * math.sqrt(lam_top))
+    growth_ratio = equator / (coeff * math.sqrt(lam_equator))
     checks = [worst <= identity_tol, abs(growth_ratio - 1.0) <= growth_tol]
-    report = make_report(
+    return make_report(
         "kuznecov",
-        {"lambda_identity": float(lambda_identity), "n_points": n_points, "seed": seed},
+        {"lambda_identity": float(lambda_top), "n_points": points, "seed": seed},
         series, None, {"equator_coefficient": coeff},
         {"identity_tol": identity_tol, "growth_rel_tol": growth_tol},
         verdict_from(checks),
         extra={"worst_identity_error": float(worst), "growth_ratio": float(growth_ratio)},
     )
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
-# oscillatory-integral experiments (imported lazily: statphase uses our fits)
+# oscillatory-integral experiments
 
 
-def run_statphase_gaussian_experiment(mu_grid=None, rel_tol=1e-6, remainder_slope_tol=0.2):
-    t0 = time.perf_counter()
-    from . import statphase
-
-    if mu_grid is None:
-        mu_grid = geometric_grid(20.0, 400.0, SQRT2)
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    problem = statphase.StationaryPhaseProblem(
+def _gaussian_problem():
+    # e^{i mu x^2/2} e^{-x^2/2} on [-12, 12]: one nondegenerate critical point
+    return statphase.StationaryPhaseProblem(
         lambda X: 0.5 * X[..., 0] ** 2,
         lambda X: np.exp(-0.5 * X[..., 0] ** 2),
         statphase.BoxDomain((-12.0,), (12.0,)),
         critical=("points", [np.array([0.0])]),
     )
+
+
+def run_statphase_gaussian_experiment(mu_grid, rel_tol=1e-6, remainder_slope_tol=0.2):
+    if mu_grid is None:
+        mu_grid = geometric_grid(20.0, 400.0)
+    mu_grid = np.asarray(mu_grid, dtype=float)
+    problem = _gaussian_problem()
     expansion = statphase.stationary_expansion(problem)
     series = []
     gaps = []
@@ -467,7 +391,7 @@ def run_statphase_gaussian_experiment(mu_grid=None, rel_tol=1e-6, remainder_slop
         abs(remainder_fit.slope - (-1.5)) <= remainder_slope_tol,
         bool(np.max(scaled) <= 2.0 * np.median(scaled) + 1e-12),
     ]
-    report = make_report(
+    return make_report(
         "statphase-gaussian",
         {"mu_min": float(mu_grid[0]), "mu_max": float(mu_grid[-1])},
         series, remainder_fit,
@@ -478,35 +402,9 @@ def run_statphase_gaussian_experiment(mu_grid=None, rel_tol=1e-6, remainder_slop
                "scaled_remainder_max": float(np.max(scaled)),
                "scaled_remainder_median": float(np.median(scaled))},
     )
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
 
 
-def envelope_maxima(mu, vals, factor=SQRT2):
-    """Per-bin maxima of an oscillating series on a geometric mu grid.
-
-    Bin edges are spread geometrically from mu[0] to mu[-1] with ratio as
-    close to factor as fits evenly, so no bin is a stub with a single
-    (possibly near-null) sample."""
-    mu = np.asarray(mu, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    span = mu[-1] / mu[0]
-    n_bins = max(1, int(round(math.log(span) / math.log(factor))))
-    edges = mu[0] * span ** (np.arange(n_bins + 1) / n_bins)
-    out_mu, out_v = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (mu >= lo * (1 - 1e-12)) & (mu <= hi * (1 + 1e-12))
-        if np.any(sel):
-            i = int(np.argmax(vals[sel]))
-            out_mu.append(float(mu[sel][i]))
-            out_v.append(float(vals[sel][i]))
-    return np.array(out_mu), np.array(out_v)
-
-
-def run_statphase_sphere_experiment(v=(0.0, 0.0, 1.0), mu_grid=None, slope_tol=0.05):
-    t0 = time.perf_counter()
-    from . import statphase
-
+def run_statphase_sphere_experiment(mu_grid, v=(0.0, 0.0, 1.0), slope_tol=0.05):
     v = np.asarray(v, dtype=float)
     speed = float(np.linalg.norm(v))
     if mu_grid is None:
@@ -527,10 +425,9 @@ def run_statphase_sphere_experiment(v=(0.0, 0.0, 1.0), mu_grid=None, slope_tol=0
         worst_rel = max(worst_rel, abs(numeric - exact) / (4.0 * math.pi / mu))
         vals.append(abs(numeric))
     fit = fit_power_law(mu_grid, np.array(vals))
-    series = [{"grid": float(m), "measured": float(val),
-               "predicted": float(4.0 * math.pi / m)} for m, val in zip(mu_grid, vals)]
+    series = _series(mu_grid, vals, [4.0 * math.pi / m for m in mu_grid])
     checks = [abs(fit.slope - (-1.0)) <= slope_tol, worst_rel <= 1e-6]
-    report = make_report(
+    return make_report(
         "statphase-sphere",
         {"v": [float(c) for c in v], "mu_min": float(mu_grid[0]), "mu_max": float(mu_grid[-1])},
         series, fit, {"order": -1.0},
@@ -538,29 +435,18 @@ def run_statphase_sphere_experiment(v=(0.0, 0.0, 1.0), mu_grid=None, slope_tol=0
         verdict_from(checks),
         extra={"worst_exact_rel": float(worst_rel)},
     )
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
 
 
-def run_hybrid_experiment(x=None, y=None, mu_grid=None,
-                          on_tol=0.1, off_tol=0.1, band_factor=2.0,
+def run_hybrid_experiment(mu_grid, on_tol=0.1, off_tol=0.1, band_factor=2.0,
                           band_d=(0.02, 0.05, 0.1, 0.2, 0.5)):
-    t0 = time.perf_counter()
-    from . import statphase
-
-    if x is None:
-        x = geometry.sphere_point(1.2, 0.3)
-    if y is None:
-        y = geometry.sphere_point(0.8, 1.1)
+    x = geometry.sphere_point(1.2, 0.3)
+    y = geometry.sphere_point(0.8, 1.1)
     if mu_grid is None:
         # the off-orbit legs beat with a mu-period ~ 2 pi / diam, so bin
         # maxima need dense sampling, not just many octaves
         mu_grid = geometric_grid(50.0, 400.0, 2 ** (1.0 / 64.0))
     pair = statphase.hybrid_decay_fit(x, y, mu_grid)
-    series = [
-        {"grid": float(mu), "measured": float(on), "predicted": float(off)}
-        for mu, on, off in zip(pair.mu_grid, pair.on_values, pair.off_values)
-    ]
+    series = _series(pair.mu_grid, pair.on_values, pair.off_values)
     # two-regime check: the scaled envelope |I| mu (mu d + 1)^(1/2) must stay
     # within band_factor of its central constant across the crossover
     band = {}
@@ -584,7 +470,7 @@ def run_hybrid_experiment(x=None, y=None, mu_grid=None,
         pair.off_fit is not None and abs(pair.off_fit.slope - (-1.5)) <= off_tol,
         band_ok,
     ]
-    report = make_report(
+    return make_report(
         "hybrid",
         {"x": [float(c) for c in np.asarray(x)], "y": [float(c) for c in np.asarray(y)],
          "mu_min": float(mu_grid[0]), "mu_max": float(mu_grid[-1]),
@@ -594,25 +480,15 @@ def run_hybrid_experiment(x=None, y=None, mu_grid=None,
         {"on_slope": -1.0, "off_slope": -1.5},
         {"on_slope_tol": on_tol, "off_slope_tol": off_tol, "band_factor": band_factor},
         verdict_from(checks),
-        extra={"fit_off": _fit_dict(pair.off_fit), "orbit_distance": pair.distance,
+        extra={"fit_off": pair.off_fit.as_dict() if pair.off_fit else None, "orbit_distance": pair.distance,
                "band": band},
     )
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
 
 
-def run_interp_experiment(mu_tau_grid=None, epsilon=1.0, rel_band=0.35):
-    t0 = time.perf_counter()
-    from . import statphase
-
+def run_interp_experiment(mu_tau_grid, epsilon, rel_band=0.35):
     if mu_tau_grid is None:
-        mu_tau_grid = geometric_grid(2.0, 100.0, SQRT2)
-    problem = statphase.StationaryPhaseProblem(
-        lambda X: 0.5 * X[..., 0] ** 2,
-        lambda X: np.exp(-0.5 * X[..., 0] ** 2),
-        statphase.BoxDomain((-12.0,), (12.0,)),
-        critical=("points", [np.array([0.0])]),
-    )
+        mu_tau_grid = geometric_grid(2.0, 100.0)
+    problem = _gaussian_problem()
     series = []
     worst = 0.0
     for mt in mu_tau_grid:
@@ -632,7 +508,7 @@ def run_interp_experiment(mu_tau_grid=None, epsilon=1.0, rel_band=0.35):
         flat = statphase.caustic_interpolation(problem, 50.0, 0.0, epsilon).numeric
     flat_gap = abs(flat - math.sqrt(2.0 * math.pi))
     checks = [worst <= rel_band, product_gap <= 1e-10, flat_gap <= 1e-12]
-    report = make_report(
+    return make_report(
         "interp",
         {"epsilon": epsilon, "mu_tau_min": float(mu_tau_grid[0]),
          "mu_tau_max": float(mu_tau_grid[-1])},
@@ -642,15 +518,10 @@ def run_interp_experiment(mu_tau_grid=None, epsilon=1.0, rel_band=0.35):
         extra={"worst_rel": float(worst), "product_gap": float(product_gap),
                "flat_gap": float(flat_gap)},
     )
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
 
 
-def run_critscan_experiment(theta=1.2, deltas=(0.02, 0.04, 0.08, 0.16, 0.3),
+def run_critscan_experiment(theta, deltas=(0.02, 0.04, 0.08, 0.16, 0.3),
                             slope_tol=0.1):
-    t0 = time.perf_counter()
-    from . import statphase
-
     x = geometry.sphere_point(theta, 0.0)
     on = statphase.critical_set_scan(x, x)
     circle = [r for r in on.points if r.trans_dim == 2]
@@ -660,18 +531,16 @@ def run_critscan_experiment(theta=1.2, deltas=(0.02, 0.04, 0.08, 0.16, 0.3),
         and all(r.grad_norm <= 1e-10 for r in on.points)
     )
     dets = []
-    series = []
     for d in deltas:
         y = geometry.sphere_point(theta + float(d), 0.0)
         scan = statphase.critical_set_scan(x, y)
         isolated = [r for r in scan.points if r.trans_dim == 3]
         near = min(isolated, key=lambda r: abs(r.phase_value))
         dets.append(abs(near.trans_det))
-        series.append({"grid": float(d), "measured": float(abs(near.trans_det)),
-                       "predicted": float(d)})
+    series = _series(deltas, dets, deltas)
     fit = fit_power_law(np.asarray(deltas, dtype=float), np.asarray(dets))
     checks = [on_ok, abs(fit.slope - 1.0) <= slope_tol]
-    report = make_report(
+    return make_report(
         "critscan",
         {"theta": float(theta), "deltas": [float(d) for d in deltas]},
         series, fit, {"det_slope": 1.0},
@@ -680,106 +549,292 @@ def run_critscan_experiment(theta=1.2, deltas=(0.02, 0.04, 0.08, 0.16, 0.3),
         extra={"on_orbit_components": len(on.points),
                "on_orbit_circle_found": bool(len(circle) >= 1)},
     )
-    report["runtime_s"] = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
-# registry
+# subcommand records
 
 
-def _exp_weyl_torus(params):
-    grid = default_lambda_grid(params.get("lambda_min", 1e3), params.get("lambda_max", 1e6))
-    torus = geometry.FlatTorus2()
-    reports = []
-    for m in params.get("ms", (0, 3, 10)):
-        reports.append(
-            run_local_weyl_experiment(torus, (0.25, 0.35), int(m), grid,
-                                      tolerance=params.get("tolerance", 0.01))
-        )
-    merged = reports[0]
-    if len(reports) > 1:
-        merged = dict(reports[0])
-        merged["experiment"] = "weyl-torus-m3"
-        merged["series"] = [
-            dict(row, m=int(m)) for m, rep in zip(params.get("ms", (0, 3, 10)), reports)
-            for row in rep["series"]
-        ]
-        merged["verdict"] = verdict_from([r["verdict"] == "pass" for r in reports])
-        merged["ratio_at_top"] = max(r["ratio_at_top"] for r in reports)
-    else:
-        merged["experiment"] = "weyl-torus-m3"
-    return merged
+def parse_grid(text):
+    """A geometric grid "start:stop:count", or an explicit "a,b,c" list."""
+    text = str(text)
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"grid {text!r} is not start:stop:count")
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if start <= 0 or stop <= start or count < 2:
+            raise ValueError(f"grid {text!r} needs 0 < start < stop and count >= 2")
+        return list(np.geomspace(start, stop, count))
+    return [float(v) for v in text.split(",")]
 
 
-def _exp_weyl_equator(params):
-    grid = default_lambda_grid(params.get("lambda_min", 1e3), params.get("lambda_max", 1e6))
-    return run_local_weyl_experiment(
-        geometry.RoundSphere2(), geometry.sphere_point(math.pi / 2, 0.0), 0, grid,
-        tolerance=params.get("tolerance", 0.05),
-    )
+def parse_pair(text):
+    vals = [float(v) for v in str(text).split(",")]
+    if len(vals) != 2:
+        raise ValueError(f"expected two comma-separated values, got {text!r}")
+    return vals
 
 
-def _exp_weyl_pole(params):
-    grid = default_lambda_grid(params.get("lambda_min", 1e3), params.get("lambda_max", 1e6))
-    return run_local_weyl_experiment(
-        geometry.RoundSphere2(), geometry.sphere_point(0.0, 0.0), 0, grid,
-        tolerance=params.get("tolerance", 0.05),
-    )
+def parse_plist(text):
+    # float() reads "inf" and "infinity" in any case
+    return [float(v) for v in str(text).split(",")]
+
+
+# checks yield one message per violation; they never see None
+
+
+def _positive(key, v):
+    if not (isinstance(v, (int, float)) and v > 0):
+        yield f"{key} must be a positive number, got {v!r}"
+
+
+def _integer(key, v):
+    if not isinstance(v, int):
+        yield f"{key} must be an integer, got {v!r}"
+
+
+def _count(key, v):
+    yield from _integer(key, v)
+    if isinstance(v, (int, float)) and v < 1:
+        yield f"{key} must be at least 1"
+
+
+def _colatitude(key, v):
+    if not (isinstance(v, (int, float)) and 0.0 <= v <= math.pi):
+        yield f"{key} must lie in [0, pi], got {v}"
+
+
+def _grid(key, v):
+    arr = np.asarray(v, dtype=float)
+    if arr.size < 2 or np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
+        yield f"{key} must be a strictly increasing positive grid"
+
+
+def _p_floor(key, v):
+    for p in v:
+        if not p >= 2:
+            yield f"{key} entries must be >= 2, got {p}"
+
+
+def _suite_ids(key, v):
+    for name in str(v).split(","):
+        if name and name not in EXPERIMENTS:
+            yield f"unknown experiment {name!r} in {key}"
+
+
+def _lambda_order(params):
+    lo, hi = params["lambda_min"], params["lambda_max"]
+    if isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and not lo < hi:
+        yield f"lambda_min {lo} must be below lambda_max {hi}"
+
+
+def _suite_selection(params):
+    if params["names"] is None and not params["all"]:
+        yield "suite needs --all or --names"
+
+
+@dataclass(frozen=True)
+class Param:
+    """One option of a subcommand.  key is both the flag's dest and the
+    config-file key; default may be a callable of the other parameters;
+    parse reads flag text (and string values in a config file); check
+    yields one message per violation; switch makes a store-true flag."""
+
+    key: str
+    default: object = None
+    parse: object = None
+    choices: tuple | None = None
+    check: object = None
+    help: str | None = None
+    flag: str = ""
+    switch: bool = False
+
+    def __post_init__(self):
+        if not self.flag:
+            object.__setattr__(self, "flag", "--" + self.key.replace("_", "-"))
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: run(**params) returns a report.  check yields the
+    violations that involve several parameters.  The suite has no run: the
+    front end runs it, since it writes reports and returns many."""
+
+    name: str
+    help: str
+    run: object
+    params: tuple = ()
+    check: object = None
+
+    def resolve(self, given):
+        """Every parameter: the given value unless None, else the default;
+        callable defaults are evaluated last, on the other values."""
+        params = {p.key: p.default if given.get(p.key) is None else given[p.key]
+                  for p in self.params}
+        for key, value in params.items():
+            if callable(value):
+                params[key] = value(params)
+        return params
+
+
+_MANIFOLDS = {"sphere": geometry.RoundSphere2, "torus": geometry.FlatTorus2}
+
+
+def _on_sphere_else(sphere, torus):
+    return lambda params: sphere if params["manifold"] == "sphere" else torus
+
+
+def _weyl(manifold, m, theta, x, lambda_min, lambda_max, tolerance):
+    point = geometry.sphere_point(theta, 0.0) if manifold == "sphere" else tuple(x)
+    return run_local_weyl_experiment(_MANIFOLDS[manifold](), point, m,
+                                     default_lambda_grid(lambda_min, lambda_max), tolerance)
+
+
+_STATPHASE_PRESETS = {"gaussian": run_statphase_gaussian_experiment,
+                      "sphere": run_statphase_sphere_experiment}
+
+_MANIFOLD = Param("manifold", "sphere", choices=tuple(_MANIFOLDS))
+
+COMMANDS = {c.name: c for c in (
+    Command("weyl", "local growth of the reduced diagonal", _weyl, (
+        _MANIFOLD,
+        Param("m", 0, int, check=_integer),
+        Param("theta", math.pi / 2, float, check=_colatitude,
+              help="colatitude of the sphere point"),
+        Param("x", (0.25, 0.35), parse_pair, help="torus point 'a,b'"),
+        Param("lambda_min", 1e3, float, check=_positive),
+        Param("lambda_max", 1e6, float, check=_positive),
+        Param("tolerance", _on_sphere_else(0.05, 0.01), float, check=_positive),
+    ), _lambda_order),
+    Command("counting", "isotypic eigenvalue counts", run_counting_experiment, (
+        _MANIFOLD,
+        Param("m", _on_sphere_else(0, 2), int, check=_integer),
+        Param("lambda_top", 1e6, float, check=_positive, flag="--lambda"),
+        Param("tolerance", 0.01, float, check=_positive),
+    )),
+    Command("concentration", "zonal cluster-sum profiles", run_concentration_experiment, (
+        Param("k_window", 500, int, check=_count),
+    )),
+    Command("lpnorms", "cluster L^p norm growth", run_lp_experiment, (
+        _MANIFOLD,
+        Param("m", _on_sphere_else(0, 3), int, check=_integer),
+        Param("p_list", (2.0, math.inf), parse_plist, check=_p_floor,
+              help="comma list, 'inf' allowed"),
+    )),
+    Command("kuznecov", "group-averaged sums vs trivial diagonal", run_kuznecov_experiment, (
+        Param("lambda_top", 1e4, float, check=_positive, flag="--lambda"),
+        Param("points", 20, int, check=_count),
+        Param("seed", 20260815, int, check=_integer),
+    )),
+    Command("statphase", "oscillatory-integral benchmarks",
+            lambda preset, mu_grid: _STATPHASE_PRESETS[preset](mu_grid), (
+        Param("preset", "gaussian", choices=tuple(_STATPHASE_PRESETS)),
+        Param("mu_grid", None, parse_grid, check=_grid,
+              help="geometric grid start:stop:count"),
+    )),
+    Command("hybrid", "orbit-pair decay rates", run_hybrid_experiment, (
+        Param("mu_grid", None, parse_grid, check=_grid),
+    )),
+    Command("interp", "caustic-regularized prediction quality", run_interp_experiment, (
+        Param("epsilon", 1.0, float, check=_positive),
+        Param("mu_tau_grid", None, parse_grid, check=_grid),
+    )),
+    Command("critscan", "critical-set geometry of the pairing phase", run_critscan_experiment, (
+        Param("theta", 1.2, float, check=_colatitude),
+    )),
+    Command("suite", "run many experiments and write reports", None, (
+        Param("all", False, switch=True, help="run the whole registry"),
+        Param("names", None, check=_suite_ids, help="comma list of experiment ids"),
+    ), _suite_selection),
+)}
+
+
+# ---------------------------------------------------------------------------
+# suite ids
+
+
+@dataclass(frozen=True)
+class SuiteEntry:
+    """A suite id: a subcommand with some parameters fixed.  sweep = (key,
+    values) runs it once per value and merges the parts into one report."""
+
+    command: str
+    fixed: dict = field(default_factory=dict)
+    sweep: tuple | None = None
 
 
 EXPERIMENTS = {
-    "weyl-torus-m3": _exp_weyl_torus,
-    "weyl-sphere-equator": _exp_weyl_equator,
-    "weyl-sphere-pole": _exp_weyl_pole,
-    "counting-sphere": lambda p: run_counting_experiment(
-        geometry.RoundSphere2(), p.get("m", 0)),
-    "counting-torus": lambda p: run_counting_experiment(
-        geometry.FlatTorus2(), p.get("m", 2),
-        tolerance=p.get("tolerance", 0.01)),
-    "concentration": lambda p: run_concentration_experiment(
-        k_window=p.get("k_window", 500)),
-    "lpnorms-sphere": lambda p: run_lp_experiment(
-        geometry.RoundSphere2(), p.get("m", 0)),
-    "lpnorms-torus": lambda p: run_lp_experiment(
-        geometry.FlatTorus2(), p.get("m", 3)),
-    "kuznecov": lambda p: run_kuznecov_experiment(
-        lambda_identity=p.get("lambda_identity", 1e4),
-        n_points=p.get("n_points", 20), seed=p.get("seed", 20260815)),
-    "statphase-gaussian": lambda p: run_statphase_gaussian_experiment(
-        mu_grid=p.get("mu_grid")),
-    "statphase-sphere": lambda p: run_statphase_sphere_experiment(
-        mu_grid=p.get("mu_grid")),
-    "hybrid": lambda p: run_hybrid_experiment(mu_grid=p.get("mu_grid")),
-    "interp": lambda p: run_interp_experiment(
-        mu_tau_grid=p.get("mu_tau_grid"), epsilon=p.get("epsilon", 1.0)),
-    "critscan": lambda p: run_critscan_experiment(theta=p.get("theta", 1.2)),
+    "weyl-torus-m3": SuiteEntry("weyl", {"manifold": "torus"}, ("m", (0, 3, 10))),
+    "weyl-sphere-equator": SuiteEntry("weyl", {"theta": math.pi / 2}),
+    "weyl-sphere-pole": SuiteEntry("weyl", {"theta": 0.0}),
+    "counting-sphere": SuiteEntry("counting", {"manifold": "sphere"}),
+    "counting-torus": SuiteEntry("counting", {"manifold": "torus"}),
+    "concentration": SuiteEntry("concentration"),
+    "lpnorms-sphere": SuiteEntry("lpnorms", {"manifold": "sphere"}),
+    "lpnorms-torus": SuiteEntry("lpnorms", {"manifold": "torus"}),
+    "kuznecov": SuiteEntry("kuznecov"),
+    "statphase-gaussian": SuiteEntry("statphase", {"preset": "gaussian"}),
+    "statphase-sphere": SuiteEntry("statphase", {"preset": "sphere"}),
+    "hybrid": SuiteEntry("hybrid"),
+    "interp": SuiteEntry("interp"),
+    "critscan": SuiteEntry("critscan"),
 }
 
 
-def run_experiment(name, params=None):
+def _merge_parts(name, key, parts):
+    """One report from the parts of a sweep over key.  Each part keeps its
+    params, fit, prediction, verdict and ratio; the headline ratio is the
+    part's with the worst |ratio - 1|, and worst_<key> names that part."""
+    worst = max(parts, key=lambda r: abs(r["ratio_at_top"] - 1.0))
+    return make_report(
+        name,
+        {key: [r["params"][key] for r in parts]},
+        [dict(row, **{key: r["params"][key]}) for r in parts for row in r["series"]],
+        None,
+        None,
+        parts[0]["tolerances"],
+        verdict_from([r["verdict"] == "pass" for r in parts]),
+        extra={
+            "parts": [{k: r[k] for k in ("params", "fit", "prediction", "verdict", "ratio_at_top")}
+                      for r in parts],
+            "ratio_at_top": worst["ratio_at_top"],
+            f"worst_{key}": worst["params"][key],
+        },
+    )
+
+
+@_stamped
+def run_command(name, params):
+    """Run one subcommand other than the suite on resolved parameters."""
+    return COMMANDS[name].run(**params)
+
+
+@_stamped
+def run_experiment(name):
+    """Run one suite id: its subcommand with every default, then the fixed
+    parameters."""
     if name not in EXPERIMENTS:
         raise DomainError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name](params or {})
+    entry = EXPERIMENTS[name]
+    command = COMMANDS[entry.command]
+    if entry.sweep is None:
+        return command.run(**command.resolve(entry.fixed))
+    key, values = entry.sweep
+    parts = [command.run(**command.resolve({**entry.fixed, key: v})) for v in values]
+    return _merge_parts(name, key, parts)
 
 
 def run_suite(names=None, out_dir=None, threads=1):
     """Run experiments (optionally in a thread pool), write reports, return
     them in registry order regardless of completion order."""
-    from concurrent.futures import ThreadPoolExecutor
-
     names = list(names or EXPERIMENTS)
-    results = {}
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(run_experiment, name) for name in names}
-            for name, fut in futures.items():
-                results[name] = fut.result()
+            reports = list(pool.map(run_experiment, names))
     else:
-        for name in names:
-            results[name] = run_experiment(name)
-    ordered = [results[name] for name in names]
+        reports = [run_experiment(name) for name in names]
     if out_dir is not None:
-        for report in ordered:
+        for report in reports:
             write_report(report, out_dir)
-    return ordered
+    return reports

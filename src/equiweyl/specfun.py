@@ -28,18 +28,6 @@ def _log_ratio_cum(m):
 
 
 @dataclass(frozen=True)
-class HarmonicIndex:
-    k: int
-    m: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise IndexRangeError(f"degree k={self.k} must be nonnegative")
-        if abs(self.m) > self.k:
-            raise IndexRangeError(f"|m|={abs(self.m)} exceeds degree k={self.k}")
-
-
-@dataclass(frozen=True)
 class EvaluatedHarmonic:
     value: complex
     magnitude_sq: float
@@ -75,20 +63,6 @@ def legendre_p(k, alpha):
             p, p_prev = ((2 * j + 1) * a * p - j * p_prev) / (j + 1), p
         out = p
     return float(out[0]) if scalar else out
-
-
-def legendre_p_pair(k, alpha):
-    """(P_{k-1}, P_k) in one recurrence pass, for residual checks."""
-    k = int(k)
-    _check_degree(k)
-    if k == 0:
-        raise IndexRangeError("pair needs k >= 1")
-    a = np.atleast_1d(_check_alpha(alpha))
-    p_prev = np.ones_like(a)
-    p = a.copy()
-    for j in range(1, k):
-        p, p_prev = ((2 * j + 1) * a * p - j * p_prev) / (j + 1), p
-    return p_prev, p
 
 
 def _seed_log(m, sin2):
@@ -157,16 +131,6 @@ def spherical_harmonic(k, m, theta, phi):
     pbar = float(assoc_legendre_normalized(k, m, math.cos(theta)))
     value = pbar * complex(math.cos(m * phi), math.sin(m * phi))
     return EvaluatedHarmonic(value=value, magnitude_sq=pbar * pbar)
-
-
-def zonal_asymptotic(k, theta):
-    """Main term sqrt(2/(pi k sin theta)) cos((k+1/2)theta - pi/4) of P_k(cos theta)."""
-    k = int(k)
-    _check_degree(k)
-    s = math.sin(theta)
-    if k * s <= 1.0:
-        raise DomainError(f"k*sin(theta)={k * s:.3g} <= 1: outside the asymptotic regime")
-    return math.sqrt(2.0 / (math.pi * k * s)) * math.cos((k + 0.5) * theta - math.pi / 4.0)
 
 
 def addition_theorem_sum(k, theta, phi=None):

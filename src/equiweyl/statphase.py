@@ -23,7 +23,7 @@ from .errors import (
     RegimeWarning,
     ResolutionError,
 )
-from .lab import envelope_maxima, fit_power_law
+from .fits import envelope_maxima, fit_power_law
 from .util import gauss_nodes, pairwise_sum
 
 _TWO_PI = 2.0 * math.pi

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import tempfile
@@ -90,8 +91,6 @@ def _json_scalar(x):
             raise ValueError("non-finite float in report")
         return format_float(x)
     if isinstance(x, str):
-        import json
-
         return json.dumps(x)
     raise TypeError(f"unsupported report value {type(x)!r}")
 

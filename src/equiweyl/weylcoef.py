@@ -26,6 +26,7 @@ from .geometry import (
     IsotypicLabel,
     RoundSphere2,
     SurfaceOfRevolution,
+    as_label,
     cosphere_fiber_slice,
     lifted_orbit_volume,
     orbit_data,
@@ -42,27 +43,14 @@ class WeylPrediction:
     label: IsotypicLabel
     n_nodes: int
 
-    def json_fragment(self):
-        return {
-            "x": list(self.x),
-            "label": self.label.m,
-            "exponent": self.exponent,
-            "coefficient": self.coefficient,
-            "n_nodes": self.n_nodes,
-        }
-
     def evaluate(self, lam):
         return self.coefficient * lam**self.exponent
-
-
-def _as_label(label):
-    return label if isinstance(label, IsotypicLabel) else IsotypicLabel(int(label))
 
 
 def local_leading_coefficient(manifold, x, label, n_nodes=64):
     if n_nodes < 8:
         raise DomainError("n_nodes must be >= 8")
-    label = _as_label(label)
+    label = as_label(label)
     od = orbit_data(manifold, x)
     n = manifold.dim
     kappa = od.kappa_x
@@ -123,15 +111,10 @@ def _sphere_global(label, n_x_nodes, n_fiber_nodes):
     return refined
 
 
-def _torus_global(manifold, label, n_x_nodes, n_fiber_nodes):
-    # the local coefficient does not depend on x; integrate literally anyway
-    grid = (np.arange(n_x_nodes) + 0.5) / n_x_nodes
-    vals = []
-    for x1 in grid:
-        for x2 in grid:
-            pred = local_leading_coefficient(manifold, [x1, x2], label, n_fiber_nodes)
-            vals.append(pred.coefficient)
-    return float(pairwise_sum(np.array(vals))) / (n_x_nodes * n_x_nodes)
+def _torus_global(manifold, label, n_fiber_nodes):
+    # both actions are free translations, so the local coefficient does not
+    # depend on x and its integral over the unit-area torus is its value
+    return local_leading_coefficient(manifold, [0.5, 0.5], label, n_fiber_nodes).coefficient
 
 
 def _sor_global(profile, label, n_x_nodes, n_fiber_nodes):
@@ -147,11 +130,11 @@ def _sor_global(profile, label, n_x_nodes, n_fiber_nodes):
 
 
 def global_leading_coefficient(manifold, label, n_x_nodes=64, n_fiber_nodes=64):
-    label = _as_label(label)
+    label = as_label(label)
     if isinstance(manifold, RoundSphere2):
         return _sphere_global(label, n_x_nodes, n_fiber_nodes)
     if isinstance(manifold, (FlatTorus2, FlatTorus2FiniteCyclic)):
-        return _torus_global(manifold, label, n_x_nodes, n_fiber_nodes)
+        return _torus_global(manifold, label, n_fiber_nodes)
     if isinstance(manifold, SurfaceOfRevolution):
         return _sor_global(manifold, label, n_x_nodes, n_fiber_nodes)
     raise DomainError(f"unsupported manifold {manifold!r}")

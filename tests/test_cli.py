@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from equiweyl import cli
+from equiweyl import cli, lab
 from equiweyl.errors import ConfigError, ResourceLimitError
 
 
@@ -62,7 +62,7 @@ def test_thread_resolution(monkeypatch):
 
 
 def test_seed_plumbed_through():
-    assert cli.parse_config(["kuznecov", "--seed", "7"]).seed == 7
+    assert cli.parse_config(["kuznecov", "--seed", "7"]).params["seed"] == 7
 
 
 def test_config_file_route(tmp_path):
@@ -169,10 +169,10 @@ def test_main_failing_experiment_exits_1(tmp_path, capsys):
 
 
 def test_main_resource_errors_exit_3(monkeypatch, capsys):
-    def boom(cfg):
+    def boom(name, params):
         raise ResourceLimitError("quadrature too large for this budget")
 
-    monkeypatch.setitem(cli._RUNNERS, "critscan", boom)
+    monkeypatch.setattr(lab, "run_command", boom)
     assert cli.main(["critscan"]) == 3
     assert "resource error" in capsys.readouterr().err
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from equiweyl import lab, specfun
+from equiweyl import lab, specfun, spectral
 from equiweyl.errors import DegenerateDataError, DomainError
 
 
@@ -184,3 +184,27 @@ def test_run_suite_subset_order_and_determinism(tmp_path):
     for name in names:
         assert (tmp_path / "a" / f"{name}.json").exists()
         assert (tmp_path / "a" / f"{name}.csv").exists()
+
+
+def test_merged_torus_report_keeps_every_part():
+    rep = lab.run_experiment("weyl-torus-m3")
+    parts = rep["parts"]
+    assert [p["params"]["m"] for p in parts] == [0, 3, 10]
+    assert rep["params"] == {"m": [0, 3, 10]}
+    # each part carries its own fit, not a copy of the m = 0 one
+    assert parts[0]["fit"] != parts[2]["fit"]
+    # the headline ratio is the worst deviation from 1, and names its part
+    devs = [abs(p["ratio_at_top"] - 1.0) for p in parts]
+    worst = parts[devs.index(max(devs))]
+    assert rep["ratio_at_top"] == worst["ratio_at_top"]
+    assert rep["worst_m"] == worst["params"]["m"] == 10
+    assert rep["ratio_at_top"] < 1.0
+
+
+def test_kuznecov_report_fails_when_the_identity_breaks(monkeypatch):
+    exact = spectral.kuznecov_sum
+    monkeypatch.setattr(spectral, "kuznecov_sum",
+                        lambda *args, **kw: exact(*args, **kw) * (1.0 + 1e-6))
+    rep = lab.run_kuznecov_experiment(lambda_top=300.0, points=3, seed=5)
+    assert rep["worst_identity_error"] > rep["tolerances"]["identity_tol"]
+    assert rep["verdict"] == "fail"

@@ -178,16 +178,3 @@ def test_exponent_delta_pins():
 def test_exponent_delta_nonnegative(q):
     for kappa in (0, 1):
         assert spectral.exponent_delta(2, kappa, q) >= 0.0
-
-
-def test_csv_rows_shape():
-    text = spectral.csv_rows([
-        {"lambda": 110.0, "label": 0, "x": [1.0, 0.3], "value": 0.5, "kind": "diag"},
-        {"lambda": 4.0, "label": 2, "x": [0.1, 0.2, 0.3], "value": 1.25, "kind": "lp"},
-    ])
-    lines = text.strip().split("\n")
-    assert lines[0] == "lambda,label,x0,x1,x2,value,kind"
-    assert lines[1].endswith(",diag")
-    assert len(lines) == 3
-    # 2-coordinate points leave the third column empty
-    assert lines[1].split(",")[4] == ""
