@@ -1,7 +1,9 @@
 """Truncated Laplace eigenbases compatible with the circle / cyclic isotypic
 decomposition.
 
-Analytic bases for the round sphere and the flat torus.  For surfaces of
+A basis is a set of arrays, one entry per mode, with one batched evaluator,
+EigenBasis.evaluate(points, modes) -> values of shape (modes, points).
+Analytic bases cover the round sphere and the flat torus.  For surfaces of
 revolution, each Fourier mode m gives a radial Sturm-Liouville problem
   -(1/r)(r u')' + (m^2/r^2) u = lambda u      (weight r ds)
 discretized in flux form on cell centers; the substitution w = sqrt(r) u
@@ -13,7 +15,7 @@ The flux form keeps constants exactly harmonic for m = 0.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,43 +34,66 @@ from .geometry import (
     IsotypicLabel,
     RoundSphere2,
     SurfaceOfRevolution,
+    as_label,
 )
 from .util import format_float
+
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class EigenMode:
-    eigenvalue: float
-    mu: float
-    label: IsotypicLabel
-    evaluator: object  # point -> complex
-    source: str  # "analytic" | "discrete(n)"
-    quantum: tuple = ()  # (k, m) sphere / (k1, k2) torus / (m, j) discrete
+    """One mode: a view of entry `index` of its basis's arrays."""
+
+    basis: EigenBasis = field(repr=False)
+    index: int
+
+    eigenvalue = property(lambda self: float(self.basis.eigenvalues[self.index]))
+    mu = property(lambda self: math.sqrt(max(self.eigenvalue, 0.0)))
+    label = property(lambda self: IsotypicLabel(int(self.basis.m[self.index]),
+                                                modulus=self.basis.group_order or None))
+    quantum = property(lambda self: tuple(self.basis.quantum[self.index].tolist()))
+    source = property(lambda self: "analytic" if self.basis.radial is None
+                      else f"discrete({self.basis.radial.shape[1]})")
+
+    def evaluator(self, x):
+        return complex(self.basis.evaluate(x, self.index)[0, 0])
 
     def density(self, x):
         return abs(self.evaluator(x)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenBasis:
+    """A truncated eigenbasis as arrays sorted by (eigenvalue, m, quantum).
+
+    m: the label, the Fourier index or its residue mod group_order.
+    quantum: (k, m) sphere, (k1, k2) torus, (m, j) surface of revolution.
+    radial: a discrete basis's values at the cell centers s_i = (i - 1/2) L/n.
+    """
+
     manifold: object
-    modes: tuple
+    eigenvalues: np.ndarray
+    m: np.ndarray
+    quantum: np.ndarray
     lambda_max: float
     group_order: int = 0  # 0 for the circle, N for cyclic actions
-    grid: tuple = field(default=(), repr=False)  # (s_nodes, profiles) for discrete bases
+    radial: np.ndarray | None = field(default=None, repr=False)
 
-    def labels(self):
-        seen = []
-        for mode in self.modes:
-            if mode.label not in seen:
-                seen.append(mode.label)
-        return seen
+    @property
+    def grid(self):
+        """(cell centers,) for discrete bases, () for analytic ones."""
+        return () if self.radial is None else (tuple(self._interpolation[0][1:-1].tolist()),)
 
-    def modes_with_label(self, label):
-        want = label.m if isinstance(label, IsotypicLabel) else int(label)
-        if self.group_order:
-            want %= self.group_order
-        return [md for md in self.modes if md.label.m == want]
+    @property
+    def modes(self):
+        # not cached: basis and views would form a cycle only full GC passes free
+        return tuple(EigenMode(self, i) for i in range(len(self.eigenvalues)))
+
+    def label_mask(self, label):
+        """Which modes lie in the isotypic component of label."""
+        want = as_label(label).m
+        return self.m == (want % self.group_order if self.group_order else want)
 
     def require(self, lam):
         if lam > self.lambda_max:
@@ -76,25 +101,80 @@ class EigenBasis:
                 f"query at lambda={lam} exceeds basis truncation {self.lambda_max}"
             )
 
+    def evaluate(self, points, modes=None):
+        """Values, shape (modes, points), of the modes (None: all; else an
+        index or index array) at one point or a (P, d) array of points: unit
+        3-vectors on the sphere, (x1, x2) on the torus, (s, phi) on surfaces
+        of revolution.  Bit for bit the scalar formulas Pbar_{k,m}(cos theta)
+        e^{i m phi} (one Legendre ladder per distinct m), e^{2 pi i <k, x>},
+        and np.interp over the nodes times e^{i m phi}."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[None]
+        rows = np.arange(len(self.eigenvalues)) if modes is None else np.asarray(modes).ravel()
+        q = self.quantum[rows]
+        man = self.manifold
+        if isinstance(man, RoundSphere2):
+            return _sphere_values(q[:, 0], q[:, 1], pts)
+        if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
+            t = np.multiply.outer(q[:, 0], pts[:, 0]) + np.multiply.outer(q[:, 1], pts[:, 1])
+            return np.exp(1j * (_TWO_PI * t))
+        # np.interp's formula: slope * (s - nodes[j]) + value[j], nodes[j] <= s
+        nodes, values, slopes = self._interpolation
+        s = pts[:, 0]
+        s = s % man.length if man.closed else np.minimum(np.maximum(s, nodes[0]), nodes[-1])
+        j = nodes.searchsorted(s, side="right") - 1
+        col = rows[:, None]
+        radial = slopes[col, j] * (s - nodes[j]) + values[col, j]
+        return radial * np.exp(1j * np.multiply.outer(q[:, 0], pts[:, 1]))
 
-def _sorted_basis(manifold, modes, lambda_max, group_order=0, grid=()):
-    modes = tuple(sorted(modes, key=lambda md: (md.eigenvalue, md.label.m, md.quantum)))
-    return EigenBasis(manifold, modes, float(lambda_max), group_order, grid)
+    @functools.cached_property
+    def _interpolation(self):
+        """Nodes, values and np.interp's slopes: the cell centers plus one
+        node past each end, valued as the wrapped neighbour on a closed
+        profile, else at the profile's ends as the nearest center for m = 0
+        and 0 otherwise; slope 0 after the last node."""
+        prof, U = self.manifold, self.radial
+        h = prof.length / U.shape[1]
+        s = (np.arange(U.shape[1]) + 0.5) * h
+        if prof.closed:
+            nodes = np.concatenate(([s[0] - h], s, [s[-1] + h]))
+            left, right = U[:, -1], U[:, 0]
+        else:
+            nodes = np.concatenate(([0.0], s, [prof.length]))
+            m0 = self.m == 0
+            left, right = np.where(m0, U[:, 0], 0.0), np.where(m0, U[:, -1], 0.0)
+        values = np.column_stack((left, U, right))
+        slopes = np.zeros_like(values)
+        slopes[:, :-1] = np.diff(values, axis=1) / np.diff(nodes)
+        return nodes, values, slopes
+
+
+def _sphere_values(k, m, pts):
+    # theta and phi as the scalar formulas take them, point by point: the
+    # vectorized acos/cos may differ from math's in the last bit
+    alpha = np.array([math.cos(math.acos(max(-1.0, min(1.0, z)))) for z in pts[:, 2].tolist()])
+    phi = np.array([math.atan2(y, x) for x, y in pts[:, :2].tolist()])
+    pbar = np.empty((len(k), len(pts)))
+    for mm in np.unique(m).tolist():
+        at = m == mm
+        pbar[at] = specfun.assoc_ladder(mm, k[at].max(), alpha)[k[at] - abs(mm)]
+    return pbar * np.exp(1j * np.multiply.outer(m, phi))
+
+
+def _sorted_basis(manifold, eigenvalues, m, quantum, lambda_max, group_order=0, radial=None):
+    """The basis, modes in (eigenvalue, m, quantum) order, arrays read-only."""
+    quantum = np.asarray(quantum, dtype=np.int64).reshape(-1, 2)
+    m, eigenvalues = np.asarray(m, dtype=np.int64), np.asarray(eigenvalues, dtype=float)
+    order = np.lexsort((quantum[:, 1], quantum[:, 0], m, eigenvalues))
+    arrays = [None if a is None else a[order] for a in (eigenvalues, m, quantum, radial)]
+    for a in filter(lambda a: a is not None, arrays):
+        a.setflags(write=False)
+    return EigenBasis(manifold, *arrays[:3], float(lambda_max), group_order, arrays[3])
 
 
 # ---------------------------------------------------------------------------
 # sphere
-
-
-def _sphere_evaluator(k, m):
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        theta = math.acos(max(-1.0, min(1.0, x[2])))
-        phi = math.atan2(x[1], x[0])
-        pbar = specfun.assoc_legendre_normalized(k, m, math.cos(theta))
-        return pbar * cmath.exp(1j * m * phi)
-
-    return ev
 
 
 def sphere_k_max(lambda_max):
@@ -116,28 +196,14 @@ def sphere_basis(lambda_max):
         raise ResourceLimitError(
             f"lambda_max={lambda_max} needs degree {k_hi} > {specfun.DEGREE_LIMIT}"
         )
-    modes = []
-    for k in range(k_hi + 1):
-        lam = float(k * (k + 1))
-        for m in range(-k, k + 1):
-            modes.append(
-                EigenMode(lam, math.sqrt(lam), IsotypicLabel(m), _sphere_evaluator(k, m),
-                          "analytic", (k, m))
-            )
-    return _sorted_basis(RoundSphere2(), modes, lambda_max)
+    # degree k fills entries k^2 .. k^2 + 2k with m = -k .. k
+    k = np.repeat(np.arange(k_hi + 1), 2 * np.arange(k_hi + 1) + 1)
+    m = np.arange(len(k)) - k * (k + 1)
+    return _sorted_basis(RoundSphere2(), k * (k + 1), m, np.column_stack((k, m)), lambda_max)
 
 
 # ---------------------------------------------------------------------------
 # flat torus
-
-_TWO_PI = 2.0 * math.pi
-
-
-def _torus_evaluator(k1, k2):
-    def ev(x):
-        return cmath.exp(2j * math.pi * (k1 * x[0] + k2 * x[1]))
-
-    return ev
 
 
 def _parse_group(group):
@@ -157,26 +223,15 @@ def torus_basis(lambda_max, group="circle"):
         raise DomainError("lambda_max must be >= 0")
     order = _parse_group(group)
     R2 = lambda_max / (4.0 * math.pi * math.pi)
-    R = int(math.floor(math.sqrt(R2))) if R2 >= 0 else -1
-    modes = []
-    for k1 in range(-R, R + 1):
-        rem = R2 - k1 * k1
-        if rem < 0:
-            continue
-        k2_hi = int(math.floor(math.sqrt(rem)))
-        while (k2_hi + 1) ** 2 + k1 * k1 <= R2:
-            k2_hi += 1
-        while k2_hi >= 0 and k2_hi**2 + k1 * k1 > R2:
-            k2_hi -= 1
-        for k2 in range(-k2_hi, k2_hi + 1):
-            lam = 4.0 * math.pi * math.pi * (k1 * k1 + k2 * k2)
-            label = IsotypicLabel(k1 % order, modulus=order) if order else IsotypicLabel(k1)
-            modes.append(
-                EigenMode(lam, math.sqrt(lam), label, _torus_evaluator(k1, k2),
-                          "analytic", (k1, k2))
-            )
+    R = int(math.floor(math.sqrt(R2)))
+    k = np.arange(-R, R + 1)
+    k1, k2 = np.repeat(k, k.size), np.tile(k, k.size)
+    inside = k1 * k1 + k2 * k2 <= R2  # exact: integers below 2^53 compare exactly
+    k1, k2 = k1[inside], k2[inside]
+    lam = 4.0 * math.pi * math.pi * (k1 * k1 + k2 * k2)
     manifold = FlatTorus2FiniteCyclic(order) if order else FlatTorus2()
-    return _sorted_basis(manifold, modes, lambda_max, group_order=order)
+    return _sorted_basis(manifold, lam, k1 % order if order else k1, np.column_stack((k1, k2)),
+                         lambda_max, group_order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -469,60 +524,33 @@ def _radial_matrix(profile, m, grid_n):
     return s, r, h, d, off, corner
 
 
-def _sor_evaluator(profile, s_nodes, u, m, h):
-    closed = profile.closed
-    L = profile.length
-    if closed:
-        s_ext = np.concatenate(([s_nodes[0] - h], s_nodes, [s_nodes[-1] + h]))
-        u_ext = np.concatenate(([u[-1]], u, [u[0]]))
-    else:
-        left = u[0] if m == 0 else 0.0
-        right = u[-1] if m == 0 else 0.0
-        s_ext = np.concatenate(([0.0], s_nodes, [L]))
-        u_ext = np.concatenate(([left], u, [right]))
-
-    def ev(x):
-        s = float(x[0]) % L if closed else float(x[0])
-        val = float(np.interp(s, s_ext, u_ext))
-        return val * cmath.exp(1j * m * x[1])
-
-    return ev
-
-
 def surface_of_revolution_basis(profile, m_max, modes_per_m, grid_n):
     if grid_n < 100:
         raise DomainError("grid_n must be >= 100")
     if modes_per_m < 1 or m_max < 0:
         raise DomainError("need modes_per_m >= 1 and m_max >= 0")
-    modes = []
+    lams, ms, js, rows = [], [], [], []
     block_tops = []
-    s_nodes = None
     for m in range(0, m_max + 2):
         want = 1 if m == m_max + 1 else modes_per_m
         s, r, h, d, off, corner = _radial_matrix(profile, m, grid_n)
-        s_nodes = s
         vals, vecs = _eigenpairs(d, off, corner, want, seed=90210 + 13 * m)
         if m == m_max + 1:
             # only needed to certify completeness of the truncation
             block_tops.append(vals[0])
             break
         block_tops.append(vals[want - 1])
-        norm = math.sqrt(2.0 * math.pi * h)  # 2 pi h sum w^2 = 1
-        for j, lam in enumerate(vals):
-            lam = max(lam, 0.0) if lam > -1e-9 else lam
-            w = vecs[:, j] / norm
-            if w[np.argmax(np.abs(w))] < 0:
-                w = -w
-            u = w / np.sqrt(r)
-            for sgn in ((1,) if m == 0 else (1, -1)):
-                ev = _sor_evaluator(profile, s, u, sgn * m, h)
-                modes.append(
-                    EigenMode(float(lam), math.sqrt(max(lam, 0.0)),
-                              IsotypicLabel(sgn * m), ev, f"discrete({grid_n})",
-                              (sgn * m, j), )
-                )
-    lambda_max = float(min(block_tops))
-    return _sorted_basis(profile, modes, lambda_max, grid=(tuple(s_nodes),))
+        w = vecs / math.sqrt(2.0 * math.pi * h)  # 2 pi h sum w^2 = 1
+        w *= np.where(w[np.argmax(np.abs(w), axis=0), np.arange(want)] < 0, -1.0, 1.0)
+        u = (w / np.sqrt(r)[:, None]).T
+        lam = [max(v, 0.0) if v > -1e-9 else v for v in vals.tolist()]
+        for sgn in ((1,) if m == 0 else (1, -1)):
+            lams += lam
+            ms += [sgn * m] * want
+            js += range(want)
+            rows.append(u)
+    return _sorted_basis(profile, lams, ms, np.column_stack((ms, js)), min(block_tops),
+                         radial=np.vstack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -534,20 +562,16 @@ def export_basis(basis, path):
     if not isinstance(basis.manifold, SurfaceOfRevolution):
         raise DomainError("text export is defined for discrete bases only")
     profile = basis.manifold
-    s_nodes = np.asarray(basis.grid[0])
-    n = len(s_nodes)
     lines = [
         "# radial eigenbasis, text format v1",
         f"# profile={profile.name} closed={int(profile.closed)} "
-        f"length={format_float(profile.length)} grid_n={n} "
+        f"length={format_float(profile.length)} grid_n={basis.radial.shape[1]} "
         f"lambda_max={format_float(basis.lambda_max)}",
         "# line format: eigenvalue label u(s_1) ... u(s_n); s_i = (i-1/2) length/n",
     ]
-    for md in basis.modes:
-        m = md.quantum[0]
-        u = np.array([md.evaluator((s, 0.0)).real for s in s_nodes])
-        vals = " ".join(format_float(v) for v in u)
-        lines.append(f"{format_float(md.eigenvalue)} {m} {vals}")
+    for lam, m, u in zip(basis.eigenvalues.tolist(), basis.quantum[:, 0].tolist(), basis.radial):
+        vals = " ".join(format_float(v) for v in u.tolist())
+        lines.append(f"{format_float(lam)} {m} {vals}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -555,28 +579,15 @@ def export_basis(basis, path):
 def import_basis(path, profile):
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    meta = {}
-    body = []
-    for ln in lines:
-        if ln.startswith("#"):
-            for tok in ln[1:].split():
-                if "=" in tok:
-                    key, val = tok.split("=", 1)
-                    meta[key] = val
-        elif ln.strip():
-            body.append(ln)
+    meta = dict(tok.split("=", 1) for ln in lines if ln.startswith("#")
+                for tok in ln[1:].split() if "=" in tok)
+    body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
     n = int(meta["grid_n"])
-    h = profile.length / n
-    s_nodes = (np.arange(n) + 0.5) * h
-    modes = []
-    for ln in body:
+    lam, m, U = [], [], np.empty((len(body), n))
+    for i, ln in enumerate(body):
         toks = ln.split()
-        lam = float(toks[0])
-        m = int(toks[1])
-        u = np.array([float(t) for t in toks[2 : 2 + n]])
-        ev = _sor_evaluator(profile, s_nodes, u, m, h)
-        modes.append(
-            EigenMode(lam, math.sqrt(max(lam, 0.0)), IsotypicLabel(m), ev,
-                      f"discrete({n})", (m, len(modes)))
-        )
-    return _sorted_basis(profile, modes, float(meta["lambda_max"]), grid=(tuple(s_nodes),))
+        lam.append(float(toks[0]))
+        m.append(int(toks[1]))
+        U[i] = [float(t) for t in toks[2 : 2 + n]]
+    return _sorted_basis(profile, lam, m, np.column_stack((m, np.arange(len(m)))),
+                         float(meta["lambda_max"]), radial=U)

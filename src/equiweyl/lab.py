@@ -146,7 +146,8 @@ def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance):
         name = f"weyl-sphere-{tag}"
     elif isinstance(manifold, geometry.FlatTorus2):
         diag = lambda lam: spectral.torus_diag_direct(m, lam)
-        name = f"weyl-torus-m{m}"
+        # weyl-torus-m{m} would share a file name with the suite's weyl-torus-m3
+        name = f"weyl-torus-label{m}"
     else:
         raise DomainError("local Weyl sweeps cover the sphere and the flat torus")
     pred = weylcoef.local_leading_coefficient(manifold, x, label)
@@ -287,7 +288,7 @@ def run_lp_experiment(manifold, m, p_list, k_grid=_K_GRID,
 def run_counting_experiment(manifold, m, lambda_top, tolerance):
     """Isotypic counts: on the "sphere" every |m| <= 100 (or the one label
     m) at lambda_top, exactly; on the "torus" the sqrt(lambda) growth over
-    the fixed grid 1e4..1e6, which does not read lambda_top."""
+    lambda_top / 100 .. lambda_top."""
     if manifold == "sphere":
         lam_top = float(lambda_top)
         ms = range(-100, 101) if m == 0 else [m]
@@ -305,7 +306,7 @@ def run_counting_experiment(manifold, m, lambda_top, tolerance):
             {"count_rule": "sqrt(lambda) - |m|"}, {"max_deviation": 0},
             verdict_from(checks), extra={"max_deviation": float(max(devs))},
         )
-    lambda_grid = default_lambda_grid(1e4, 1e6)
+    lambda_grid = default_lambda_grid(lambda_top / 100.0, lambda_top)
     counts = np.array([spectral.torus_count_direct(m, lam) for lam in lambda_grid])
     pred_coeff = 1.0 / math.pi
     series = _series(lambda_grid, counts, [pred_coeff * math.sqrt(l) for l in lambda_grid])
@@ -325,17 +326,13 @@ def run_kuznecov_experiment(lambda_top, points, seed, identity_tol=1e-10, growth
     basis = eigensolve.sphere_basis(lambda_top)
     rsf = spectral.ReducedSpectralFunction(basis, 0)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    series = []
-    for _ in range(points):
-        theta = math.acos(rng.uniform(-1.0, 1.0))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        x = geometry.sphere_point(theta, phi)
-        ks = spectral.kuznecov_sum(basis, x, lambda_top)
-        diag = spectral.reduced_spectral_diag(rsf, x, lambda_top)
-        rel = abs(ks - diag) / max(1.0, abs(diag))
-        worst = max(worst, rel)
-        series.append({"grid": float(theta), "measured": float(ks), "predicted": float(diag)})
+    draws = [(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi))
+             for _ in range(points)]
+    thetas, xs = [t for t, _ in draws], [geometry.sphere_point(t, phi) for t, phi in draws]
+    sums = spectral.kuznecov_sum(basis, np.array(xs), lambda_top).tolist()
+    diags = [spectral.reduced_spectral_diag(rsf, x, lambda_top) for x in xs]
+    worst = max([0.0] + [abs(ks - d) / max(1.0, abs(d)) for ks, d in zip(sums, diags)])
+    series = _series(thetas, sums, diags)
     # equator growth against the closed-form coefficient
     lam_equator = 1e6
     equator = window_averaged_diag(lambda l: spectral.sphere_diag_direct(0, math.pi / 2, l),

@@ -113,16 +113,20 @@ def torus_diag_direct(m, lam, order=0):
 # basis-backed layer
 
 
+def _densities(basis, points, rows):
+    """|e_j(x)|^2, shape (rows, points), by hypot as abs(complex) computes
+    it: np.abs of a complex array may round the last bit differently."""
+    vals = basis.evaluate(points, rows)
+    return np.hypot(vals.real, vals.imag) ** 2
+
+
 def _diag_by_modes(rsf, x, lam):
     """Reference route: literal sum of |e_j(x)|^2 over matching modes."""
-    vals = [
-        md.density(x)
-        for md in rsf.basis.modes_with_label(rsf.label)
-        if md.eigenvalue <= lam
-    ]
-    if not vals:
+    basis = rsf.basis
+    rows = np.flatnonzero(basis.label_mask(rsf.label) & (basis.eigenvalues <= lam))
+    if not rows.size:
         return 0.0
-    return float(pairwise_sum(np.array(vals)))
+    return float(pairwise_sum(_densities(basis, x, rows)[:, 0]))
 
 
 def _sphere_theta(x):
@@ -159,7 +163,7 @@ def counting_function(rsf, lam):
         return torus_count_direct(m, lam)
     if isinstance(man, FlatTorus2FiniteCyclic):
         return torus_count_direct(m, lam, order=man.order)
-    return sum(1 for md in basis.modes_with_label(rsf.label) if md.eigenvalue <= lam)
+    return int(np.count_nonzero(basis.label_mask(rsf.label) & (basis.eigenvalues <= lam)))
 
 
 def cluster_sum(rsf, x, lam):
@@ -180,51 +184,45 @@ def _group_nodes(basis, n_quad=None):
     0..N-1 for cyclic actions."""
     if basis.group_order:
         return np.arange(basis.group_order, dtype=float), basis.group_order
-    span = max([abs(md.label.m) for md in basis.modes], default=0)
+    span = int(np.max(np.abs(basis.m), initial=0))
     n = n_quad or max(8, 2 * span + 2)
     if isinstance(basis.manifold, FlatTorus2):
         return np.arange(n) / n, n
     return np.arange(n) * (_TWO_PI / n), n
 
 
-def _label_average_factor(basis, t_nodes, n):
-    """Trapezoid average of the action phase per label: exact for n > |m|."""
-    out = {}
-    for md in basis.modes:
-        m = md.label.m
-        if m in out:
-            continue
-        if basis.group_order:
-            ph = np.exp(-2j * math.pi * m * t_nodes / basis.group_order)
-        elif isinstance(basis.manifold, FlatTorus2):
-            ph = np.exp(-2j * math.pi * m * t_nodes)
-        else:
-            ph = np.exp(-1j * m * t_nodes)
-        out[m] = complex(pairwise_sum(ph.real) + 1j * pairwise_sum(ph.imag)) / n
-    return out
+def _label_weights(basis, t_nodes, n):
+    """Per mode: |trapezoid average of its label's action phase|^2, exact
+    (0 or 1) for n > |m|."""
+    labels, which = np.unique(basis.m, return_inverse=True)
+    m = labels[:, None]
+    if basis.group_order:
+        ph = np.exp(-2j * math.pi * m * t_nodes / basis.group_order)
+    elif isinstance(basis.manifold, FlatTorus2):
+        ph = np.exp(-2j * math.pi * m * t_nodes)
+    else:
+        ph = np.exp(-1j * m * t_nodes)
+    # real and imaginary parts divided by n apart, as Python's complex
+    # division does; numpy's multiplies by 1/n, which rounds differently
+    avg = zip((pairwise_sum(ph.real) / n).tolist(), (pairwise_sum(ph.imag) / n).tolist())
+    return np.array([abs(complex(re, im)) ** 2 for re, im in avg])[which]
 
 
 def kuznecov_sum(basis, x, lam, n_quad=None):
-    """Sum over lambda_j <= lam of |group average of e_j at x|^2.
+    """Sum over lambda_j <= lam of |group average of e_j at x|^2; x is one
+    point, or a (P, d) array of points for an array of P sums.
 
     The group average factors through the isotypic phase (the quadrature
-    acts on the phase alone).  For abelian actions it equals the
+    acts on the phase alone).  Modes whose phase average vanishes (weight
+    <= 1e-30) are not evaluated.  For abelian actions the sum equals the
     trivial-label diagonal; the kuznecov experiment checks that and reports
     the worst deviation.
     """
     basis.require(lam)
-    t_nodes, n = _group_nodes(basis, n_quad)
-    fac = _label_average_factor(basis, t_nodes, n)
-    terms = []
-    for md in basis.modes:
-        if md.eigenvalue > lam:
-            continue
-        weight = abs(fac[md.label.m]) ** 2
-        if weight <= 1e-30:
-            # the phase average vanished identically; skip the evaluation
-            continue
-        terms.append(md.density(x) * weight)
-    return float(pairwise_sum(np.array(terms))) if terms else 0.0
+    weight = _label_weights(basis, *_group_nodes(basis, n_quad))
+    rows = np.flatnonzero((basis.eigenvalues <= lam) & (weight > 1e-30))
+    sums = pairwise_sum((_densities(basis, x, rows) * weight[rows, None]).T)
+    return float(sums[0]) if np.ndim(x) == 1 else sums
 
 
 def kuznecov_sum_by_rotation(basis, x, lam, n_quad=None):
@@ -232,18 +230,10 @@ def kuznecov_sum_by_rotation(basis, x, lam, n_quad=None):
     basis.require(lam)
     t_nodes, n = _group_nodes(basis, n_quad)
     man = basis.manifold
-    zero_xi = (
-        np.zeros(3) if isinstance(man, RoundSphere2) else np.zeros(2)
-    )
-    pt = cotangent_point(man, x, zero_xi)
+    pt = cotangent_point(man, x, np.zeros(3 if isinstance(man, RoundSphere2) else 2))
     pts = [rotate_cotangent(man, pt, -float(t)).x for t in t_nodes]
-    total = 0.0
-    for md in basis.modes:
-        if md.eigenvalue > lam:
-            continue
-        avg = sum(md.evaluator(p) for p in pts) / n
-        total += abs(avg) ** 2
-    return float(total)
+    avg = np.sum(basis.evaluate(pts, np.flatnonzero(basis.eigenvalues <= lam)), axis=1) / n
+    return float(np.sum(np.abs(avg) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +245,14 @@ def lp_node_rule(k_eff):
 
 
 def _top_window_mode(rsf, lam):
-    window = [
-        md
-        for md in rsf.basis.modes_with_label(rsf.label)
-        if lam < md.eigenvalue <= lam + 1.0
-    ]
-    if not window:
+    """Index of the mode with the largest (eigenvalue, quantum) in the window."""
+    basis = rsf.basis
+    lams = basis.eigenvalues
+    rows = np.flatnonzero(basis.label_mask(rsf.label) & (lam < lams) & (lams <= lam + 1.0))
+    if not rows.size:
         raise EmptyWindowError(f"no modes with label {rsf.label.m} in ({lam}, {lam + 1}]")
-    return max(window, key=lambda md: (md.eigenvalue, md.quantum))
+    q = basis.quantum[rows]
+    return int(rows[np.lexsort((q[:, 1], q[:, 0], lams[rows]))[-1]])
 
 
 def _refined_max(values, evaluate, coarse_grid):
@@ -282,12 +272,13 @@ def cluster_lp_norm(rsf, lam, p, quad=None):
     """
     if not (p >= 2):
         raise DomainError("p must lie in [2, inf]")
-    rsf.basis.require(lam + 1.0)
-    md = _top_window_mode(rsf, lam)
-    man = rsf.basis.manifold
-    k_eff = int(math.ceil(md.mu))
-    if isinstance(man, RoundSphere2):
-        k_eff = md.quantum[0]
+    basis = rsf.basis
+    basis.require(lam + 1.0)
+    top = _top_window_mode(rsf, lam)
+    man = basis.manifold
+    k, m = basis.quantum[top].tolist()
+    mu = math.sqrt(max(float(basis.eigenvalues[top]), 0.0))
+    k_eff = k if isinstance(man, RoundSphere2) else int(math.ceil(mu))
     n_pol, n_az = lp_node_rule(k_eff)
     if quad is not None:
         if quad[0] < n_pol or quad[1] < n_az:
@@ -297,7 +288,6 @@ def cluster_lp_norm(rsf, lam, p, quad=None):
         n_pol, n_az = quad
 
     if isinstance(man, RoundSphere2):
-        k, m = md.quantum
         nodes, weights = gauss_nodes(n_pol)
         pbar = specfun.assoc_ladder(m, k, nodes)[-1] if k >= abs(m) else np.zeros(n_pol)
         if math.isinf(p):
@@ -320,12 +310,13 @@ def cluster_lp_norm(rsf, lam, p, quad=None):
     if isinstance(man, SurfaceOfRevolution):
         L = man.length
         s = np.linspace(0.0, L, n_pol, endpoint=not man.closed)
-        u = np.abs(np.array([md.evaluator((si, 0.0)) for si in s]))
+
+        def ev(sg):
+            return np.abs(basis.evaluate(np.column_stack((sg, np.zeros_like(sg))), top)[0])
+
+        u = ev(s)
         r = np.asarray(man.r(s), dtype=float)
         if math.isinf(p):
-            def ev(sg):
-                return np.abs(np.array([md.evaluator((si, 0.0)) for si in sg]))
-
             return _refined_max(u, ev, s)
         if man.closed:
             integral = _TWO_PI * float(np.sum(u**p * r)) * (L / n_pol)

@@ -38,20 +38,20 @@ def gauss_nodes(n):
 
 
 def pairwise_sum(values):
-    """Sum in a fixed adjacent-pairing tree order.
+    """Sum over the last axis in a fixed adjacent-pairing tree order.
 
     The reduction order depends only on the input order, never on thread
-    count or chunking, so reports built from it are bit-reproducible.
+    count or chunking, so reports built from it are bit-reproducible.  Each
+    row of a 2-D input is summed exactly as it would be on its own.
     """
-    a = np.asarray(values, dtype=np.result_type(np.asarray(values), np.float64))
-    a = a.reshape(-1)
-    if a.size == 0:
-        return a.dtype.type(0)
-    while a.size > 1:
-        m = (a.size // 2) * 2
-        head = a[0:m:2] + a[1:m:2]
-        a = np.concatenate([head, a[m:]]) if a.size > m else head
-    return a[0]
+    a = np.atleast_1d(np.asarray(values, dtype=np.result_type(np.asarray(values), np.float64)))
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1], a.dtype)[()]
+    while a.shape[-1] > 1:
+        m = (a.shape[-1] // 2) * 2
+        head = a[..., 0:m:2] + a[..., 1:m:2]
+        a = np.concatenate([head, a[..., m:]], axis=-1) if a.shape[-1] > m else head
+    return a[..., 0][()]
 
 
 def geometric_grid(lo, hi, ratio=math.sqrt(2.0)):

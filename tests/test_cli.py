@@ -183,3 +183,22 @@ def test_main_writes_reports_for_single_experiment(tmp_path, capsys):
     assert (tmp_path / "critscan.json").exists()
     assert (tmp_path / "critscan.csv").exists()
     assert "critscan: pass" in capsys.readouterr().out
+
+
+def test_counting_torus_reads_lambda(tmp_path, capsys):
+    assert cli.main(["counting", "--manifold", "torus", "--lambda", "5e4",
+                     "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "counting-torus.json").read_text())
+    assert report["params"]["lambda_max"] == 5e4
+    assert report["series"][0]["grid"] == 500.0
+
+
+def test_single_torus_weyl_report_keeps_its_own_file(tmp_path, capsys):
+    out = str(tmp_path)
+    assert cli.main(["weyl", "--manifold", "torus", "--m", "3", "--out-dir", out]) == 0
+    assert cli.main(["suite", "--names", "weyl-torus-m3", "--out-dir", out]) == 0
+    single = json.loads((tmp_path / "weyl-torus-label3.json").read_text())
+    merged = json.loads((tmp_path / "weyl-torus-m3.json").read_text())
+    assert single["params"]["m"] == 3 and "parts" not in single
+    assert merged["params"] == {"m": [0, 3, 10]}
+    assert (tmp_path / "weyl-torus-label3.csv").exists()

@@ -1,4 +1,5 @@
 """Analytic bases and the discrete Sturm-Liouville route."""
+import cmath
 import math
 
 import numpy as np
@@ -209,3 +210,104 @@ def test_closed_profile_with_vanishing_pivot():
     lams = [md.eigenvalue for md in b.modes]
     assert len(lams) == 96
     assert lams == sorted(lams)
+
+
+# ---------------------------------------------------------------------------
+# the batched evaluator against the scalar formulas, value for value
+
+
+def _sphere_formula(basis, i, x):
+    k, m = basis.quantum[i].tolist()
+    theta = math.acos(max(-1.0, min(1.0, x[2])))
+    pbar = specfun.assoc_legendre_normalized(k, m, math.cos(theta))
+    return pbar * cmath.exp(1j * m * math.atan2(x[1], x[0]))
+
+
+def _torus_formula(basis, i, x):
+    k1, k2 = basis.quantum[i].tolist()
+    return cmath.exp(2j * math.pi * (k1 * x[0] + k2 * x[1]))
+
+
+def _profile_formula(basis, i, x):
+    """np.interp over the cell centers, extended past each end, times e^{i m phi}."""
+    prof = basis.manifold
+    m = int(basis.quantum[i, 0])
+    u = basis.radial[i]
+    h = prof.length / len(u)
+    s_nodes = (np.arange(len(u)) + 0.5) * h
+    assert basis.grid[0] == tuple(s_nodes)
+    if prof.closed:
+        s_ext = np.concatenate(([s_nodes[0] - h], s_nodes, [s_nodes[-1] + h]))
+        u_ext = np.concatenate(([u[-1]], u, [u[0]]))
+    else:
+        end = 1.0 if m == 0 else 0.0
+        s_ext = np.concatenate(([0.0], s_nodes, [prof.length]))
+        u_ext = np.concatenate(([u[0] * end], u, [u[-1] * end]))
+    s = float(x[0]) % prof.length if prof.closed else float(x[0])
+    return float(np.interp(s, s_ext, u_ext)) * cmath.exp(1j * m * x[1])
+
+
+def _profile_points(prof):
+    L, h = prof.length, prof.length / 200
+    pts = [(0.0, 0.0), (L, 0.0), (0.5 * h, 1.3), (L - 0.5 * h, -0.4), (0.2 * h, 2.0),
+           (L - 0.2 * h, 0.9), (1.1, 0.0), (1.1, 2.7)]
+    if prof.closed:
+        # across the seam, both ways
+        pts += [(L + 0.3 * h, 0.4), (-0.3 * h, 5.0), (2 * L + 1.1, -2.0)]
+    return pts
+
+
+def _sphere_case():
+    rng = np.random.default_rng(5)
+    pts = [geometry.sphere_point(0.0, 0.0), geometry.sphere_point(math.pi, 0.0),
+           geometry.sphere_point(math.pi / 2, 0.0)]
+    pts += [geometry.sphere_point(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            for _ in range(4)]
+    return eigensolve.sphere_basis(12 * 13), pts, _sphere_formula
+
+
+def _torus_case(group):
+    pts = [(0.0, 0.0), (0.3, 0.7), (0.999, 0.123), (0.5, 0.5)]
+    return eigensolve.torus_basis(500.0, group=group), pts, _torus_formula
+
+
+def _profile_case(prof, imported=False, tmp_path=None):
+    b = eigensolve.surface_of_revolution_basis(prof, 2, 5, 200)
+    if imported:
+        eigensolve.export_basis(b, tmp_path / "basis.txt")
+        b = eigensolve.import_basis(tmp_path / "basis.txt", prof)
+    return b, _profile_points(prof), _profile_formula
+
+
+_CASES = {
+    "sphere": lambda tmp: _sphere_case(),
+    "torus-circle": lambda tmp: _torus_case("circle"),
+    "torus-cyclic3": lambda tmp: _torus_case("cyclic3"),
+    "profile-open": lambda tmp: _profile_case(geometry.sphere_profile()),
+    "profile-closed": lambda tmp: _profile_case(geometry.torus_profile()),
+    "profile-imported": lambda tmp: _profile_case(geometry.torus_profile(), True, tmp),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_batched_evaluator_matches_scalar_formulas(case, tmp_path):
+    basis, pts, formula = _CASES[case](tmp_path)
+    got = basis.evaluate(np.array(pts))
+    n = len(basis.eigenvalues)
+    assert got.shape == (n, len(pts)) == (len(basis.modes), len(pts))
+    want = np.array([[formula(basis, i, x) for x in pts] for i in range(n)])
+    assert np.array_equal(got, want)
+    # a subset of modes at one point, and the per-mode views, read the same values
+    rows = np.arange(0, n, 3)
+    assert np.array_equal(basis.evaluate(pts[1], rows)[:, 0], want[rows, 1])
+    assert all(md.evaluator(pts[1]) == want[i, 1] for i, md in enumerate(basis.modes))
+
+
+def test_export_import_export_is_byte_identical(tmp_path):
+    prof = geometry.torus_profile()
+    b = eigensolve.surface_of_revolution_basis(prof, 2, 5, 200)
+    eigensolve.export_basis(b, tmp_path / "a.txt")
+    b2 = eigensolve.import_basis(tmp_path / "a.txt", prof)
+    eigensolve.export_basis(b2, tmp_path / "b.txt")
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    assert np.array_equal(b2.radial, b.radial) and np.array_equal(b2.eigenvalues, b.eigenvalues)

@@ -3,6 +3,8 @@
 No correctness check may live in an ``assert``: ``python -O`` strips them.
 The experiment harness ``lab`` sits at the top of the import graph: only the
 command-line front end imports it, so no module below it can close a cycle.
+The package reads eigenbases through their arrays and ``EigenBasis.evaluate``;
+the per-mode views are for callers outside it.
 """
 import ast
 from pathlib import Path
@@ -44,3 +46,12 @@ def test_only_cli_imports_lab():
     importers = [path.name for path in MODULES
                  if path.name != "cli.py" and "equiweyl.lab" in set(_imported(_tree(path)))]
     assert importers == []
+
+
+def test_only_eigensolve_reads_per_mode_views():
+    per_mode = {"modes", "evaluator", "density"}
+    found = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in MODULES if path.name != "eigensolve.py"
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr in per_mode]
+    assert found == []

@@ -128,10 +128,33 @@ def test_kuznecov_identity(sphere200):
 
 
 def test_kuznecov_rotation_route(sphere200):
-    x = geometry.sphere_point(0.9, 1.7)
-    fast = spectral.kuznecov_sum(sphere200, x, 200.0)
-    literal = spectral.kuznecov_sum_by_rotation(sphere200, x, 200.0)
-    assert fast == pytest.approx(literal, rel=1e-11)
+    """The phase-weighted sum against the literal average over rotated
+    points: sphere, surface of revolution, cyclic torus action."""
+    sor = eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 4, 200)
+    cases = [
+        (sphere200, geometry.sphere_point(0.9, 1.7), 200.0),
+        (sor, (1.1, 0.4), sor.lambda_max),
+        (eigensolve.torus_basis(500.0, group="cyclic3"), (0.123, 0.456), 500.0),
+    ]
+    for basis, x, lam in cases:
+        fast = spectral.kuznecov_sum(basis, x, lam)
+        literal = spectral.kuznecov_sum_by_rotation(basis, x, lam)
+        assert fast > 0.1
+        assert fast == pytest.approx(literal, rel=1e-11)
+
+
+def test_kuznecov_matches_label0_diagonal_at_suite_lambda():
+    basis = eigensolve.sphere_basis(1e4)
+    rsf = spectral.ReducedSpectralFunction(basis, 0)
+    rng = np.random.default_rng(20260815)
+    xs = np.array([geometry.sphere_point(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+                   for _ in range(3)])
+    sums = spectral.kuznecov_sum(basis, xs, 1e4)
+    for x, ks in zip(xs, sums):
+        diag = spectral.reduced_spectral_diag(rsf, x, 1e4)
+        assert abs(ks - diag) <= 1e-10 * max(1.0, diag)
+    # point by point, the same sums to the bit
+    assert [spectral.kuznecov_sum(basis, x, 1e4) for x in xs] == sums.tolist()
 
 
 def test_kuznecov_pole_value(sphere200):

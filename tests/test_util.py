@@ -54,6 +54,13 @@ def test_pairwise_sum_edge_cases():
     assert z == pytest.approx(0.0 + 1.5j)
 
 
+def test_pairwise_sum_rows_match_single_sums():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 37))
+    assert util.pairwise_sum(a).tolist() == [util.pairwise_sum(row) for row in a]
+    assert util.pairwise_sum(np.zeros((4, 0))).tolist() == [0.0] * 4
+
+
 def test_pairwise_sum_deterministic():
     rng = np.random.default_rng(11)
     a = rng.standard_normal(4097)
