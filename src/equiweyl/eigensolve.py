@@ -54,7 +54,7 @@ class EigenMode:
                                                 modulus=self.basis.group_order or None))
     quantum = property(lambda self: tuple(self.basis.quantum[self.index].tolist()))
     source = property(lambda self: "analytic" if self.basis.radial is None
-                      else f"discrete({self.basis.radial.shape[1]})")
+                      else f"discrete({self.basis.radial.shape[1] - 2})")
 
     def evaluator(self, x):
         return complex(self.basis.evaluate(x, self.index)[0, 0])
@@ -69,7 +69,9 @@ class EigenBasis:
 
     m: the label, the Fourier index or its residue mod group_order.
     quantum: (k, m) sphere, (k1, k2) torus, (m, j) surface of revolution.
-    radial: a discrete basis's values at the cell centers s_i = (i - 1/2) L/n.
+    radial: values at the cell centers (i - 1/2) L/n plus one node past each
+    end: the wrapped neighbour if closed, else the profile's end, valued as
+    the nearest center for m = 0 and 0 otherwise.
     """
 
     manifold: object
@@ -109,8 +111,7 @@ class EigenBasis:
         e^{i m phi} (one Legendre ladder per distinct m), e^{2 pi i <k, x>},
         and np.interp over the nodes times e^{i m phi}."""
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None]
+        pts = pts.reshape(-1, pts.shape[-1])
         rows = np.arange(len(self.eigenvalues)) if modes is None else np.asarray(modes).ravel()
         q = self.quantum[rows]
         man = self.manifold
@@ -120,34 +121,26 @@ class EigenBasis:
             t = np.multiply.outer(q[:, 0], pts[:, 0]) + np.multiply.outer(q[:, 1], pts[:, 1])
             return np.exp(1j * (_TWO_PI * t))
         # np.interp's formula: slope * (s - nodes[j]) + value[j], nodes[j] <= s
-        nodes, values, slopes = self._interpolation
+        nodes, slopes = self._interpolation
         s = pts[:, 0]
         s = s % man.length if man.closed else np.minimum(np.maximum(s, nodes[0]), nodes[-1])
         j = nodes.searchsorted(s, side="right") - 1
         col = rows[:, None]
-        radial = slopes[col, j] * (s - nodes[j]) + values[col, j]
+        radial = slopes[col, j] * (s - nodes[j]) + self.radial[col, j]
         return radial * np.exp(1j * np.multiply.outer(q[:, 0], pts[:, 1]))
 
     @functools.cached_property
     def _interpolation(self):
-        """Nodes, values and np.interp's slopes: the cell centers plus one
-        node past each end, valued as the wrapped neighbour on a closed
-        profile, else at the profile's ends as the nearest center for m = 0
-        and 0 otherwise; slope 0 after the last node."""
-        prof, U = self.manifold, self.radial
-        h = prof.length / U.shape[1]
-        s = (np.arange(U.shape[1]) + 0.5) * h
-        if prof.closed:
-            nodes = np.concatenate(([s[0] - h], s, [s[-1] + h]))
-            left, right = U[:, -1], U[:, 0]
-        else:
-            nodes = np.concatenate(([0.0], s, [prof.length]))
-            m0 = self.m == 0
-            left, right = np.where(m0, U[:, 0], 0.0), np.where(m0, U[:, -1], 0.0)
-        values = np.column_stack((left, U, right))
-        slopes = np.zeros_like(values)
-        slopes[:, :-1] = np.diff(values, axis=1) / np.diff(nodes)
-        return nodes, values, slopes
+        """The nodes of radial, and np.interp's slope on each node interval
+        (0 after the last node)."""
+        prof, n = self.manifold, self.radial.shape[1] - 2
+        h = prof.length / n
+        s = (np.arange(n) + 0.5) * h
+        ends = ([s[0] - h], [s[-1] + h]) if prof.closed else ([0.0], [prof.length])
+        nodes = np.concatenate((ends[0], s, ends[1]))
+        slopes = np.zeros_like(self.radial)
+        slopes[:, :-1] = np.diff(self.radial, axis=1) / np.diff(nodes)
+        return nodes, slopes
 
 
 def _sphere_values(k, m, pts):
@@ -163,9 +156,15 @@ def _sphere_values(k, m, pts):
 
 
 def _sorted_basis(manifold, eigenvalues, m, quantum, lambda_max, group_order=0, radial=None):
-    """The basis, modes in (eigenvalue, m, quantum) order, arrays read-only."""
+    """The basis, modes in (eigenvalue, m, quantum) order, arrays read-only;
+    radial values at the cell centers gain the end nodes EigenBasis describes."""
     quantum = np.asarray(quantum, dtype=np.int64).reshape(-1, 2)
     m, eigenvalues = np.asarray(m, dtype=np.int64), np.asarray(eigenvalues, dtype=float)
+    if radial is not None:
+        first, last = (-1, 0) if manifold.closed else (0, -1)
+        keep = manifold.closed | (m == 0)
+        radial = np.column_stack((np.where(keep, radial[:, first], 0.0), radial,
+                                  np.where(keep, radial[:, last], 0.0)))
     order = np.lexsort((quantum[:, 1], quantum[:, 0], m, eigenvalues))
     arrays = [None if a is None else a[order] for a in (eigenvalues, m, quantum, radial)]
     for a in filter(lambda a: a is not None, arrays):
@@ -529,8 +528,7 @@ def surface_of_revolution_basis(profile, m_max, modes_per_m, grid_n):
         raise DomainError("grid_n must be >= 100")
     if modes_per_m < 1 or m_max < 0:
         raise DomainError("need modes_per_m >= 1 and m_max >= 0")
-    lams, ms, js, rows = [], [], [], []
-    block_tops = []
+    lams, ms, js, rows, block_tops = [], [], [], [], []
     for m in range(0, m_max + 2):
         want = 1 if m == m_max + 1 else modes_per_m
         s, r, h, d, off, corner = _radial_matrix(profile, m, grid_n)
@@ -565,11 +563,11 @@ def export_basis(basis, path):
     lines = [
         "# radial eigenbasis, text format v1",
         f"# profile={profile.name} closed={int(profile.closed)} "
-        f"length={format_float(profile.length)} grid_n={basis.radial.shape[1]} "
+        f"length={format_float(profile.length)} grid_n={basis.radial.shape[1] - 2} "
         f"lambda_max={format_float(basis.lambda_max)}",
         "# line format: eigenvalue label u(s_1) ... u(s_n); s_i = (i-1/2) length/n",
     ]
-    for lam, m, u in zip(basis.eigenvalues.tolist(), basis.quantum[:, 0].tolist(), basis.radial):
+    for lam, m, u in zip(basis.eigenvalues.tolist(), basis.m.tolist(), basis.radial[:, 1:-1]):
         vals = " ".join(format_float(v) for v in u.tolist())
         lines.append(f"{format_float(lam)} {m} {vals}")
     with open(path, "w") as fh:

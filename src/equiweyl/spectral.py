@@ -213,10 +213,9 @@ def kuznecov_sum(basis, x, lam, n_quad=None):
     point, or a (P, d) array of points for an array of P sums.
 
     The group average factors through the isotypic phase (the quadrature
-    acts on the phase alone).  Modes whose phase average vanishes (weight
-    <= 1e-30) are not evaluated.  For abelian actions the sum equals the
-    trivial-label diagonal; the kuznecov experiment checks that and reports
-    the worst deviation.
+    acts on the phase alone); modes whose average vanishes are not evaluated.
+    For abelian actions the sum equals the trivial-label diagonal; the
+    kuznecov experiment checks that and reports the worst deviation.
     """
     basis.require(lam)
     weight = _label_weights(basis, *_group_nodes(basis, n_quad))

@@ -232,7 +232,7 @@ def _profile_formula(basis, i, x):
     """np.interp over the cell centers, extended past each end, times e^{i m phi}."""
     prof = basis.manifold
     m = int(basis.quantum[i, 0])
-    u = basis.radial[i]
+    u = basis.radial[i, 1:-1]
     h = prof.length / len(u)
     s_nodes = (np.arange(len(u)) + 0.5) * h
     assert basis.grid[0] == tuple(s_nodes)
