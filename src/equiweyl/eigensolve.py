@@ -112,7 +112,8 @@ class EigenBasis:
         and np.interp over the nodes times e^{i m phi}."""
         pts = np.asarray(points, dtype=float)
         pts = pts.reshape(-1, pts.shape[-1])
-        rows = np.arange(len(self.eigenvalues)) if modes is None else np.asarray(modes).ravel()
+        rows = np.arange(len(self.eigenvalues)) if modes is None else np.ravel(modes)
+        rows = rows.astype(np.intp, copy=False)
         q = self.quantum[rows]
         man = self.manifold
         if isinstance(man, RoundSphere2):

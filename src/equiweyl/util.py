@@ -38,20 +38,21 @@ def gauss_nodes(n):
 
 
 def pairwise_sum(values):
-    """Sum over the last axis in a fixed adjacent-pairing tree order.
+    """Sum in a fixed adjacent-pairing tree order; a 2-D input gives one sum
+    per row, each exactly as the row alone would give.
 
     The reduction order depends only on the input order, never on thread
-    count or chunking, so reports built from it are bit-reproducible.  Each
-    row of a 2-D input is summed exactly as it would be on its own.
+    count or chunking, so reports built from it are bit-reproducible.
     """
-    a = np.atleast_1d(np.asarray(values, dtype=np.result_type(np.asarray(values), np.float64)))
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1], a.dtype)[()]
-    while a.shape[-1] > 1:
-        m = (a.shape[-1] // 2) * 2
-        head = a[..., 0:m:2] + a[..., 1:m:2]
-        a = np.concatenate([head, a[..., m:]], axis=-1) if a.shape[-1] > m else head
-    return a[..., 0][()]
+    a = np.asarray(values, dtype=np.result_type(np.asarray(values), np.float64))
+    a = a.reshape(-1) if a.ndim < 2 else a.T
+    if len(a) == 0:
+        return np.zeros(a.shape[1:], a.dtype)[()]
+    while len(a) > 1:
+        m = (len(a) // 2) * 2
+        head = a[0:m:2] + a[1:m:2]
+        a = np.concatenate([head, a[m:]]) if len(a) > m else head
+    return a[0]
 
 
 def geometric_grid(lo, hi, ratio=math.sqrt(2.0)):
