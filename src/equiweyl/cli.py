@@ -22,9 +22,6 @@ from .errors import (
     ResourceLimitError,
     TruncationError,
 )
-# the flag grammar lives with the parameter records
-from .lab import parse_grid as _parse_grid, parse_pair as _parse_pair  # noqa: F401
-from .lab import parse_plist as _parse_plist  # noqa: F401
 from .util import get_thread_count
 
 SUBCOMMANDS = tuple(lab.COMMANDS)

@@ -178,14 +178,11 @@ def _sorted_basis(manifold, eigenvalues, m, quantum, lambda_max, group_order=0, 
 
 
 def sphere_k_max(lambda_max):
+    """Largest k with k(k+1) <= lambda_max, in exact integer arithmetic:
+    k(k+1) <= n  iff  (2k+1)^2 <= 4n+1, n = floor(lambda_max)."""
     if lambda_max < 0:
         return -1
-    k = int((math.sqrt(4.0 * lambda_max + 1.0) - 1.0) / 2.0)
-    while (k + 1) * (k + 2) <= lambda_max:
-        k += 1
-    while k >= 0 and k * (k + 1) > lambda_max:
-        k -= 1
-    return k
+    return (math.isqrt(4 * math.floor(lambda_max) + 1) - 1) // 2
 
 
 def sphere_basis(lambda_max):

@@ -5,7 +5,7 @@ quadrature slices of the momentum zero level in each fiber."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,24 +155,34 @@ class _CubicSpline:
 def profile_from_file(path, name=None):
     """Load a two-column (s, r) text profile; cubic interpolation inside.
 
-    First line is a header and is skipped.  The profile is closed when both
-    endpoint radii are positive.
+    A first line that is not numeric is a header and is skipped.  The profile
+    is closed when both endpoint radii are positive.  Malformed input raises
+    SingularProfileError naming the offending line.
     """
     rows = []
     with open(path) as fh:
-        header = fh.readline().replace(",", " ")
-        if header.strip() and all(_is_float(tok) for tok in header.split()):
-            rows.append([float(t) for t in header.split()[:2]])
-        for line in fh:
-            line = line.strip().replace(",", " ")
-            if not line or line.startswith("#"):
+        for lineno, line in enumerate(fh, 1):
+            toks = line.replace(",", " ").split()
+            if not toks or toks[0].startswith("#"):
                 continue
-            toks = line.split()
-            rows.append([float(toks[0]), float(toks[1])])
-    data = np.array(rows)
-    s, r = data[:, 0], data[:, 1]
-    if s[0] != 0:
-        raise SingularProfileError("profile must start at s = 0")
+            if lineno == 1 and not all(_is_float(tok) for tok in toks):
+                continue
+            try:
+                rows.append((lineno, float(toks[0]), float(toks[1])))
+            except (IndexError, ValueError):
+                raise SingularProfileError(
+                    f"{path}:{lineno}: expected two numbers s, r; got {line.strip()!r}"
+                ) from None
+    if not rows:
+        raise SingularProfileError(f"{path}: no (s, r) rows")
+    if rows[0][1] != 0:
+        raise SingularProfileError(f"{path}:{rows[0][0]}: profile must start at s = 0")
+    if len(rows) < 4:
+        raise SingularProfileError(f"{path}: need at least 4 (s, r) rows, got {len(rows)}")
+    for (_, prev, _), (lineno, cur, _) in zip(rows, rows[1:]):
+        if not cur > prev:
+            raise SingularProfileError(f"{path}:{lineno}: s = {cur} does not increase past {prev}")
+    _, s, r = np.array(rows).T
     spline = _CubicSpline(s, r)
     closed = r[0] > 1e-9 and r[-1] > 1e-9
     return SurfaceOfRevolution(
@@ -198,11 +208,8 @@ class IsotypicLabel:
 
     m: int
     modulus: int | None = None
-    d_gamma: int = 1
 
     def __post_init__(self):
-        if self.d_gamma != 1:
-            raise ValueError("abelian labels have d_gamma = 1")
         if self.modulus is not None and not (0 <= self.m < self.modulus):
             raise ValueError("residue label must satisfy 0 <= m < modulus")
 
@@ -261,24 +268,18 @@ def cotangent_point(manifold, x, xi, weight=0.0):
 @dataclass(frozen=True)
 class OrbitData:
     kappa_x: int
-    isotropy: str  # "trivial" | "full group" | "cyclic N"
+    isotropy: str  # "trivial" | "full group" (a fixed point of the circle)
     stratum_distance: float
     orbit_length: float
-    _mult_kind: str = field(default="principal-circle", repr=False)
 
     def trivial_multiplicity(self, label):
-        """[pi_label restricted to the isotropy group : trivial]."""
+        """[pi_label restricted to the isotropy group : trivial]: 1, except 0
+        for m != 0 at a fixed point of the circle."""
         m = as_label(label).m
-        if self._mult_kind == "principal-circle":
-            return 1.0
-        if self._mult_kind == "fixed-circle":
-            return 1.0 if m == 0 else 0.0
-        if self._mult_kind == "free-finite":
-            return 1.0
-        raise ValueError(self._mult_kind)
+        return 0.0 if self.isotropy == "full group" and m != 0 else 1.0
 
 
-def _sphere_colatitude(x):
+def sphere_colatitude(x):
     x = np.asarray(x, dtype=float)
     if abs(x @ x - 1.0) > 1e-9:
         raise InvalidPointError("sphere point must be a unit 3-vector")
@@ -287,16 +288,16 @@ def _sphere_colatitude(x):
 
 def orbit_data(manifold, x):
     if isinstance(manifold, RoundSphere2):
-        theta = _sphere_colatitude(x)
+        theta = sphere_colatitude(x)
         dist = min(theta, math.pi - theta)
         if dist <= _POLE_TOL:
-            return OrbitData(0, "full group", 0.0, 0.0, _mult_kind="fixed-circle")
+            return OrbitData(0, "full group", 0.0, 0.0)
         return OrbitData(1, "trivial", dist, 2 * math.pi * math.sin(theta))
     if isinstance(manifold, FlatTorus2):
         return OrbitData(1, "trivial", math.inf, 1.0)
     if isinstance(manifold, FlatTorus2FiniteCyclic):
         # free action by 1/N shifts: orbits are N points, counting measure
-        return OrbitData(0, "trivial", math.inf, float(manifold.order), _mult_kind="free-finite")
+        return OrbitData(0, "trivial", math.inf, float(manifold.order))
     if isinstance(manifold, SurfaceOfRevolution):
         s = float(np.asarray(x, dtype=float)[0])
         if not (0.0 <= s <= manifold.length):
@@ -306,7 +307,7 @@ def orbit_data(manifold, x):
             return OrbitData(1, "trivial", math.inf, 2 * math.pi * r)
         dist = min(s, manifold.length - s)
         if r <= _POLE_TOL or dist <= _POLE_TOL:
-            return OrbitData(0, "full group", 0.0, 0.0, _mult_kind="fixed-circle")
+            return OrbitData(0, "full group", 0.0, 0.0)
         return OrbitData(1, "trivial", dist, 2 * math.pi * r)
     raise InvalidPointError(f"unsupported manifold {manifold!r}")
 
@@ -359,8 +360,6 @@ def _sor_lifted_speed(manifold, s, xi_s, xi_phi):
     v_xy2 = (xi_s * rp) ** 2 + ((xi_phi / r) ** 2 if r > _POLE_TOL else 0.0)
     if r <= _POLE_TOL and abs(xi_phi) > _POLE_TOL:
         raise InvalidPointError("xi_phi component has no meaning at a profile pole")
-    if r <= _POLE_TOL:
-        v_xy2 = (xi_s * rp) ** 2
     return math.sqrt(x_xy2 + v_xy2)
 
 
@@ -400,9 +399,10 @@ def cosphere_fiber_slice(manifold, x, n_nodes):
         raise ValueError("n_nodes must be >= 2")
     x = np.asarray(x, dtype=float)
     if isinstance(manifold, RoundSphere2):
-        theta = _sphere_colatitude(x)
+        theta = sphere_colatitude(x)
         if min(theta, math.pi - theta) <= _POLE_TOL:
-            return _disc_nodes(manifold, x, n_nodes, pad=(0.0,))
+            return _disc_nodes(manifold, n_nodes, lambda rho, ph: (
+                x, rho * np.array([math.cos(ph), math.sin(ph), 0.0])))
         c, w = gauss_nodes(n_nodes)
         phi = math.atan2(x[1], x[0])
         # unit conormal (meridian direction, metric-dual ambient vector)
@@ -414,45 +414,27 @@ def cosphere_fiber_slice(manifold, x, n_nodes):
         c, w = gauss_nodes(n_nodes)
         return [cotangent_point(manifold, x, [0.0, ci], weight=wi) for ci, wi in zip(c, w)]
     if isinstance(manifold, FlatTorus2FiniteCyclic):
-        return _disc_nodes(manifold, x, n_nodes)
+        return _disc_nodes(manifold, n_nodes, lambda rho, ph: (
+            x, rho * np.array([math.cos(ph), math.sin(ph)])))
     if isinstance(manifold, SurfaceOfRevolution):
         od = orbit_data(manifold, x)
         if od.kappa_x == 1:
             c, w = gauss_nodes(n_nodes)
             return [cotangent_point(manifold, x, [ci, 0.0], weight=wi) for ci, wi in zip(c, w)]
-        return _disc_nodes_sor(manifold, x, n_nodes)
+        # at a profile pole the fiber disc is parametrized by meridian
+        # azimuth: the node of radius rho along phi is xi = (rho, 0) at (s, phi)
+        return _disc_nodes(manifold, n_nodes, lambda rho, ph: ([x[0], ph], [rho, 0.0]))
     raise InvalidPointError(f"unsupported manifold {manifold!r}")
 
 
-def _polar_rule(n_nodes):
-    # radial Gauss on (0,1) x uniform angles; weights include the Jacobian rho
+def _disc_nodes(manifold, n_nodes, node):
+    """The fiber disc: radial Gauss on (0, 1) x uniform angles, weights with
+    the Jacobian rho; node(rho, phi) gives the (x, xi) of each polar node."""
     t, u = gauss_nodes(n_nodes)
     rho = 0.5 * (t + 1.0)
     wr = 0.5 * u
     n_phi = max(8, int(n_nodes))
     dphi = 2 * math.pi / n_phi
     phis = (np.arange(n_phi) + 0.5) * dphi
-    return rho, wr, phis, dphi
-
-
-def _disc_nodes(manifold, x, n_nodes, pad=()):
-    # the fiber disc in the ambient (sphere: pad=(0.0,)) or chart coordinates
-    rho, wr, phis, dphi = _polar_rule(n_nodes)
-    out = []
-    for rj, wj in zip(rho, wr):
-        for ph in phis:
-            xi = rj * np.array([math.cos(ph), math.sin(ph), *pad])
-            out.append(cotangent_point(manifold, x, xi, weight=rj * wj * dphi))
-    return out
-
-
-def _disc_nodes_sor(manifold, x, n_nodes):
-    # at a profile pole the fiber disc is parametrized by meridian azimuth:
-    # the node of radius rho along azimuth phi is xi = (rho, 0) at (s, phi)
-    s = float(np.asarray(x, dtype=float)[0])
-    rho, wr, phis, dphi = _polar_rule(n_nodes)
-    out = []
-    for rj, wj in zip(rho, wr):
-        for ph in phis:
-            out.append(cotangent_point(manifold, [s, ph], [rj, 0.0], weight=rj * wj * dphi))
-    return out
+    return [cotangent_point(manifold, *node(rj, ph), weight=rj * wj * dphi)
+            for rj, wj in zip(rho, wr) for ph in phis]

@@ -133,7 +133,7 @@ def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance):
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     m = geometry.as_label(label).m
     if isinstance(manifold, geometry.RoundSphere2):
-        theta = math.acos(max(-1.0, min(1.0, float(x[2]))))
+        theta = geometry.sphere_colatitude(x)
         diag = lambda lam: spectral.sphere_diag_direct(m, theta, lam)
         if min(theta, math.pi - theta) < 1e-9:
             tag = "pole"
@@ -168,7 +168,10 @@ def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance):
             name, params, series, None, {"coefficient": 0.0, "exponent": pred.exponent},
             tolerances, "pass", extra={"ratio_at_top": 1.0},
         )
-    fit = fit_power_law(lambda_grid, np.maximum(measured, 1e-300))
+    # a log-log fit only sees the window where the diagonal is positive
+    # (below (2 pi m)^2 a torus label has no modes); fit.grid records it
+    positive = measured > 0
+    fit = fit_power_law(lambda_grid[positive], measured[positive])
     ratio = float(measured[-1] / predicted[-1])
     checks = [abs(ratio - 1.0) <= tolerance]
     return make_report(
@@ -225,18 +228,17 @@ def run_concentration_experiment(k_window, k_grid=_K_GRID, theta_tol=0.15, pole_
     )
 
 
-def _zonal_lp_norm(k, p, n_nodes=None):
+def _zonal_lp_norm(k, p):
     if math.isinf(p):
         # zonal modes peak at the poles
         return math.sqrt((2 * k + 1) / (4.0 * math.pi))
-    if n_nodes is None and p == 2.0:
+    if p == 2.0:
         # degree-2k polynomial in cos(theta): a plain Gauss rule is exact,
         # composite panels are not
         alpha, w = np.polynomial.legendre.leggauss(k + 16)
     else:
         # |P|^p carries harmonics up to ~ p k; keep the composite panels dense
-        n = n_nodes or max(256, int(3 * p * k) + 32)
-        alpha, w = gauss_nodes(n)
+        alpha, w = gauss_nodes(max(256, int(3 * p * k) + 32))
     vals = np.abs(specfun.assoc_legendre_normalized(k, 0, alpha)) ** p
     return float((2.0 * math.pi * pairwise_sum(vals * w)) ** (1.0 / p))
 
@@ -448,7 +450,7 @@ def run_hybrid_experiment(mu_grid, on_tol=0.1, off_tol=0.1, band_factor=2.0,
     # within band_factor of its central constant across the crossover
     band = {}
     band_ok = True
-    theta_x = math.acos(float(np.asarray(x)[2]))
+    theta_x = geometry.sphere_colatitude(x)
     for d in band_d:
         dd = float(d)
         y_d = geometry.sphere_point(theta_x + 2.0 * math.asin(dd / 2.0), 0.0)

@@ -1,6 +1,5 @@
-"""Legendre polynomials, fully normalized associated Legendre functions and
-spherical harmonics, numerically stable up to degree 2000, plus the classical
-large-degree zonal asymptotic."""
+"""Fully normalized associated Legendre functions and spherical harmonics,
+numerically stable up to degree 2000."""
 
 from __future__ import annotations
 
@@ -45,24 +44,6 @@ def _check_degree(k):
         raise IndexRangeError(f"degree k={k} must be nonnegative")
     if k > DEGREE_LIMIT:
         raise ResourceLimitError(f"degree k={k} exceeds supported limit {DEGREE_LIMIT}")
-
-
-def legendre_p(k, alpha):
-    """P_k(alpha) by the three-term recurrence; |result| <= 1."""
-    k = int(k)
-    _check_degree(k)
-    a = _check_alpha(alpha)
-    scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    p_prev = np.ones_like(a)
-    if k == 0:
-        out = p_prev
-    else:
-        p = a.copy()
-        for j in range(1, k):
-            p, p_prev = ((2 * j + 1) * a * p - j * p_prev) / (j + 1), p
-        out = p
-    return float(out[0]) if scalar else out
 
 
 def _seed_log(m, sin2):

@@ -26,6 +26,7 @@ from .geometry import (
     as_label,
     cotangent_point,
     rotate_cotangent,
+    sphere_colatitude,
 )
 from .util import gauss_nodes, pairwise_sum
 
@@ -73,15 +74,8 @@ def sphere_count_direct(m, lam):
 
 
 def _torus_k2_count(rem):
-    # number of integers k2 with k2^2 <= rem, guarded against float fuzz
-    if rem < 0:
-        return 0
-    q = int(math.floor(math.sqrt(rem)))
-    while (q + 1) * (q + 1) <= rem:
-        q += 1
-    while q >= 0 and q * q > rem:
-        q -= 1
-    return 2 * q + 1 if q >= 0 else 0
+    # number of integers k2 with k2^2 <= rem, in exact integer arithmetic
+    return 2 * math.isqrt(math.floor(rem)) + 1 if rem >= 0 else 0
 
 
 def torus_count_direct(m, lam, order=0):
@@ -129,11 +123,6 @@ def _diag_by_modes(rsf, x, lam):
     return float(pairwise_sum(_densities(basis, x, rows)[:, 0]))
 
 
-def _sphere_theta(x):
-    x = np.asarray(x, dtype=float)
-    return math.acos(max(-1.0, min(1.0, x[2])))
-
-
 def reduced_spectral_diag(rsf, x, lam):
     basis = rsf.basis
     basis.require(lam)
@@ -142,7 +131,7 @@ def reduced_spectral_diag(rsf, x, lam):
     man = basis.manifold
     m = rsf.label.m
     if isinstance(man, RoundSphere2):
-        return sphere_diag_direct(m, _sphere_theta(x), lam)
+        return sphere_diag_direct(m, sphere_colatitude(x), lam)
     if isinstance(man, FlatTorus2):
         return torus_diag_direct(m, lam)
     if isinstance(man, FlatTorus2FiniteCyclic):

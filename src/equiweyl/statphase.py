@@ -5,7 +5,7 @@ and sphere x circle products, with a hard anti-aliasing node rule; leading
 stationary terms from declared critical sets (points or curves) built from
 central-difference transversal Hessians; caustic-regularized interpolation in
 (mu, tau, epsilon); dense-seed Newton scans of the pairing phase
-<x - R_phi y, omega> on S^2 x S^1; hybrid decay fits; finite cyclic sums.
+<x - R_phi y, omega> on S^2 x S^1; hybrid decay fits.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ NODES_PER_WAVELENGTH = 6
 def nodes_for(mu, lip, extent):
     need = NODES_PER_WAVELENGTH * abs(mu) * lip * extent / _TWO_PI
     return max(MIN_NODES, int(math.ceil(need)))
-
-
-def _csum(values):
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        return complex(pairwise_sum(values.real.ravel()) + 1j * pairwise_sum(values.imag.ravel()))
-    return float(pairwise_sum(values.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +180,13 @@ class StationaryPhaseProblem:
     def _gradient(self, loc, h=1e-6):
         """Finite-difference gradient in the local orthonormal chart."""
         f = self._chart_function(loc)
-        d = self._chart_dim()
+        d = self.domain.dim
         g = np.empty(d)
         for i in range(d):
             e = np.zeros(d)
             e[i] = h
             g[i] = (f(e) - f(-e)) / (2 * h)
         return g
-
-    def _chart_dim(self):
-        return self.domain.dim
 
     def _chart_function(self, loc):
         """Phase as a function of chart offsets u around loc (normal coords)."""
@@ -281,7 +271,7 @@ def oscillatory_integral(problem, mu):
             X = axes[0][:, None]
             wt = weights[0]
             vals = problem.amplitude(X) * np.exp(1j * mu * np.asarray(problem.phase(X)))
-            return _csum(vals * wt)
+            return complex(pairwise_sum(np.ravel(vals * wt)))
         total = 0.0 + 0.0j
         # slab over the first axis so tensor grids stay within memory
         inner_mesh = np.meshgrid(*axes[1:], indexing="ij")
@@ -302,13 +292,13 @@ def oscillatory_integral(problem, mu):
             )
             wt = np.multiply.outer(weights[0][start : start + rows_per_slab], inner_w).ravel()
             vals = problem.amplitude(X) * np.exp(1j * mu * np.asarray(problem.phase(X)))
-            total += _csum(vals * wt)
+            total += complex(pairwise_sum(np.ravel(vals * wt)))
         return total
     if isinstance(dom, SphereDomain):
         W, wt = _sphere_grid(*nodes)
         amp = 1.0 if problem.amplitude is None else np.asarray(problem.amplitude(W))
         vals = amp * np.exp(1j * mu * np.asarray(problem.phase(W)))
-        return _csum(vals * wt)
+        return complex(pairwise_sum(np.ravel(vals * wt)))
     if isinstance(dom, SphereCircleDomain):
         n_pol, n_az, n_circ = nodes
         W, wt = _sphere_grid(n_pol, n_az)
@@ -318,7 +308,7 @@ def oscillatory_integral(problem, mu):
             pv = np.full(W.shape[0], phi)
             amp = 1.0 if problem.amplitude is None else np.asarray(problem.amplitude(W, pv))
             vals = amp * np.exp(1j * mu * np.asarray(problem.phase(W, pv)))
-            total += _csum(vals * wt)
+            total += complex(pairwise_sum(np.ravel(vals * wt)))
         return total / n_circ
     raise DomainError(f"unsupported domain {dom!r}")
 
@@ -400,21 +390,18 @@ def _component_from_hessian(H, psi0, a_val, p, location, transversal=None):
     sigma = int(np.sum(eig > 0) - np.sum(eig < 0))
     det = float(np.prod(eig))
     q0 = complex(a_val) / math.sqrt(abs(det)) * cmath.exp(1j * math.pi * sigma / 4.0)
-    return SPComponent(float(psi0), p, sigma, q0, location), sigma
+    return SPComponent(float(psi0), p, sigma, q0, location)
 
 
 def _amp_at(problem, loc):
     if problem.amplitude is None:
         return 1.0
-    dom = problem.domain
-    if isinstance(dom, BoxDomain):
-        return complex(np.asarray(problem.amplitude(np.asarray(loc, dtype=float)[None, :]))[0])
-    if isinstance(dom, SphereDomain):
-        return complex(np.asarray(problem.amplitude(np.asarray(loc, dtype=float)[None, :]))[0])
-    w, phi = loc
-    return complex(
-        np.asarray(problem.amplitude(np.asarray(w, dtype=float)[None, :], np.array([phi])))[0]
-    )
+    if isinstance(problem.domain, SphereCircleDomain):
+        w, phi = loc
+        return complex(
+            np.asarray(problem.amplitude(np.asarray(w, dtype=float)[None, :], np.array([phi])))[0]
+        )
+    return complex(np.asarray(problem.amplitude(np.asarray(loc, dtype=float)[None, :]))[0])
 
 
 def _loc_scale(problem, loc):
@@ -432,10 +419,8 @@ def stationary_expansion(problem):
     if kind == "points":
         for loc in problem.critical[1]:
             f = problem._chart_function(loc)
-            psi0 = f(np.zeros(problem._chart_dim()))
-            H = _chart_hessian(f, problem._chart_dim(), _loc_scale(problem, loc))
-            comp, _ = _component_from_hessian(H, psi0, _amp_at(problem, loc), 0, loc)
-            comps.append(comp)
+            H = _chart_hessian(f, n, _loc_scale(problem, loc))
+            comps.append(_component_from_hessian(H, f(np.zeros(n)), _amp_at(problem, loc), 0, loc))
         return SPExpansion(n, tuple(comps))
     if kind == "curve":
         _, param, (t0, t1), closed = problem.critical
@@ -448,9 +433,6 @@ def stationary_expansion(problem):
             else np.linspace(t0, t1, n_quad)
         )
         dt = (t1 - t0) / n_quad if closed else ts[1] - ts[0]
-        vals = []
-        sigma_seen = None
-        psi_vals = []
         for t in ts:
             loc = np.asarray(param(t), dtype=float)
             g = problem._gradient(loc)
@@ -465,23 +447,17 @@ def stationary_expansion(problem):
                 np.concatenate([tangent[:, None], np.eye(n)], axis=1)
             )[0][:, 1:n]
             f = problem._chart_function(loc)
-            psi_vals.append(f(np.zeros(n)))
             H = _chart_hessian(f, n, _loc_scale(problem, loc))
-            Ht = basis.T @ H @ basis
-            eig = np.linalg.eigvalsh(Ht)
-            if np.min(np.abs(eig)) < 1e-8:
-                raise DegenerateCriticalError(f"degenerate transversal Hessian on curve at t={t}")
-            sigma = int(np.sum(eig > 0) - np.sum(eig < 0))
-            if sigma_seen is None:
-                sigma_seen = sigma
-            elif sigma != sigma_seen:
-                raise DomainError("signature changes along the declared curve")
-            det = float(np.prod(eig))
-            vals.append(complex(_amp_at(problem, loc)) / math.sqrt(abs(det)) * speed * dt)
+            # the line element speed * dt rides on the amplitude
+            comps.append(_component_from_hessian(
+                H, f(np.zeros(n)), _amp_at(problem, loc) * speed * dt, 1, loc, transversal=basis))
+        if len({c.signature for c in comps}) > 1:
+            raise DomainError("signature changes along the declared curve")
+        psi_vals = np.array([c.psi0 for c in comps])
         if np.ptp(psi_vals) > 1e-9 * (1.0 + np.max(np.abs(psi_vals))):
             raise DomainError("phase is not constant along the declared curve")
-        q0 = _csum(np.array(vals)) * cmath.exp(1j * math.pi * sigma_seen / 4.0)
-        comp = SPComponent(float(np.mean(psi_vals)), 1, sigma_seen, q0, "curve")
+        q0 = complex(pairwise_sum(np.array([c.q0 for c in comps])))
+        comp = SPComponent(float(np.mean(psi_vals)), 1, comps[0].signature, q0, "curve")
         return SPExpansion(n, (comp,))
     raise DomainError(f"unknown critical descriptor {kind!r}")
 
@@ -528,11 +504,7 @@ def caustic_interpolation(problem, mu, tau, epsilon):
             return base_amp * np.exp(-1j * epsilon * np.asarray(phase(X)))
 
     mod_problem = StationaryPhaseProblem(phase, mod_amp, problem.domain, problem.critical)
-    exp_mod = stationary_expansion(mod_problem)
-    prediction = sum(
-        cmath.exp(1j * base * c.psi0) * (_TWO_PI / base) ** ((exp_mod.n - c.p) / 2.0) * c.q0
-        for c in exp_mod.components
-    )
+    prediction = stationary_expansion(mod_problem).predict(base)
     return CausticValue(numeric, prediction, regime_ok, base)
 
 
@@ -740,7 +712,7 @@ def critical_set_scan(x, y):
 
 
 # ---------------------------------------------------------------------------
-# hybrid decay and finite groups
+# hybrid decay
 
 
 def orbit_distance(x, y):
@@ -756,7 +728,7 @@ def _sinc(z):
     return np.sinc(np.asarray(z) / math.pi)
 
 
-def hybrid_integral(x, y, mu, n_phi=None, phi_amplitude=None):
+def hybrid_integral(x, y, mu):
     """I(mu) = circle average over phi of the sphere integral of
     e^{i mu <x - R_phi y, omega>}.
 
@@ -767,15 +739,12 @@ def hybrid_integral(x, y, mu, n_phi=None, phi_amplitude=None):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if n_phi is None:
-        n_phi = max(256, int(math.ceil(NODES_PER_WAVELENGTH * mu)))
+    n_phi = max(256, int(math.ceil(NODES_PER_WAVELENGTH * mu)))
     phis = np.arange(n_phi) * (_TWO_PI / n_phi)
     Ry = _rot_z(phis, y[None, :] * np.ones((n_phi, 1)))
     dists = np.linalg.norm(x[None, :] - Ry, axis=1)
     vals = 4.0 * math.pi * _sinc(mu * dists)
-    if phi_amplitude is not None:
-        vals = vals * np.asarray(phi_amplitude(phis))
-    return _csum(vals.astype(complex)) / n_phi
+    return complex(pairwise_sum(vals)) / n_phi
 
 
 @dataclass(frozen=True)
@@ -788,7 +757,7 @@ class HybridDecayPair:
     distance: float
 
 
-def hybrid_decay_fit(x, y, mu_grid, phi_amplitude=None):
+def hybrid_decay_fit(x, y, mu_grid):
     """Envelope decay fits of |I(mu)|: the on-orbit reference (y replaced by
     x itself) paired with the off-orbit fit at the given y."""
     mu_grid = np.asarray(mu_grid, dtype=float)
@@ -797,7 +766,7 @@ def hybrid_decay_fit(x, y, mu_grid, phi_amplitude=None):
     ratios = mu_grid[1:] / mu_grid[:-1]
     if np.any(ratios <= 1.0) or np.ptp(ratios) > 0.2 * ratios[0]:
         raise DomainError("mu_grid must be geometric and increasing")
-    on_vals = np.array([abs(hybrid_integral(x, x, mu, phi_amplitude=phi_amplitude)) for mu in mu_grid])
+    on_vals = np.array([abs(hybrid_integral(x, x, mu)) for mu in mu_grid])
     m_on, v_on = envelope_maxima(mu_grid, on_vals)
     on_fit = fit_power_law(m_on, v_on)
     dist = orbit_distance(x, y)
@@ -809,56 +778,9 @@ def hybrid_decay_fit(x, y, mu_grid, phi_amplitude=None):
                 f"mu_min * dist = {mu_grid[0] * dist:.3g} < 3: mixed regime for the off-orbit fit",
                 RegimeWarning,
             )
-        ov = np.array([abs(hybrid_integral(x, y, mu, phi_amplitude=phi_amplitude)) for mu in mu_grid])
+        ov = np.array([abs(hybrid_integral(x, y, mu)) for mu in mu_grid])
         m_off, v_off = envelope_maxima(mu_grid, ov)
         off_fit = fit_power_law(m_off, v_off)
         off_vals = tuple(ov)
     return HybridDecayPair(on_fit, off_fit, tuple(mu_grid), tuple(on_vals), off_vals, dist)
 
-
-@dataclass(frozen=True)
-class FiniteGroupValue:
-    value: complex
-    terms: tuple
-    distances: tuple
-
-
-def finite_group_integral(x, y, order, mu, amplitude=None):
-    """Sum over the cyclic group of sphere integrals with pairing phase.
-
-    Each term is the plane-wave integral with direction x - g.y, computed by
-    a 1D Gauss rule on the reduced integral (exact closed form available as
-    an oracle: 4 pi sinc(mu d_g))."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    terms = []
-    dists = []
-    for j in range(order):
-        g_phi = _TWO_PI * j / order
-        v = x - _rot_z(g_phi, y)
-        d = float(np.linalg.norm(v))
-        dists.append(d)
-        if amplitude is None:
-            n = nodes_for(mu, max(d, 1e-12), 2.0)
-            t, w = gauss_nodes(n)
-            vals = np.exp(1j * mu * d * t)
-            terms.append(complex(_TWO_PI * _csum(vals * w)))
-        else:
-            prob = StationaryPhaseProblem(
-                lambda W, vv=v: W @ vv, amplitude, SphereDomain()
-            )
-            terms.append(oscillatory_integral(prob, mu))
-    value = _csum(np.array(terms))
-    return FiniteGroupValue(value, tuple(terms), tuple(dists))
-
-
-def finite_group_oracle(x, y, order, mu):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = 0.0
-    for j in range(order):
-        d = float(np.linalg.norm(x - _rot_z(_TWO_PI * j / order, y)))
-        total += 4.0 * math.pi * float(_sinc(mu * d))
-    return total

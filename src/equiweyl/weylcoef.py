@@ -3,7 +3,7 @@
 The local coefficient at x is a quadrature over the unit-ball slice of the
 annihilator fiber, weighting each node by the reciprocal lifted-orbit volume:
 
-    coefficient = d_gamma [pi|G_x : 1] / (2 pi)^(n - kappa_x)
+    coefficient = [pi|G_x : 1] / (2 pi)^(n - kappa_x)
                   * sum_i w_i / vol(lifted orbit through (x, xi_i))
 
 and multiplies lambda^((n - kappa_x)/opDegree).  The global coefficient is
@@ -68,7 +68,7 @@ def local_leading_coefficient(manifold, x, label, n_nodes=64):
     nodes = cosphere_fiber_slice(manifold, x, n_nodes)
     vals = np.array([pt.weight / lifted_orbit_volume(manifold, pt) for pt in nodes])
     total = float(pairwise_sum(vals))
-    coeff = label.d_gamma * mult / (2.0 * math.pi) ** (n - kappa) * total
+    coeff = mult / (2.0 * math.pi) ** (n - kappa) * total
     return WeylPrediction(coeff, exponent, x_t, label, n_nodes)
 
 

@@ -10,7 +10,7 @@ from equiweyl.errors import ConfigError, ResourceLimitError
 
 
 def test_parse_grid_geometric():
-    grid = cli._parse_grid("20:400:12")
+    grid = lab.parse_grid("20:400:12")
     assert len(grid) == 12
     assert grid[0] == pytest.approx(20.0)
     assert grid[-1] == pytest.approx(400.0)
@@ -19,20 +19,20 @@ def test_parse_grid_geometric():
 
 
 def test_parse_grid_explicit_list():
-    assert cli._parse_grid("1,2.5,7") == [1.0, 2.5, 7.0]
+    assert lab.parse_grid("1,2.5,7") == [1.0, 2.5, 7.0]
 
 
 @pytest.mark.parametrize("bad", ["1:2", "0:10:5", "5:2:3", "1:10:1", "2:4:x"])
 def test_parse_grid_rejects(bad):
     with pytest.raises(ValueError):
-        cli._parse_grid(bad)
+        lab.parse_grid(bad)
 
 
 def test_parse_plist_and_pair():
-    assert cli._parse_plist("2,4,inf") == [2.0, 4.0, math.inf]
-    assert cli._parse_pair("0.25,0.35") == [0.25, 0.35]
+    assert lab.parse_plist("2,4,inf") == [2.0, 4.0, math.inf]
+    assert lab.parse_pair("0.25,0.35") == [0.25, 0.35]
     with pytest.raises(ValueError):
-        cli._parse_pair("1,2,3")
+        lab.parse_pair("1,2,3")
 
 
 def test_parse_config_flags(monkeypatch):
@@ -202,3 +202,10 @@ def test_single_torus_weyl_report_keeps_its_own_file(tmp_path, capsys):
     assert single["params"]["m"] == 3 and "parts" not in single
     assert merged["params"] == {"m": [0, 3, 10]}
     assert (tmp_path / "weyl-torus-label3.csv").exists()
+
+
+def test_weyl_with_too_few_positive_diagonals_exits_2(capsys):
+    # m = 10 has modes only above (2 pi 10)^2 ~ 3948: two grid points
+    assert cli.main(["weyl", "--manifold", "torus", "--m", "10",
+                     "--lambda-min", "1000", "--lambda-max", "5000"]) == 2
+    assert "at least 5 points" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Manifold, orbit, and momentum-level geometry."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiweyl import geometry
-from equiweyl.errors import DomainError, InvalidPointError
+from equiweyl.errors import InvalidPointError, SingularProfileError
 
 
 def test_sphere_point_is_unit():
@@ -151,10 +152,24 @@ def test_profile_from_file(tmp_path):
     assert prof.r_prime(1.0) == pytest.approx(math.cos(1.0), abs=1e-4)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("s,r\n0.0,0.0\n0.5\n1.0,0.8\n1.5,0.9\n", ":3:"),
+    ("s,r\n", "no (s, r) rows"),
+    ("s,r\n0.0,0.0\n0.5,abc\n1.0,0.8\n1.5,0.9\n", ":3:"),
+    ("s,r\n0.0,0.0\n0.5,0.4\n1.0,0.8\n", "at least 4"),
+    ("s,r\n0.0,0.0\n0.5,0.4\n0.5,0.5\n1.0,0.8\n", ":4:"),
+], ids=["one-column", "header-only", "non-numeric", "too-few", "non-increasing"])
+def test_profile_from_file_names_the_bad_line(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(SingularProfileError, match=re.escape(where)):
+        geometry.profile_from_file(path)
+
+
 def test_profile_from_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("s,r\n0.0,1.0\n")
-    with pytest.raises((DomainError, Exception)):
+    with pytest.raises(SingularProfileError):
         geometry.profile_from_file(path)
 
 

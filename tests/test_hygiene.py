@@ -4,7 +4,9 @@ No correctness check may live in an ``assert``: ``python -O`` strips them.
 The experiment harness ``lab`` sits at the top of the import graph: only the
 command-line front end imports it, so no module below it can close a cycle.
 The package reads eigenbases through their arrays and ``EigenBasis.evaluate``;
-the per-mode views are for callers outside it.
+the per-mode views are for callers outside it.  Every public top-level
+function and class is named somewhere outside its own definition (the
+package, ``scripts/``, ``perfbench/``), or is listed with its reason.
 """
 import ast
 from pathlib import Path
@@ -13,6 +15,19 @@ import equiweyl
 
 PACKAGE = Path(equiweyl.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names that only the tests call, each with the reason it stays
+UNREFERENCED_OK = {
+    "spherical_harmonic": "test reference for the normalized ladder",
+    "addition_theorem_sum": "test reference: the addition theorem mode by mode",
+    "kuznecov_sum_by_rotation": "test reference: the literal rotated-point average",
+    "momentum_pairing": "test reference: fiber slices lie on the momentum zero level",
+    "reports_equal": "the report comparison the determinism tests use",
+    "profile_from_file": "public entry point: profiles from data files",
+    "torus_basis": "public entry point: the flat-torus eigenbasis",
+    "cluster_sum": "public entry point: unit-window cluster sums",
+}
 
 
 def _tree(path):
@@ -55,3 +70,38 @@ def test_only_eigensolve_reads_per_mode_views():
              for node in ast.walk(_tree(path))
              if isinstance(node, ast.Attribute) and node.attr in per_mode]
     assert found == []
+
+
+def _names(tree, skip=(0, -1)):
+    """Every identifier a module names (loads, attributes, imports, and
+    string constants such as the tracer's function lists), outside the
+    line range skip."""
+    for node in ast.walk(tree):
+        if skip[0] <= getattr(node, "lineno", -1) <= skip[1]:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_public_name_has_a_caller():
+    others = [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
+    named = {path: set(_names(_tree(path))) for path in [*MODULES, *others]}
+    dead = []
+    for path in MODULES:
+        tree = _tree(path)
+        elsewhere = set().union(*(names for other, names in named.items() if other != path))
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in UNREFERENCED_OK
+                    or node.name in elsewhere):
+                continue
+            own = (node.lineno - len(node.decorator_list), node.end_lineno)
+            if node.name not in set(_names(tree, own)):
+                dead.append(f"{path.name}:{node.name}")
+    assert dead == []

@@ -208,3 +208,15 @@ def test_kuznecov_report_fails_when_the_identity_breaks(monkeypatch):
     rep = lab.run_kuznecov_experiment(lambda_top=300.0, points=3, seed=5)
     assert rep["worst_identity_error"] > rep["tolerances"]["identity_tol"]
     assert rep["verdict"] == "fail"
+
+
+def test_torus_weyl_fit_sees_only_positive_diagonals():
+    # below (2 pi 10)^2 the m = 10 label has no modes: its log-log fit must
+    # start above that, on positive diagonals only
+    rep = lab.run_experiment("weyl-torus-m3")
+    part = next(p for p in rep["parts"] if p["params"]["m"] == 10)
+    measured = {row["grid"]: row["measured"] for row in rep["series"] if row["m"] == 10}
+    assert part["fit"]["slope"] < 1.0
+    assert len(part["fit"]["grid"]) >= 5
+    assert all(measured[g] > 0 for g in part["fit"]["grid"])
+    assert min(part["fit"]["grid"]) > (2 * math.pi * 10) ** 2

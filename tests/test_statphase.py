@@ -305,17 +305,3 @@ def test_hybrid_regime_warning():
     mu_grid = np.array([2.0 * 20.0 ** (j / 32.0) for j in range(33)])
     with pytest.warns(RegimeWarning):
         statphase.hybrid_decay_fit(x, y, mu_grid)
-
-
-def test_finite_group_against_oracle():
-    x = geometry.sphere_point(1.2, 0.0)
-    out = statphase.finite_group_integral(x, x, 4, 200.0)
-    assert out.distances[0] == 0.0
-    assert out.terms[0] == pytest.approx(4.0 * math.pi, rel=1e-13)
-    for term, d in zip(out.terms, out.distances):
-        want = 4.0 * math.pi * (math.sin(200.0 * d) / (200.0 * d) if d > 0 else 1.0)
-        assert term == pytest.approx(want, abs=4.0 * math.pi * 1e-10)
-    oracle = statphase.finite_group_oracle(x, x, 4, 200.0)
-    assert out.value == pytest.approx(oracle, abs=4.0 * math.pi * 1e-10)
-    with pytest.raises(DomainError):
-        statphase.finite_group_integral(x, x, 0, 10.0)
