@@ -5,7 +5,9 @@ and sphere x circle products, with a hard anti-aliasing node rule; leading
 stationary terms from declared critical sets (points or curves) built from
 central-difference transversal Hessians; caustic-regularized interpolation in
 (mu, tau, epsilon); dense-seed Newton scans of the pairing phase
-<x - R_phi y, omega> on S^2 x S^1; hybrid decay fits.
+<x - R_phi y, omega> on S^2 x S^1, whose Newton steps and component
+classification use that phase's closed-form gradient and Hessian; hybrid
+decay fits.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,13 +235,18 @@ class StationaryPhaseProblem:
         return need
 
 
+def _tangent_frames(W):
+    """Orthonormal tangent frames (t1, t2) at the unit vectors W (S, 3)."""
+    probe = np.where(np.abs(W[:, [0]]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+    t1 = np.cross(W, probe)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    return t1, np.cross(W, t1)
+
+
 def _sphere_frame(w0):
     w0 = w0 / np.linalg.norm(w0)
-    probe = np.array([1.0, 0.0, 0.0]) if abs(w0[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    t1 = np.cross(w0, probe)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(w0, t1)
-    return w0, t1, t2
+    t1, t2 = _tangent_frames(w0[None, :])
+    return w0, t1[0], t2[0]
 
 
 def _geodesic(w0, t1, t2, u):
@@ -526,7 +533,6 @@ class CriticalPointRecord:
 class CriticalScanResult:
     points: tuple
     classification: str
-    components: tuple = field(default=(), repr=False)
 
 
 def _rot_z(phi, v):
@@ -539,20 +545,27 @@ def _rot_z(phi, v):
     return out
 
 
-def _pairing_grad(x, y, W, PH):
-    """Gradient of <x - R_phi y, omega> in per-seed frames (t1, t2, phi).
+def _pairing_derivs(x, y, W, PH):
+    """Closed-form gradient and Hessian of <x - R_phi y, omega> in normal
+    coordinates (u1, u2, dphi) at each seed, with per-seed frames (t1, t2).
 
-    Returns (g (S,3), t1, t2, Ry)."""
+    The phase is linear in omega, so with a = <x - R_phi y, omega> the sphere
+    block of the Hessian is -a I.  Returns (g (S,3), H (S,3,3), t1, t2)."""
     Ry = _rot_z(PH, y[None, :] * np.ones((len(PH), 1)))
     v = x[None, :] - Ry
-    vn = v - (np.sum(v * W, axis=1))[:, None] * W
-    probe = np.where(np.abs(W[:, [0]]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
-    t1 = np.cross(W, probe)
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(W, t1)
-    gphi = Ry[:, 1] * W[:, 0] - Ry[:, 0] * W[:, 1]
-    g = np.stack([np.sum(vn * t1, axis=1), np.sum(vn * t2, axis=1), gphi], axis=1)
-    return g, t1, t2
+    t1, t2 = _tangent_frames(W)
+
+    def rot_pair(u):
+        # -<d/dphi R_phi y, u>
+        return Ry[:, 1] * u[:, 0] - Ry[:, 0] * u[:, 1]
+
+    g = np.stack([np.sum(v * t1, axis=1), np.sum(v * t2, axis=1), rot_pair(W)], axis=1)
+    H = np.zeros((len(PH), 3, 3))
+    H[:, 0, 0] = H[:, 1, 1] = -np.sum(v * W, axis=1)
+    H[:, 0, 2] = H[:, 2, 0] = rot_pair(t1)
+    H[:, 1, 2] = H[:, 2, 1] = rot_pair(t2)
+    H[:, 2, 2] = Ry[:, 0] * W[:, 0] + Ry[:, 1] * W[:, 1]
+    return g, H, t1, t2
 
 
 def _scan_seeds(n_pol=14, n_az=28, n_phi=24):
@@ -571,30 +584,14 @@ def _scan_seeds(n_pol=14, n_az=28, n_phi=24):
 
 
 def _newton_polish(x, y, W, PH, iters=50, tol=1e-10):
-    h = 1e-5
     for _ in range(iters):
-        g, t1, t2 = _pairing_grad(x, y, W, PH)
+        g, H, t1, t2 = _pairing_derivs(x, y, W, PH)
         gn = np.linalg.norm(g, axis=1)
         if np.all(gn <= tol):
             break
-        # finite-difference Jacobian of the frame gradient, batched
-        J = np.empty((len(PH), 3, 3))
-        for k in range(3):
-            if k < 2:
-                tk = t1 if k == 0 else t2
-                Wp = W + h * tk
-                Wp /= np.linalg.norm(Wp, axis=1)[:, None]
-                Wm = W - h * tk
-                Wm /= np.linalg.norm(Wm, axis=1)[:, None]
-                gp, _, _ = _pairing_grad(x, y, Wp, PH)
-                gm, _, _ = _pairing_grad(x, y, Wm, PH)
-            else:
-                gp, _, _ = _pairing_grad(x, y, W, PH + h)
-                gm, _, _ = _pairing_grad(x, y, W, PH - h)
-            J[:, :, k] = (gp - gm) / (2 * h)
-        J += 1e-12 * np.eye(3)[None, :, :]
+        H += 1e-12 * np.eye(3)[None, :, :]
         try:
-            step = np.linalg.solve(J, -g[:, :, None])[:, :, 0]
+            step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             step = -g
         norm = np.linalg.norm(step, axis=1)
@@ -603,7 +600,7 @@ def _newton_polish(x, y, W, PH, iters=50, tol=1e-10):
         W = W + step[:, [0]] * t1 + step[:, [1]] * t2
         W /= np.linalg.norm(W, axis=1)[:, None]
         PH = (PH + step[:, 2]) % _TWO_PI
-    g, _, _ = _pairing_grad(x, y, W, PH)
+    g = _pairing_derivs(x, y, W, PH)[0]
     return W, PH, np.linalg.norm(g, axis=1)
 
 
@@ -644,17 +641,6 @@ def _group_components(E, link=0.35):
     return list(groups.values())
 
 
-def _pairing_chart(x, y, w0, phi0):
-    """<x - R_phi y, omega> in normal coordinates (u1, u2, dphi) at (w0, phi0)."""
-    w0n, t1, t2 = _sphere_frame(np.asarray(w0, dtype=float))
-
-    def f(u):
-        w = _geodesic(w0n, t1, t2, u[:2])
-        return float(np.dot(x - _rot_z(phi0 + u[2], y), w))
-
-    return f
-
-
 def classify_pair(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -688,15 +674,13 @@ def critical_set_scan(x, y):
     thin = _dedup(E, radius=0.02)
     W, PH, gn, E = W[thin], PH[thin], gn[thin], E[thin]
     comps = _group_components(E)
+    H = _pairing_derivs(x, y, W, PH)[1]
 
     records = []
-    comp_indices = []
     for comp in comps:
         rep = comp[int(np.argmin(gn[comp]))]
         w_rep, phi_rep = W[rep], float(PH[rep])
-        f = _pairing_chart(x, y, w_rep, phi_rep)
-        H = _chart_hessian(f, 3, 1.0)
-        eig = np.linalg.eigvalsh(H)
+        eig = np.linalg.eigvalsh(H[rep])
         order = np.argsort(np.abs(eig))
         # manifold directions show up as (numerically) null eigenvalues
         p_dim = int(np.sum(np.abs(eig) <= 1e-6 * max(1.0, np.max(np.abs(eig)))))
@@ -706,9 +690,8 @@ def critical_set_scan(x, y):
         records.append(
             CriticalPointRecord(tuple(w_rep), phi_rep, float(gn[rep]), det, 3 - p_dim, phase_val)
         )
-        comp_indices.append(tuple(comp))
     records.sort(key=lambda r: (abs(r.phase_value), r.phi))
-    return CriticalScanResult(tuple(records), classification, tuple(comp_indices))
+    return CriticalScanResult(tuple(records), classification)
 
 
 # ---------------------------------------------------------------------------

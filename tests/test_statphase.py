@@ -15,6 +15,39 @@ from equiweyl.errors import (
 )
 
 
+def rotate_z(phi, v):
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([c * v[0] - s * v[1], s * v[0] + c * v[1],
+                     np.broadcast_to(v[2], np.shape(phi))], axis=-1)
+
+
+def pairing_phase(x, y):
+    """<x - R_phi y, omega> as a vectorized phase on S^2 x S^1."""
+    def pairing(W, ph):
+        return np.sum(W * (x[None, :] - rotate_z(ph, y)), axis=-1)
+    return pairing
+
+
+def closed_form_critical_points(x, y):
+    """Isolated critical points of <x - R_phi y, omega>: R_phi y shares the
+    azimuth of x or its opposite, and omega = +-(x - R_phi y)/|x - R_phi y|."""
+    base = math.atan2(x[1], x[0]) - math.atan2(y[1], y[0])
+    points = []
+    for phi in (base, base + math.pi):
+        v = x - rotate_z(phi, y)
+        n = np.linalg.norm(v)
+        if n > 1e-12:
+            points += [(v / n, phi), (-v / n, phi)]
+    return points
+
+
+def closed_form_gaps(record, points):
+    """Distance of a scanned record from each closed-form critical point."""
+    return [max(np.linalg.norm(np.asarray(record.omega) - w),
+                abs(math.remainder(record.phi - phi, 2.0 * math.pi)))
+            for w, phi in points]
+
+
 def gaussian_problem(width=12.0, nodes=None):
     return statphase.StationaryPhaseProblem(
         lambda X: 0.5 * X[..., 0] ** 2,
@@ -237,6 +270,48 @@ def test_scan_off_orbit():
     assert nearest == pytest.approx(2.0 * math.sin(0.15), rel=0.02)
 
 
+def test_scan_matches_closed_form_critical_set():
+    x = geometry.sphere_point(1.2, 0.3)
+    y = geometry.sphere_point(0.8, 1.1)
+    points = closed_form_critical_points(x, y)
+    res = statphase.critical_set_scan(x, y)
+    assert len(res.points) == 4
+    matched = []
+    for r in res.points:
+        gaps = closed_form_gaps(r, points)
+        assert min(gaps) <= 1e-9
+        matched.append(int(np.argmin(gaps)))
+    assert sorted(matched) == [0, 1, 2, 3]
+
+    # on the orbit: the circle phi = 0, omega orthogonal to e3 x x, plus
+    # the two isolated points at phi = pi
+    on = statphase.critical_set_scan(x, x)
+    circle = [r for r in on.points if r.trans_dim == 2]
+    assert len(circle) == 1
+    assert abs(math.remainder(circle[0].phi, 2.0 * math.pi)) <= 1e-9
+    assert abs(np.dot(np.cross([0.0, 0.0, 1.0], x), circle[0].omega)) <= 1e-9
+    points = closed_form_critical_points(x, x)
+    for r in on.points:
+        if r.trans_dim == 3:
+            assert min(closed_form_gaps(r, points)) <= 1e-9
+
+
+def test_pairing_derivatives_match_finite_differences():
+    x = geometry.sphere_point(1.2, 0.3)
+    y = geometry.sphere_point(0.8, 1.1)
+    prob = statphase.StationaryPhaseProblem(
+        pairing_phase(x, y), None, statphase.SphereCircleDomain())
+    rng = np.random.default_rng(11)
+    W = rng.normal(size=(20, 3))
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    PH = rng.uniform(0.0, 2.0 * math.pi, 20)
+    G, H, _, _ = statphase._pairing_derivs(x, y, W, PH)
+    for w, phi, g, h in zip(W, PH, G, H):
+        assert np.max(np.abs(g - prob._gradient((w, phi)))) <= 1e-8
+        fd = statphase._chart_hessian(prob._chart_function((w, phi)), 3, 1.0)
+        assert np.max(np.abs(h - fd)) <= 1e-6
+
+
 def test_scan_nearest_phase_tracks_separation():
     x = geometry.sphere_point(1.2, 0.0)
     gaps = []
@@ -265,17 +340,9 @@ def test_hybrid_fast_path_matches_tensor():
     x = geometry.sphere_point(1.2, 0.3)
     y = geometry.sphere_point(0.8, 1.1)
     mu = 20.0
-
-    def pairing(W, ph):
-        c, s = np.cos(ph), np.sin(ph)
-        ry = np.stack([c * y[0] - s * y[1],
-                       s * y[0] + c * y[1],
-                       np.broadcast_to(y[2], np.shape(ph))], axis=-1)
-        return np.sum(W * (x[None, :] - ry), axis=-1)
-
     fast = statphase.hybrid_integral(x, y, mu)
     prob = statphase.StationaryPhaseProblem(
-        pairing, None, statphase.SphereCircleDomain())
+        pairing_phase(x, y), None, statphase.SphereCircleDomain())
     full = statphase.oscillatory_integral(prob, mu)
     assert abs(fast - full) <= 1e-10
 
