@@ -1,9 +1,10 @@
 """Command-line front end, generated from the subcommand records in ``lab``.
 
-A JSON config file and the flags share one key set per subcommand; flags
-win over file keys.  Exit codes: 0 when every invoked experiment passes,
-1 when any fails, 2 on a config problem, 3 when a resource or
-convergence limit trips.
+A JSON file enters a run only through ``--config``: it carries the
+subcommand's own keys plus ``out_dir`` and ``threads``, and flags win over
+file keys.  Exit codes: 0 when every invoked experiment passes, 1 when any
+fails, 2 on a config problem (a bad flag, file key or EQUIWEYL_THREADS
+value), 3 when a resource or convergence limit trips.
 """
 from __future__ import annotations
 
@@ -24,11 +25,6 @@ from .errors import (
 )
 from .util import get_thread_count
 
-SUBCOMMANDS = tuple(lab.COMMANDS)
-
-# every subcommand's key -> Param, for a bare config file, which may carry
-# the keys of any subcommand
-_PARAMS = {p.key: p for c in lab.COMMANDS.values() for p in c.params}
 _RUN_KEYS = dict.fromkeys(("out_dir", "threads"))
 
 
@@ -102,10 +98,10 @@ def _load_config_file(path, allowed):
 
 def _validate(command, params):
     bad = []
-    for key, value in params.items():
+    for param in command.params:
+        key, value = param.key, params[param.key]
         if value is None:
             continue
-        param = _PARAMS[key]
         if param.choices is not None and value not in param.choices:
             bad.append(f"{key} must be one of {', '.join(param.choices)}, got {value!r}")
         if param.check is not None:
@@ -117,28 +113,24 @@ def _validate(command, params):
 
 
 def parse_config(argv):
-    """argv (list of flags) or a config-file path -> validated RunConfig."""
-    if isinstance(argv, (str, Path)):
-        given = _load_config_file(argv, {**_PARAMS, **_RUN_KEYS, "experiment": None})
-        experiment = given.pop("experiment", None)
-        if experiment not in SUBCOMMANDS:
-            raise ConfigError(f"config file must set experiment to one of {SUBCOMMANDS}")
-    else:
-        given = vars(build_parser().parse_args(argv))
-        experiment = given.pop("experiment")
-        path = given.pop("config", None)
-        if path:
-            own = {p.key: p for p in lab.COMMANDS[experiment].params}
-            for key, value in _load_config_file(path, {**own, **_RUN_KEYS}).items():
-                if given.get(key) is None:
-                    given[key] = value
-    out_dir = given.pop("out_dir", None)
-    threads = given.pop("threads", None)
-    command = lab.COMMANDS[experiment]
+    """Flags (a list of strings) -> validated RunConfig.  A --config file
+    fills the keys that no flag gives; a bad value of any key, out_dir,
+    threads or EQUIWEYL_THREADS raises ConfigError."""
+    given = vars(build_parser().parse_args(argv))
+    command = lab.COMMANDS[given.pop("experiment")]
+    path = given.pop("config")
+    if path:
+        own = {p.key: p for p in command.params}
+        for key, value in _load_config_file(path, {**own, **_RUN_KEYS}).items():
+            if given[key] is None:
+                given[key] = value
+    out_dir = given.pop("out_dir")
+    threads = get_thread_count(given.pop("threads"))
     params = command.resolve(given)
-    # keys of other subcommands (bare config file) are checked, then dropped
-    _validate(command, {**given, **params})
-    return RunConfig(experiment, params, out_dir, get_thread_count(threads))
+    _validate(command, params)
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+    return RunConfig(command.name, params, out_dir, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,9 @@ class EigenMode:
     index: int
 
     eigenvalue = property(lambda self: float(self.basis.eigenvalues[self.index]))
-    mu = property(lambda self: math.sqrt(max(self.eigenvalue, 0.0)))
     label = property(lambda self: IsotypicLabel(int(self.basis.m[self.index]),
                                                 modulus=self.basis.group_order or None))
     quantum = property(lambda self: tuple(self.basis.quantum[self.index].tolist()))
-    source = property(lambda self: "analytic" if self.basis.radial is None
-                      else f"discrete({self.basis.radial.shape[1] - 2})")
 
     def evaluator(self, x):
         return complex(self.basis.evaluate(x, self.index)[0, 0])
@@ -289,7 +286,10 @@ def _gershgorin(d, off, corner):
     return float(np.min(d - rad)), float(np.max(d + rad))
 
 
-def _lowest_eigenvalues(d, off, corner, k_want, max_sweeps=40):
+_MAX_SWEEPS = 40
+
+
+def _lowest_eigenvalues(d, off, corner, k_want):
     """Lowest k_want eigenvalues by vectorized Sturm multisection.
 
     Every sweep cuts each unconverged bracket at 63 interior points and
@@ -310,7 +310,7 @@ def _lowest_eigenvalues(d, off, corner, k_want, max_sweeps=40):
     targets = np.arange(1, k_want + 1)
     sections = 64
     frac = np.arange(1, sections) / sections
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         tol = 1e-11 * (1.0 + np.abs(0.5 * (lo + hi)))
         active = np.flatnonzero(hi - lo > tol)
         if active.size == 0:
@@ -332,7 +332,7 @@ def _lowest_eigenvalues(d, off, corner, k_want, max_sweeps=40):
         rows = np.arange(active.size)
         lo[active], hi[active] = ends[rows, j], ends[rows, j + 1]
     else:
-        raise ConvergenceError(f"multisection did not converge in {max_sweeps} sweeps")
+        raise ConvergenceError(f"multisection did not converge in {_MAX_SWEEPS} sweeps")
     out = 0.5 * (lo + hi)
     if np.any(np.diff(out) < -1e-6 * (1.0 + np.abs(out[:-1]))):
         raise ConvergenceError("multisection produced out-of-order eigenvalues")

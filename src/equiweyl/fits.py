@@ -56,16 +56,16 @@ def fit_power_law(xs, ys):
     return PowerLawFit(slope, intercept, max(0.0, min(1.0, r2)), tuple(float(v) for v in xs))
 
 
-def envelope_maxima(mu, vals, factor=math.sqrt(2.0)):
+def envelope_maxima(mu, vals):
     """Per-bin maxima of an oscillating series on a geometric mu grid.
 
     Bin edges are spread geometrically from mu[0] to mu[-1] with ratio as
-    close to factor as fits evenly, so no bin is a stub with a single
+    close to sqrt(2) as fits evenly, so no bin is a stub with a single
     (possibly near-null) sample."""
     mu = np.asarray(mu, dtype=float)
     vals = np.asarray(vals, dtype=float)
     span = mu[-1] / mu[0]
-    n_bins = max(1, int(round(math.log(span) / math.log(factor))))
+    n_bins = max(1, int(round(math.log(span) / math.log(math.sqrt(2.0)))))
     edges = mu[0] * span ** (np.arange(n_bins + 1) / n_bins)
     out_mu, out_v = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -23,18 +23,18 @@ _POLE_TOL = 1e-12
 class RoundSphere2:
     """Unit sphere in R^3, circle acting by rotation about the z-axis."""
 
-    kind: str = "sphere"
-    dim: int = 2
-    operator_degree: int = 2
+    kind = "sphere"
+    dim = 2
+    operator_degree = 2
 
 
 @dataclass(frozen=True)
 class FlatTorus2:
     """R^2/Z^2 (unit square), circle acting by translation in x1."""
 
-    kind: str = "torus"
-    dim: int = 2
-    operator_degree: int = 2
+    kind = "torus"
+    dim = 2
+    operator_degree = 2
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ class FlatTorus2FiniteCyclic:
     """R^2/Z^2 with the cyclic group of order N acting by x1 -> x1 + 1/N."""
 
     order: int = 2
-    kind: str = "torus-cyclic"
-    dim: int = 2
-    operator_degree: int = 2
+    kind = "torus-cyclic"
+    dim = 2
+    operator_degree = 2
 
     def __post_init__(self):
         if self.order < 1:
@@ -152,7 +152,7 @@ class _CubicSpline:
         return C + t * (B + t * A)
 
 
-def profile_from_file(path, name=None):
+def profile_from_file(path):
     """Load a two-column (s, r) text profile; cubic interpolation inside.
 
     A first line that is not numeric is a header and is skipped.  The profile
@@ -186,7 +186,7 @@ def profile_from_file(path, name=None):
     spline = _CubicSpline(s, r)
     closed = r[0] > 1e-9 and r[-1] > 1e-9
     return SurfaceOfRevolution(
-        spline, spline.derivative, s[-1], closed=closed, name=name or "file-profile"
+        spline, spline.derivative, s[-1], closed=closed, name="file-profile"
     )
 
 

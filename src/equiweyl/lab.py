@@ -186,8 +186,9 @@ def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance):
     )
 
 
-def run_concentration_experiment(k_window, k_grid=_K_GRID, theta_tol=0.15, pole_tol=0.01):
+def run_concentration_experiment(k_window):
     """Zonal cluster-sum profile: envelope vs 1/sin(theta), pole value vs k."""
+    tol = {"theta_slope_tol": 0.15, "pole_slope_tol": 0.01}
     theta_grid = geometric_grid(0.05, 1.0, 2 ** 0.25)
     if np.any(k_window * np.sin(theta_grid) <= 1.0):
         warnings.warn("k sin(theta) <= 1 on part of the grid: pole regime mixes in",
@@ -202,27 +203,27 @@ def run_concentration_experiment(k_window, k_grid=_K_GRID, theta_tol=0.15, pole_
         envelope.append(float(np.max(vals)))
     envelope = np.array(envelope)
     theta_fit = fit_power_law(np.sin(theta_grid), envelope)
-    pole_vals = np.array([(2 * kk + 1) / (4.0 * math.pi) for kk in k_grid])
+    pole_vals = np.array([(2 * kk + 1) / (4.0 * math.pi) for kk in _K_GRID])
     # oracle route: the pole value is the full window sum, m = 0 only
     pole_measured = np.array(
-        [float(specfun.assoc_legendre_normalized(kk, 0, np.array([1.0]))[0] ** 2) for kk in k_grid]
+        [float(specfun.assoc_legendre_normalized(kk, 0, np.array([1.0]))[0] ** 2) for kk in _K_GRID]
     )
-    pole_fit = fit_power_law(np.asarray(k_grid, dtype=float), pole_measured)
+    pole_fit = fit_power_law(np.asarray(_K_GRID, dtype=float), pole_measured)
     series = _series(theta_grid, envelope,
                      [envelope[-1] * math.sin(theta_grid[-1]) / math.sin(t) for t in theta_grid])
     checks = [
-        abs(theta_fit.slope - (-1.0)) <= theta_tol,
-        abs(pole_fit.slope - 1.0) <= pole_tol,
+        abs(theta_fit.slope - (-1.0)) <= tol["theta_slope_tol"],
+        abs(pole_fit.slope - 1.0) <= tol["pole_slope_tol"],
         bool(np.max(np.abs(pole_measured - pole_vals) / pole_vals) <= 1e-10),
     ]
     return make_report(
         "concentration",
         {"k_window": k, "theta_min": float(theta_grid[0]), "theta_max": float(theta_grid[-1]),
-         "k_grid": [int(kk) for kk in k_grid]},
+         "k_grid": list(_K_GRID)},
         series,
         theta_fit,
         {"theta_slope": -1.0, "pole_slope": 1.0},
-        {"theta_slope_tol": theta_tol, "pole_slope_tol": pole_tol},
+        tol,
         verdict_from(checks),
         extra={"fit_pole": pole_fit.as_dict()},
     )
@@ -243,16 +244,16 @@ def _zonal_lp_norm(k, p):
     return float((2.0 * math.pi * pairwise_sum(vals * w)) ** (1.0 / p))
 
 
-def run_lp_experiment(manifold, m, p_list, k_grid=_K_GRID,
-                      slope_tol=0.02, const_tol=1e-6):
+def run_lp_experiment(manifold, m, p_list):
     """Cluster L^p growth on the "sphere" (zonal clusters) or the "torus"."""
+    tol = {"slope_tol": 0.02, "const_tol": 1e-6}
     series = []
     fits = {}
     checks = []
     if manifold == "sphere":
-        lam = np.array([kk * (kk + 1.0) for kk in k_grid])
+        lam = np.array([kk * (kk + 1.0) for kk in _K_GRID])
         for p in p_list:
-            norms = np.array([_zonal_lp_norm(kk, p) for kk in k_grid])
+            norms = np.array([_zonal_lp_norm(kk, p) for kk in _K_GRID])
             key = "inf" if math.isinf(p) else f"{p:g}"
             # zonal clusters pile up at the fixed points, where the orbit
             # collapses; the growth there follows the full-dimension exponent
@@ -260,11 +261,11 @@ def run_lp_experiment(manifold, m, p_list, k_grid=_K_GRID,
             if np.ptp(norms) <= 1e-12 * max(1.0, np.max(norms)):
                 fits[key] = PowerLawFit(0.0, float(np.log(norms[0])), 1.0,
                                         tuple(float(v) for v in lam)).as_dict()
-                checks.append(abs(expected - 0.0) <= const_tol)
+                checks.append(abs(expected - 0.0) <= tol["const_tol"])
             else:
                 fit = fit_power_law(lam, norms)
                 fits[key] = fit.as_dict()
-                checks.append(abs(fit.slope - expected) <= slope_tol)
+                checks.append(abs(fit.slope - expected) <= tol["slope_tol"])
             for l, v in zip(lam, norms):
                 series.append({"grid": float(l), "p": key, "measured": float(v),
                                "predicted": float(l ** expected)})
@@ -275,13 +276,13 @@ def run_lp_experiment(manifold, m, p_list, k_grid=_K_GRID,
         series = [{"grid": float(l), "p": "inf", "measured": 1.0, "predicted": 1.0} for l in lam]
     return make_report(
         f"lpnorms-{manifold}",
-        {"m": m, "k_grid": [int(kk) for kk in k_grid],
+        {"m": m, "k_grid": list(_K_GRID),
          "p_list": ["inf" if math.isinf(p) else float(p) for p in p_list]},
         series,
         fits.get("inf"),
         {"exponent_of_lambda": spectral.exponent_delta(2, 0, math.inf) / 2.0
                                if manifold == "sphere" else 0.0},
-        {"slope_tol": slope_tol, "const_tol": const_tol},
+        tol,
         verdict_from(checks),
         extra={"fits": fits},
     )
@@ -323,8 +324,9 @@ def run_counting_experiment(manifold, m, lambda_top, tolerance):
     )
 
 
-def run_kuznecov_experiment(lambda_top, points, seed, identity_tol=1e-10, growth_tol=0.05):
+def run_kuznecov_experiment(lambda_top, points, seed):
     """Group-averaged squared sums against the trivial-isotypic diagonal."""
+    tol = {"identity_tol": 1e-10, "growth_rel_tol": 0.05}
     basis = eigensolve.sphere_basis(lambda_top)
     rsf = spectral.ReducedSpectralFunction(basis, 0)
     rng = np.random.default_rng(seed)
@@ -341,12 +343,11 @@ def run_kuznecov_experiment(lambda_top, points, seed, identity_tol=1e-10, growth
                                    lam_equator)
     coeff = weylcoef.equator_coefficient_closed_form(math.pi / 2)
     growth_ratio = equator / (coeff * math.sqrt(lam_equator))
-    checks = [worst <= identity_tol, abs(growth_ratio - 1.0) <= growth_tol]
+    checks = [worst <= tol["identity_tol"], abs(growth_ratio - 1.0) <= tol["growth_rel_tol"]]
     return make_report(
         "kuznecov",
         {"lambda_identity": float(lambda_top), "n_points": points, "seed": seed},
-        series, None, {"equator_coefficient": coeff},
-        {"identity_tol": identity_tol, "growth_rel_tol": growth_tol},
+        series, None, {"equator_coefficient": coeff}, tol,
         verdict_from(checks),
         extra={"worst_identity_error": float(worst), "growth_ratio": float(growth_ratio)},
     )
@@ -366,7 +367,8 @@ def _gaussian_problem():
     )
 
 
-def run_statphase_gaussian_experiment(mu_grid, rel_tol=1e-6, remainder_slope_tol=0.2):
+def run_statphase_gaussian_experiment(mu_grid):
+    tol = {"exact_rel_tol": 1e-6, "remainder_slope_tol": 0.2}
     if mu_grid is None:
         mu_grid = geometric_grid(20.0, 400.0)
     mu_grid = np.asarray(mu_grid, dtype=float)
@@ -386,8 +388,8 @@ def run_statphase_gaussian_experiment(mu_grid, rel_tol=1e-6, remainder_slope_tol
     remainder_fit = fit_power_law(mu_grid, gaps)
     scaled = gaps * mu_grid ** 1.5
     checks = [
-        worst_rel <= rel_tol,
-        abs(remainder_fit.slope - (-1.5)) <= remainder_slope_tol,
+        worst_rel <= tol["exact_rel_tol"],
+        abs(remainder_fit.slope - (-1.5)) <= tol["remainder_slope_tol"],
         bool(np.max(scaled) <= 2.0 * np.median(scaled) + 1e-12),
     ]
     return make_report(
@@ -395,7 +397,7 @@ def run_statphase_gaussian_experiment(mu_grid, rel_tol=1e-6, remainder_slope_tol
         {"mu_min": float(mu_grid[0]), "mu_max": float(mu_grid[-1])},
         series, remainder_fit,
         {"signature": expansion.signature, "order": -0.5},
-        {"exact_rel_tol": rel_tol, "remainder_slope_tol": remainder_slope_tol},
+        tol,
         verdict_from(checks),
         extra={"worst_exact_rel": float(worst_rel),
                "scaled_remainder_max": float(np.max(scaled)),
@@ -403,41 +405,41 @@ def run_statphase_gaussian_experiment(mu_grid, rel_tol=1e-6, remainder_slope_tol
     )
 
 
-def run_statphase_sphere_experiment(mu_grid, v=(0.0, 0.0, 1.0), slope_tol=0.05):
-    v = np.asarray(v, dtype=float)
-    speed = float(np.linalg.norm(v))
+def run_statphase_sphere_experiment(mu_grid):
+    """The sphere integral of e^{i mu z}, exactly 4 pi sin(mu) / mu."""
+    tol = {"slope_tol": 0.05, "exact_rel_tol": 1e-6}
     if mu_grid is None:
-        # sample the envelope at its peaks |sin(mu |v|)| = 1, spaced
+        # sample the envelope at its peaks |sin(mu)| = 1, spaced
         # geometrically: tensor quadratures are too costly for dense grids
         targets = np.asarray(geometric_grid(20.0, 400.0, 2 ** 0.25))
-        ks = sorted({int(round(t * speed / math.pi - 0.5)) for t in targets})
-        mu_grid = np.array([(k + 0.5) * math.pi / speed for k in ks])
+        ks = sorted({int(round(t / math.pi - 0.5)) for t in targets})
+        mu_grid = np.array([(k + 0.5) * math.pi for k in ks])
     mu_grid = np.asarray(mu_grid, dtype=float)
     problem = statphase.StationaryPhaseProblem(
-        lambda W: W @ v, None, statphase.SphereDomain()
+        lambda W: W[..., 2], None, statphase.SphereDomain()
     )
     vals = []
     worst_rel = 0.0
     for mu in mu_grid:
         numeric = statphase.oscillatory_integral(problem, mu)
-        exact = 4.0 * math.pi * math.sin(mu * speed) / (mu * speed)
+        exact = 4.0 * math.pi * math.sin(mu) / mu
         worst_rel = max(worst_rel, abs(numeric - exact) / (4.0 * math.pi / mu))
         vals.append(abs(numeric))
     fit = fit_power_law(mu_grid, np.array(vals))
     series = _series(mu_grid, vals, [4.0 * math.pi / m for m in mu_grid])
-    checks = [abs(fit.slope - (-1.0)) <= slope_tol, worst_rel <= 1e-6]
+    checks = [abs(fit.slope - (-1.0)) <= tol["slope_tol"], worst_rel <= tol["exact_rel_tol"]]
     return make_report(
         "statphase-sphere",
-        {"v": [float(c) for c in v], "mu_min": float(mu_grid[0]), "mu_max": float(mu_grid[-1])},
-        series, fit, {"order": -1.0},
-        {"slope_tol": slope_tol, "exact_rel_tol": 1e-6},
+        {"v": [0.0, 0.0, 1.0], "mu_min": float(mu_grid[0]), "mu_max": float(mu_grid[-1])},
+        series, fit, {"order": -1.0}, tol,
         verdict_from(checks),
         extra={"worst_exact_rel": float(worst_rel)},
     )
 
 
-def run_hybrid_experiment(mu_grid, on_tol=0.1, off_tol=0.1, band_factor=2.0,
-                          band_d=(0.02, 0.05, 0.1, 0.2, 0.5)):
+def run_hybrid_experiment(mu_grid):
+    tol = {"on_slope_tol": 0.1, "off_slope_tol": 0.1, "band_factor": 2.0}
+    band_d = (0.02, 0.05, 0.1, 0.2, 0.5)
     x = geometry.sphere_point(1.2, 0.3)
     y = geometry.sphere_point(0.8, 1.1)
     if mu_grid is None:
@@ -451,8 +453,7 @@ def run_hybrid_experiment(mu_grid, on_tol=0.1, off_tol=0.1, band_factor=2.0,
     band = {}
     band_ok = True
     theta_x = geometry.sphere_colatitude(x)
-    for d in band_d:
-        dd = float(d)
+    for dd in band_d:
         y_d = geometry.sphere_point(theta_x + 2.0 * math.asin(dd / 2.0), 0.0)
         mu_lo = max(0.1 / dd, 20.0)
         mu_hi = 100.0 / dd
@@ -463,28 +464,29 @@ def run_hybrid_experiment(mu_grid, on_tol=0.1, off_tol=0.1, band_factor=2.0,
         center = math.sqrt(lo * hi)
         band[f"{dd:g}"] = {"low": lo, "high": hi, "center": center,
                            "spread": hi / lo, "worst_factor": max(hi / center, center / lo)}
-        band_ok = band_ok and (hi / center <= band_factor and center / lo <= band_factor)
+        band_ok = band_ok and max(hi / center, center / lo) <= tol["band_factor"]
     checks = [
-        abs(pair.on_fit.slope - (-1.0)) <= on_tol,
-        pair.off_fit is not None and abs(pair.off_fit.slope - (-1.5)) <= off_tol,
+        abs(pair.on_fit.slope - (-1.0)) <= tol["on_slope_tol"],
+        pair.off_fit is not None and abs(pair.off_fit.slope - (-1.5)) <= tol["off_slope_tol"],
         band_ok,
     ]
     return make_report(
         "hybrid",
         {"x": [float(c) for c in np.asarray(x)], "y": [float(c) for c in np.asarray(y)],
          "mu_min": float(mu_grid[0]), "mu_max": float(mu_grid[-1]),
-         "band_d": [float(d) for d in band_d]},
+         "band_d": list(band_d)},
         series,
         pair.on_fit,
         {"on_slope": -1.0, "off_slope": -1.5},
-        {"on_slope_tol": on_tol, "off_slope_tol": off_tol, "band_factor": band_factor},
+        tol,
         verdict_from(checks),
         extra={"fit_off": pair.off_fit.as_dict() if pair.off_fit else None, "orbit_distance": pair.distance,
                "band": band},
     )
 
 
-def run_interp_experiment(mu_tau_grid, epsilon, rel_band=0.35):
+def run_interp_experiment(mu_tau_grid, epsilon):
+    tol = {"rel_band": 0.35, "product_tol": 1e-10, "flat_tol": 1e-12}
     if mu_tau_grid is None:
         mu_tau_grid = geometric_grid(2.0, 100.0)
     problem = _gaussian_problem()
@@ -506,44 +508,44 @@ def run_interp_experiment(mu_tau_grid, epsilon, rel_band=0.35):
         warnings.simplefilter("ignore", RegimeWarning)
         flat = statphase.caustic_interpolation(problem, 50.0, 0.0, epsilon).numeric
     flat_gap = abs(flat - math.sqrt(2.0 * math.pi))
-    checks = [worst <= rel_band, product_gap <= 1e-10, flat_gap <= 1e-12]
+    checks = [worst <= tol["rel_band"], product_gap <= tol["product_tol"],
+              flat_gap <= tol["flat_tol"]]
     return make_report(
         "interp",
         {"epsilon": epsilon, "mu_tau_min": float(mu_tau_grid[0]),
          "mu_tau_max": float(mu_tau_grid[-1])},
-        series, None, {"regularized_power": "(mu tau + epsilon)^(-1/2)"},
-        {"rel_band": rel_band, "product_tol": 1e-10, "flat_tol": 1e-12},
+        series, None, {"regularized_power": "(mu tau + epsilon)^(-1/2)"}, tol,
         verdict_from(checks),
         extra={"worst_rel": float(worst), "product_gap": float(product_gap),
                "flat_gap": float(flat_gap)},
     )
 
 
-def run_critscan_experiment(theta, deltas=(0.02, 0.04, 0.08, 0.16, 0.3),
-                            slope_tol=0.1):
+def run_critscan_experiment(theta):
+    tol = {"slope_tol": 0.1, "grad_tol": statphase.SCAN_GRAD_TOL}
+    deltas = (0.02, 0.04, 0.08, 0.16, 0.3)
     x = geometry.sphere_point(theta, 0.0)
     on = statphase.critical_set_scan(x, x)
     circle = [r for r in on.points if r.trans_dim == 2]
     on_ok = (
         on.classification == "on-orbit"
         and len(circle) >= 1
-        and all(r.grad_norm <= 1e-10 for r in on.points)
+        and all(r.grad_norm <= tol["grad_tol"] for r in on.points)
     )
     dets = []
     for d in deltas:
-        y = geometry.sphere_point(theta + float(d), 0.0)
+        y = geometry.sphere_point(theta + d, 0.0)
         scan = statphase.critical_set_scan(x, y)
         isolated = [r for r in scan.points if r.trans_dim == 3]
         near = min(isolated, key=lambda r: abs(r.phase_value))
         dets.append(abs(near.trans_det))
     series = _series(deltas, dets, deltas)
-    fit = fit_power_law(np.asarray(deltas, dtype=float), np.asarray(dets))
-    checks = [on_ok, abs(fit.slope - 1.0) <= slope_tol]
+    fit = fit_power_law(np.asarray(deltas), np.asarray(dets))
+    checks = [on_ok, abs(fit.slope - 1.0) <= tol["slope_tol"]]
     return make_report(
         "critscan",
-        {"theta": float(theta), "deltas": [float(d) for d in deltas]},
-        series, fit, {"det_slope": 1.0},
-        {"slope_tol": slope_tol, "grad_tol": 1e-10},
+        {"theta": float(theta), "deltas": list(deltas)},
+        series, fit, {"det_slope": 1.0}, tol,
         verdict_from(checks),
         extra={"on_orbit_components": len(on.points),
                "on_orbit_circle_found": bool(len(circle) >= 1)},

@@ -114,11 +114,9 @@ def spherical_harmonic(k, m, theta, phi):
     return EvaluatedHarmonic(value=value, magnitude_sq=pbar * pbar)
 
 
-def addition_theorem_sum(k, theta, phi=None):
-    """sum_m |Y_{k,m}(theta,phi)|^2, computed mode by mode (no closed form).
-
-    phi drops out since |e^{im phi}| = 1; it is accepted for interface
-    symmetry.  theta may be an array.
+def addition_theorem_sum(k, theta):
+    """sum_m |Y_{k,m}(theta,phi)|^2, computed mode by mode (no closed form);
+    phi drops out since |e^{im phi}| = 1.  theta may be an array.
     """
     alpha = np.cos(np.asarray(theta, dtype=float))
     total = np.zeros_like(np.atleast_1d(alpha))

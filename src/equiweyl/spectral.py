@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, EmptyWindowError, ResolutionError
+from .errors import DomainError, EmptyWindowError
 from .eigensolve import EigenBasis, sphere_k_max
 from .geometry import (
     FlatTorus2,
@@ -167,14 +167,14 @@ def cluster_sum(rsf, x, lam):
 # circle / cyclic group averages
 
 
-def _group_nodes(basis, n_quad=None):
+def _group_nodes(basis):
     """Canonical group parameters: angles in [0, 2 pi) for the sphere and
     surfaces of revolution, shifts in [0, 1) for the torus circle, integers
     0..N-1 for cyclic actions."""
     if basis.group_order:
         return np.arange(basis.group_order, dtype=float), basis.group_order
     span = int(np.max(np.abs(basis.m), initial=0))
-    n = n_quad or max(8, 2 * span + 2)
+    n = max(8, 2 * span + 2)
     if isinstance(basis.manifold, FlatTorus2):
         return np.arange(n) / n, n
     return np.arange(n) * (_TWO_PI / n), n
@@ -197,7 +197,7 @@ def _label_weights(basis, t_nodes, n):
     return np.array([abs(complex(re, im)) ** 2 for re, im in avg])[which]
 
 
-def kuznecov_sum(basis, x, lam, n_quad=None):
+def kuznecov_sum(basis, x, lam):
     """Sum over lambda_j <= lam of |group average of e_j at x|^2; x is one
     point, or a (P, d) array of points for an array of P sums.
 
@@ -207,16 +207,16 @@ def kuznecov_sum(basis, x, lam, n_quad=None):
     kuznecov experiment checks that and reports the worst deviation.
     """
     basis.require(lam)
-    weight = _label_weights(basis, *_group_nodes(basis, n_quad))
+    weight = _label_weights(basis, *_group_nodes(basis))
     rows = np.flatnonzero((basis.eigenvalues <= lam) & (weight > 1e-30))
     sums = pairwise_sum((_densities(basis, x, rows) * weight[rows, None]).T)
     return float(sums[0]) if np.ndim(x) == 1 else sums
 
 
-def kuznecov_sum_by_rotation(basis, x, lam, n_quad=None):
+def kuznecov_sum_by_rotation(basis, x, lam):
     """Literal route: evaluate each mode at rotated points and average."""
     basis.require(lam)
-    t_nodes, n = _group_nodes(basis, n_quad)
+    t_nodes, n = _group_nodes(basis)
     man = basis.manifold
     pt = cotangent_point(man, x, np.zeros(3 if isinstance(man, RoundSphere2) else 2))
     pts = [rotate_cotangent(man, pt, -float(t)).x for t in t_nodes]
@@ -226,10 +226,6 @@ def kuznecov_sum_by_rotation(basis, x, lam, n_quad=None):
 
 # ---------------------------------------------------------------------------
 # cluster L^p norms
-
-
-def lp_node_rule(k_eff):
-    return max(64, 2 * int(k_eff) + 8), max(64, 4 * int(k_eff) + 8)
 
 
 def _top_window_mode(rsf, lam):
@@ -251,12 +247,12 @@ def _refined_max(values, evaluate, coarse_grid):
     return max(float(np.max(values)), float(np.max(evaluate(fine))))
 
 
-def cluster_lp_norm(rsf, lam, p, quad=None):
+def cluster_lp_norm(rsf, lam, p):
     """L^p(M) norm of the top mode in the window (lam, lam+1].
 
-    quad: optional (n_polar, n_azimuth); if it under-resolves the mode's
-    oscillation per the node rule a resolution error is raised.  p = inf is
-    a refined grid maximum (a certified lower bound).
+    The meridian grid has max(64, 2 k + 8) nodes, k the degree (sphere) or
+    the ceiling of sqrt(eigenvalue).  p = inf is a refined grid maximum (a
+    certified lower bound).
     """
     if not (p >= 2):
         raise DomainError("p must lie in [2, inf]")
@@ -267,13 +263,7 @@ def cluster_lp_norm(rsf, lam, p, quad=None):
     k, m = basis.quantum[top].tolist()
     mu = math.sqrt(max(float(basis.eigenvalues[top]), 0.0))
     k_eff = k if isinstance(man, RoundSphere2) else int(math.ceil(mu))
-    n_pol, n_az = lp_node_rule(k_eff)
-    if quad is not None:
-        if quad[0] < n_pol or quad[1] < n_az:
-            raise ResolutionError(
-                f"quadrature {quad} under-resolves degree {k_eff}; need >= ({n_pol}, {n_az})"
-            )
-        n_pol, n_az = quad
+    n_pol = max(64, 2 * k_eff + 8)
 
     if isinstance(man, RoundSphere2):
         nodes, weights = gauss_nodes(n_pol)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .util import gauss_nodes, pairwise_sum
 _TWO_PI = 2.0 * math.pi
 MIN_NODES = 64
 NODES_PER_WAVELENGTH = 6
+# |gradient| at which a Newton-polished scan point counts as critical
+SCAN_GRAD_TOL = 1e-10
 
 
 def nodes_for(mu, lip, extent):
@@ -63,16 +65,14 @@ class BoxDomain:
 class SphereDomain:
     """Unit sphere with the surface measure (total mass 4 pi)."""
 
-    nodes: tuple | None = None  # (n_polar, n_azimuth)
-    dim: int = 2
+    dim = 2
 
 
 @dataclass(frozen=True)
 class SphereCircleDomain:
     """S^2 x S^1 with surface measure x normalized circle average."""
 
-    nodes: tuple | None = None  # (n_polar, n_azimuth, n_circle)
-    dim: int = 3
+    dim = 3
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +179,9 @@ class StationaryPhaseProblem:
 
     # -- geometry of charts
 
-    def _gradient(self, loc, h=1e-6):
+    def _gradient(self, loc):
         """Finite-difference gradient in the local orthonormal chart."""
+        h = 1e-6
         f = self._chart_function(loc)
         d = self.domain.dim
         g = np.empty(d)
@@ -218,21 +219,17 @@ class StationaryPhaseProblem:
         raise DomainError(f"unsupported domain {self.domain!r}")
 
     def resolve_nodes(self, mu):
-        if isinstance(self.domain, BoxDomain):
-            extents = [h - l for l, h in zip(self.domain.lo, self.domain.hi)]
-        elif isinstance(self.domain, SphereDomain):
-            extents = [math.pi, _TWO_PI]
-        else:
-            extents = [math.pi, _TWO_PI, _TWO_PI]
+        if not isinstance(self.domain, BoxDomain):
+            extents = [math.pi, _TWO_PI, _TWO_PI][:self.domain.dim]
+            return tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, extents))
+        extents = [h - l for l, h in zip(self.domain.lo, self.domain.hi)]
         need = tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, extents))
-        if self.domain.nodes is not None:
-            got = tuple(self.domain.nodes)
-            if any(g < n for g, n in zip(got, need)):
-                raise ResolutionError(
-                    f"grid {got} under-resolves mu={mu}: need at least {need}"
-                )
-            return got
-        return need
+        if self.domain.nodes is None:
+            return need
+        got = tuple(self.domain.nodes)
+        if any(g < n for g, n in zip(got, need)):
+            raise ResolutionError(f"grid {got} under-resolves mu={mu}: need at least {need}")
+        return got
 
 
 def _tangent_frames(W):
@@ -330,7 +327,6 @@ class SPComponent:
     p: int
     signature: int
     q0: complex
-    location: object
 
 
 @dataclass(frozen=True)
@@ -369,8 +365,8 @@ class SPExpansion:
         return sum(abs(c.q0) * (_TWO_PI / mu) ** ((self.n - c.p) / 2.0) for c in self.components)
 
 
-def _chart_hessian(f, dim, scale, h_rel=1e-4):
-    h = h_rel * (1.0 + scale)
+def _chart_hessian(f, dim, scale):
+    h = 1e-4 * (1.0 + scale)
     H = np.empty((dim, dim))
     f0 = f(np.zeros(dim))
     for i in range(dim):
@@ -397,7 +393,7 @@ def _component_from_hessian(H, psi0, a_val, p, location, transversal=None):
     sigma = int(np.sum(eig > 0) - np.sum(eig < 0))
     det = float(np.prod(eig))
     q0 = complex(a_val) / math.sqrt(abs(det)) * cmath.exp(1j * math.pi * sigma / 4.0)
-    return SPComponent(float(psi0), p, sigma, q0, location)
+    return SPComponent(float(psi0), p, sigma, q0)
 
 
 def _amp_at(problem, loc):
@@ -464,7 +460,7 @@ def stationary_expansion(problem):
         if np.ptp(psi_vals) > 1e-9 * (1.0 + np.max(np.abs(psi_vals))):
             raise DomainError("phase is not constant along the declared curve")
         q0 = complex(pairwise_sum(np.array([c.q0 for c in comps])))
-        comp = SPComponent(float(np.mean(psi_vals)), 1, comps[0].signature, q0, "curve")
+        comp = SPComponent(float(np.mean(psi_vals)), 1, comps[0].signature, q0)
         return SPExpansion(n, (comp,))
     raise DomainError(f"unknown critical descriptor {kind!r}")
 
@@ -485,8 +481,8 @@ def caustic_interpolation(problem, mu, tau, epsilon):
     """Numeric I(mu tau) next to the epsilon-regularized stationary value.
 
     The prediction replaces the decaying power 1/(mu tau)^((n-p)/2) by
-    1/(mu tau + epsilon)^(...) with the amplitude modulated by e^{-i eps psi},
-    which stays finite through tau -> 0.
+    1/(mu tau + epsilon)^(...) with each component's q0 turned by
+    e^{-i eps psi0}, which stays finite through tau -> 0.
     """
     mu_eff = mu * tau
     # at mu_eff = 0 the exponential is 1, so this is the plain amplitude mass
@@ -498,20 +494,10 @@ def caustic_interpolation(problem, mu, tau, epsilon):
             f"mu tau + epsilon = {base} <= 1: interpolation outside its regime",
             RegimeWarning,
         )
-    phase = problem.phase
-    amp = problem.amplitude
-
-    if isinstance(problem.domain, SphereCircleDomain):
-        def mod_amp(W, ph):
-            base_amp = 1.0 if amp is None else np.asarray(amp(W, ph))
-            return base_amp * np.exp(-1j * epsilon * np.asarray(phase(W, ph)))
-    else:
-        def mod_amp(X):
-            base_amp = 1.0 if amp is None else np.asarray(amp(X))
-            return base_amp * np.exp(-1j * epsilon * np.asarray(phase(X)))
-
-    mod_problem = StationaryPhaseProblem(phase, mod_amp, problem.domain, problem.critical)
-    prediction = stationary_expansion(mod_problem).predict(base)
+    expansion = stationary_expansion(problem)
+    turned = tuple(replace(c, q0=c.q0 * cmath.exp(-1j * epsilon * c.psi0))
+                   for c in expansion.components)
+    prediction = SPExpansion(expansion.n, turned).predict(base)
     return CausticValue(numeric, prediction, regime_ok, base)
 
 
@@ -568,7 +554,8 @@ def _pairing_derivs(x, y, W, PH):
     return g, H, t1, t2
 
 
-def _scan_seeds(n_pol=14, n_az=28, n_phi=24):
+def _scan_seeds():
+    n_pol, n_az, n_phi = 14, 28, 24
     alpha = np.linspace(-0.97, 0.97, n_pol)
     st = np.sqrt(1 - alpha**2)
     phis = np.arange(n_az) * (_TWO_PI / n_az)
@@ -583,11 +570,11 @@ def _scan_seeds(n_pol=14, n_az=28, n_phi=24):
     return Wrep, PHrep
 
 
-def _newton_polish(x, y, W, PH, iters=50, tol=1e-10):
-    for _ in range(iters):
+def _newton_polish(x, y, W, PH):
+    for _ in range(50):
         g, H, t1, t2 = _pairing_derivs(x, y, W, PH)
         gn = np.linalg.norm(g, axis=1)
-        if np.all(gn <= tol):
+        if np.all(gn <= SCAN_GRAD_TOL):
             break
         H += 1e-12 * np.eye(3)[None, :, :]
         try:
@@ -615,7 +602,8 @@ def _dedup(E, radius=1e-6):
     return np.sort(keep)
 
 
-def _group_components(E, link=0.35):
+def _group_components(E):
+    link = 0.35
     n = len(E)
     parent = np.arange(n)
 
@@ -663,7 +651,7 @@ def critical_set_scan(x, y):
     classification = classify_pair(x, y)
     W, PH = _scan_seeds()
     W, PH, gn = _newton_polish(x, y, W, PH)
-    ok = gn <= 1e-10
+    ok = gn <= SCAN_GRAD_TOL
     if not np.any(ok):
         return CriticalScanResult((), "empty")
     W, PH, gn = W[ok], PH[ok], gn[ok]

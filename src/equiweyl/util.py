@@ -10,6 +10,8 @@ import tempfile
 
 import numpy as np
 
+from .errors import ConfigError
+
 _PANEL = 16
 
 
@@ -67,12 +69,17 @@ def geometric_grid(lo, hi, ratio=math.sqrt(2.0)):
 
 
 def get_thread_count(explicit=None):
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("EQUIWEYL_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    """The worker pool size: explicit (the threads key), else
+    EQUIWEYL_THREADS, else 1.  Anything but a positive integer, or its
+    digits as text, raises ConfigError naming where it came from."""
+    name, value = "threads", explicit
+    if explicit is None:
+        name, value = "EQUIWEYL_THREADS", os.environ.get("EQUIWEYL_THREADS") or 1
+    if isinstance(value, str) and value.strip().isdecimal():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def format_float(x):

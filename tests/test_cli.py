@@ -67,28 +67,19 @@ def test_seed_plumbed_through():
 
 def test_config_file_route(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(
-        {"experiment": "kuznecov", "lambda": 3000, "points": 5}))
-    cfg = cli.parse_config(str(path))
+    path.write_text(json.dumps({"lambda": 3000, "points": 5}))
+    cfg = cli.parse_config(["kuznecov", "--config", str(path)])
     assert cfg.experiment == "kuznecov"
     assert cfg.params["lambda_top"] == 3000
     assert cfg.params["points"] == 5
 
 
-def test_config_file_needs_experiment(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"points": 5}))
-    with pytest.raises(ConfigError):
-        cli.parse_config(str(path))
-
-
 def test_config_file_lists_every_unknown_key(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(
-        {"experiment": "kuznecov", "bogus": 1, "nope": 2}))
+    path.write_text(json.dumps({"bogus": 1, "nope": 2, "theta": 0.5}))
     with pytest.raises(ConfigError) as err:
-        cli.parse_config(str(path))
-    assert "bogus" in str(err.value) and "nope" in str(err.value)
+        cli.parse_config(["kuznecov", "--config", str(path)])
+    assert all(key in str(err.value) for key in ("bogus", "nope", "theta"))
 
 
 def test_flags_override_file(tmp_path):
@@ -114,11 +105,32 @@ def test_validation_collects_all_violations():
 
 def test_validation_of_file_values(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(
-        {"experiment": "counting", "manifold": "sphere", "m": 2.5}))
+    path.write_text(json.dumps({"manifold": "sphere", "m": 2.5}))
     with pytest.raises(ConfigError) as err:
-        cli.parse_config(str(path))
+        cli.parse_config(["counting", "--config", str(path)])
     assert "m must be an integer" in str(err.value)
+
+
+@pytest.mark.parametrize("keys, named", [
+    ({"threads": "two"}, "threads"),
+    ({"threads": 0}, "threads"),
+    ({"out_dir": 5}, "out_dir"),
+])
+def test_bad_run_keys_exit_2_before_running(tmp_path, monkeypatch, capsys, keys, named):
+    monkeypatch.delenv("EQUIWEYL_THREADS", raising=False)
+    monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(keys))
+    assert cli.main(["critscan", "--config", str(path)]) == 2
+    assert f"config error: {named} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "2.5"])
+def test_bad_thread_variable_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("EQUIWEYL_THREADS", value)
+    monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
+    assert cli.main(["critscan"]) == 2
+    assert "config error: EQUIWEYL_THREADS must be" in capsys.readouterr().err
 
 
 def test_p_list_floor():

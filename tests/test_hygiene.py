@@ -7,6 +7,9 @@ The package reads eigenbases through their arrays and ``EigenBasis.evaluate``;
 the per-mode views are for callers outside it.  Every public top-level
 function and class is named somewhere outside its own definition (the
 package, ``scripts/``, ``perfbench/``), or is listed with its reason.
+Every keyword default and dataclass-field default is set by some call in
+the package, ``scripts/``, ``perfbench/`` or the tests: a setting with one
+value in use is a constant.
 """
 import ast
 from pathlib import Path
@@ -16,6 +19,8 @@ import equiweyl
 PACKAGE = Path(equiweyl.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
+CALLERS = [*MODULES, *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py"),
+           *ROOT.glob("tests/*.py")]
 
 # public names that only the tests call, each with the reason it stays
 UNREFERENCED_OK = {
@@ -105,3 +110,74 @@ def test_every_public_name_has_a_caller():
             if node.name not in set(_names(tree, own)):
                 dead.append(f"{path.name}:{node.name}")
     assert dead == []
+
+
+def _is_dataclass(cls):
+    heads = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    return any(isinstance(h, ast.Name) and h.id == "dataclass" for h in heads)
+
+
+def _is_default(value):
+    # field(repr=False) is no default; field(default=...) and
+    # field(default_factory=...) are
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+def _parameter_defaults(fn, callee, shift):
+    """(callee, parameter, position) per default of fn; position counts
+    the arguments a call passes (shift drops self), None if keyword-only."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield callee, positional[i].arg, i - shift
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield callee, arg.arg, None
+
+
+def _defaults(tree):
+    """Every settable default a module defines: dataclass fields, called
+    by class name, and function parameters; __init__ is called by its
+    class name and other methods by attribute, without self."""
+    methods = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        if _is_dataclass(cls):
+            fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
+            yield from ((cls.name, f.target.id, i) for i, f in enumerate(fields)
+                        if f.value is not None and _is_default(f.value))
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef):
+                methods.add(fn)
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                callee = cls.name if fn.name == "__init__" else fn.name
+                yield from _parameter_defaults(fn, callee, 0 if static else 1)
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn not in methods:
+            yield from _parameter_defaults(fn, fn.name, 0)
+
+
+def _calls(tree):
+    """(callee name, positional count, keywords, starred) per call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            yield name, len(node.args), {k.arg for k in node.keywords}, starred
+
+
+def test_every_default_is_set_by_some_call():
+    calls = {}
+    for path in CALLERS:
+        for name, *call in _calls(_tree(path)):
+            calls.setdefault(name, []).append(call)
+    unset = []
+    for path in MODULES:
+        for callee, param, pos in _defaults(_tree(path)):
+            if not any(starred or param in keywords or (pos is not None and n_args > pos)
+                       for n_args, keywords, starred in calls.get(callee, [])):
+                unset.append(f"{path.name}:{callee}.{param}")
+    assert unset == []

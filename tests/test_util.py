@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiweyl import util
+from equiweyl.errors import ConfigError
 
 
 def test_gauss_nodes_small_rule_exactness():
@@ -83,7 +84,10 @@ def test_get_thread_count(monkeypatch):
     monkeypatch.delenv("EQUIWEYL_THREADS", raising=False)
     assert util.get_thread_count() == 1
     assert util.get_thread_count(6) == 6
-    assert util.get_thread_count(0) == 1
+    assert util.get_thread_count("3") == 3
+    for bad in (0, -2, "two", 2.5, True):
+        with pytest.raises(ConfigError, match="threads must be a positive integer"):
+            util.get_thread_count(bad)
     monkeypatch.setenv("EQUIWEYL_THREADS", "4")
     assert util.get_thread_count() == 4
     assert util.get_thread_count(2) == 2
