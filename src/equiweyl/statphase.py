@@ -3,11 +3,19 @@
 Quadrature of I(mu) = integral of e^{i mu psi} a over boxes, the unit sphere,
 and sphere x circle products, with a hard anti-aliasing node rule; leading
 stationary terms from declared critical sets (points or curves) built from
-central-difference transversal Hessians; caustic-regularized interpolation in
-(mu, tau, epsilon); dense-seed Newton scans of the pairing phase
+central-difference transversal Hessians in the domain's chart, weighted by
+the density of the domain's measure there; caustic-regularized interpolation
+in (mu, tau, epsilon); dense-seed Newton scans of the pairing phase
 <x - R_phi y, omega> on S^2 x S^1, whose Newton steps and component
 classification use that phase's closed-form gradient and Hessian; hybrid
 decay fits.
+
+Each domain class owns what only it knows: node extents and fixed nodes, its
+chart (_points: the phase arguments at chart offsets U (k, dim) around a
+location; geodesic normal coordinates on the sphere), the Lipschitz scan that
+sizes the nodes, its quadrature chunks (args, weights), and the density of its
+measure against the chart's Lebesgue measure at the centre (_measure_scale).
+Only StationaryPhaseProblem.__init__ asks which domain it holds.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ MIN_NODES = 64
 NODES_PER_WAVELENGTH = 6
 # |gradient| at which a Newton-polished scan point counts as critical
 SCAN_GRAD_TOL = 1e-10
+# quadrature points per box slab
+_CHUNK = 1 << 22
 
 
 def nodes_for(mu, lip, extent):
@@ -50,6 +60,8 @@ class BoxDomain:
     hi: tuple
     nodes: tuple | None = None
 
+    _measure_scale = 1.0
+
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or not len(self.lo):
             raise DomainError("box needs matching lo/hi tuples")
@@ -60,12 +72,61 @@ class BoxDomain:
     def dim(self):
         return len(self.lo)
 
+    @property
+    def _extents(self):
+        return tuple(h - l for l, h in zip(self.lo, self.hi))
+
+    def _points(self, loc, U):
+        return (np.asarray(loc, dtype=float) + U,)
+
+    def _lipschitz(self, problem):
+        # coarse directional-difference scan; 25% safety margin
+        axes = [np.linspace(l, h, 33) for l, h in zip(self.lo, self.hi)]
+        vals = np.asarray(problem.phase(_lattice(axes))).reshape([33] * self.dim)
+        return tuple(1.25 * float(np.max(np.abs(np.diff(vals, axis=k) / (a[1] - a[0])))) + 1e-12
+                     for k, a in enumerate(axes))
+
+    def _chunks(self, nodes):
+        axes = []
+        weights = []
+        for (l, h, n) in zip(self.lo, self.hi, nodes):
+            t, w = gauss_nodes(int(n))
+            axes.append(0.5 * (h + l) + 0.5 * (h - l) * t)
+            weights.append(0.5 * (h - l) * w)
+        # slab over the first axis so tensor grids stay within memory; the
+        # inner grid of a 1-d box is the one empty point of weight 1
+        inner_w = np.ones(1)
+        for wgt in weights[1:]:
+            inner_w = np.multiply.outer(inner_w, wgt).ravel()
+        inner_pts = _lattice(axes[1:])
+        rows_per_slab = max(1, _CHUNK // len(inner_w))
+        for start in range(0, len(axes[0]), rows_per_slab):
+            xs = axes[0][start : start + rows_per_slab]
+            X = np.concatenate([np.repeat(xs, len(inner_w))[:, None],
+                                np.tile(inner_pts, (len(xs), 1))], axis=1)
+            yield (X,), np.multiply.outer(weights[0][start : start + rows_per_slab], inner_w).ravel()
+
 
 @dataclass(frozen=True)
 class SphereDomain:
     """Unit sphere with the surface measure (total mass 4 pi)."""
 
     dim = 2
+    nodes = None
+    _extents = (math.pi, _TWO_PI)
+    _measure_scale = 1.0
+
+    def _points(self, loc, U):
+        return (_exp_map(loc, U),)
+
+    def _lipschitz(self, problem):
+        W, _ = _sphere_grid(17, 33)
+        lip = 1.25 * max(np.linalg.norm(problem._gradient(w)) for w in W) + 1e-12
+        return (lip, lip)
+
+    def _chunks(self, nodes):
+        W, wt = _sphere_grid(*nodes)
+        yield (W,), wt
 
 
 @dataclass(frozen=True)
@@ -73,163 +134,54 @@ class SphereCircleDomain:
     """S^2 x S^1 with surface measure x normalized circle average."""
 
     dim = 3
+    nodes = None
+    _extents = (math.pi, _TWO_PI, _TWO_PI)
+    # the circle average is d phi / (2 pi) in the chart coordinate phi
+    _measure_scale = 1.0 / _TWO_PI
+
+    def _points(self, loc, U):
+        w, phi = loc
+        return _exp_map(w, U[:, :2]), phi + U[:, 2]
+
+    def _lipschitz(self, problem):
+        W, _ = _sphere_grid(9, 17)
+        G = [problem._gradient((w, phi))
+             for phi in np.linspace(0.0, _TWO_PI, 9, endpoint=False) for w in W[::4]]
+        lip_s = 1.25 * max(float(np.linalg.norm(g[:2])) for g in G) + 1e-12
+        lip_c = 1.25 * max(abs(float(g[2])) for g in G) + 1e-12
+        return (lip_s, lip_s, lip_c)
+
+    def _chunks(self, nodes):
+        n_pol, n_az, n_circ = nodes
+        W, wt = _sphere_grid(n_pol, n_az)
+        wt = wt / n_circ
+        for phi in np.arange(n_circ) * (_TWO_PI / n_circ):
+            yield (W, np.full(W.shape[0], phi)), wt
 
 
-# ---------------------------------------------------------------------------
-# problems
+def _lattice(axes):
+    """The tensor grid of the 1-d axes as points, shape (prod of the
+    lengths, len(axes)), the last axis fastest."""
+    size = math.prod(len(a) for a in axes)
+    return np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), size).T
+
+
+def _sphere_points(alpha, n_az):
+    """Unit vectors at the heights alpha times n_az equispaced azimuths,
+    shape (len(alpha) * n_az, 3), azimuth fastest."""
+    phi = np.arange(n_az) * (_TWO_PI / n_az)
+    st = np.sqrt(1.0 - alpha * alpha)
+    W = np.empty((len(alpha), n_az, 3))
+    W[..., 0] = st[:, None] * np.cos(phi)[None, :]
+    W[..., 1] = st[:, None] * np.sin(phi)[None, :]
+    W[..., 2] = alpha[:, None]
+    return W.reshape(-1, 3)
 
 
 def _sphere_grid(n_pol, n_az):
     alpha, w_a = gauss_nodes(int(n_pol))
-    n_pol = len(alpha)
-    phi = np.arange(n_az) * (_TWO_PI / n_az)
-    st = np.sqrt(1.0 - alpha * alpha)
-    W = np.empty((n_pol, n_az, 3))
-    W[..., 0] = st[:, None] * np.cos(phi)[None, :]
-    W[..., 1] = st[:, None] * np.sin(phi)[None, :]
-    W[..., 2] = alpha[:, None]
     wt = (w_a[:, None] * (_TWO_PI / n_az)) * np.ones((1, n_az))
-    return W.reshape(-1, 3), wt.ravel()
-
-
-class StationaryPhaseProblem:
-    """phase, amplitude: vectorized callables on the domain's points.
-
-    Box: f(X) with X of shape (..., d).  Sphere: f(W), W (..., 3) unit
-    vectors.  Sphere x circle: f(W, phi).  amplitude None means 1.  critical
-    declares the stationary set: ("points", [locations]) or
-    ("curve", parametrization, (t0, t1), closed) for box domains.
-    """
-
-    def __init__(self, phase, amplitude, domain, critical=None):
-        self.phase = phase
-        self.amplitude = amplitude
-        self.domain = domain
-        self.critical = critical
-        self.lip = self._estimate_lipschitz()
-        if isinstance(domain, BoxDomain):
-            self._check_support()
-        if critical and critical[0] == "points":
-            for loc in critical[1]:
-                g = self._gradient(loc)
-                if np.linalg.norm(g) > 1e-10:
-                    raise DomainError(
-                        f"declared critical point {loc} has |grad| = {np.linalg.norm(g):.2e}"
-                    )
-
-    # -- validation helpers
-
-    def _check_support(self):
-        d = self.domain.dim
-        lo = np.array(self.domain.lo)
-        hi = np.array(self.domain.hi)
-        probe = []
-        side = np.linspace(0.0, 1.0, 9)
-        for axis in range(d):
-            for bound in (lo[axis], hi[axis]):
-                pts = np.empty((9 ** max(1, d - 1), d)) if d > 1 else np.empty((1, d))
-                if d == 1:
-                    pts[:, 0] = bound
-                else:
-                    others = [i for i in range(d) if i != axis]
-                    mesh = np.meshgrid(*[lo[i] + side * (hi[i] - lo[i]) for i in others])
-                    for j, i in enumerate(others):
-                        pts[:, i] = mesh[j].ravel()
-                    pts[:, axis] = bound
-                probe.append(pts)
-        probe = np.concatenate(probe)
-        if self.amplitude is None:
-            raise DomainError("box amplitudes must vanish on the boundary; got constant 1")
-        vals = np.abs(np.asarray(self.amplitude(probe)))
-        if np.max(vals) > 1e-10:
-            raise DomainError(
-                f"amplitude must be supported strictly inside the box; boundary max {np.max(vals):.2e}"
-            )
-
-    def _estimate_lipschitz(self):
-        # coarse directional-difference scan; 25% safety margin
-        if isinstance(self.domain, BoxDomain):
-            d = self.domain.dim
-            axes = [np.linspace(l, h, 33) for l, h in zip(self.domain.lo, self.domain.hi)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            X = np.stack([m.ravel() for m in mesh], axis=-1)
-            vals = np.asarray(self.phase(X)).reshape([33] * d)
-            lips = []
-            for axis in range(d):
-                step = axes[axis][1] - axes[axis][0]
-                diff = np.diff(vals, axis=axis) / step
-                lips.append(1.25 * float(np.max(np.abs(diff))) + 1e-12)
-            return tuple(lips)
-        if isinstance(self.domain, SphereDomain):
-            W, _ = _sphere_grid(17, 33)
-            g = max(np.linalg.norm(self._gradient(w)) for w in W)
-            lip = 1.25 * g + 1e-12
-            return (lip, lip)
-        if isinstance(self.domain, SphereCircleDomain):
-            W, _ = _sphere_grid(9, 17)
-            lip_s = 0.0
-            lip_c = 0.0
-            for phi in np.linspace(0.0, _TWO_PI, 9, endpoint=False):
-                for w in W[::4]:
-                    g = self._gradient((w, phi))
-                    lip_s = max(lip_s, float(np.linalg.norm(g[:2])))
-                    lip_c = max(lip_c, abs(float(g[2])))
-            return (1.25 * lip_s + 1e-12, 1.25 * lip_s + 1e-12, 1.25 * lip_c + 1e-12)
-        raise DomainError(f"unsupported domain {self.domain!r}")
-
-    # -- geometry of charts
-
-    def _gradient(self, loc):
-        """Finite-difference gradient in the local orthonormal chart."""
-        h = 1e-6
-        f = self._chart_function(loc)
-        d = self.domain.dim
-        g = np.empty(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            g[i] = (f(e) - f(-e)) / (2 * h)
-        return g
-
-    def _chart_function(self, loc):
-        """Phase as a function of chart offsets u around loc (normal coords)."""
-        if isinstance(self.domain, BoxDomain):
-            loc = np.asarray(loc, dtype=float)
-
-            def f(u):
-                return float(np.asarray(self.phase((loc + u)[None, :]))[0])
-
-            return f
-        if isinstance(self.domain, SphereDomain):
-            w0, t1, t2 = _sphere_frame(np.asarray(loc, dtype=float))
-
-            def f(u):
-                return float(np.asarray(self.phase(_geodesic(w0, t1, t2, u)[None, :]))[0])
-
-            return f
-        if isinstance(self.domain, SphereCircleDomain):
-            w_loc, phi0 = loc
-            w0, t1, t2 = _sphere_frame(np.asarray(w_loc, dtype=float))
-
-            def f(u):
-                w = _geodesic(w0, t1, t2, u[:2])
-                return float(np.asarray(self.phase(w[None, :], np.array([phi0 + u[2]])))[0])
-
-            return f
-        raise DomainError(f"unsupported domain {self.domain!r}")
-
-    def resolve_nodes(self, mu):
-        if not isinstance(self.domain, BoxDomain):
-            extents = [math.pi, _TWO_PI, _TWO_PI][:self.domain.dim]
-            return tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, extents))
-        extents = [h - l for l, h in zip(self.domain.lo, self.domain.hi)]
-        need = tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, extents))
-        if self.domain.nodes is None:
-            return need
-        got = tuple(self.domain.nodes)
-        if any(g < n for g, n in zip(got, need)):
-            raise ResolutionError(f"grid {got} under-resolves mu={mu}: need at least {need}")
-        return got
+    return _sphere_points(alpha, n_az), wt.ravel()
 
 
 def _tangent_frames(W):
@@ -240,81 +192,106 @@ def _tangent_frames(W):
     return t1, np.cross(W, t1)
 
 
-def _sphere_frame(w0):
+def _exp_map(w, U):
+    """Geodesic normal coordinates on S^2: the points at offsets U (k, 2)
+    in the tangent frame at w."""
+    w0 = np.asarray(w, dtype=float)
     w0 = w0 / np.linalg.norm(w0)
     t1, t2 = _tangent_frames(w0[None, :])
-    return w0, t1[0], t2[0]
+    r = np.hypot(U[:, 0], U[:, 1])
+    direction = (U[:, [0]] * t1 + U[:, [1]] * t2) / np.maximum(r, 1e-300)[:, None]
+    return np.cos(r)[:, None] * w0 + np.sin(r)[:, None] * direction
 
 
-def _geodesic(w0, t1, t2, u):
-    r = math.hypot(u[0], u[1])
-    if r < 1e-300:
-        return w0.copy()
-    direction = (u[0] * t1 + u[1] * t2) / r
-    return math.cos(r) * w0 + math.sin(r) * direction
+# ---------------------------------------------------------------------------
+# problems
+
+# central-difference step of the chart gradient
+_GRAD_STEP = 1e-6
+
+
+class StationaryPhaseProblem:
+    """phase, amplitude: vectorized callables on the domain's points.
+
+    Box: f(X) with X of shape (..., d).  Sphere: f(W), W (..., 3) unit
+    vectors.  Sphere x circle: f(W, phi).  amplitude None means 1.  critical
+    declares the stationary set: ("points", [locations]) or
+    ("curve", parametrization, (t0, t1), closed) for box domains.  A
+    location is a point of the box, a unit vector, or a pair (w, phi).
+    """
+
+    def __init__(self, phase, amplitude, domain, critical=None):
+        self.phase = phase
+        self.amplitude = amplitude
+        self.domain = domain
+        self.critical = critical
+        if isinstance(domain, BoxDomain):
+            self._check_support()
+        elif not isinstance(domain, (SphereDomain, SphereCircleDomain)):
+            raise DomainError(f"unsupported domain {domain!r}")
+        elif critical and critical[0] == "curve":
+            raise DomainError("curve-type critical sets are supported on box domains")
+        self.lip = domain._lipschitz(self)
+        if critical and critical[0] == "points":
+            origin = np.zeros((1, domain.dim))
+            for loc in critical[1]:
+                g = np.linalg.norm(self._gradient(loc))
+                # each phase value carries a rounding error up to about
+                # eps |psi|, which the difference quotient divides by the
+                # step: an exact critical point reads |grad| up to that floor
+                psi = float(self._at(self.phase, loc, origin)[0])
+                floor = 8.0 * np.finfo(float).eps * (1.0 + abs(psi)) / _GRAD_STEP
+                if g > 1e-10 + floor:
+                    raise DomainError(f"declared critical point {loc} has |grad| = {g:.2e}")
+
+    # -- validation helpers
+
+    def _check_support(self):
+        if self.amplitude is None:
+            raise DomainError("box amplitudes must vanish on the boundary; got constant 1")
+        # the boundary points of a lattice of 9 per axis
+        lo, hi = np.array(self.domain.lo), np.array(self.domain.hi)
+        X = _lattice([np.linspace(l, h, 9) for l, h in zip(lo, hi)])
+        vals = np.abs(np.asarray(self.amplitude(X[np.any((X == lo) | (X == hi), axis=1)])))
+        if np.max(vals) > 1e-10:
+            raise DomainError(
+                f"amplitude must be supported strictly inside the box; boundary max {np.max(vals):.2e}"
+            )
+
+    # -- the chart around a location
+
+    def _at(self, fn, loc, U):
+        """fn (the phase or the amplitude) at chart offsets U (k, dim) around loc."""
+        return np.asarray(fn(*self.domain._points(loc, U)))
+
+    def _gradient(self, loc):
+        """Central-difference gradient in the local orthonormal chart."""
+        d = self.domain.dim
+        E = _GRAD_STEP * np.eye(d)
+        f = self._at(self.phase, loc, np.concatenate([E, -E]))
+        return (f[:d] - f[d:]) / (2 * _GRAD_STEP)
+
+    def resolve_nodes(self, mu):
+        need = tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, self.domain._extents))
+        if self.domain.nodes is None:
+            return need
+        got = tuple(self.domain.nodes)
+        if any(g < n for g, n in zip(got, need)):
+            raise ResolutionError(f"grid {got} under-resolves mu={mu}: need at least {need}")
+        return got
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
-_CHUNK = 1 << 22
-
 
 def oscillatory_integral(problem, mu):
-    dom = problem.domain
-    nodes = problem.resolve_nodes(mu)
-    if isinstance(dom, BoxDomain):
-        axes = []
-        weights = []
-        for (l, h, n) in zip(dom.lo, dom.hi, nodes):
-            t, w = gauss_nodes(int(n))
-            axes.append(0.5 * (h + l) + 0.5 * (h - l) * t)
-            weights.append(0.5 * (h - l) * w)
-        d = dom.dim
-        if d == 1:
-            X = axes[0][:, None]
-            wt = weights[0]
-            vals = problem.amplitude(X) * np.exp(1j * mu * np.asarray(problem.phase(X)))
-            return complex(pairwise_sum(np.ravel(vals * wt)))
-        total = 0.0 + 0.0j
-        # slab over the first axis so tensor grids stay within memory
-        inner_mesh = np.meshgrid(*axes[1:], indexing="ij")
-        inner_w = weights[1]
-        for wgt in weights[2:]:
-            inner_w = np.multiply.outer(inner_w, wgt)
-        inner_pts = np.stack([m.ravel() for m in inner_mesh], axis=-1)
-        inner_w = inner_w.ravel()
-        rows_per_slab = max(1, _CHUNK // max(1, inner_pts.shape[0]))
-        for start in range(0, len(axes[0]), rows_per_slab):
-            xs = axes[0][start : start + rows_per_slab]
-            X = np.concatenate(
-                [
-                    np.repeat(xs, inner_pts.shape[0])[:, None],
-                    np.tile(inner_pts, (len(xs), 1)),
-                ],
-                axis=1,
-            )
-            wt = np.multiply.outer(weights[0][start : start + rows_per_slab], inner_w).ravel()
-            vals = problem.amplitude(X) * np.exp(1j * mu * np.asarray(problem.phase(X)))
-            total += complex(pairwise_sum(np.ravel(vals * wt)))
-        return total
-    if isinstance(dom, SphereDomain):
-        W, wt = _sphere_grid(*nodes)
-        amp = 1.0 if problem.amplitude is None else np.asarray(problem.amplitude(W))
-        vals = amp * np.exp(1j * mu * np.asarray(problem.phase(W)))
-        return complex(pairwise_sum(np.ravel(vals * wt)))
-    if isinstance(dom, SphereCircleDomain):
-        n_pol, n_az, n_circ = nodes
-        W, wt = _sphere_grid(n_pol, n_az)
-        total = 0.0 + 0.0j
-        phis = np.arange(n_circ) * (_TWO_PI / n_circ)
-        for phi in phis:
-            pv = np.full(W.shape[0], phi)
-            amp = 1.0 if problem.amplitude is None else np.asarray(problem.amplitude(W, pv))
-            vals = amp * np.exp(1j * mu * np.asarray(problem.phase(W, pv)))
-            total += complex(pairwise_sum(np.ravel(vals * wt)))
-        return total / n_circ
-    raise DomainError(f"unsupported domain {dom!r}")
+    total = 0.0 + 0.0j
+    for args, wt in problem.domain._chunks(problem.resolve_nodes(mu)):
+        amp = 1.0 if problem.amplitude is None else np.asarray(problem.amplitude(*args))
+        vals = amp * np.exp(1j * mu * np.asarray(problem.phase(*args)))
+        total += complex(pairwise_sum(np.ravel(vals * wt)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +342,23 @@ class SPExpansion:
         return sum(abs(c.q0) * (_TWO_PI / mu) ** ((self.n - c.p) / 2.0) for c in self.components)
 
 
-def _chart_hessian(f, dim, scale):
-    h = 1e-4 * (1.0 + scale)
-    H = np.empty((dim, dim))
-    f0 = f(np.zeros(dim))
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = h
-        H[i, i] = (f(ei) - 2.0 * f0 + f(-ei)) / (h * h)
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)
-            ) / (4.0 * h * h)
-    return H
+def _chart_hessian(problem, loc):
+    """Phase value and central-difference Hessian in the chart at loc; the
+    whole stencil goes through one phase call."""
+    n = problem.domain.dim
+    origin = np.zeros((1, n))
+    # the step grows with the size of the point in its ambient coordinates
+    h = 1e-4 * (1.0 + float(np.linalg.norm(problem.domain._points(loc, origin)[0][0])))
+    E = h * np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cross = np.array([si * E[i] + sj * E[j] for i, j in pairs
+                      for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]).reshape(-1, n)
+    f = problem._at(problem.phase, loc, np.concatenate([origin, E, -E, cross]))
+    H = np.diag((f[1 : n + 1] - 2.0 * f[0] + f[n + 1 : 2 * n + 1]) / (h * h))
+    for k, (i, j) in enumerate(pairs):
+        pp, pm, mp, mm = f[2 * n + 1 + 4 * k : 2 * n + 5 + 4 * k]
+        H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+    return float(f[0]), H
 
 
 def _component_from_hessian(H, psi0, a_val, p, location, transversal=None):
@@ -397,20 +376,13 @@ def _component_from_hessian(H, psi0, a_val, p, location, transversal=None):
 
 
 def _amp_at(problem, loc):
+    """Amplitude at loc times the density of the domain's measure in its
+    chart, the factor that the leading stationary term carries."""
+    scale = problem.domain._measure_scale
     if problem.amplitude is None:
-        return 1.0
-    if isinstance(problem.domain, SphereCircleDomain):
-        w, phi = loc
-        return complex(
-            np.asarray(problem.amplitude(np.asarray(w, dtype=float)[None, :], np.array([phi])))[0]
-        )
-    return complex(np.asarray(problem.amplitude(np.asarray(loc, dtype=float)[None, :]))[0])
-
-
-def _loc_scale(problem, loc):
-    if isinstance(problem.domain, BoxDomain):
-        return float(np.linalg.norm(np.asarray(loc, dtype=float)))
-    return 1.0
+        return scale
+    origin = np.zeros((1, problem.domain.dim))
+    return complex(problem._at(problem.amplitude, loc, origin)[0]) * scale
 
 
 def stationary_expansion(problem):
@@ -421,14 +393,11 @@ def stationary_expansion(problem):
     comps = []
     if kind == "points":
         for loc in problem.critical[1]:
-            f = problem._chart_function(loc)
-            H = _chart_hessian(f, n, _loc_scale(problem, loc))
-            comps.append(_component_from_hessian(H, f(np.zeros(n)), _amp_at(problem, loc), 0, loc))
+            psi0, H = _chart_hessian(problem, loc)
+            comps.append(_component_from_hessian(H, psi0, _amp_at(problem, loc), 0, loc))
         return SPExpansion(n, tuple(comps))
     if kind == "curve":
         _, param, (t0, t1), closed = problem.critical
-        if not isinstance(problem.domain, BoxDomain):
-            raise DomainError("curve-type critical sets are supported on box domains")
         n_quad = 256
         ts = (
             t0 + (np.arange(n_quad) + 0.5) * (t1 - t0) / n_quad
@@ -449,11 +418,10 @@ def stationary_expansion(problem):
             basis = np.linalg.qr(
                 np.concatenate([tangent[:, None], np.eye(n)], axis=1)
             )[0][:, 1:n]
-            f = problem._chart_function(loc)
-            H = _chart_hessian(f, n, _loc_scale(problem, loc))
+            psi0, H = _chart_hessian(problem, loc)
             # the line element speed * dt rides on the amplitude
             comps.append(_component_from_hessian(
-                H, f(np.zeros(n)), _amp_at(problem, loc) * speed * dt, 1, loc, transversal=basis))
+                H, psi0, _amp_at(problem, loc) * speed * dt, 1, loc, transversal=basis))
         if len({c.signature for c in comps}) > 1:
             raise DomainError("signature changes along the declared curve")
         psi_vals = np.array([c.psi0 for c in comps])
@@ -556,14 +524,8 @@ def _pairing_derivs(x, y, W, PH):
 
 def _scan_seeds():
     n_pol, n_az, n_phi = 14, 28, 24
-    alpha = np.linspace(-0.97, 0.97, n_pol)
-    st = np.sqrt(1 - alpha**2)
-    phis = np.arange(n_az) * (_TWO_PI / n_az)
-    W = np.empty((n_pol, n_az, 3))
-    W[..., 0] = st[:, None] * np.cos(phis)[None, :]
-    W[..., 1] = st[:, None] * np.sin(phis)[None, :]
-    W[..., 2] = alpha[:, None] * np.ones((1, n_az))
-    W = np.concatenate([W.reshape(-1, 3), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    W = _sphere_points(np.linspace(-0.97, 0.97, n_pol), n_az)
+    W = np.concatenate([W, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
     PH = np.arange(n_phi) * (_TWO_PI / n_phi)
     Wrep = np.repeat(W, n_phi, axis=0)
     PHrep = np.tile(PH, len(W))

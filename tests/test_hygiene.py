@@ -9,7 +9,9 @@ function and class is named somewhere outside its own definition (the
 package, ``scripts/``, ``perfbench/``), or is listed with its reason.
 Every keyword default and dataclass-field default is set by some call in
 the package, ``scripts/``, ``perfbench/`` or the tests: a setting with one
-value in use is a constant.
+value in use is a constant.  A statphase domain owns its chart, measure and
+quadrature, so the package asks which domain it holds in one place only:
+``StationaryPhaseProblem.__init__``.
 """
 import ast
 from pathlib import Path
@@ -32,7 +34,10 @@ UNREFERENCED_OK = {
     "profile_from_file": "public entry point: profiles from data files",
     "torus_basis": "public entry point: the flat-torus eigenbasis",
     "cluster_sum": "public entry point: unit-window cluster sums",
+    "SphereCircleDomain": "test reference: the tensor quadrature that hybrid_integral is checked against",
 }
+
+STATPHASE_DOMAINS = {"BoxDomain", "SphereDomain", "SphereCircleDomain"}
 
 
 def _tree(path):
@@ -181,3 +186,29 @@ def test_every_default_is_set_by_some_call():
                        for n_args, keywords, starred in calls.get(callee, [])):
                 unset.append(f"{path.name}:{callee}.{param}")
     assert unset == []
+
+
+def _scoped(node, scope=""):
+    """(qualified name of the enclosing function or class, node) for every
+    node below node; methods read Class.method."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def _names_domain(node):
+    return any((isinstance(n, ast.Name) and n.id in STATPHASE_DOMAINS)
+               or (isinstance(n, ast.Attribute) and n.attr in STATPHASE_DOMAINS)
+               for n in ast.walk(node))
+
+
+def test_only_the_problem_init_dispatches_on_the_domain():
+    found = [f"{path.name}:{node.lineno} in {scope}"
+             for path in MODULES for scope, node in _scoped(_tree(path))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+             and len(node.args) == 2 and _names_domain(node.args[1])
+             and scope != "StationaryPhaseProblem.__init__"]
+    assert found == []

@@ -1,6 +1,7 @@
 """Oscillatory integrals, their leading expansions, and pairing-phase scans."""
 import cmath
 import math
+import types
 import warnings
 
 import numpy as np
@@ -125,6 +126,12 @@ def test_box_requires_decayed_amplitude():
     with pytest.raises(DomainError):
         statphase.StationaryPhaseProblem(
             lambda X: X[..., 0], None, statphase.BoxDomain((-1.0,), (1.0,)))
+    # a box look-alike that is not one of the statphase domains
+    with pytest.raises(DomainError):
+        statphase.StationaryPhaseProblem(
+            lambda X: X[..., 0],
+            lambda X: np.exp(-X[..., 0] ** 2),
+            types.SimpleNamespace(lo=(-1.0,), hi=(1.0,), dim=1, nodes=None))
 
 
 def test_critical_point_must_be_critical():
@@ -178,6 +185,18 @@ def test_sphere_expansion_structure():
     want = 4.0 * math.pi * math.sin(50.0) / 50.0
     assert abs(got - want) / (4.0 * math.pi / 50.0) <= 1e-4
     assert exp.envelope(50.0) == pytest.approx(4.0 * math.pi / 50.0, rel=1e-6)
+
+    # the amplitude route: 1 + z^2 is 2 at both poles
+    v = np.array([0.0, 0.0, 1.0])
+    prob = statphase.StationaryPhaseProblem(
+        lambda W: W @ v, lambda W: 1.0 + W[..., 2] ** 2, statphase.SphereDomain(),
+        critical=("points", [v.copy(), -v]))
+    exp = statphase.stationary_expansion(prob)
+    for c in exp.components:
+        assert abs(c.q0) == pytest.approx(2.0, rel=1e-6)
+    mu = 200.0
+    numeric = statphase.oscillatory_integral(prob, mu)
+    assert abs(exp.predict(mu) - numeric) * mu / (4.0 * math.pi) <= 2e-2
 
 
 def test_curve_critical_set():
@@ -308,8 +327,34 @@ def test_pairing_derivatives_match_finite_differences():
     G, H, _, _ = statphase._pairing_derivs(x, y, W, PH)
     for w, phi, g, h in zip(W, PH, G, H):
         assert np.max(np.abs(g - prob._gradient((w, phi)))) <= 1e-8
-        fd = statphase._chart_hessian(prob._chart_function((w, phi)), 3, 1.0)
+        fd = statphase._chart_hessian(prob, (w, phi))[1]
         assert np.max(np.abs(h - fd)) <= 1e-6
+
+
+def sphere_circle_problem():
+    """The pairing phase on S^2 x S^1 with its four exact critical points."""
+    x = geometry.sphere_point(1.2, 0.3)
+    y = geometry.sphere_point(0.8, 1.1)
+    return x, y, statphase.StationaryPhaseProblem(
+        pairing_phase(x, y), None, statphase.SphereCircleDomain(),
+        critical=("points", closed_form_critical_points(x, y)))
+
+
+def test_exact_critical_points_pass_the_gate():
+    # the central-difference gradient of an exact critical point sits at its
+    # rounding floor, above 1e-10 here; the gate must still accept it
+    _, _, prob = sphere_circle_problem()
+    assert len(prob.critical[1]) == 4
+
+
+def test_sphere_circle_expansion_uses_the_circle_average():
+    # the domain measure averages over the circle, so the leading term
+    # carries d phi / (2 pi)
+    x, y, prob = sphere_circle_problem()
+    mu = 400.0
+    exact = statphase.hybrid_integral(x, y, mu)
+    predict = statphase.stationary_expansion(prob).predict(mu)
+    assert abs(predict - exact) / abs(exact) <= 1e-3
 
 
 def test_scan_nearest_phase_tracks_separation():
