@@ -33,7 +33,6 @@ from .geometry import (
     FlatTorus2FiniteCyclic,
     IsotypicLabel,
     RoundSphere2,
-    SurfaceOfRevolution,
     as_label,
 )
 from .util import format_float
@@ -49,8 +48,8 @@ class EigenMode:
     index: int
 
     eigenvalue = property(lambda self: float(self.basis.eigenvalues[self.index]))
-    label = property(lambda self: IsotypicLabel(int(self.basis.m[self.index]),
-                                                modulus=self.basis.group_order or None))
+    label = property(lambda self: IsotypicLabel(
+        int(self.basis.m[self.index]), modulus=self.basis.manifold._group_order or None))
     quantum = property(lambda self: tuple(self.basis.quantum[self.index].tolist()))
 
     def evaluator(self, x):
@@ -64,7 +63,7 @@ class EigenMode:
 class EigenBasis:
     """A truncated eigenbasis as arrays sorted by (eigenvalue, m, quantum).
 
-    m: the label, the Fourier index or its residue mod group_order.
+    m: the label, the Fourier index or its residue mod the cyclic group's order.
     quantum: (k, m) sphere, (k1, k2) torus, (m, j) surface of revolution.
     radial: values at the cell centers (i - 1/2) L/n plus one node past each
     end: the wrapped neighbour if closed, else the profile's end, valued as
@@ -76,7 +75,6 @@ class EigenBasis:
     m: np.ndarray
     quantum: np.ndarray
     lambda_max: float
-    group_order: int = 0  # 0 for the circle, N for cyclic actions
     radial: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -92,7 +90,8 @@ class EigenBasis:
     def label_mask(self, label):
         """Which modes lie in the isotypic component of label."""
         want = as_label(label).m
-        return self.m == (want % self.group_order if self.group_order else want)
+        order = self.manifold._group_order
+        return self.m == (want % order if order else want)
 
     def require(self, lam):
         if lam > self.lambda_max:
@@ -153,7 +152,7 @@ def _sphere_values(k, m, pts):
     return pbar * np.exp(1j * np.multiply.outer(m, phi))
 
 
-def _sorted_basis(manifold, eigenvalues, m, quantum, lambda_max, group_order=0, radial=None):
+def _sorted_basis(manifold, eigenvalues, m, quantum, lambda_max, radial=None):
     """The basis, modes in (eigenvalue, m, quantum) order, arrays read-only;
     radial values at the cell centers gain the end nodes EigenBasis describes."""
     quantum = np.asarray(quantum, dtype=np.int64).reshape(-1, 2)
@@ -167,7 +166,7 @@ def _sorted_basis(manifold, eigenvalues, m, quantum, lambda_max, group_order=0, 
     arrays = [None if a is None else a[order] for a in (eigenvalues, m, quantum, radial)]
     for a in filter(lambda a: a is not None, arrays):
         a.setflags(write=False)
-    return EigenBasis(manifold, *arrays[:3], float(lambda_max), group_order, arrays[3])
+    return EigenBasis(manifold, *arrays[:3], float(lambda_max), arrays[3])
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +199,12 @@ def sphere_basis(lambda_max):
 # flat torus
 
 
-def _parse_group(group):
-    if group == "circle":
-        return 0
-    if isinstance(group, tuple) and group[0] == "cyclic":
-        return int(group[1])
-    if isinstance(group, str) and group.startswith("cyclic"):
-        tail = group[len("cyclic"):].lstrip(" :-")
-        if tail.isdigit() and int(tail) >= 1:
-            return int(tail)
-    raise DomainError(f"group must be 'circle' or ('cyclic', N), got {group!r}")
-
-
-def torus_basis(lambda_max, group="circle"):
+def torus_basis(lambda_max, order=0):
+    """The flat torus under the circle of x1 shifts (order 0, labels k1) or
+    the cyclic group of order N >= 1 (order N, labels k1 mod N)."""
     if lambda_max < 0:
         raise DomainError("lambda_max must be >= 0")
-    order = _parse_group(group)
+    manifold = FlatTorus2FiniteCyclic(order) if order else FlatTorus2()
     R2 = lambda_max / (4.0 * math.pi * math.pi)
     R = int(math.floor(math.sqrt(R2)))
     k = np.arange(-R, R + 1)
@@ -223,9 +212,8 @@ def torus_basis(lambda_max, group="circle"):
     inside = k1 * k1 + k2 * k2 <= R2  # exact: integers below 2^53 compare exactly
     k1, k2 = k1[inside], k2[inside]
     lam = 4.0 * math.pi * math.pi * (k1 * k1 + k2 * k2)
-    manifold = FlatTorus2FiniteCyclic(order) if order else FlatTorus2()
     return _sorted_basis(manifold, lam, k1 % order if order else k1, np.column_stack((k1, k2)),
-                         lambda_max, group_order=order)
+                         lambda_max)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +499,7 @@ def _radial_matrix(profile, m, grid_n):
         raise DomainError("profile radius must be positive at all cell centers")
     faces = np.asarray(profile.r(np.arange(n + 1) * h), dtype=float)
     if not profile.closed:
-        faces[0] = 0.0 if faces[0] < 1e-9 else faces[0]
-        faces[-1] = 0.0 if faces[-1] < 1e-9 else faces[-1]
+        faces[[0, -1]] = 0.0  # the poles: SurfaceOfRevolution holds |r| <= 1e-9 there
     d = (faces[:-1] + faces[1:]) / (h * h * r) + (m * m) / (r * r)
     off = -faces[1:-1] / (h * h * np.sqrt(r[:-1] * r[1:]))
     corner = 0.0
@@ -555,7 +542,7 @@ def surface_of_revolution_basis(profile, m_max, modes_per_m, grid_n):
 
 def export_basis(basis, path):
     """One mode per line: eigenvalue, label, radial grid values."""
-    if not isinstance(basis.manifold, SurfaceOfRevolution):
+    if basis.radial is None:
         raise DomainError("text export is defined for discrete bases only")
     profile = basis.manifold
     lines = [

@@ -5,63 +5,203 @@ quadrature slices of the momentum zero level in each fiber."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPointError, SingularProfileError
-from .util import gauss_nodes
+from .errors import InvalidPointError, SingularProfileError, StratumContributionWarning
+from .util import gauss_nodes, pairwise_sum
 
 _POLE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
 # manifolds
+#
+# Each class carries its own action: private attributes (perfbench/tracer.py
+# wraps public methods) answer every question that depends on it for the
+# module functions below, spectral's group averages, EigenBasis's labels and
+# weylcoef's global coefficient.
+
+_TWO_PI = 2.0 * math.pi
+_E3 = np.array([0.0, 0.0, 1.0])
+# Gauss nodes of a global coefficient's orbit-space integral
+_X_NODES = 64
+
+
+class _Rotation:
+    """The circle acting by rotation through the angle t."""
+
+    _group_order = 0  # the circle; N for a cyclic group
+
+    def _group_nodes(self, n):
+        return np.arange(n) * (_TWO_PI / n), n
+
+    def _character(self, m, t):
+        return np.exp(-1j * m * t)
+
+
+class _FlatTorus:
+    """The flat unit-square torus, acted on by translations in x1."""
+
+    def _check_covector(self, x, xi):
+        pass  # the chart is R^2 x R^2
+
+    def _global_coefficient(self, local):
+        # a translation action leaves the local coefficient independent of
+        # x, so its integral over the unit-area torus is its value
+        return local([0.5, 0.5])
 
 
 @dataclass(frozen=True)
-class RoundSphere2:
-    """Unit sphere in R^3, circle acting by rotation about the z-axis."""
+class RoundSphere2(_Rotation):
+    """Unit sphere in R^3, circle acting by rotation about the z-axis.
+
+    Points and covectors are ambient 3-vectors with <x, xi> = 0 (metric
+    duality)."""
 
     kind = "sphere"
-    dim = 2
-    operator_degree = 2
+
+    def _check_covector(self, x, xi):
+        sphere_colatitude(x)  # raises off the unit sphere
+        if abs(x @ xi) > 1e-8 * (1 + np.linalg.norm(xi)):
+            raise InvalidPointError("sphere covector must be tangent (ambient identification)")
+
+    def _orbit(self, x):
+        theta = sphere_colatitude(x)
+        dist = min(theta, math.pi - theta)
+        if dist <= _POLE_TOL:
+            return OrbitData(0, "full group", 0.0, 0.0)
+        return OrbitData(1, "trivial", dist, 2 * math.pi * math.sin(theta))
+
+    def _pairing(self, x, xi):
+        return float(xi @ np.cross(_E3, x))
+
+    def _act(self, x, xi, t):
+        c, s = math.cos(t), math.sin(t)
+        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return R @ x, R @ xi
+
+    def _lifted_length(self, x, xi):
+        return 2 * math.pi * math.sqrt(x[0] ** 2 + x[1] ** 2 + xi[0] ** 2 + xi[1] ** 2)
+
+    def _fiber_slice(self, x, n_nodes):
+        if self._orbit(x).kappa_x == 0:
+            return _disc_nodes(n_nodes, lambda rho, ph: (
+                x, rho * np.array([math.cos(ph), math.sin(ph), 0.0])))
+        theta = sphere_colatitude(x)
+        c, w = gauss_nodes(n_nodes)
+        phi = math.atan2(x[1], x[0])
+        # unit conormal (meridian direction, metric-dual ambient vector)
+        mer = np.array(
+            [math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -math.sin(theta)]
+        )
+        return [(x, ci * mer, wi) for ci, wi in zip(c, w)]
+
+    def _global_coefficient(self, local):
+        """Gauss in cos(theta) times the azimuth's 2 pi, checked against
+        twice the nodes; quadrature nodes never land on the poles."""
+
+        def integral(n):
+            alpha, w = gauss_nodes(n)
+            vals = [local(sphere_point(math.acos(float(a)))) for a in alpha]
+            return 2.0 * math.pi * float(pairwise_sum(np.asarray(vals) * w))
+
+        total = integral(_X_NODES)
+        refined = integral(2 * _X_NODES)
+        if abs(refined - total) > 1e-3 * max(abs(refined), 1e-300):
+            warnings.warn(
+                "x-quadrature shift above 0.1% under refinement; singular-orbit "
+                "neighborhoods may be under-resolved",
+                StratumContributionWarning,
+            )
+        return refined
 
 
 @dataclass(frozen=True)
-class FlatTorus2:
-    """R^2/Z^2 (unit square), circle acting by translation in x1."""
+class FlatTorus2(_FlatTorus):
+    """R^2/Z^2 (unit square), circle acting by translation in x1; the group
+    parameter is the shift t in [0, 1)."""
 
     kind = "torus"
-    dim = 2
-    operator_degree = 2
+
+    def _orbit(self, x):
+        return OrbitData(1, "trivial", math.inf, 1.0)
+
+    def _pairing(self, x, xi):
+        return float(xi[0])
+
+    def _act(self, x, xi, t):
+        return [(x[0] + t) % 1.0, x[1]], xi
+
+    def _lifted_length(self, x, xi):
+        return 1.0
+
+    def _fiber_slice(self, x, n_nodes):
+        c, w = gauss_nodes(n_nodes)
+        return [(x, [0.0, ci], wi) for ci, wi in zip(c, w)]
+
+    _group_order = 0
+
+    def _group_nodes(self, n):
+        return np.arange(n) / n, n
+
+    def _character(self, m, t):
+        return np.exp(-2j * math.pi * m * t)
 
 
 @dataclass(frozen=True)
-class FlatTorus2FiniteCyclic:
-    """R^2/Z^2 with the cyclic group of order N acting by x1 -> x1 + 1/N."""
+class FlatTorus2FiniteCyclic(_FlatTorus):
+    """R^2/Z^2 with the cyclic group of order N acting by x1 -> x1 + 1/N;
+    the group parameter is the integer j of the shift j/N."""
 
     order: int = 2
-    kind = "torus-cyclic"
-    dim = 2
-    operator_degree = 2
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("cyclic order must be >= 1")
 
+    def _orbit(self, x):
+        # free action by 1/N shifts: orbits are N points, counting measure
+        return OrbitData(0, "trivial", math.inf, float(self.order))
 
-class SurfaceOfRevolution:
+    def _pairing(self, x, xi):
+        return 0.0  # finite group: no generator field, Omega is all of T*M
+
+    def _act(self, x, xi, t):
+        j = int(round(t))
+        return [(x[0] + j / self.order) % 1.0, x[1]], xi
+
+    def _lifted_length(self, x, xi):
+        return float(self.order)  # counting measure on the finite orbit
+
+    def _fiber_slice(self, x, n_nodes):
+        return _disc_nodes(n_nodes, lambda rho, ph: (
+            x, rho * np.array([math.cos(ph), math.sin(ph)])))
+
+    _group_order = property(lambda self: self.order)
+
+    def _group_nodes(self, n):
+        return np.arange(self.order, dtype=float), self.order  # every element
+
+    def _character(self, m, t):
+        return np.exp(-2j * math.pi * m * t / self.order)
+
+
+# an open profile's end radii, and a closed profile's seam jump, must lie
+# within this of 0
+_END_TOL = 1e-9
+
+
+class SurfaceOfRevolution(_Rotation):
     """Arclength profile (r(s), z(s)), s in [0, L], rotation action.
 
     r and r_prime are callables accepting scalars or arrays.  closed=True
-    means the profile wraps (r > 0 everywhere and the ends are identified);
-    otherwise r vanishes at both endpoints (sphere-like poles).
+    means the profile wraps (r > 0 everywhere and the ends are identified,
+    so r(0) = r(L)); otherwise r vanishes at both endpoints (sphere-like
+    poles).  Points are x = (s, phi), covectors xi = (xi_s, xi_phi).
     """
-
-    kind = "sor"
-    dim = 2
-    operator_degree = 2
 
     def __init__(self, r, r_prime, length, closed=False, name="sor"):
         self.r = r
@@ -73,9 +213,67 @@ class SurfaceOfRevolution:
         interior = s[1:-1] if not closed else s
         if np.any(np.asarray(self.r(interior)) <= 0):
             raise SingularProfileError("profile radius vanishes in the interior")
+        r0, r_l = float(self.r(0.0)), float(self.r(self.length))
+        # a closed profile's ends meet; an open profile's ends are poles
+        ends = ([("s = L", "r(L) - r(0)", r_l - r0)] if closed
+                else [("s = 0", "r", r0), ("s = L", "r", r_l)])
+        for end, what, value in ends:
+            if not abs(value) <= _END_TOL:
+                raise SingularProfileError(
+                    f"profile end {end}: {what} = {value}, beyond the tolerance {_END_TOL}")
         rp = np.asarray(self.r_prime(s))
         if np.any(np.abs(rp) > 1 + 1e-10):
             raise SingularProfileError("|r'(s)| > 1 violates the arclength normalization")
+
+    def _check_covector(self, x, xi):
+        self._orbit(x)  # raises off the profile range
+
+    def _orbit(self, x):
+        s = float(x[0])
+        if not (0.0 <= s <= self.length):
+            raise InvalidPointError("s outside the profile range")
+        r = float(self.r(s))
+        if self.closed:
+            return OrbitData(1, "trivial", math.inf, 2 * math.pi * r)
+        dist = min(s, self.length - s)
+        if r <= _POLE_TOL or dist <= _POLE_TOL:
+            return OrbitData(0, "full group", 0.0, 0.0)
+        return OrbitData(1, "trivial", dist, 2 * math.pi * r)
+
+    def _pairing(self, x, xi):
+        return float(xi[1])
+
+    def _act(self, x, xi, t):
+        return [x[0], (x[1] + t) % (2 * math.pi)], xi
+
+    def _lifted_length(self, x, xi):
+        # 2 pi times the ambient speed of t -> (g_t x, g_t v), v the metric
+        # dual of xi; rotation preserves chart components, so the speed does
+        # not depend on t
+        s, xi_s, xi_phi = float(x[0]), float(xi[0]), float(xi[1])
+        r = float(self.r(s))
+        rp = float(self.r_prime(s))
+        v_xy2 = (xi_s * rp) ** 2 + ((xi_phi / r) ** 2 if r > _POLE_TOL else 0.0)
+        if r <= _POLE_TOL and abs(xi_phi) > _POLE_TOL:
+            raise InvalidPointError("xi_phi component has no meaning at a profile pole")
+        return 2 * math.pi * math.sqrt(r * r + v_xy2)
+
+    def _fiber_slice(self, x, n_nodes):
+        if self._orbit(x).kappa_x == 1:
+            c, w = gauss_nodes(n_nodes)
+            return [(x, [ci, 0.0], wi) for ci, wi in zip(c, w)]
+        # at a profile pole the fiber disc is parametrized by meridian
+        # azimuth: the node of radius rho along phi is xi = (rho, 0) at (s, phi)
+        return _disc_nodes(n_nodes, lambda rho, ph: ([x[0], ph], [rho, 0.0]))
+
+    def _global_coefficient(self, local):
+        # Gauss in s, each node weighted by its orbit length 2 pi r(s)
+        t, w = gauss_nodes(_X_NODES)
+        s_nodes = 0.5 * (t + 1.0) * self.length
+        w_s = 0.5 * self.length * w
+        vals = [2.0 * math.pi * float(self.r(s)) * ws * local([s, 0.0])
+                for s, ws in zip(s_nodes, w_s)]
+        return float(pairwise_sum(np.array(vals)))
 
 
 def sphere_profile():
@@ -157,7 +355,8 @@ def profile_from_file(path):
 
     A first line that is not numeric is a header and is skipped.  The profile
     is closed when both endpoint radii are positive.  Malformed input raises
-    SingularProfileError naming the offending line.
+    SingularProfileError naming the offending line, or the end whose radius
+    is neither a pole (open) nor the other end's (closed).
     """
     rows = []
     with open(path) as fh:
@@ -184,10 +383,13 @@ def profile_from_file(path):
             raise SingularProfileError(f"{path}:{lineno}: s = {cur} does not increase past {prev}")
     _, s, r = np.array(rows).T
     spline = _CubicSpline(s, r)
-    closed = r[0] > 1e-9 and r[-1] > 1e-9
-    return SurfaceOfRevolution(
-        spline, spline.derivative, s[-1], closed=closed, name="file-profile"
-    )
+    closed = r[0] > _END_TOL and r[-1] > _END_TOL
+    try:
+        return SurfaceOfRevolution(
+            spline, spline.derivative, s[-1], closed=closed, name="file-profile"
+        )
+    except SingularProfileError as exc:
+        raise SingularProfileError(f"{path}: {exc}") from None
 
 
 def _is_float(tok):
@@ -220,16 +422,11 @@ def as_label(label):
 
 @dataclass(frozen=True)
 class CotangentPoint:
-    """Point x with covector xi in the manifold's chart convention.
-
-    Sphere: x, xi are ambient 3-vectors with <x,xi> = 0 (metric duality).
-    Torus: x in [0,1)^2, xi in R^2.  Surface of revolution: x = (s, phi),
-    xi = (xi_s, xi_phi).
-    """
+    """Point x with covector xi in the manifold's chart convention (see
+    the manifold classes)."""
 
     x: tuple
     xi: tuple
-    p_value: float
     weight: float = 0.0
 
 
@@ -242,23 +439,8 @@ def sphere_point(theta, phi=0.0):
 def cotangent_point(manifold, x, xi, weight=0.0):
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if isinstance(manifold, RoundSphere2):
-        if abs(x @ x - 1.0) > 1e-9:
-            raise InvalidPointError("sphere point must be a unit 3-vector")
-        if abs(x @ xi) > 1e-8 * (1 + np.linalg.norm(xi)):
-            raise InvalidPointError("sphere covector must be tangent (ambient identification)")
-        p = float(xi @ xi)
-    elif isinstance(manifold, (FlatTorus2, FlatTorus2FiniteCyclic)):
-        p = float(xi @ xi)
-    elif isinstance(manifold, SurfaceOfRevolution):
-        s = float(x[0])
-        if not (0.0 <= s <= manifold.length):
-            raise InvalidPointError("s outside the profile range")
-        r = float(manifold.r(s))
-        p = float(xi[0] ** 2 + (xi[1] / r) ** 2) if r > _POLE_TOL else float(xi[0] ** 2)
-    else:
-        raise InvalidPointError(f"unsupported manifold {manifold!r}")
-    return CotangentPoint(tuple(x), tuple(xi), p, weight)
+    manifold._check_covector(x, xi)
+    return CotangentPoint(tuple(x), tuple(xi), weight)
 
 
 # ---------------------------------------------------------------------------
@@ -287,80 +469,21 @@ def sphere_colatitude(x):
 
 
 def orbit_data(manifold, x):
-    if isinstance(manifold, RoundSphere2):
-        theta = sphere_colatitude(x)
-        dist = min(theta, math.pi - theta)
-        if dist <= _POLE_TOL:
-            return OrbitData(0, "full group", 0.0, 0.0)
-        return OrbitData(1, "trivial", dist, 2 * math.pi * math.sin(theta))
-    if isinstance(manifold, FlatTorus2):
-        return OrbitData(1, "trivial", math.inf, 1.0)
-    if isinstance(manifold, FlatTorus2FiniteCyclic):
-        # free action by 1/N shifts: orbits are N points, counting measure
-        return OrbitData(0, "trivial", math.inf, float(manifold.order))
-    if isinstance(manifold, SurfaceOfRevolution):
-        s = float(np.asarray(x, dtype=float)[0])
-        if not (0.0 <= s <= manifold.length):
-            raise InvalidPointError("s outside the profile range")
-        r = float(manifold.r(s))
-        if manifold.closed:
-            return OrbitData(1, "trivial", math.inf, 2 * math.pi * r)
-        dist = min(s, manifold.length - s)
-        if r <= _POLE_TOL or dist <= _POLE_TOL:
-            return OrbitData(0, "full group", 0.0, 0.0)
-        return OrbitData(1, "trivial", dist, 2 * math.pi * r)
-    raise InvalidPointError(f"unsupported manifold {manifold!r}")
+    return manifold._orbit(np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# momentum pairing and lifted orbit volume
-
-_E3 = np.array([0.0, 0.0, 1.0])
+# momentum pairing, lifted action and lifted orbit volume
 
 
 def momentum_pairing(manifold, pt):
     """<xi, fundamental field at x>; zero exactly on the momentum zero level."""
-    x = np.asarray(pt.x)
-    xi = np.asarray(pt.xi)
-    if isinstance(manifold, RoundSphere2):
-        return float(xi @ np.cross(_E3, x))
-    if isinstance(manifold, FlatTorus2):
-        return float(xi[0])
-    if isinstance(manifold, FlatTorus2FiniteCyclic):
-        return 0.0  # finite group: no generator field, Omega is all of T*M
-    if isinstance(manifold, SurfaceOfRevolution):
-        return float(xi[1])
-    raise InvalidPointError(f"unsupported manifold {manifold!r}")
+    return manifold._pairing(np.asarray(pt.x), np.asarray(pt.xi))
 
 
 def rotate_cotangent(manifold, pt, t):
     """Lifted action of the group element at parameter t on (x, xi)."""
-    x = np.asarray(pt.x)
-    xi = np.asarray(pt.xi)
-    if isinstance(manifold, RoundSphere2):
-        c, s = math.cos(t), math.sin(t)
-        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return cotangent_point(manifold, R @ x, R @ xi)
-    if isinstance(manifold, FlatTorus2):
-        return cotangent_point(manifold, [(x[0] + t) % 1.0, x[1]], xi)
-    if isinstance(manifold, FlatTorus2FiniteCyclic):
-        j = int(round(t))
-        return cotangent_point(manifold, [(x[0] + j / manifold.order) % 1.0, x[1]], xi)
-    if isinstance(manifold, SurfaceOfRevolution):
-        return cotangent_point(manifold, [x[0], (x[1] + t) % (2 * math.pi)], xi)
-    raise InvalidPointError(f"unsupported manifold {manifold!r}")
-
-
-def _sor_lifted_speed(manifold, s, xi_s, xi_phi):
-    # ambient speed of t -> (g_t x, g_t v), v the metric dual of xi;
-    # rotation preserves chart components, so the speed does not depend on t
-    r = float(manifold.r(s))
-    rp = float(manifold.r_prime(s))
-    x_xy2 = r * r
-    v_xy2 = (xi_s * rp) ** 2 + ((xi_phi / r) ** 2 if r > _POLE_TOL else 0.0)
-    if r <= _POLE_TOL and abs(xi_phi) > _POLE_TOL:
-        raise InvalidPointError("xi_phi component has no meaning at a profile pole")
-    return math.sqrt(x_xy2 + v_xy2)
+    return cotangent_point(manifold, *manifold._act(np.asarray(pt.x), np.asarray(pt.xi), t))
 
 
 def lifted_orbit_volume(manifold, pt):
@@ -370,18 +493,7 @@ def lifted_orbit_volume(manifold, pt):
     traced at constant speed.  For finite-cyclic actions the orbit is a
     finite point set and the counting measure (orbit size) is returned.
     """
-    x = np.asarray(pt.x)
-    xi = np.asarray(pt.xi)
-    if isinstance(manifold, RoundSphere2):
-        return 2 * math.pi * math.sqrt(x[0] ** 2 + x[1] ** 2 + xi[0] ** 2 + xi[1] ** 2)
-    if isinstance(manifold, FlatTorus2):
-        return 1.0
-    if isinstance(manifold, FlatTorus2FiniteCyclic):
-        return float(manifold.order)
-    if isinstance(manifold, SurfaceOfRevolution):
-        s, xi_s, xi_phi = float(x[0]), float(xi[0]), float(xi[1])
-        return 2 * math.pi * _sor_lifted_speed(manifold, s, xi_s, xi_phi)
-    raise InvalidPointError(f"unsupported manifold {manifold!r}")
+    return manifold._lifted_length(np.asarray(pt.x), np.asarray(pt.xi))
 
 
 # ---------------------------------------------------------------------------
@@ -397,37 +509,11 @@ def cosphere_fiber_slice(manifold, x, n_nodes):
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
-    x = np.asarray(x, dtype=float)
-    if isinstance(manifold, RoundSphere2):
-        theta = sphere_colatitude(x)
-        if min(theta, math.pi - theta) <= _POLE_TOL:
-            return _disc_nodes(manifold, n_nodes, lambda rho, ph: (
-                x, rho * np.array([math.cos(ph), math.sin(ph), 0.0])))
-        c, w = gauss_nodes(n_nodes)
-        phi = math.atan2(x[1], x[0])
-        # unit conormal (meridian direction, metric-dual ambient vector)
-        mer = np.array(
-            [math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -math.sin(theta)]
-        )
-        return [cotangent_point(manifold, x, ci * mer, weight=wi) for ci, wi in zip(c, w)]
-    if isinstance(manifold, FlatTorus2):
-        c, w = gauss_nodes(n_nodes)
-        return [cotangent_point(manifold, x, [0.0, ci], weight=wi) for ci, wi in zip(c, w)]
-    if isinstance(manifold, FlatTorus2FiniteCyclic):
-        return _disc_nodes(manifold, n_nodes, lambda rho, ph: (
-            x, rho * np.array([math.cos(ph), math.sin(ph)])))
-    if isinstance(manifold, SurfaceOfRevolution):
-        od = orbit_data(manifold, x)
-        if od.kappa_x == 1:
-            c, w = gauss_nodes(n_nodes)
-            return [cotangent_point(manifold, x, [ci, 0.0], weight=wi) for ci, wi in zip(c, w)]
-        # at a profile pole the fiber disc is parametrized by meridian
-        # azimuth: the node of radius rho along phi is xi = (rho, 0) at (s, phi)
-        return _disc_nodes(manifold, n_nodes, lambda rho, ph: ([x[0], ph], [rho, 0.0]))
-    raise InvalidPointError(f"unsupported manifold {manifold!r}")
+    nodes = manifold._fiber_slice(np.asarray(x, dtype=float), n_nodes)
+    return [cotangent_point(manifold, y, xi, weight=w) for y, xi, w in nodes]
 
 
-def _disc_nodes(manifold, n_nodes, node):
+def _disc_nodes(n_nodes, node):
     """The fiber disc: radial Gauss on (0, 1) x uniform angles, weights with
     the Jacobian rho; node(rho, phi) gives the (x, xi) of each polar node."""
     t, u = gauss_nodes(n_nodes)
@@ -436,5 +522,4 @@ def _disc_nodes(manifold, n_nodes, node):
     n_phi = max(8, int(n_nodes))
     dphi = 2 * math.pi / n_phi
     phis = (np.arange(n_phi) + 0.5) * dphi
-    return [cotangent_point(manifold, *node(rj, ph), weight=rj * wj * dphi)
-            for rj, wj in zip(rho, wr) for ph in phis]
+    return [(*node(rj, ph), rj * wj * dphi) for rj, wj in zip(rho, wr) for ph in phis]

@@ -22,7 +22,6 @@ from .geometry import (
     FlatTorus2FiniteCyclic,
     IsotypicLabel,
     RoundSphere2,
-    SurfaceOfRevolution,
     as_label,
     cotangent_point,
     rotate_cotangent,
@@ -132,10 +131,8 @@ def reduced_spectral_diag(rsf, x, lam):
     m = rsf.label.m
     if isinstance(man, RoundSphere2):
         return sphere_diag_direct(m, sphere_colatitude(x), lam)
-    if isinstance(man, FlatTorus2):
-        return torus_diag_direct(m, lam)
-    if isinstance(man, FlatTorus2FiniteCyclic):
-        return torus_diag_direct(m, lam, order=man.order)
+    if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
+        return torus_diag_direct(m, lam, order=man._group_order)
     return _diag_by_modes(rsf, x, lam)
 
 
@@ -148,10 +145,8 @@ def counting_function(rsf, lam):
     m = rsf.label.m
     if isinstance(man, RoundSphere2):
         return sphere_count_direct(m, lam)
-    if isinstance(man, FlatTorus2):
-        return torus_count_direct(m, lam)
-    if isinstance(man, FlatTorus2FiniteCyclic):
-        return torus_count_direct(m, lam, order=man.order)
+    if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
+        return torus_count_direct(m, lam, order=man._group_order)
     return int(np.count_nonzero(basis.label_mask(rsf.label) & (basis.eigenvalues <= lam)))
 
 
@@ -168,29 +163,18 @@ def cluster_sum(rsf, x, lam):
 
 
 def _group_nodes(basis):
-    """Canonical group parameters: angles in [0, 2 pi) for the sphere and
-    surfaces of revolution, shifts in [0, 1) for the torus circle, integers
-    0..N-1 for cyclic actions."""
-    if basis.group_order:
-        return np.arange(basis.group_order, dtype=float), basis.group_order
+    """The manifold's canonical group parameters and their count: for a
+    circle, n equally spaced ones, which average every label |m| < n
+    exactly; for a cyclic group, its elements."""
     span = int(np.max(np.abs(basis.m), initial=0))
-    n = max(8, 2 * span + 2)
-    if isinstance(basis.manifold, FlatTorus2):
-        return np.arange(n) / n, n
-    return np.arange(n) * (_TWO_PI / n), n
+    return basis.manifold._group_nodes(max(8, 2 * span + 2))
 
 
 def _label_weights(basis, t_nodes, n):
     """Per mode: |trapezoid average of its label's action phase|^2, exact
     (0 or 1) for n > |m|."""
     labels, which = np.unique(basis.m, return_inverse=True)
-    m = labels[:, None]
-    if basis.group_order:
-        ph = np.exp(-2j * math.pi * m * t_nodes / basis.group_order)
-    elif isinstance(basis.manifold, FlatTorus2):
-        ph = np.exp(-2j * math.pi * m * t_nodes)
-    else:
-        ph = np.exp(-1j * m * t_nodes)
+    ph = basis.manifold._character(labels[:, None], t_nodes)
     # real and imaginary parts divided by n apart, as Python's complex
     # division does; numpy's multiplies by 1/n, which rounds differently
     avg = zip((pairwise_sum(ph.real) / n).tolist(), (pairwise_sum(ph.imag) / n).tolist())
@@ -218,7 +202,7 @@ def kuznecov_sum_by_rotation(basis, x, lam):
     basis.require(lam)
     t_nodes, n = _group_nodes(basis)
     man = basis.manifold
-    pt = cotangent_point(man, x, np.zeros(3 if isinstance(man, RoundSphere2) else 2))
+    pt = cotangent_point(man, x, np.zeros(np.shape(x)))
     pts = [rotate_cotangent(man, pt, -float(t)).x for t in t_nodes]
     avg = np.sum(basis.evaluate(pts, np.flatnonzero(basis.eigenvalues <= lam)), axis=1) / n
     return float(np.sum(np.abs(avg) ** 2))
@@ -269,12 +253,13 @@ def cluster_lp_norm(rsf, lam, p):
     basis.require(lam + 1.0)
     top = _top_window_mode(rsf, lam)
     man = basis.manifold
-    k, m = basis.quantum[top].tolist()
-    mu = math.sqrt(max(float(basis.eigenvalues[top]), 0.0))
-    k_eff = k if isinstance(man, RoundSphere2) else int(math.ceil(mu))
-    n_pol = max(64, 2 * k_eff + 8)
+    if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
+        # |exp| = 1 everywhere: every L^p norm is exactly 1 on unit area
+        return 1.0
 
     if isinstance(man, RoundSphere2):
+        k, m = basis.quantum[top].tolist()
+        n_pol = max(64, 2 * k + 8)
         nodes, weights = gauss_nodes(n_pol)
         pbar = specfun.assoc_ladder(m, k, nodes)[-1] if k >= abs(m) else np.zeros(n_pol)
         if math.isinf(p):
@@ -290,27 +275,24 @@ def cluster_lp_norm(rsf, lam, p):
         integral = _TWO_PI * float(weights @ np.abs(pbar) ** p)
         return integral ** (1.0 / p)
 
-    if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
-        # |exp| = 1 everywhere: every L^p norm is exactly 1 on unit area
-        return 1.0
+    # surface of revolution
+    mu = math.sqrt(max(float(basis.eigenvalues[top]), 0.0))
+    n_pol = max(64, 2 * int(math.ceil(mu)) + 8)
+    L = man.length
+    s = np.linspace(0.0, L, n_pol, endpoint=not man.closed)
 
-    if isinstance(man, SurfaceOfRevolution):
-        L = man.length
-        s = np.linspace(0.0, L, n_pol, endpoint=not man.closed)
+    def ev(sg):
+        return np.abs(basis.evaluate(np.column_stack((sg, np.zeros_like(sg))), top)[0])
 
-        def ev(sg):
-            return np.abs(basis.evaluate(np.column_stack((sg, np.zeros_like(sg))), top)[0])
-
-        u = ev(s)
-        r = np.asarray(man.r(s), dtype=float)
-        if math.isinf(p):
-            return _refined_max(u, ev, s)
-        if man.closed:
-            integral = _TWO_PI * float(np.sum(u**p * r)) * (L / n_pol)
-        else:
-            integral = _TWO_PI * float(np.trapezoid(u**p * r, s))
-        return integral ** (1.0 / p)
-    raise DomainError(f"unsupported manifold {man!r}")
+    u = ev(s)
+    r = np.asarray(man.r(s), dtype=float)
+    if math.isinf(p):
+        return _refined_max(u, ev, s)
+    if man.closed:
+        integral = _TWO_PI * float(np.sum(u**p * r)) * (L / n_pol)
+    else:
+        integral = _TWO_PI * float(np.trapezoid(u**p * r, s))
+    return integral ** (1.0 / p)
 
 
 def exponent_delta(n, kappa, q):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equiweyl import eigensolve, geometry, specfun
-from equiweyl.errors import ConvergenceError, DomainError
+from equiweyl.errors import ConvergenceError
 
 
 def test_sphere_basis_census():
@@ -42,15 +42,15 @@ def test_torus_basis_circle():
 
 
 def test_torus_basis_cyclic_labels():
-    b = eigensolve.torus_basis(300.0, group=("cyclic", 3))
-    assert b.group_order == 3
+    b = eigensolve.torus_basis(300.0, order=3)
+    assert b.manifold == geometry.FlatTorus2FiniteCyclic(3)
     for md in b.modes:
         k1, _ = md.quantum
         assert md.label.m == k1 % 3
-    b2 = eigensolve.torus_basis(300.0, group="cyclic:3")
-    assert len(b2.modes) == len(b.modes)
-    with pytest.raises(DomainError):
-        eigensolve.torus_basis(100.0, group="dihedral")
+        assert md.label.modulus == 3
+    assert len(b.modes) == len(eigensolve.torus_basis(300.0).modes)
+    with pytest.raises(ValueError):
+        eigensolve.torus_basis(100.0, order=-1)
 
 
 def test_sor_eigenvalues_match_sphere():
@@ -266,9 +266,9 @@ def _sphere_case():
     return eigensolve.sphere_basis(12 * 13), pts, _sphere_formula
 
 
-def _torus_case(group):
+def _torus_case(order):
     pts = [(0.0, 0.0), (0.3, 0.7), (0.999, 0.123), (0.5, 0.5)]
-    return eigensolve.torus_basis(500.0, group=group), pts, _torus_formula
+    return eigensolve.torus_basis(500.0, order=order), pts, _torus_formula
 
 
 def _profile_case(prof, imported=False, tmp_path=None):
@@ -281,8 +281,8 @@ def _profile_case(prof, imported=False, tmp_path=None):
 
 _CASES = {
     "sphere": lambda tmp: _sphere_case(),
-    "torus-circle": lambda tmp: _torus_case("circle"),
-    "torus-cyclic3": lambda tmp: _torus_case("cyclic3"),
+    "torus-circle": lambda tmp: _torus_case(0),
+    "torus-cyclic3": lambda tmp: _torus_case(3),
     "profile-open": lambda tmp: _profile_case(geometry.sphere_profile()),
     "profile-closed": lambda tmp: _profile_case(geometry.torus_profile()),
     "profile-imported": lambda tmp: _profile_case(geometry.torus_profile(), True, tmp),

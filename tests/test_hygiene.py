@@ -11,7 +11,9 @@ Every keyword default and dataclass-field default is set by some call in
 the package, ``scripts/``, ``perfbench/`` or the tests: a setting with one
 value in use is a constant.  A statphase domain owns its chart, measure and
 quadrature, so the package asks which domain it holds in one place only:
-``StationaryPhaseProblem.__init__``.
+``StationaryPhaseProblem.__init__``.  A manifold owns its group action, so
+the package asks which manifold it holds only where a function picks a
+closed-form oracle for a basis.
 """
 import ast
 from pathlib import Path
@@ -38,6 +40,22 @@ UNREFERENCED_OK = {
 }
 
 STATPHASE_DOMAINS = {"BoxDomain", "SphereDomain", "SphereCircleDomain"}
+MANIFOLDS = {"RoundSphere2", "FlatTorus2", "FlatTorus2FiniteCyclic", "SurfaceOfRevolution"}
+
+# the functions that may ask which manifold a basis lives on, each with the
+# closed-form oracle it picks
+MANIFOLD_ORACLE_CHOICES = {
+    "EigenBasis.evaluate": "Legendre ladders on the sphere, exponentials on the torus, "
+                           "node interpolation on profiles",
+    "reduced_spectral_diag": "the sphere's Legendre sum and the torus lattice count "
+                             "in place of a sum over modes",
+    "counting_function": "the sphere's and the torus's closed-form counts in place of "
+                         "a count over modes",
+    "cluster_lp_norm": "Gauss-Legendre on the sphere, exactly 1 on the torus, a "
+                       "meridian trapezoid on profiles",
+    "run_local_weyl_experiment": "the sweep's closed-form diagonal and report name "
+                                 "exist on the sphere and the flat torus only",
+}
 
 
 def _tree(path):
@@ -199,16 +217,26 @@ def _scoped(node, scope=""):
         yield from _scoped(child, inner)
 
 
-def _names_domain(node):
-    return any((isinstance(n, ast.Name) and n.id in STATPHASE_DOMAINS)
-               or (isinstance(n, ast.Attribute) and n.attr in STATPHASE_DOMAINS)
-               for n in ast.walk(node))
+def _isinstance_sites(classes):
+    """(scope, "module:line in scope") per isinstance call in the package
+    whose class argument names one of classes."""
+    for path in MODULES:
+        for scope, node in _scoped(_tree(path)):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2
+                    and any((isinstance(n, ast.Name) and n.id in classes)
+                            or (isinstance(n, ast.Attribute) and n.attr in classes)
+                            for n in ast.walk(node.args[1]))):
+                yield scope, f"{path.name}:{node.lineno} in {scope}"
 
 
 def test_only_the_problem_init_dispatches_on_the_domain():
-    found = [f"{path.name}:{node.lineno} in {scope}"
-             for path in MODULES for scope, node in _scoped(_tree(path))
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-             and len(node.args) == 2 and _names_domain(node.args[1])
-             and scope != "StationaryPhaseProblem.__init__"]
+    found = [site for scope, site in _isinstance_sites(STATPHASE_DOMAINS)
+             if scope != "StationaryPhaseProblem.__init__"]
+    assert found == []
+
+
+def test_only_oracle_choices_dispatch_on_the_manifold():
+    found = [site for scope, site in _isinstance_sites(MANIFOLDS)
+             if scope not in MANIFOLD_ORACLE_CHOICES]
     assert found == []

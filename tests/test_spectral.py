@@ -129,12 +129,13 @@ def test_kuznecov_identity(sphere200):
 
 def test_kuznecov_rotation_route(sphere200):
     """The phase-weighted sum against the literal average over rotated
-    points: sphere, surface of revolution, cyclic torus action."""
+    points: sphere, surface of revolution, torus circle and cyclic actions."""
     sor = eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 4, 200)
     cases = [
         (sphere200, geometry.sphere_point(0.9, 1.7), 200.0),
         (sor, (1.1, 0.4), sor.lambda_max),
-        (eigensolve.torus_basis(500.0, group="cyclic3"), (0.123, 0.456), 500.0),
+        (eigensolve.torus_basis(500.0), (0.123, 0.456), 500.0),
+        (eigensolve.torus_basis(500.0, order=3), (0.123, 0.456), 500.0),
     ]
     for basis, x, lam in cases:
         fast = spectral.kuznecov_sum(basis, x, lam)
