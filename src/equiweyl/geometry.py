@@ -48,6 +48,11 @@ class _FlatTorus:
     def _check_covector(self, x, xi):
         pass  # the chart is R^2 x R^2
 
+    def _lifted_length(self, x, xi):
+        # a translation lifts to a translation with xi fixed: the lifted orbit
+        # is the base orbit (a finite orbit's counting measure)
+        return np.full(len(xi), self._orbit(x).orbit_length)
+
     def _global_coefficient(self, local):
         # a translation action leaves the local coefficient independent of
         # x, so its integral over the unit-area torus is its value
@@ -84,12 +89,12 @@ class RoundSphere2(_Rotation):
         return R @ x, R @ xi
 
     def _lifted_length(self, x, xi):
-        return 2 * math.pi * math.sqrt(x[0] ** 2 + x[1] ** 2 + xi[0] ** 2 + xi[1] ** 2)
+        return 2 * math.pi * np.sqrt(x[0] ** 2 + x[1] ** 2 + xi[:, 0] ** 2 + xi[:, 1] ** 2)
 
     def _fiber_slice(self, x, n_nodes):
         if self._orbit(x).kappa_x == 0:
-            return _disc_nodes(n_nodes, lambda rho, ph: (
-                x, rho * np.array([math.cos(ph), math.sin(ph), 0.0])))
+            rho, unit, w = _disc_nodes(n_nodes)
+            return rho[:, None] * np.column_stack([unit, np.zeros(len(rho))]), w
         theta = sphere_colatitude(x)
         c, w = gauss_nodes(n_nodes)
         phi = math.atan2(x[1], x[0])
@@ -97,7 +102,7 @@ class RoundSphere2(_Rotation):
         mer = np.array(
             [math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -math.sin(theta)]
         )
-        return [(x, ci * mer, wi) for ci, wi in zip(c, w)]
+        return c[:, None] * mer, w
 
     def _global_coefficient(self, local):
         """Gauss in cos(theta) times the azimuth's 2 pi, checked against
@@ -135,12 +140,9 @@ class FlatTorus2(_FlatTorus):
     def _act(self, x, xi, t):
         return [(x[0] + t) % 1.0, x[1]], xi
 
-    def _lifted_length(self, x, xi):
-        return 1.0
-
     def _fiber_slice(self, x, n_nodes):
         c, w = gauss_nodes(n_nodes)
-        return [(x, [0.0, ci], wi) for ci, wi in zip(c, w)]
+        return np.column_stack([np.zeros(len(c)), c]), w
 
     _group_order = 0
 
@@ -173,12 +175,9 @@ class FlatTorus2FiniteCyclic(_FlatTorus):
         j = int(round(t))
         return [(x[0] + j / self.order) % 1.0, x[1]], xi
 
-    def _lifted_length(self, x, xi):
-        return float(self.order)  # counting measure on the finite orbit
-
     def _fiber_slice(self, x, n_nodes):
-        return _disc_nodes(n_nodes, lambda rho, ph: (
-            x, rho * np.array([math.cos(ph), math.sin(ph)])))
+        rho, unit, w = _disc_nodes(n_nodes)
+        return rho[:, None] * unit, w
 
     _group_order = property(lambda self: self.order)
 
@@ -192,6 +191,9 @@ class FlatTorus2FiniteCyclic(_FlatTorus):
 # an open profile's end radii, and a closed profile's seam jump, must lie
 # within this of 0
 _END_TOL = 1e-9
+# and an open profile's end slopes within this of 1 and -1 (a smooth pole);
+# a spline through five samples of sin s misses them by 2.3e-3
+_POLE_SLOPE_TOL = 1e-2
 
 
 class SurfaceOfRevolution(_Rotation):
@@ -214,14 +216,16 @@ class SurfaceOfRevolution(_Rotation):
         if np.any(np.asarray(self.r(interior)) <= 0):
             raise SingularProfileError("profile radius vanishes in the interior")
         r0, r_l = float(self.r(0.0)), float(self.r(self.length))
-        # a closed profile's ends meet; an open profile's ends are poles
-        ends = ([("s = L", "r(L) - r(0)", r_l - r0)] if closed
-                else [("s = 0", "r", r0), ("s = L", "r", r_l)])
-        for end, what, value in ends:
-            if not abs(value) <= _END_TOL:
-                raise SingularProfileError(
-                    f"profile end {end}: {what} = {value}, beyond the tolerance {_END_TOL}")
         rp = np.asarray(self.r_prime(s))
+        # a closed profile's ends meet; an open profile's ends are smooth poles
+        ends = ([("s = L", "r(L) - r(0)", r_l - r0, _END_TOL)] if closed
+                else [("s = 0", "r", r0, _END_TOL), ("s = L", "r", r_l, _END_TOL),
+                      ("s = 0", "r' - 1", rp[0] - 1.0, _POLE_SLOPE_TOL),
+                      ("s = L", "r' + 1", rp[-1] + 1.0, _POLE_SLOPE_TOL)])
+        for end, what, value, tol in ends:
+            if not abs(value) <= tol:
+                raise SingularProfileError(
+                    f"profile end {end}: {what} = {value}, beyond the tolerance {tol}")
         if np.any(np.abs(rp) > 1 + 1e-10):
             raise SingularProfileError("|r'(s)| > 1 violates the arclength normalization")
 
@@ -250,21 +254,21 @@ class SurfaceOfRevolution(_Rotation):
         # 2 pi times the ambient speed of t -> (g_t x, g_t v), v the metric
         # dual of xi; rotation preserves chart components, so the speed does
         # not depend on t
-        s, xi_s, xi_phi = float(x[0]), float(xi[0]), float(xi[1])
-        r = float(self.r(s))
-        rp = float(self.r_prime(s))
-        v_xy2 = (xi_s * rp) ** 2 + ((xi_phi / r) ** 2 if r > _POLE_TOL else 0.0)
-        if r <= _POLE_TOL and abs(xi_phi) > _POLE_TOL:
+        s, xi_s, xi_phi = float(x[0]), xi[:, 0], xi[:, 1]
+        r, rp = float(self.r(s)), float(self.r_prime(s))
+        if r <= _POLE_TOL and np.any(np.abs(xi_phi) > _POLE_TOL):
             raise InvalidPointError("xi_phi component has no meaning at a profile pole")
-        return 2 * math.pi * math.sqrt(r * r + v_xy2)
+        v_xy2 = (xi_s * rp) ** 2 + ((xi_phi / r) ** 2 if r > _POLE_TOL else 0.0)
+        return 2 * math.pi * np.sqrt(r * r + v_xy2)
 
     def _fiber_slice(self, x, n_nodes):
         if self._orbit(x).kappa_x == 1:
             c, w = gauss_nodes(n_nodes)
-            return [(x, [ci, 0.0], wi) for ci, wi in zip(c, w)]
-        # at a profile pole the fiber disc is parametrized by meridian
-        # azimuth: the node of radius rho along phi is xi = (rho, 0) at (s, phi)
-        return _disc_nodes(n_nodes, lambda rho, ph: ([x[0], ph], [rho, 0.0]))
+            return np.column_stack([c, np.zeros(len(c))]), w
+        # a pole's disc node along the meridian of azimuth phi is xi = (rho, 0)
+        # at (s, phi); nothing reads phi, so each row repeats once per azimuth
+        rho, _, w = _disc_nodes(n_nodes)
+        return np.column_stack([rho, np.zeros(len(rho))]), w
 
     def _global_coefficient(self, local):
         # Gauss in s, each node weighted by its orbit length 2 pi r(s)
@@ -427,7 +431,6 @@ class CotangentPoint:
 
     x: tuple
     xi: tuple
-    weight: float = 0.0
 
 
 def sphere_point(theta, phi=0.0):
@@ -436,11 +439,11 @@ def sphere_point(theta, phi=0.0):
     )
 
 
-def cotangent_point(manifold, x, xi, weight=0.0):
+def cotangent_point(manifold, x, xi):
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     manifold._check_covector(x, xi)
-    return CotangentPoint(tuple(x), tuple(xi), weight)
+    return CotangentPoint(tuple(x), tuple(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +489,16 @@ def rotate_cotangent(manifold, pt, t):
     return cotangent_point(manifold, *manifold._act(np.asarray(pt.x), np.asarray(pt.xi), t))
 
 
-def lifted_orbit_volume(manifold, pt):
-    """Length of the lifted orbit of (x, xi) in TM embedded in R^3 x R^3.
+def lifted_orbit_volume(manifold, x, xi):
+    """Length of the lifted orbit of (x, xi) in TM embedded in R^3 x R^3:
+    a float for one covector xi, an array for rows xi of shape (K, d).
 
     Closed forms throughout: on a surface of revolution the lifted orbit is
     traced at constant speed.  For finite-cyclic actions the orbit is a
     finite point set and the counting measure (orbit size) is returned.
     """
-    return manifold._lifted_length(np.asarray(pt.x), np.asarray(pt.xi))
+    vol = manifold._lifted_length(np.asarray(x, dtype=float), np.array(xi, dtype=float, ndmin=2))
+    return float(vol[0]) if np.ndim(xi) == 1 else vol
 
 
 # ---------------------------------------------------------------------------
@@ -501,25 +506,27 @@ def lifted_orbit_volume(manifold, pt):
 
 
 def cosphere_fiber_slice(manifold, x, n_nodes):
-    """Quadrature nodes for {xi in Ann(T_x O_x) : |xi|_x < 1}.
+    """Quadrature rows (xi, w), xi of shape (K, d) and w of shape (K,), for
+    {xi in Ann(T_x O_x) : |xi|_x < 1} at x.
 
-    A Gauss-Legendre segment when the orbit through x is a circle (kappa = 1),
-    a polar-grid disc with total weight pi when the fiber condition is empty
-    (fixed points and finite actions, kappa = 0).
+    A Gauss-Legendre segment with total weight 2 when the orbit through x is
+    a circle (kappa = 1), a polar-grid disc with total weight pi when the
+    fiber condition is empty (fixed points and finite actions, kappa = 0).
+    x is checked once, by its orbit data; the rows are built, not checked.
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
-    nodes = manifold._fiber_slice(np.asarray(x, dtype=float), n_nodes)
-    return [cotangent_point(manifold, y, xi, weight=w) for y, xi, w in nodes]
+    return manifold._fiber_slice(np.asarray(x, dtype=float), n_nodes)
 
 
-def _disc_nodes(n_nodes, node):
-    """The fiber disc: radial Gauss on (0, 1) x uniform angles, weights with
-    the Jacobian rho; node(rho, phi) gives the (x, xi) of each polar node."""
+def _disc_nodes(n_nodes):
+    """The fiber disc as rows, radius outer and angle inner: radial Gauss on
+    (0, 1) times uniform angles.  Returns the radii (K,), the unit
+    directions (K, 2) and the weights (K,), which carry the Jacobian rho."""
     t, u = gauss_nodes(n_nodes)
-    rho = 0.5 * (t + 1.0)
-    wr = 0.5 * u
+    rho, wr = 0.5 * (t + 1.0), 0.5 * u
     n_phi = max(8, int(n_nodes))
     dphi = 2 * math.pi / n_phi
-    phis = (np.arange(n_phi) + 0.5) * dphi
-    return [(*node(rj, ph), rj * wj * dphi) for rj, wj in zip(rho, wr) for ph in phis]
+    # math.cos/math.sin per angle: np.cos may round the last bit differently
+    unit = np.array([(math.cos(ph), math.sin(ph)) for ph in (np.arange(n_phi) + 0.5) * dphi])
+    return np.repeat(rho, n_phi), np.tile(unit, (len(rho), 1)), np.repeat(rho * wr, n_phi) * dphi

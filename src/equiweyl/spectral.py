@@ -72,9 +72,14 @@ def sphere_count_direct(m, lam):
     return max(0, sphere_k_max(lam) - abs(int(m)) + 1)
 
 
-def _torus_k2_count(rem):
-    # number of integers k2 with k2^2 <= rem, in exact integer arithmetic
-    return 2 * math.isqrt(math.floor(rem)) + 1 if rem >= 0 else 0
+def _torus_k2_count(n1, lam):
+    # integers k2 with 4 pi^2 (n1 + k2^2) <= lam, the test a torus basis puts
+    # to its eigenvalues: lam / (4 pi^2) may round below the integer it meets
+    c = 4.0 * math.pi * math.pi
+    q = math.isqrt(max(0, math.floor(lam / c) - n1)) + 1
+    while q >= 0 and c * (n1 + q * q) > lam:
+        q -= 1
+    return max(0, 2 * q + 1)
 
 
 def torus_count_direct(m, lam, order=0):
@@ -85,16 +90,11 @@ def torus_count_direct(m, lam, order=0):
     """
     if lam < 0:
         return 0
-    R2 = lam / (4.0 * math.pi * math.pi)
     if order == 0:
-        return _torus_k2_count(R2 - m * m)
+        return _torus_k2_count(int(m) ** 2, lam)
     r = int(m) % order
-    span = int(math.floor(math.sqrt(R2))) + 1
-    total = 0
-    for k1 in range(-span, span + 1):
-        if k1 % order == r:
-            total += _torus_k2_count(R2 - k1 * k1)
-    return total
+    span = math.isqrt(math.floor(lam / (4.0 * math.pi * math.pi))) + 1
+    return sum(_torus_k2_count(k1 * k1, lam) for k1 in range(-span, span + 1) if k1 % order == r)
 
 
 def torus_diag_direct(m, lam, order=0):

@@ -17,10 +17,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, IntegrabilityWarning
-from .geometry import as_label, cosphere_fiber_slice, lifted_orbit_volume, orbit_data
+from .geometry import cosphere_fiber_slice, lifted_orbit_volume, orbit_data
 from .util import pairwise_sum
 
 # Gauss nodes of each fiber slice
@@ -40,7 +38,6 @@ class WeylPrediction:
 
 
 def local_leading_coefficient(manifold, x, label):
-    label = as_label(label)
     od = orbit_data(manifold, x)
     kappa = od.kappa_x
     exponent = (_DIM - kappa) / _OPERATOR_DEGREE
@@ -53,11 +50,9 @@ def local_leading_coefficient(manifold, x, label):
             "polar nodes avoid it and the integrand stays integrable",
             IntegrabilityWarning,
         )
-    nodes = cosphere_fiber_slice(manifold, x, _FIBER_NODES)
-    vals = np.array([pt.weight / lifted_orbit_volume(manifold, pt) for pt in nodes])
-    total = float(pairwise_sum(vals))
-    coeff = mult / (2.0 * math.pi) ** (_DIM - kappa) * total
-    return WeylPrediction(coeff, exponent)
+    xi, w = cosphere_fiber_slice(manifold, x, _FIBER_NODES)
+    total = float(pairwise_sum(w / lifted_orbit_volume(manifold, x, xi)))
+    return WeylPrediction(mult / (2.0 * math.pi) ** (_DIM - kappa) * total, exponent)
 
 
 def equator_coefficient_closed_form(theta):
@@ -76,6 +71,5 @@ def equator_coefficient_closed_form(theta):
 
 
 def global_leading_coefficient(manifold, label):
-    label = as_label(label)
     return manifold._global_coefficient(
         lambda x: local_leading_coefficient(manifold, x, label).coefficient)

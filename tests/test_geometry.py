@@ -65,8 +65,8 @@ def test_rotation_invariance():
         rot = geometry.rotate_cotangent(man, pt, t)
         assert geometry.momentum_pairing(man, rot) == pytest.approx(
             geometry.momentum_pairing(man, pt), abs=1e-14)
-        assert geometry.lifted_orbit_volume(man, rot) == pytest.approx(
-            geometry.lifted_orbit_volume(man, pt), rel=1e-12)
+        assert geometry.lifted_orbit_volume(man, rot.x, rot.xi) == pytest.approx(
+            geometry.lifted_orbit_volume(man, pt.x, pt.xi), rel=1e-12)
 
 
 def test_lifted_volume_closed_form():
@@ -75,7 +75,7 @@ def test_lifted_volume_closed_form():
     xi = np.array([0.1, 0.2, -0.3])
     xi = xi - np.dot(xi, x) * x
     pt = geometry.cotangent_point(man, x, xi)
-    got = geometry.lifted_orbit_volume(man, pt)
+    got = geometry.lifted_orbit_volume(man, pt.x, pt.xi)
     want = 2 * math.pi * math.sqrt(x[0] ** 2 + x[1] ** 2 + pt.xi[0] ** 2 + pt.xi[1] ** 2)
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -85,13 +85,13 @@ def test_sor_volume_matches_sphere_closed_form():
     prof = geometry.sphere_profile()
     for theta, xi_s, xi_phi in [(1.0, 0.6, 0.4), (0.4, -0.3, 0.2), (2.2, 0.0, 1.0)]:
         pt_s = geometry.cotangent_point(prof, (theta,), (xi_s, xi_phi))
-        v_sor = geometry.lifted_orbit_volume(prof, pt_s)
+        v_sor = geometry.lifted_orbit_volume(prof, pt_s.x, pt_s.xi)
         x = geometry.sphere_point(theta, 0.0)
         e_th = np.array([math.cos(theta), 0.0, -math.sin(theta)])
         e_ph = np.array([0.0, 1.0, 0.0])
         xi = xi_s * e_th + (xi_phi / math.sin(theta)) * e_ph
         pt2 = geometry.cotangent_point(geometry.RoundSphere2(), x, xi)
-        v_sphere = geometry.lifted_orbit_volume(geometry.RoundSphere2(), pt2)
+        v_sphere = geometry.lifted_orbit_volume(geometry.RoundSphere2(), pt2.x, pt2.xi)
         assert v_sor == pytest.approx(v_sphere, rel=1e-9)
 
 
@@ -100,7 +100,7 @@ def test_torus_conventions():
     pt = geometry.cotangent_point(t, (0.25, 0.35), (0.3, -0.2))
     # the circle acts on the first coordinate; unit-speed orbit of volume 1
     assert geometry.momentum_pairing(t, pt) == pytest.approx(0.3, abs=1e-15)
-    assert geometry.lifted_orbit_volume(t, pt) == pytest.approx(1.0, abs=1e-15)
+    assert geometry.lifted_orbit_volume(t, pt.x, pt.xi) == pytest.approx(1.0, abs=1e-15)
     od = geometry.orbit_data(t, (0.25, 0.35))
     assert od.kappa_x == 1
 
@@ -110,25 +110,44 @@ def test_finite_cyclic_conventions():
     pt = geometry.cotangent_point(fc, (0.25, 0.35), (0.3, -0.2))
     # finite orbits: no generator field, counting measure
     assert geometry.momentum_pairing(fc, pt) == 0.0
-    assert geometry.lifted_orbit_volume(fc, pt) == pytest.approx(5.0)
+    assert geometry.lifted_orbit_volume(fc, pt.x, pt.xi) == pytest.approx(5.0)
     od = geometry.orbit_data(fc, (0.25, 0.35))
     assert od.kappa_x == 0
     assert od.orbit_length == pytest.approx(5.0)
 
 
 def test_cosphere_fiber_slice_structure():
-    man = geometry.RoundSphere2()
-    x = geometry.sphere_point(1.0, 0.5)
-    nodes = geometry.cosphere_fiber_slice(man, x, 32)
-    assert len(nodes) == 32
-    worst = max(abs(geometry.momentum_pairing(man, q)) for q in nodes)
-    assert worst <= 1e-12
-    # the slice projects to the annihilator disc, so |xi| <= 1
-    for q in nodes:
-        assert np.linalg.norm(q.xi) <= 1.0 + 1e-12
-    total = sum(q.weight for q in nodes)
-    assert total > 0
-    assert all(q.weight > 0 for q in nodes)
+    """A segment of weight 2 on a principal orbit, a disc of weight pi where
+    the fiber condition is empty; every row lies on the momentum zero level
+    inside the unit ball."""
+    segment, disc = (32, 2.0), (32 * 32, math.pi)
+    cases = [
+        (geometry.RoundSphere2(), geometry.sphere_point(1.0, 0.5), segment),
+        (geometry.RoundSphere2(), geometry.sphere_point(0.0), disc),
+        (geometry.sphere_profile(), (0.0, 0.0), disc),
+        (geometry.sphere_profile(), (math.pi, 0.0), disc),
+        (geometry.FlatTorus2(), (0.25, 0.35), segment),
+        (geometry.FlatTorus2FiniteCyclic(5), (0.25, 0.35), disc),
+    ]
+    for man, x, (n_rows, total) in cases:
+        xi, w = geometry.cosphere_fiber_slice(man, x, 32)
+        assert len(xi) == n_rows and w.shape == (n_rows,)
+        assert np.all(w > 0)
+        assert w.sum() == pytest.approx(total, rel=1e-12)
+        assert np.all(np.linalg.norm(xi, axis=1) <= 1.0 + 1e-12)
+        rows = [geometry.cotangent_point(man, x, row) for row in xi]
+        assert max(abs(geometry.momentum_pairing(man, q)) for q in rows) <= 1e-12
+        # the rows' lifted lengths are the one-covector lengths, bit for bit
+        assert geometry.lifted_orbit_volume(man, x, xi).tolist() == [
+            geometry.lifted_orbit_volume(man, q.x, q.xi) for q in rows]
+
+
+def test_lifted_volume_rejects_azimuth_at_profile_pole():
+    prof = geometry.sphere_profile()
+    with pytest.raises(InvalidPointError):
+        geometry.lifted_orbit_volume(prof, (0.0, 0.0), (0.5, 0.2))
+    with pytest.raises(InvalidPointError):
+        geometry.lifted_orbit_volume(prof, (0.0, 0.0), [(0.5, 0.0), (0.3, 0.1)])
 
 
 def test_profiles():
@@ -159,8 +178,9 @@ def test_profile_from_file(tmp_path):
     ("s,r\n0.0,0.0\n0.5,0.4\n0.5,0.5\n1.0,0.8\n", ":4:"),
     ("s,r\n0 0.5\n1 0.6\n2 0.4\n3 0.0\n", "end s = 0"),
     ("s,r\n0 0.5\n1 0.6\n2 0.4\n3 0.9\n", "end s = L"),
+    ("s,r\n0 0\n1 0.5\n2 0.5\n3 0\n", "end s = 0"),
 ], ids=["one-column", "header-only", "non-numeric", "too-few", "non-increasing",
-        "open-end-not-a-pole", "closed-seam-jump"])
+        "open-end-not-a-pole", "closed-seam-jump", "open-pole-cone"])
 def test_profile_from_file_names_the_bad_line(tmp_path, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)

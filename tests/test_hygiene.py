@@ -13,7 +13,10 @@ value in use is a constant.  A statphase domain owns its chart, measure and
 quadrature, so the package asks which domain it holds in one place only:
 ``StationaryPhaseProblem.__init__``.  A manifold owns its group action, so
 the package asks which manifold it holds only where a function picks a
-closed-form oracle for a basis.
+closed-form oracle for a basis.  A fiber slice is arrays of covector rows
+the manifold built itself, so the package checks a single cotangent point
+only where one enters from outside: the lifted action and the literal
+rotated-point average.
 """
 import ast
 from pathlib import Path
@@ -56,6 +59,10 @@ MANIFOLD_ORACLE_CHOICES = {
     "run_local_weyl_experiment": "the sweep's closed-form diagonal and report name "
                                  "exist on the sphere and the flat torus only",
 }
+
+
+# the functions that may build a checked CotangentPoint
+COTANGENT_POINT_CALLERS = {"rotate_cotangent", "kuznecov_sum_by_rotation"}
 
 
 def _tree(path):
@@ -239,4 +246,14 @@ def test_only_the_problem_init_dispatches_on_the_domain():
 def test_only_oracle_choices_dispatch_on_the_manifold():
     found = [site for scope, site in _isinstance_sites(MANIFOLDS)
              if scope not in MANIFOLD_ORACLE_CHOICES]
+    assert found == []
+
+
+def test_only_single_point_routes_build_cotangent_points():
+    found = [f"{path.name}:{node.lineno} in {scope}"
+             for path in MODULES for scope, node in _scoped(_tree(path))
+             if isinstance(node, ast.Call)
+             and "cotangent_point" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))
+             and scope not in COTANGENT_POINT_CALLERS]
     assert found == []

@@ -47,6 +47,16 @@ def test_torus_count_against_brute_lattice():
         for lam in (50.0, 3000.0, 99999.0):
             assert spectral.torus_count_direct(m, lam) == brute(m, lam)
 
+    # at a basis's own eigenvalues lam / (4 pi^2) may round below the integer
+    # it stands for (25.999999999999996 at 4 pi^2 * 26), so count as the basis
+    assert spectral.torus_count_direct(5, 4.0 * math.pi * math.pi * 26) == 3
+    for order, labels in ((0, range(-5, 6)), (3, range(3))):
+        basis = eigensolve.torus_basis(1e4, order)
+        for lam in np.unique(basis.eigenvalues):
+            for m in labels:
+                want = np.count_nonzero(basis.label_mask(m) & (basis.eigenvalues <= lam))
+                assert spectral.torus_count_direct(m, lam, order) == want, (m, lam, order)
+
 
 def test_sphere_count_direct():
     # modes with k(k+1) <= lam and k >= |m|, multiplicity 1 per label
