@@ -8,8 +8,11 @@ revolution, each Fourier mode m gives a radial Sturm-Liouville problem
   -(1/r)(r u')' + (m^2/r^2) u = lambda u      (weight r ds)
 discretized in flux form on cell centers; the substitution w = sqrt(r) u
 turns it into a plain symmetric tridiagonal problem (periodic wrap for
-closed profiles), solved by Sturm-sequence multisection plus batched inverse
-iteration.
+closed profiles).  The Fourier blocks share the grid, the off-diagonal and
+the corner and differ only in the m^2/r^2 term of the diagonal, so all of
+them are solved together: one Sturm-sequence multisection whose every sweep
+counts the shifts of all blocks in one row loop, then one batched inverse
+iteration over all their columns.
 The flux form keeps constants exactly harmonic for m = 0.
 """
 
@@ -205,55 +208,61 @@ def torus_basis(lambda_max, order=0):
     if lambda_max < 0:
         raise DomainError("lambda_max must be >= 0")
     manifold = FlatTorus2FiniteCyclic(order) if order else FlatTorus2()
-    R2 = lambda_max / (4.0 * math.pi * math.pi)
-    R = int(math.floor(math.sqrt(R2)))
+    # lambda_max / (4 pi^2) may round below the integer |k|^2 it meets, so the
+    # cut-off is the test the count puts to the stored eigenvalues
+    R = math.isqrt(math.floor(lambda_max / (4.0 * math.pi * math.pi))) + 1
     k = np.arange(-R, R + 1)
     k1, k2 = np.repeat(k, k.size), np.tile(k, k.size)
-    inside = k1 * k1 + k2 * k2 <= R2  # exact: integers below 2^53 compare exactly
-    k1, k2 = k1[inside], k2[inside]
     lam = 4.0 * math.pi * math.pi * (k1 * k1 + k2 * k2)
+    inside = lam <= lambda_max
+    k1, k2, lam = k1[inside], k2[inside], lam[inside]
     return _sorted_basis(manifold, lam, k1 % order if order else k1, np.column_stack((k1, k2)),
                          lambda_max)
 
 
 # ---------------------------------------------------------------------------
-# symmetric (possibly periodic) tridiagonal eigensolver
+# symmetric (possibly periodic) tridiagonal eigensolver, many blocks at once
+#
+# A stack of B blocks shares the off-diagonal and the corner and differs only
+# in the diagonal, d of shape (n, B); a 1-D d is one block.  Results come
+# block by block, each block in ascending order.
 
 _PIVMIN_FLOOR = 1e-290
 
 
-def _sturm_counts(d, off, corner, shifts):
-    """Number of eigenvalues < shift for each shift.
+def _sturm_counts(d, off, corner, shifts, block=None):
+    """Number of eigenvalues < shift for each shift, counted against the
+    diagonal of its own block (block: a column of d per shift; None: d is
+    one block).
 
-    d: diagonal (n,), off: subdiagonal (n-1,), corner: wrap entry A[0,n-1]
-    (0 for open chains).  Counts via LDL pivot signs; the periodic case uses
-    the bordered factorization, tracking the fill-in column and the Schur
-    complement of the last pivot.
+    off: subdiagonal (n-1,), corner: wrap entry A[0,n-1] (0 for open chains).
+    Counts via LDL pivot signs; the periodic case uses the bordered
+    factorization, tracking the fill-in column and the Schur complement of
+    the last pivot.
     """
+    d = d.reshape(len(d), -1)
     n = len(d)
     shifts = np.asarray(shifts, dtype=float)
+    if block is None:
+        block = np.zeros(len(shifts), dtype=np.intp)
     pivmin = max(_PIVMIN_FLOOR, 1e-30 * float(np.max(np.abs(off)) ** 2 + 1.0))
+    q = d[0][block] - shifts
+    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+    counts = (q < 0).astype(np.int64)
+    osq = off * off
     if corner == 0.0:
-        q = d[0] - shifts
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        counts = (q < 0).astype(np.int64)
-        osq = off * off
         for i in range(1, n):
-            q = (d[i] - shifts) - osq[i - 1] / q
+            q = (d[i][block] - shifts) - osq[i - 1] / q
             q = np.where(np.abs(q) < pivmin, -pivmin, q)
             counts += q < 0
         return counts
     # bordered: leading (n-1) x (n-1) block is plain tridiagonal; the border
     # column f has entries corner (row 0) and off[n-2] (row n-2)
-    q = d[0] - shifts
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    counts = (q < 0).astype(np.int64)
     ftil = np.full_like(shifts, corner)
-    schur = (d[n - 1] - shifts) - ftil * ftil / q
-    osq = off * off
+    schur = (d[n - 1][block] - shifts) - ftil * ftil / q
     for i in range(1, n - 1):
         l_prev = off[i - 1] / q
-        q = (d[i] - shifts) - osq[i - 1] / q
+        q = (d[i][block] - shifts) - osq[i - 1] / q
         q = np.where(np.abs(q) < pivmin, -pivmin, q)
         fi = off[n - 2] if i == n - 2 else 0.0
         ftil = fi - l_prev * ftil
@@ -264,38 +273,60 @@ def _sturm_counts(d, off, corner, shifts):
 
 
 def _gershgorin(d, off, corner):
-    """Interval [lo, hi] holding every eigenvalue (Gershgorin discs)."""
+    """Interval [lo, hi] holding every eigenvalue (Gershgorin discs), per
+    block for a 2-D d."""
     rad = np.zeros(len(d))
     rad[:-1] += np.abs(off)
     rad[1:] += np.abs(off)
     if corner != 0.0:
         rad[0] += abs(corner)
         rad[-1] += abs(corner)
-    return float(np.min(d - rad)), float(np.max(d + rad))
+    rad = rad.reshape((-1,) + (1,) * (d.ndim - 1))
+    return np.min(d - rad, axis=0), np.max(d + rad, axis=0)
+
+
+class _BlockError(ConvergenceError):
+    """A solver failure, naming the first block it occurred in."""
+
+    def __init__(self, message, blocks):
+        self.block = int(np.min(blocks))
+        super().__init__(f"{message} in block {self.block}")
+
+
+def _blocks(d, k_want):
+    """The (n, B) stack and each wanted eigenvalue's block, block by block."""
+    d = d.reshape(len(d), -1)
+    k_want = np.broadcast_to(k_want, d.shape[1:])
+    too_many = np.flatnonzero(k_want > len(d))
+    if too_many.size:
+        raise _BlockError(f"asked for {k_want.max()} eigenvalues of an {len(d)}-point grid",
+                          too_many)
+    return d, np.repeat(np.arange(d.shape[1]), k_want)
 
 
 _MAX_SWEEPS = 40
 
 
 def _lowest_eigenvalues(d, off, corner, k_want):
-    """Lowest k_want eigenvalues by vectorized Sturm multisection.
+    """Lowest k_want eigenvalues of every block (k_want: one count, or one
+    per block) by vectorized Sturm multisection, all blocks in one sweep.
 
     Every sweep cuts each unconverged bracket at 63 interior points and
-    counts all of them in one _sturm_counts call (Lo, Philippe & Sameh 1987):
-    a sweep over n rows costs about the same for 63 shifts as for one, so a
-    bracket shrinks 64-fold per sweep where bisection halves it.
-    Eigenvalues that still share a bracket share its points.  Each bracket
-    keeps a lower end counted below its target and an upper end counted at or
-    above it, so the result never rests on counts being monotone in the shift
-    (Demmel, Dhillon & Ren 1995).
+    counts all of them, across all blocks, in one _sturm_counts call (Lo,
+    Philippe & Sameh 1987): a sweep over n rows costs about the same for
+    many shifts as for one, so a bracket shrinks 64-fold per sweep where
+    bisection halves it, and B blocks cost one row loop, not B.  Eigenvalues
+    of one block that still share a bracket share its points; each block
+    starts from its own Gershgorin interval.  Each bracket keeps a lower end
+    counted below its target and an upper end counted at or above it, so the
+    result never rests on counts being monotone in the shift (Demmel,
+    Dhillon & Ren 1995).
     """
-    n = len(d)
-    if k_want > n:
-        raise ConvergenceError(f"asked for {k_want} eigenvalues of an {n}-point grid")
+    d, block = _blocks(d, k_want)
     glo, ghi = _gershgorin(d, off, corner)
-    lo = np.full(k_want, glo - 1e-8)
-    hi = np.full(k_want, ghi + 1e-8)
-    targets = np.arange(1, k_want + 1)
+    lo = (glo - 1e-8)[block]
+    hi = (ghi + 1e-8)[block]
+    targets = np.arange(1, len(block) + 1) - block.searchsorted(block)
     sections = 64
     frac = np.arange(1, sections) / sections
     for _ in range(_MAX_SWEEPS):
@@ -303,14 +334,16 @@ def _lowest_eigenvalues(d, off, corner, k_want):
         active = np.flatnonzero(hi - lo > tol)
         if active.size == 0:
             break
-        # brackets are nested or disjoint, so equal ones sit side by side
-        lo_a, hi_a = lo[active], hi[active]
+        # within a block brackets are nested or disjoint, so equal ones sit
+        # side by side
+        lo_a, hi_a, blk_a = lo[active], hi[active], block[active]
         first = np.ones(active.size, dtype=bool)
-        first[1:] = (lo_a[1:] != lo_a[:-1]) | (hi_a[1:] != hi_a[:-1])
+        first[1:] = (lo_a[1:] != lo_a[:-1]) | (hi_a[1:] != hi_a[:-1]) | (blk_a[1:] != blk_a[:-1])
         which = np.cumsum(first) - 1
         b_lo, b_hi = lo_a[first], hi_a[first]
         points = b_lo[:, None] + (b_hi - b_lo)[:, None] * frac
-        counts = _sturm_counts(d, off, corner, points.ravel()).reshape(points.shape)
+        counts = _sturm_counts(d, off, corner, points.ravel(),
+                               np.repeat(blk_a[first], sections - 1)).reshape(points.shape)
         # j: the first point counted at or above each target (sections - 1
         # if none); the new bracket is [point j - 1, point j] with the old
         # ends standing in for points -1 and sections - 1
@@ -320,48 +353,58 @@ def _lowest_eigenvalues(d, off, corner, k_want):
         rows = np.arange(active.size)
         lo[active], hi[active] = ends[rows, j], ends[rows, j + 1]
     else:
-        raise ConvergenceError(f"multisection did not converge in {_MAX_SWEEPS} sweeps")
+        raise _BlockError(f"multisection did not converge in {_MAX_SWEEPS} sweeps",
+                          block[hi - lo > 1e-11 * (1.0 + np.abs(0.5 * (lo + hi)))])
     out = 0.5 * (lo + hi)
-    if np.any(np.diff(out) < -1e-6 * (1.0 + np.abs(out[:-1]))):
-        raise ConvergenceError("multisection produced out-of-order eigenvalues")
+    drop = (np.diff(out) < -1e-6 * (1.0 + np.abs(out[:-1]))) & (np.diff(block) == 0)
+    if np.any(drop):
+        raise _BlockError("multisection produced out-of-order eigenvalues", block[1:][drop])
     return out
 
 
-def _shifted_solver(d, off, corner, shifts, tnorm):
-    """Givens QR of T - shift, one column per shift; returns rhs (n, K) -> x (n, K).
+def _shifted_solver(d, off, corner, block, shifts, tnorm):
+    """Givens QR of T - shift, one column per shift; returns a solve that
+    overwrites its rhs b (n, K) with x (n, K).
 
-    An orthogonal factorization is backward stable for every shift, so each
-    solve is exact for a matrix within a small multiple of eps |T|; the
-    unpivoted LDL^T is not, and on closed chains near (double) eigenvalues
-    it loses up to 1e4 eps |T| in the residual.  Rows are rotated down one
-    by one; a closed chain's last row, which holds the corner, is rotated
-    against each of them in turn.  R rows 0..n-5 hold columns i, i+1, i+2
-    and, for closed chains, n-2 and n-1; the last four rows form a dense
-    4 x 4 block per shift.  Pivots below eps |T| are raised to it, as LAPACK
-    xLAGTS does.  Needs n >= 5.
+    Column k is block block[k] of the stack d (n, B) shifted by shifts[k];
+    its rows are formed one at a time, as in _sturm_counts.  tnorm: (K,),
+    |T| of each column's block.  An orthogonal factorization
+    is backward stable for every shift, so each solve is exact for a matrix
+    within a small multiple of eps |T|; the unpivoted LDL^T is not, and on
+    closed chains near (double) eigenvalues it loses up to 1e4 eps |T| in
+    the residual.  Rows are rotated down one by one; a closed chain's last
+    row, which holds the corner, is rotated against each of them in turn.
+    R rows 0..n-5 hold columns i, i+1, i+2 and, for closed chains, n-2 and
+    n-1 (column i+2 is rebuilt from the rotations in each solve, which saves
+    an (n, K) array); the last four rows form a dense 4 x 4 block per shift.  Pivots
+    below eps |T| are raised to it, as LAPACK xLAGTS does.  Needs n >= 5.
     """
     n, K = len(d), len(shifts)
+
+    def ds(i):  # row i of the shifted diagonals
+        return d[i][block] - shifts
+
     closed = corner != 0.0
     steps = n - 4
-    ds = d[:, None] - shifts
-    c1, s1, r0, r1, r2 = (np.empty((steps, K)) for _ in range(5))
+    c1, s1, r0, r1 = (np.empty((steps, K)) for _ in range(4))
     if closed:
         c2, s2, rm, rl = (np.empty((steps, K)) for _ in range(4))
     # the row being reduced holds columns (i, i+1, n-1); the spike row
     # holds (i, i+1, n-2, n-1)
-    cu0, cu1, cul = ds[0], np.full(K, off[0]), np.full(K, corner)
-    sp0, sp1, spm, spl = np.full(K, corner), np.zeros(K), np.full(K, off[n - 2]), ds[n - 1]
+    cu0, cu1, cul = ds(0), np.full(K, off[0]), np.full(K, corner)
+    sp0, sp1, spm, spl = np.full(K, corner), np.zeros(K), np.full(K, off[n - 2]), ds(n - 1)
     for i in range(steps):
-        # rotate row i + 1 (off[i], ds[i+1], off[i+1]) into the current row
+        # rotate row i + 1 (off[i], ds(i+1), off[i+1]) into the current row
+        dnext = ds(i + 1)
         r = np.hypot(cu0, off[i])
         c, s = cu0 / r, off[i] / r
-        a1 = c * cu1 + s * ds[i + 1]
+        a1 = c * cu1 + s * dnext
         a2 = s * off[i + 1]
-        cu0 = c * ds[i + 1] - s * cu1
+        cu0 = c * dnext - s * cu1
         cu1 = c * off[i + 1]
         c1[i], s1[i] = c, s
         if not closed:
-            r0[i], r1[i], r2[i] = r, a1, a2
+            r0[i], r1[i] = r, a1
             continue
         al = c * cul
         cul = -s * cul
@@ -369,24 +412,23 @@ def _shifted_solver(d, off, corner, shifts, tnorm):
         rr = np.hypot(r, sp0)
         c, s = r / rr, sp0 / rr
         c2[i], s2[i] = c, s
-        r0[i], r1[i], r2[i] = rr, c * a1 + s * sp1, c * a2
+        r0[i], r1[i] = rr, c * a1 + s * sp1
         rm[i], rl[i] = s * spm, c * al + s * spl
         sp0, sp1 = c * sp1 - s * a1, -s * a2
         spm, spl = c * spm, c * spl - s * al
     tail = np.zeros((K, 4, 4))
     tail[:, 0, 0], tail[:, 0, 1], tail[:, 0, 3] = cu0, cu1, cul
-    tail[:, 1, 0], tail[:, 1, 1], tail[:, 1, 2] = off[n - 4], ds[n - 3], off[n - 3]
-    tail[:, 2, 1], tail[:, 2, 2], tail[:, 2, 3] = off[n - 3], ds[n - 2], off[n - 2]
+    tail[:, 1, 0], tail[:, 1, 1], tail[:, 1, 2] = off[n - 4], ds(n - 3), off[n - 3]
+    tail[:, 2, 1], tail[:, 2, 2], tail[:, 2, 3] = off[n - 3], ds(n - 2), off[n - 2]
     tail[:, 3, 0], tail[:, 3, 1], tail[:, 3, 2], tail[:, 3, 3] = sp0, sp1, spm, spl
     qt, rt = np.linalg.qr(tail)
     tiny = np.finfo(float).eps * tnorm
-    r0 = np.maximum(r0, tiny)
+    np.maximum(r0, tiny, out=r0)
     dg = np.arange(4)
     piv = rt[:, dg, dg]
-    rt[:, dg, dg] = np.where(np.abs(piv) < tiny, np.copysign(tiny, piv), piv)
+    rt[:, dg, dg] = np.where(np.abs(piv) < tiny[:, None], np.copysign(tiny[:, None], piv), piv)
 
-    def solve(rhs):
-        b = np.array(rhs, dtype=float)
+    def solve(b):
         bs = b[n - 1].copy()
         for i in range(steps):
             t = c1[i] * b[i] + s1[i] * b[i + 1]
@@ -397,19 +439,22 @@ def _shifted_solver(d, off, corner, shifts, tnorm):
             else:
                 b[i] = t
         bt = np.einsum("kji,kj->ki", qt, np.stack((b[n - 4], b[n - 3], b[n - 2], bs), axis=1))
-        x = np.empty_like(b)
-        x[n - 4:] = np.linalg.solve(rt, bt[..., None])[..., 0].T
+        # back substitution: row i of b turns into x[i] once it is read
+        b[n - 4:] = np.linalg.solve(rt, bt[..., None])[..., 0].T
         if closed:
-            b[:steps] -= rm * x[n - 2] + rl * x[n - 1]
+            b[:steps] -= rm * b[n - 2] + rl * b[n - 1]
         for i in range(steps - 1, -1, -1):
-            x[i] = (b[i] - r1[i] * x[i + 1] - r2[i] * x[i + 2]) / r0[i]
-        return x
+            r2 = s1[i] * off[i + 1]  # R[i, i+2], rebuilt as the rotations made it
+            if closed:
+                r2 = c2[i] * r2
+            b[i] = (b[i] - r1[i] * b[i + 1] - r2 * b[i + 2]) / r0[i]
+        return b
 
     return solve
 
 
-def _apply_tridiag(d, off, corner, w):
-    out = d[:, None] * w
+def _apply_tridiag(dk, off, corner, w):
+    out = dk * w
     out[:-1] += off[:, None] * w[1:]
     out[1:] += off[:, None] * w[:-1]
     if corner != 0.0:
@@ -429,40 +474,49 @@ _RESIDUAL_FACTOR = 100.0
 
 
 def _eigenpairs(d, off, corner, k_want, seed):
-    """Lowest eigenpairs: multisection, then batched inverse iteration.
+    """Lowest eigenpairs of every block: multisection, then batched inverse
+    iteration (k_want and seed: one value, or one per block).
 
-    All columns go through one shifted solve per iteration, each with its own
-    shift.  As in LAPACK xSTEIN, eigenvalues closer than 1e-3 |T| form a
-    cluster that is re-orthogonalized by modified Gram-Schmidt after every
-    solve: the solve's eps |T| backward error leaves two vectors overlapping
-    by about eps |T| / gap, which reached 9.3e-8 on the closed torus
-    profile's near-degenerate pairs without it, and the vectors of an exactly
-    double eigenvalue would collapse onto one.  A Rayleigh-Ritz step inside
-    each cluster then resolves its members, which the iteration leaves mixed
+    All columns of all blocks go through one shifted solve per iteration,
+    each with its own shift, its own block's diagonal and |T|; a block's
+    random start is that of its seed alone.  As in LAPACK xSTEIN,
+    eigenvalues of one block closer than 1e-3 |T| form a cluster that is
+    re-orthogonalized by modified Gram-Schmidt after every solve: the solve's
+    eps |T| backward error leaves two vectors overlapping by about
+    eps |T| / gap, which reached 9.3e-8 on the closed torus profile's
+    near-degenerate pairs without it, and the vectors of an exactly double
+    eigenvalue would collapse onto one.  A Rayleigh-Ritz step inside each
+    cluster then resolves its members, which the iteration leaves mixed
     where their gap is below the shifts' error.  Every pair's residual
-    |Tv - lambda v| must end below _RESIDUAL_FACTOR eps |T|.
+    |Tv - lambda v| must end below _RESIDUAL_FACTOR eps |T|.  Values and
+    vectors come block by block, each block in ascending order.
     """
-    n = len(d)
     vals = _lowest_eigenvalues(d, off, corner, k_want)
+    d, block = _blocks(d, k_want)
+    n, B = d.shape
     glo, ghi = _gershgorin(d, off, corner)
-    tnorm = max(abs(glo), abs(ghi))
-    close = np.diff(vals) <= 1e-3 * tnorm
+    tnorm = np.maximum(np.abs(glo), np.abs(ghi))[block]
+    close = (np.diff(vals) <= 1e-3 * tnorm[1:]) & (np.diff(block) == 0)
     starts = np.flatnonzero(np.concatenate(([True], ~close)))
-    clusters = [(i, j) for i, j in zip(starts, np.append(starts[1:], k_want)) if j - i > 1]
-    solve = _shifted_solver(d, off, corner, vals, tnorm)
-    V = np.random.default_rng(seed).standard_normal((n, k_want))
+    clusters = [(i, j) for i, j in zip(starts, np.append(starts[1:], len(block))) if j - i > 1]
+    seeds = np.broadcast_to(seed, (B,))
+    V = np.hstack([np.random.default_rng(s).standard_normal((n, k))
+                   for s, k in zip(seeds.tolist(), np.bincount(block, minlength=B).tolist())])
+    solve = _shifted_solver(d, off, corner, block, vals, tnorm)
     for _ in range(3):
         V = solve(V)
-        V /= np.max(np.abs(V), axis=0)  # keeps the squares below overflow
+        V /= np.maximum(V.max(axis=0), -V.min(axis=0))  # max |V|: keeps the squares below overflow
         V /= np.sqrt(np.einsum("ij,ij->j", V, V))
         for i, j in clusters:
             for a in range(i + 1, j):
                 for b in range(i, a):
                     V[:, a] -= (V[:, b] @ V[:, a]) * V[:, b]
                 V[:, a] /= math.sqrt(V[:, a] @ V[:, a])
-        if not np.all(np.isfinite(V)):
-            raise ConvergenceError("inverse iteration collapsed to zero")
-    TV = _apply_tridiag(d, off, corner, V)
+        lost = ~np.all(np.isfinite(V), axis=0)
+        if np.any(lost):
+            raise _BlockError("inverse iteration collapsed to zero", block[lost])
+    del solve  # frees the factorization, 4 to 8 arrays the size of V
+    TV = _apply_tridiag(d[:, block], off, corner, V)
     for i, j in clusters:
         _, W = np.linalg.eigh(V[:, i:j].T @ TV[:, i:j])
         V[:, i:j] = V[:, i:j] @ W
@@ -471,10 +525,12 @@ def _eigenpairs(d, off, corner, k_want, seed):
     R = TV - V * vals
     residual = np.sqrt(np.einsum("ij,ij->j", R, R))
     bound = _RESIDUAL_FACTOR * np.finfo(float).eps * tnorm
-    if not np.all(residual <= bound):
-        raise ConvergenceError(
-            f"inverse iteration residual {np.max(residual):.3e} exceeds {bound:.3e}")
-    order = np.argsort(vals, kind="stable")
+    over = ~(residual <= bound)
+    if np.any(over):
+        worst = np.argmax(np.where(over, residual / bound, 0.0))
+        raise _BlockError(f"inverse iteration residual {residual[worst]:.3e} exceeds "
+                          f"{bound[worst]:.3e}", block[over])
+    order = np.lexsort((vals, block))
     return vals[order], V[:, order]
 
 
@@ -488,7 +544,8 @@ def _radial_matrix(profile, m, grid_n):
     Cell centers s_i = (i-1/2)h; after w = sqrt(r) u the matrix is symmetric
     tridiagonal with face coefficients r(s +- h/2).  Open profiles get the
     natural zero-flux ends (the face radius vanishes there), which realizes
-    the sqrt(r)-weighted regularity condition; closed profiles wrap.
+    the sqrt(r)-weighted regularity condition; closed profiles wrap.  Only
+    the diagonal depends on m: (n,) for one m, (n, B) for B of them.
     """
     n = int(grid_n)
     L = profile.length
@@ -500,7 +557,9 @@ def _radial_matrix(profile, m, grid_n):
     faces = np.asarray(profile.r(np.arange(n + 1) * h), dtype=float)
     if not profile.closed:
         faces[[0, -1]] = 0.0  # the poles: SurfaceOfRevolution holds |r| <= 1e-9 there
-    d = (faces[:-1] + faces[1:]) / (h * h * r) + (m * m) / (r * r)
+    m = np.asarray(m)
+    d = (faces[:-1] + faces[1:]) / (h * h * r) + np.divide.outer(m * m, r * r)
+    d = np.ascontiguousarray(d.T)
     off = -faces[1:-1] / (h * h * np.sqrt(r[:-1] * r[1:]))
     corner = 0.0
     if profile.closed:
@@ -509,31 +568,36 @@ def _radial_matrix(profile, m, grid_n):
 
 
 def surface_of_revolution_basis(profile, m_max, modes_per_m, grid_n):
+    """The lowest modes_per_m radial modes of each Fourier block m = 0..m_max,
+    every m > 0 as +m and -m.  lambda_max is the least top eigenvalue of the
+    blocks m = 0..m_max + 1, the last solved for one mode only to certify
+    that no higher m reaches below it.  All blocks are solved together."""
     if grid_n < 100:
         raise DomainError("grid_n must be >= 100")
     if modes_per_m < 1 or m_max < 0:
         raise DomainError("need modes_per_m >= 1 and m_max >= 0")
-    lams, ms, js, rows, block_tops = [], [], [], [], []
-    for m in range(0, m_max + 2):
-        want = 1 if m == m_max + 1 else modes_per_m
-        s, r, h, d, off, corner = _radial_matrix(profile, m, grid_n)
+    m = np.arange(m_max + 2)
+    want = np.where(m == m_max + 1, 1, modes_per_m)
+    s, r, h, d, off, corner = _radial_matrix(profile, m, grid_n)
+    try:
         vals, vecs = _eigenpairs(d, off, corner, want, seed=90210 + 13 * m)
-        if m == m_max + 1:
-            # only needed to certify completeness of the truncation
-            block_tops.append(vals[0])
-            break
-        block_tops.append(vals[want - 1])
-        w = vecs / math.sqrt(2.0 * math.pi * h)  # 2 pi h sum w^2 = 1
-        w *= np.where(w[np.argmax(np.abs(w), axis=0), np.arange(want)] < 0, -1.0, 1.0)
-        u = (w / np.sqrt(r)[:, None]).T
-        lam = [max(v, 0.0) if v > -1e-9 else v for v in vals.tolist()]
-        for sgn in ((1,) if m == 0 else (1, -1)):
-            lams += lam
-            ms += [sgn * m] * want
-            js += range(want)
-            rows.append(u)
-    return _sorted_basis(profile, lams, ms, np.column_stack((ms, js)), min(block_tops),
-                         radial=np.vstack(rows))
+    except _BlockError as err:
+        raise ConvergenceError(f"Fourier index m={m[err.block]}: {err}") from err
+    lambda_max = float(np.min(vals[np.cumsum(want) - 1]))
+    kept = (m_max + 1) * modes_per_m  # block m_max + 1 certifies lambda_max only
+    w = vecs[:, :kept]  # scaled in place: the basis holds copies
+    w /= math.sqrt(2.0 * math.pi * h)  # 2 pi h sum w^2 = 1
+    w *= np.where(w[np.argmax(np.abs(w), axis=0), np.arange(kept)] < 0, -1.0, 1.0)
+    w /= np.sqrt(r)[:, None]
+    u = w.T
+    lam = np.where((vals[:kept] > -1e-9) & (vals[:kept] < 0.0), 0.0, vals[:kept])
+    ms = np.repeat(m[:-1], modes_per_m)
+    js = np.tile(np.arange(modes_per_m), m_max + 1)
+    neg = ms > 0
+    ms = np.concatenate((ms, -ms[neg]))
+    return _sorted_basis(profile, np.concatenate((lam, lam[neg])), ms,
+                         np.column_stack((ms, np.concatenate((js, js[neg])))), lambda_max,
+                         radial=np.vstack((u, u[neg])))
 
 
 # ---------------------------------------------------------------------------

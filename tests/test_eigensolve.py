@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from equiweyl import eigensolve, geometry, specfun
+from equiweyl import eigensolve, geometry, specfun, spectral
 from equiweyl.errors import ConvergenceError
 
 
@@ -51,6 +51,20 @@ def test_torus_basis_cyclic_labels():
     assert len(b.modes) == len(eigensolve.torus_basis(300.0).modes)
     with pytest.raises(ValueError):
         eigensolve.torus_basis(100.0, order=-1)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_torus_basis_holds_the_modes_at_its_lambda_max(order):
+    """A basis cut at a lattice eigenvalue keeps every mode there, as many as
+    the lattice count gives, and stores that eigenvalue bit for bit."""
+    for n in (1, 25, 26, 50, 65, 325):
+        lam = 4.0 * math.pi * math.pi * n
+        b = eigensolve.torus_basis(lam, order)
+        span = math.isqrt(n) + 1
+        labels = range(order) if order else range(-span, span + 1)
+        assert len(b.eigenvalues) == sum(spectral.torus_count_direct(m, lam, order)
+                                         for m in labels)
+        assert b.eigenvalues[-1] == lam
 
 
 def test_sor_eigenvalues_match_sphere():
@@ -194,12 +208,67 @@ def test_torus_profile_near_degenerate_pairs_orthonormal():
 
 
 def test_inverse_iteration_residual_gate(monkeypatch):
-    _, _, _, d, off, corner = eigensolve._radial_matrix(geometry.sphere_profile(), 1, 400)
+    _, _, _, d, off, corner = eigensolve._radial_matrix(geometry.sphere_profile(), [1, 2], 400)
     lam = eigensolve._lowest_eigenvalues(d, off, corner, 2)
-    # a shift halfway between two eigenvalues leaves the vector mixed
-    monkeypatch.setattr(eigensolve, "_lowest_eigenvalues", lambda *args: np.array([lam.mean()]))
-    with pytest.raises(ConvergenceError, match="residual"):
+    # a shift halfway between two eigenvalues of block 1 leaves its vector
+    # mixed; block 0 keeps its own eigenvalue
+    monkeypatch.setattr(eigensolve, "_lowest_eigenvalues",
+                        lambda *args: np.array([lam[0], lam[2:].mean()]))
+    with pytest.raises(ConvergenceError, match="residual .* in block 1$") as err:
         eigensolve._eigenpairs(d, off, corner, 1, seed=0)
+    assert err.value.block == 1
+
+
+def test_basis_names_the_fourier_index_that_failed(monkeypatch):
+    prof = geometry.sphere_profile()
+    _, _, _, d, off, corner = eigensolve._radial_matrix(prof, 2, 400)
+    mixed = eigensolve._lowest_eigenvalues(d, off, corner, 2).mean()
+    solve = eigensolve._lowest_eigenvalues
+
+    def mix_m2(*args):
+        vals = solve(*args)
+        vals[2] = mixed  # one mode per block: entry 2 is block m = 2
+        return vals
+
+    monkeypatch.setattr(eigensolve, "_lowest_eigenvalues", mix_m2)
+    with pytest.raises(ConvergenceError, match="^Fourier index m=2: inverse iteration residual"):
+        eigensolve.surface_of_revolution_basis(prof, 2, 1, 400)
+
+
+@pytest.mark.parametrize("profile", [geometry.sphere_profile(), geometry.torus_profile()],
+                         ids=["open-sphere", "closed-torus"])
+def test_stacked_blocks_do_not_interact(profile):
+    """Each block of a stack gets, bit for bit, the values and vectors it gets
+    when solved alone."""
+    _, _, _, d, off, corner = eigensolve._radial_matrix(profile, np.arange(4), 300)
+    want, seeds = np.array([3, 5, 2, 4]), np.array([11, 12, 13, 14])
+    vals, V = eigensolve._eigenpairs(d, off, corner, want, seeds)
+    assert V.shape == (300, want.sum())
+    ends = np.cumsum(want)
+    for b, (i, j) in enumerate(zip(ends - want, ends)):
+        alone, W = eigensolve._eigenpairs(d[:, b], off, corner, want[b], seeds[b])
+        assert np.array_equal(vals[i:j], alone)
+        assert np.array_equal(V[:, i:j], W)
+
+
+def test_identical_blocks_keep_their_own_brackets(monkeypatch):
+    _, _, _, d, off, corner = eigensolve._radial_matrix(geometry.sphere_profile(), [2, 2], 200)
+    sweeps = []
+    count = eigensolve._sturm_counts
+
+    def spy(d, off, corner, shifts, block):
+        sweeps.append((np.array(shifts), np.array(block)))
+        return count(d, off, corner, shifts, block)
+
+    monkeypatch.setattr(eigensolve, "_sturm_counts", spy)
+    vals = eigensolve._lowest_eigenvalues(d, off, corner, 3)
+    # the shared Gershgorin start is one bracket per block, not one in all
+    shifts, block = sweeps[0]
+    assert np.array_equal(np.bincount(block), [63, 63])
+    assert np.array_equal(shifts[block == 0], shifts[block == 1])
+    for shifts, block in sweeps:
+        assert np.array_equal(shifts[block == 0], shifts[block == 1])
+    assert np.array_equal(vals[:3], vals[3:])
 
 
 def test_closed_profile_with_vanishing_pivot():
