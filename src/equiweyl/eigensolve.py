@@ -31,16 +31,22 @@ from .errors import (
     ResourceLimitError,
     TruncationError,
 )
-from .geometry import (
-    FlatTorus2,
-    FlatTorus2FiniteCyclic,
-    IsotypicLabel,
-    RoundSphere2,
-    as_label,
-)
+from .geometry import FlatTorus2, FlatTorus2FiniteCyclic, RoundSphere2
 from .util import format_float
 
 _TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class IsotypicLabel:
+    """Circle-action Fourier index m, or residue mod N in the cyclic case."""
+
+    m: int
+    modulus: int | None = None
+
+    def __post_init__(self):
+        if self.modulus is not None and not (0 <= self.m < self.modulus):
+            raise ValueError("residue label must satisfy 0 <= m < modulus")
 
 
 @dataclass(frozen=True)
@@ -90,11 +96,10 @@ class EigenBasis:
         # not cached: basis and views would form a cycle only full GC passes free
         return tuple(EigenMode(self, i) for i in range(len(self.eigenvalues)))
 
-    def label_mask(self, label):
-        """Which modes lie in the isotypic component of label."""
-        want = as_label(label).m
+    def label_mask(self, m):
+        """Which modes lie in the isotypic component of the label m."""
         order = self.manifold._group_order
-        return self.m == (want % order if order else want)
+        return self.m == (m % order if order else m)
 
     def require(self, lam):
         if lam > self.lambda_max:

@@ -38,9 +38,6 @@ class _Rotation:
     def _group_nodes(self, n):
         return np.arange(n) * (_TWO_PI / n), n
 
-    def _character(self, m, t):
-        return np.exp(-1j * m * t)
-
 
 class _FlatTorus:
     """The flat unit-square torus, acted on by translations in x1."""
@@ -149,9 +146,6 @@ class FlatTorus2(_FlatTorus):
     def _group_nodes(self, n):
         return np.arange(n) / n, n
 
-    def _character(self, m, t):
-        return np.exp(-2j * math.pi * m * t)
-
 
 @dataclass(frozen=True)
 class FlatTorus2FiniteCyclic(_FlatTorus):
@@ -184,15 +178,13 @@ class FlatTorus2FiniteCyclic(_FlatTorus):
     def _group_nodes(self, n):
         return np.arange(self.order, dtype=float), self.order  # every element
 
-    def _character(self, m, t):
-        return np.exp(-2j * math.pi * m * t / self.order)
-
 
 # an open profile's end radii, and a closed profile's seam jump, must lie
 # within this of 0
 _END_TOL = 1e-9
-# and an open profile's end slopes within this of 1 and -1 (a smooth pole);
-# a spline through five samples of sin s misses them by 2.3e-3
+# and an open profile's end slopes within this of 1 and -1 (a smooth pole),
+# a closed profile's within this of each other (a smooth seam); a spline
+# through five samples of sin s misses the pole slopes by 2.3e-3
 _POLE_SLOPE_TOL = 1e-2
 
 
@@ -217,8 +209,10 @@ class SurfaceOfRevolution(_Rotation):
             raise SingularProfileError("profile radius vanishes in the interior")
         r0, r_l = float(self.r(0.0)), float(self.r(self.length))
         rp = np.asarray(self.r_prime(s))
-        # a closed profile's ends meet; an open profile's ends are smooth poles
-        ends = ([("s = L", "r(L) - r(0)", r_l - r0, _END_TOL)] if closed
+        # a closed profile's ends meet smoothly; an open profile's ends are
+        # smooth poles
+        ends = ([("s = L", "r(L) - r(0)", r_l - r0, _END_TOL),
+                 ("s = L", "r'(L) - r'(0)", rp[-1] - rp[0], _POLE_SLOPE_TOL)] if closed
                 else [("s = 0", "r", r0, _END_TOL), ("s = L", "r", r_l, _END_TOL),
                       ("s = 0", "r' - 1", rp[0] - 1.0, _POLE_SLOPE_TOL),
                       ("s = L", "r' + 1", rp[-1] + 1.0, _POLE_SLOPE_TOL)])
@@ -301,16 +295,20 @@ def torus_profile(R=2.0, a=0.5):
 
 
 class _CubicSpline:
-    """Natural cubic spline on a strictly increasing grid (no scipy)."""
+    """Cubic spline on a strictly increasing grid (no scipy): natural, or
+    periodic (m(x_0) = m(x_{n-1}) and r' continuous across the seam)."""
 
-    def __init__(self, x, y):
+    def __init__(self, x, y, periodic):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         n = len(x)
         if n < 4 or np.any(np.diff(x) <= 0):
             raise ValueError("need >= 4 strictly increasing sample points")
         h = np.diff(x)
-        # natural spline second-derivative system, solved by Thomas elimination
+        if periodic:
+            self.x, self.y, self.h, self.m = x, y, h, _periodic_moments(h, y)
+            return
+        # natural spline second-derivative system
         a = np.zeros(n)
         b = np.ones(n)
         c = np.zeros(n)
@@ -319,19 +317,7 @@ class _CubicSpline:
         a[1:-1] = h[:-1]
         c[1:-1] = h[1:]
         d[1:-1] = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
-        cp = np.zeros(n)
-        dp = np.zeros(n)
-        cp[0] = c[0] / b[0]
-        dp[0] = d[0] / b[0]
-        for i in range(1, n):
-            den = b[i] - a[i] * cp[i - 1]
-            cp[i] = c[i] / den if i < n - 1 else 0.0
-            dp[i] = (d[i] - a[i] * dp[i - 1]) / den
-        m = np.zeros(n)
-        m[-1] = dp[-1]
-        for i in range(n - 2, -1, -1):
-            m[i] = dp[i] - cp[i] * m[i + 1]
-        self.x, self.y, self.h, self.m = x, y, h, m
+        self.x, self.y, self.h, self.m = x, y, h, _thomas(a, b, c, d)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -354,11 +340,53 @@ class _CubicSpline:
         return C + t * (B + t * A)
 
 
+def _thomas(a, b, c, d):
+    """Thomas elimination for the tridiagonal system with sub-diagonal a,
+    diagonal b and super-diagonal c (a[0] and c[-1] are not read), one
+    solution per column of d."""
+    n = len(b)
+    cp = np.zeros(n)
+    dp = np.zeros_like(d)
+    cp[0] = c[0] / b[0]
+    dp[0] = d[0] / b[0]
+    for i in range(1, n):
+        den = b[i] - a[i] * cp[i - 1]
+        cp[i] = c[i] / den if i < n - 1 else 0.0
+        dp[i] = (d[i] - a[i] * dp[i - 1]) / den
+    out = np.zeros_like(d)
+    out[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        out[i] = dp[i] - cp[i] * out[i + 1]
+    return out
+
+
+def _periodic_moments(h, y):
+    """Second derivatives of the periodic spline at the nodes.
+
+    Row i of the cyclic system is h_{i-1} m_{i-1} + 2 (h_{i-1} + h_i) m_i +
+    h_i m_{i+1} = 6 (slope_i - slope_{i-1}), indices mod n - 1 (m_{n-1} is
+    m_0), so both corners are h_{n-2}.  It is solved in O(n) as a
+    tridiagonal system plus a Sherman-Morrison rank-one correction
+    (Numerical Recipes, "cyclic")."""
+    h_before = np.roll(h, 1)
+    slope = np.diff(y) / h
+    b = 2.0 * (h_before + h)
+    corner, gamma = h[-1], -b[0]
+    b[0] -= gamma
+    b[-1] -= corner * corner / gamma
+    u = np.zeros(len(h))
+    u[0], u[-1] = gamma, corner
+    sol, z = _thomas(h_before, b, h, np.column_stack([6.0 * (slope - np.roll(slope, 1)), u])).T
+    m = sol - z * ((sol[0] + corner * sol[-1] / gamma) / (1.0 + z[0] + corner * z[-1] / gamma))
+    return np.append(m, m[0])
+
+
 def profile_from_file(path):
     """Load a two-column (s, r) text profile; cubic interpolation inside.
 
     A first line that is not numeric is a header and is skipped.  The profile
-    is closed when both endpoint radii are positive.  Malformed input raises
+    is closed, and its spline periodic, when both endpoint radii are
+    positive; otherwise the spline is natural.  Malformed input raises
     SingularProfileError naming the offending line, or the end whose radius
     is neither a pole (open) nor the other end's (closed).
     """
@@ -386,8 +414,8 @@ def profile_from_file(path):
         if not cur > prev:
             raise SingularProfileError(f"{path}:{lineno}: s = {cur} does not increase past {prev}")
     _, s, r = np.array(rows).T
-    spline = _CubicSpline(s, r)
     closed = r[0] > _END_TOL and r[-1] > _END_TOL
+    spline = _CubicSpline(s, r, periodic=closed)
     try:
         return SurfaceOfRevolution(
             spline, spline.derivative, s[-1], closed=closed, name="file-profile"
@@ -405,45 +433,13 @@ def _is_float(tok):
 
 
 # ---------------------------------------------------------------------------
-# labels and points
-
-
-@dataclass(frozen=True)
-class IsotypicLabel:
-    """Circle-action Fourier index m, or residue mod N in the cyclic case."""
-
-    m: int
-    modulus: int | None = None
-
-    def __post_init__(self):
-        if self.modulus is not None and not (0 <= self.m < self.modulus):
-            raise ValueError("residue label must satisfy 0 <= m < modulus")
-
-
-def as_label(label):
-    return label if isinstance(label, IsotypicLabel) else IsotypicLabel(int(label))
-
-
-@dataclass(frozen=True)
-class CotangentPoint:
-    """Point x with covector xi in the manifold's chart convention (see
-    the manifold classes)."""
-
-    x: tuple
-    xi: tuple
+# points
 
 
 def sphere_point(theta, phi=0.0):
     return np.array(
         [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
     )
-
-
-def cotangent_point(manifold, x, xi):
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    manifold._check_covector(x, xi)
-    return CotangentPoint(tuple(x), tuple(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +453,9 @@ class OrbitData:
     stratum_distance: float
     orbit_length: float
 
-    def trivial_multiplicity(self, label):
-        """[pi_label restricted to the isotropy group : trivial]: 1, except 0
+    def trivial_multiplicity(self, m):
+        """[pi_m restricted to the isotropy group : trivial]: 1, except 0
         for m != 0 at a fixed point of the circle."""
-        m = as_label(label).m
         return 0.0 if self.isotropy == "full group" and m != 0 else 1.0
 
 
@@ -479,14 +474,24 @@ def orbit_data(manifold, x):
 # momentum pairing, lifted action and lifted orbit volume
 
 
-def momentum_pairing(manifold, pt):
+def _checked_covector(manifold, x, xi):
+    """(x, xi) as float arrays, checked against the manifold's chart."""
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    manifold._check_covector(x, xi)
+    return x, xi
+
+
+def momentum_pairing(manifold, x, xi):
     """<xi, fundamental field at x>; zero exactly on the momentum zero level."""
-    return manifold._pairing(np.asarray(pt.x), np.asarray(pt.xi))
+    return manifold._pairing(*_checked_covector(manifold, x, xi))
 
 
-def rotate_cotangent(manifold, pt, t):
-    """Lifted action of the group element at parameter t on (x, xi)."""
-    return cotangent_point(manifold, *manifold._act(np.asarray(pt.x), np.asarray(pt.xi), t))
+def rotate_cotangent(manifold, x, xi, t):
+    """Lifted action of the group element at parameter t on (x, xi): the
+    image (x, xi) as float arrays."""
+    x, xi = manifold._act(*_checked_covector(manifold, x, xi), t)
+    return np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
 
 
 def lifted_orbit_volume(manifold, x, xi):

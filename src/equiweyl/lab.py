@@ -106,9 +106,13 @@ def verdict_from(checks):
 # measured series helpers
 
 
-def window_averaged_diag(diag, lam, windows=5):
+# unit windows a window-averaged diagonal spans
+_WINDOWS = 5
+
+
+def window_averaged_diag(diag, lam):
     # cluster sums oscillate about the Weyl mean; average a few unit windows
-    return float(np.mean([diag(lam + j) for j in range(windows)]))
+    return float(np.mean([diag(lam + j) for j in range(_WINDOWS)]))
 
 
 def default_lambda_grid(lo=1e3, hi=1e6):
@@ -127,9 +131,8 @@ def _series(grid, measured, predicted):
 _K_GRID = (100, 141, 200, 283, 400, 566, 800)
 
 
-def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance):
+def run_local_weyl_experiment(manifold, x, m, lambda_grid, tolerance):
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    m = geometry.as_label(label).m
     if isinstance(manifold, geometry.RoundSphere2):
         theta = geometry.sphere_colatitude(x)
         diag = lambda lam: spectral.sphere_diag_direct(m, theta, lam)
@@ -148,7 +151,7 @@ def run_local_weyl_experiment(manifold, x, label, lambda_grid, tolerance):
         name = f"weyl-torus-label{m}"
     else:
         raise DomainError("local Weyl sweeps cover the sphere and the flat torus")
-    pred = weylcoef.local_leading_coefficient(manifold, x, label)
+    pred = weylcoef.local_leading_coefficient(manifold, x, m)
     measured = np.array([window_averaged_diag(diag, lam) for lam in lambda_grid])
     predicted = np.array([pred.evaluate(lam) for lam in lambda_grid])
     series = _series(lambda_grid, measured, predicted)
@@ -292,7 +295,7 @@ def run_counting_experiment(manifold, m, lambda_top, tolerance):
     lambda_top / 100 .. lambda_top."""
     if manifold == "sphere":
         lam_top = float(lambda_top)
-        ms = range(-100, 101) if m == 0 else [m]
+        ms, scope = (range(-100, 101), {"m_range": 100}) if m == 0 else ([m], {"m": m})
         series = []
         devs = []
         for mm in ms:
@@ -303,7 +306,7 @@ def run_counting_experiment(manifold, m, lambda_top, tolerance):
             devs.append(abs(count - predicted))
         checks = [max(devs) == 0]
         return make_report(
-            "counting-sphere", {"m_range": 100, "lambda": lam_top}, series, None,
+            "counting-sphere", {**scope, "lambda": lam_top}, series, None,
             {"count_rule": "sqrt(lambda) - |m|"}, {"max_deviation": 0},
             verdict_from(checks), extra={"max_deviation": float(max(devs))},
         )

@@ -3,6 +3,7 @@ numerically stable up to degree 2000."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,15 +16,11 @@ _LOG_4PI = math.log(4.0 * math.pi)
 # exp underflows to 0.0 a bit below -745; seeds smaller than this are flushed
 _LOG_TINY = -744.0
 
-# cumulative log prod_{j<=m} (2j-1)/(2j), extended lazily
-_LOG_HALF_FACT = [0.0]
-
-
-def _log_ratio_cum(m):
-    while len(_LOG_HALF_FACT) <= m:
-        j = len(_LOG_HALF_FACT)
-        _LOG_HALF_FACT.append(_LOG_HALF_FACT[-1] + math.log((2 * j - 1) / (2 * j)))
-    return _LOG_HALF_FACT[m]
+# cumulative log prod_{j<=m} (2j-1)/(2j) for m = 0 .. DEGREE_LIMIT, summed in
+# j order (every seed depends on these bits) and built once at import, so no
+# ladder writes it while other threads read it
+_LOG_HALF_FACT = tuple(itertools.accumulate(
+    (math.log((2 * j - 1) / (2 * j)) for j in range(1, DEGREE_LIMIT + 1)), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,7 @@ def _check_degree(k):
 def _seed_log(m, sin2):
     # log |P̄_{m,m}| with sin2 = 1 - alpha^2 = sin^2(theta); the m = 0 seed
     # has no sin factor, and sin2 = 0 with m > 0 must flush to -inf, not nan
-    const = 0.5 * (math.log(2 * m + 1) - _LOG_4PI + _log_ratio_cum(m))
+    const = 0.5 * (math.log(2 * m + 1) - _LOG_4PI + _LOG_HALF_FACT[m])
     if m == 0:
         return np.full_like(sin2, const)
     with np.errstate(divide="ignore"):

@@ -20,10 +20,7 @@ from .eigensolve import EigenBasis, sphere_k_max
 from .geometry import (
     FlatTorus2,
     FlatTorus2FiniteCyclic,
-    IsotypicLabel,
     RoundSphere2,
-    as_label,
-    cotangent_point,
     rotate_cotangent,
     sphere_colatitude,
 )
@@ -35,10 +32,7 @@ _TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class ReducedSpectralFunction:
     basis: EigenBasis
-    label: IsotypicLabel
-
-    def __post_init__(self):
-        object.__setattr__(self, "label", as_label(self.label))
+    label: int
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def reduced_spectral_diag(rsf, x, lam):
     if lam < 0:
         return 0.0
     man = basis.manifold
-    m = rsf.label.m
+    m = rsf.label
     if isinstance(man, RoundSphere2):
         return sphere_diag_direct(m, sphere_colatitude(x), lam)
     if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
@@ -142,7 +136,7 @@ def counting_function(rsf, lam):
     if lam < 0:
         return 0
     man = basis.manifold
-    m = rsf.label.m
+    m = rsf.label
     if isinstance(man, RoundSphere2):
         return sphere_count_direct(m, lam)
     if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
@@ -170,30 +164,20 @@ def _group_nodes(basis):
     return basis.manifold._group_nodes(max(8, 2 * span + 2))
 
 
-def _label_weights(basis, t_nodes, n):
-    """Per mode: |trapezoid average of its label's action phase|^2, exact
-    (0 or 1) for n > |m|."""
-    labels, which = np.unique(basis.m, return_inverse=True)
-    ph = basis.manifold._character(labels[:, None], t_nodes)
-    # real and imaginary parts divided by n apart, as Python's complex
-    # division does; numpy's multiplies by 1/n, which rounds differently
-    avg = zip((pairwise_sum(ph.real) / n).tolist(), (pairwise_sum(ph.imag) / n).tolist())
-    return np.array([abs(complex(re, im)) ** 2 for re, im in avg])[which]
-
-
 def kuznecov_sum(basis, x, lam):
     """Sum over lambda_j <= lam of |group average of e_j at x|^2; x is one
     point, or a (P, d) array of points for an array of P sums.
 
-    The group average factors through the isotypic phase (the quadrature
-    acts on the phase alone); modes whose average vanishes are not evaluated.
-    For abelian actions the sum equals the trivial-label diagonal; the
-    kuznecov experiment checks that and reports the worst deviation.
+    Every mode is an eigenfunction of the action with its label's
+    character, so its group average at x is e_j(x) times the average of
+    that character, which Schur orthogonality makes 1 for the trivial label
+    and 0 for every other: the sum is the label-0 diagonal, summed over the
+    label-0 rows alone.  kuznecov_sum_by_rotation, the literal average over
+    rotated points, is its test reference.
     """
     basis.require(lam)
-    weight = _label_weights(basis, *_group_nodes(basis))
-    rows = np.flatnonzero((basis.eigenvalues <= lam) & (weight > 1e-30))
-    sums = pairwise_sum((_densities(basis, x, rows) * weight[rows, None]).T)
+    rows = np.flatnonzero((basis.eigenvalues <= lam) & basis.label_mask(0))
+    sums = pairwise_sum(_densities(basis, x, rows).T)
     return float(sums[0]) if np.ndim(x) == 1 else sums
 
 
@@ -202,8 +186,8 @@ def kuznecov_sum_by_rotation(basis, x, lam):
     basis.require(lam)
     t_nodes, n = _group_nodes(basis)
     man = basis.manifold
-    pt = cotangent_point(man, x, np.zeros(np.shape(x)))
-    pts = [rotate_cotangent(man, pt, -float(t)).x for t in t_nodes]
+    zeros = np.zeros(np.shape(x))
+    pts = [rotate_cotangent(man, x, zeros, -float(t))[0] for t in t_nodes]
     avg = np.sum(basis.evaluate(pts, np.flatnonzero(basis.eigenvalues <= lam)), axis=1) / n
     return float(np.sum(np.abs(avg) ** 2))
 
@@ -218,7 +202,7 @@ def _top_window_mode(rsf, lam):
     lams = basis.eigenvalues
     rows = np.flatnonzero(basis.label_mask(rsf.label) & (lam < lams) & (lams <= lam + 1.0))
     if not rows.size:
-        raise EmptyWindowError(f"no modes with label {rsf.label.m} in ({lam}, {lam + 1}]")
+        raise EmptyWindowError(f"no modes with label {rsf.label} in ({lam}, {lam + 1}]")
     q = basis.quantum[rows]
     return int(rows[np.lexsort((q[:, 1], q[:, 0], lams[rows]))[-1]])
 

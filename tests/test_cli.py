@@ -155,6 +155,15 @@ def test_main_pinned_counting_line(capsys):
     assert capsys.readouterr().out == "count=1000 predicted=1000 dev=0\n"
 
 
+def test_one_label_sphere_count_records_its_label(tmp_path):
+    code = cli.main(["counting", "--manifold", "sphere", "--m", "5",
+                     "--out-dir", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "counting-sphere.json").read_text())
+    assert rep["params"] == {"m": 5, "lambda": 1e6}
+    assert [row["grid"] for row in rep["series"]] == [5.0]
+
+
 def test_main_generic_summary_line(capsys):
     code = cli.main(["counting", "--manifold", "torus"])
     assert code == 0

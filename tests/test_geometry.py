@@ -35,10 +35,10 @@ def test_cotangent_point_validation():
     man = geometry.RoundSphere2()
     x = geometry.sphere_point(1.0, 0.0)
     with pytest.raises(InvalidPointError):
-        geometry.cotangent_point(man, np.array([0.0, 0.0, 2.0]), np.zeros(3))
+        geometry.momentum_pairing(man, np.array([0.0, 0.0, 2.0]), np.zeros(3))
     with pytest.raises(InvalidPointError):
         # covector must live in the cotangent plane
-        geometry.cotangent_point(man, x, x * 0.5)
+        geometry.rotate_cotangent(man, x, x * 0.5, 0.3)
 
 
 def test_momentum_pairing_annihilator():
@@ -48,11 +48,9 @@ def test_momentum_pairing_annihilator():
     orbit_dir = np.array([-x[1], x[0], 0.0])
     e_th = np.cross(x, orbit_dir)
     xi = e_th / np.linalg.norm(e_th)
-    pt = geometry.cotangent_point(man, x, xi)
-    assert abs(geometry.momentum_pairing(man, pt)) <= 1e-14
-    pt2 = geometry.cotangent_point(man, x, orbit_dir / np.linalg.norm(orbit_dir))
-    assert abs(geometry.momentum_pairing(man, pt2)) == pytest.approx(
-        math.sin(1.2), rel=1e-12)
+    assert abs(geometry.momentum_pairing(man, x, xi)) <= 1e-14
+    along = orbit_dir / np.linalg.norm(orbit_dir)
+    assert abs(geometry.momentum_pairing(man, x, along)) == pytest.approx(math.sin(1.2), rel=1e-12)
 
 
 def test_rotation_invariance():
@@ -60,13 +58,12 @@ def test_rotation_invariance():
     x = geometry.sphere_point(0.9, 0.1)
     xi = np.array([0.2, -0.1, 0.3])
     xi = xi - np.dot(xi, x) * x
-    pt = geometry.cotangent_point(man, x, xi)
     for t in (0.3, 2.0, -1.4):
-        rot = geometry.rotate_cotangent(man, pt, t)
-        assert geometry.momentum_pairing(man, rot) == pytest.approx(
-            geometry.momentum_pairing(man, pt), abs=1e-14)
-        assert geometry.lifted_orbit_volume(man, rot.x, rot.xi) == pytest.approx(
-            geometry.lifted_orbit_volume(man, pt.x, pt.xi), rel=1e-12)
+        rot = geometry.rotate_cotangent(man, x, xi, t)
+        assert geometry.momentum_pairing(man, *rot) == pytest.approx(
+            geometry.momentum_pairing(man, x, xi), abs=1e-14)
+        assert geometry.lifted_orbit_volume(man, *rot) == pytest.approx(
+            geometry.lifted_orbit_volume(man, x, xi), rel=1e-12)
 
 
 def test_lifted_volume_closed_form():
@@ -74,9 +71,8 @@ def test_lifted_volume_closed_form():
     x = geometry.sphere_point(1.0, 0.5)
     xi = np.array([0.1, 0.2, -0.3])
     xi = xi - np.dot(xi, x) * x
-    pt = geometry.cotangent_point(man, x, xi)
-    got = geometry.lifted_orbit_volume(man, pt.x, pt.xi)
-    want = 2 * math.pi * math.sqrt(x[0] ** 2 + x[1] ** 2 + pt.xi[0] ** 2 + pt.xi[1] ** 2)
+    got = geometry.lifted_orbit_volume(man, x, xi)
+    want = 2 * math.pi * math.sqrt(x[0] ** 2 + x[1] ** 2 + xi[0] ** 2 + xi[1] ** 2)
     assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -84,33 +80,31 @@ def test_sor_volume_matches_sphere_closed_form():
     """The quadrature route on the sphere profile equals the round-sphere value."""
     prof = geometry.sphere_profile()
     for theta, xi_s, xi_phi in [(1.0, 0.6, 0.4), (0.4, -0.3, 0.2), (2.2, 0.0, 1.0)]:
-        pt_s = geometry.cotangent_point(prof, (theta,), (xi_s, xi_phi))
-        v_sor = geometry.lifted_orbit_volume(prof, pt_s.x, pt_s.xi)
+        v_sor = geometry.lifted_orbit_volume(prof, (theta,), (xi_s, xi_phi))
         x = geometry.sphere_point(theta, 0.0)
         e_th = np.array([math.cos(theta), 0.0, -math.sin(theta)])
         e_ph = np.array([0.0, 1.0, 0.0])
         xi = xi_s * e_th + (xi_phi / math.sin(theta)) * e_ph
-        pt2 = geometry.cotangent_point(geometry.RoundSphere2(), x, xi)
-        v_sphere = geometry.lifted_orbit_volume(geometry.RoundSphere2(), pt2.x, pt2.xi)
+        v_sphere = geometry.lifted_orbit_volume(geometry.RoundSphere2(), x, xi)
         assert v_sor == pytest.approx(v_sphere, rel=1e-9)
 
 
 def test_torus_conventions():
     t = geometry.FlatTorus2()
-    pt = geometry.cotangent_point(t, (0.25, 0.35), (0.3, -0.2))
+    x, xi = (0.25, 0.35), (0.3, -0.2)
     # the circle acts on the first coordinate; unit-speed orbit of volume 1
-    assert geometry.momentum_pairing(t, pt) == pytest.approx(0.3, abs=1e-15)
-    assert geometry.lifted_orbit_volume(t, pt.x, pt.xi) == pytest.approx(1.0, abs=1e-15)
+    assert geometry.momentum_pairing(t, x, xi) == pytest.approx(0.3, abs=1e-15)
+    assert geometry.lifted_orbit_volume(t, x, xi) == pytest.approx(1.0, abs=1e-15)
     od = geometry.orbit_data(t, (0.25, 0.35))
     assert od.kappa_x == 1
 
 
 def test_finite_cyclic_conventions():
     fc = geometry.FlatTorus2FiniteCyclic(order=5)
-    pt = geometry.cotangent_point(fc, (0.25, 0.35), (0.3, -0.2))
+    x, xi = (0.25, 0.35), (0.3, -0.2)
     # finite orbits: no generator field, counting measure
-    assert geometry.momentum_pairing(fc, pt) == 0.0
-    assert geometry.lifted_orbit_volume(fc, pt.x, pt.xi) == pytest.approx(5.0)
+    assert geometry.momentum_pairing(fc, x, xi) == 0.0
+    assert geometry.lifted_orbit_volume(fc, x, xi) == pytest.approx(5.0)
     od = geometry.orbit_data(fc, (0.25, 0.35))
     assert od.kappa_x == 0
     assert od.orbit_length == pytest.approx(5.0)
@@ -135,11 +129,10 @@ def test_cosphere_fiber_slice_structure():
         assert np.all(w > 0)
         assert w.sum() == pytest.approx(total, rel=1e-12)
         assert np.all(np.linalg.norm(xi, axis=1) <= 1.0 + 1e-12)
-        rows = [geometry.cotangent_point(man, x, row) for row in xi]
-        assert max(abs(geometry.momentum_pairing(man, q)) for q in rows) <= 1e-12
+        assert max(abs(geometry.momentum_pairing(man, x, row)) for row in xi) <= 1e-12
         # the rows' lifted lengths are the one-covector lengths, bit for bit
         assert geometry.lifted_orbit_volume(man, x, xi).tolist() == [
-            geometry.lifted_orbit_volume(man, q.x, q.xi) for q in rows]
+            geometry.lifted_orbit_volume(man, x, row) for row in xi]
 
 
 def test_lifted_volume_rejects_azimuth_at_profile_pole():
@@ -168,6 +161,28 @@ def test_profile_from_file(tmp_path):
     prof = geometry.profile_from_file(path)
     assert prof.r(1.0) == pytest.approx(math.sin(1.0), abs=1e-6)
     assert prof.r_prime(1.0) == pytest.approx(math.cos(1.0), abs=1e-4)
+
+
+def test_closed_file_profile_is_smooth_at_its_seam(tmp_path):
+    # 200 rows of r = 2 + 0.5 cos(s / 0.5): r' is 0 at both ends
+    s = np.linspace(0.0, math.pi, 200)
+    path = tmp_path / "torus.csv"
+    path.write_text("".join(f"{si} {2.0 + 0.5 * math.cos(si / 0.5)}\n" for si in s))
+    prof = geometry.profile_from_file(path)
+    assert prof.closed
+    assert abs(prof.r_prime(0.0)) <= 1e-10 and abs(prof.r_prime(prof.length)) <= 1e-10
+    path.write_text("0 1\n1 1.5\n2 0.8\n3 1\n")
+    prof = geometry.profile_from_file(path)
+    assert prof.r_prime(0.0) == pytest.approx(prof.r_prime(3.0), abs=1e-12)
+    assert prof.r(np.arange(4.0)).tolist() == [1.0, 1.5, 0.8, 1.0]
+
+
+def test_closed_profile_rejects_a_seam_crease():
+    # r(0) = r(L) = 2, but r'(0) = 0.05 against r'(L) = -0.05
+    with pytest.raises(SingularProfileError, match=re.escape("end s = L: r'(L) - r'(0)")):
+        geometry.SurfaceOfRevolution(lambda s: 2.0 + 0.1 * np.sin(np.asarray(s) / 2.0),
+                                     lambda s: 0.05 * np.cos(np.asarray(s) / 2.0),
+                                     2.0 * math.pi, closed=True)
 
 
 @pytest.mark.parametrize("text, where", [
@@ -208,7 +223,6 @@ def test_pairing_rotation_property(theta, phi, t):
     xi = raw - np.dot(raw, x) * x
     if np.linalg.norm(xi) < 1e-6:
         return
-    pt = geometry.cotangent_point(man, x, xi)
-    rot = geometry.rotate_cotangent(man, pt, t)
-    assert geometry.momentum_pairing(man, rot) == pytest.approx(
-        geometry.momentum_pairing(man, pt), abs=1e-12)
+    rot = geometry.rotate_cotangent(man, x, xi, t)
+    assert geometry.momentum_pairing(man, *rot) == pytest.approx(
+        geometry.momentum_pairing(man, x, xi), abs=1e-12)

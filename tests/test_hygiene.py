@@ -8,15 +8,15 @@ the per-mode views are for callers outside it.  Every public top-level
 function and class is named somewhere outside its own definition (the
 package, ``scripts/``, ``perfbench/``), or is listed with its reason.
 Every keyword default and dataclass-field default is set by some call in
-the package, ``scripts/``, ``perfbench/`` or the tests: a setting with one
-value in use is a constant.  A statphase domain owns its chart, measure and
-quadrature, so the package asks which domain it holds in one place only:
+the package, ``scripts/``, ``perfbench/`` or the tests to something other
+than the literal it already is: a setting with one value in use is a
+constant.  A statphase domain owns its chart, measure and quadrature, so
+the package asks which domain it holds in one place only:
 ``StationaryPhaseProblem.__init__``.  A manifold owns its group action, so
 the package asks which manifold it holds only where a function picks a
-closed-form oracle for a basis.  A fiber slice is arrays of covector rows
-the manifold built itself, so the package checks a single cotangent point
-only where one enters from outside: the lifted action and the literal
-rotated-point average.
+closed-form oracle for a basis.  Inside the package an isotypic label is
+an int; the ``IsotypicLabel`` that a per-mode view returns lives in
+``eigensolve`` beside that view, and no other module names it.
 """
 import ast
 from pathlib import Path
@@ -59,10 +59,6 @@ MANIFOLD_ORACLE_CHOICES = {
     "run_local_weyl_experiment": "the sweep's closed-form diagonal and report name "
                                  "exist on the sphere and the flat torus only",
 }
-
-
-# the functions that may build a checked CotangentPoint
-COTANGENT_POINT_CALLERS = {"rotate_cotangent", "kuznecov_sum_by_rotation"}
 
 
 def _tree(path):
@@ -156,15 +152,17 @@ def _is_default(value):
 
 
 def _parameter_defaults(fn, callee, shift):
-    """(callee, parameter, position) per default of fn; position counts
-    the arguments a call passes (shift drops self), None if keyword-only."""
+    """(callee, parameter, position, default expression) per default of
+    fn; position counts the arguments a call passes (shift drops self),
+    None if keyword-only."""
     args = fn.args
     positional = args.posonlyargs + args.args
-    for i in range(len(positional) - len(args.defaults), len(positional)):
-        yield callee, positional[i].arg, i - shift
+    first = len(positional) - len(args.defaults)
+    for i, default in enumerate(args.defaults, first):
+        yield callee, positional[i].arg, i - shift, default
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield callee, arg.arg, None
+            yield callee, arg.arg, None, default
 
 
 def _defaults(tree):
@@ -175,7 +173,8 @@ def _defaults(tree):
     for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
         if _is_dataclass(cls):
             fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
-            yield from ((cls.name, f.target.id, i) for i, f in enumerate(fields)
+            yield from ((cls.name, f.target.id, i, _default_value(f.value))
+                        for i, f in enumerate(fields)
                         if f.value is not None and _is_default(f.value))
         for fn in cls.body:
             if isinstance(fn, ast.FunctionDef):
@@ -188,15 +187,40 @@ def _defaults(tree):
             yield from _parameter_defaults(fn, fn.name, 0)
 
 
+def _default_value(value):
+    # the expression a dataclass field falls back to
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return next(k.value for k in value.keywords if k.arg in ("default", "default_factory"))
+    return value
+
+
 def _calls(tree):
-    """(callee name, positional count, keywords, starred) per call."""
+    """(callee name, positional arguments, keyword arguments by name,
+    starred) per call."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
             starred = (any(isinstance(a, ast.Starred) for a in node.args)
                        or any(k.arg is None for k in node.keywords))
-            yield name, len(node.args), {k.arg for k in node.keywords}, starred
+            yield name, node.args, {k.arg: k.value for k in node.keywords}, starred
+
+
+def _same_literal(value, default):
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except (ValueError, TypeError, SyntaxError):
+        return False  # an expression is not the default's literal
+
+
+def _sets(call, param, pos, default):
+    """Whether a call passes param something other than its default's
+    literal (a starred call may pass anything)."""
+    args, keywords, starred = call
+    if starred:
+        return True
+    value = keywords.get(param, args[pos] if pos is not None and len(args) > pos else None)
+    return value is not None and not _same_literal(value, default)
 
 
 def test_every_default_is_set_by_some_call():
@@ -206,9 +230,8 @@ def test_every_default_is_set_by_some_call():
             calls.setdefault(name, []).append(call)
     unset = []
     for path in MODULES:
-        for callee, param, pos in _defaults(_tree(path)):
-            if not any(starred or param in keywords or (pos is not None and n_args > pos)
-                       for n_args, keywords, starred in calls.get(callee, [])):
+        for callee, param, pos, default in _defaults(_tree(path)):
+            if not any(_sets(call, param, pos, default) for call in calls.get(callee, [])):
                 unset.append(f"{path.name}:{callee}.{param}")
     assert unset == []
 
@@ -249,11 +272,7 @@ def test_only_oracle_choices_dispatch_on_the_manifold():
     assert found == []
 
 
-def test_only_single_point_routes_build_cotangent_points():
-    found = [f"{path.name}:{node.lineno} in {scope}"
-             for path in MODULES for scope, node in _scoped(_tree(path))
-             if isinstance(node, ast.Call)
-             and "cotangent_point" in (getattr(node.func, "id", None),
-                                       getattr(node.func, "attr", None))
-             and scope not in COTANGENT_POINT_CALLERS]
+def test_only_eigensolve_names_the_label_view():
+    found = [path.name for path in MODULES
+             if path.name != "eigensolve.py" and "IsotypicLabel" in set(_names(_tree(path)))]
     assert found == []

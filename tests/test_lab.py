@@ -140,7 +140,7 @@ def test_verdict_from():
 
 
 def test_window_averaged_diag():
-    got = lab.window_averaged_diag(lambda lam: 2.0 * lam, 100.0, windows=5)
+    got = lab.window_averaged_diag(lambda lam: 2.0 * lam, 100.0)
     assert got == pytest.approx(204.0, abs=1e-12)
 
 

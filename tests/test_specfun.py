@@ -119,3 +119,15 @@ def test_zonal_bounded_by_pole(k, frac):
     alpha = 2.0 * frac - 1.0
     v = specfun.assoc_legendre_normalized(k, 0, np.array([alpha]))[0]
     assert abs(v) <= math.sqrt((2 * k + 1) / (4 * math.pi)) * (1 + 1e-12)
+
+
+def test_seed_table_is_filled_once_for_every_degree():
+    # a tuple built at import up to the degree limit: no ladder writes it,
+    # so threads cannot interleave its fill; the entries are the running
+    # sums in j order, bit for bit
+    table = specfun._LOG_HALF_FACT
+    assert isinstance(table, tuple) and len(table) == specfun.DEGREE_LIMIT + 1
+    running = [0.0]
+    for j in range(1, specfun.DEGREE_LIMIT + 1):
+        running.append(running[-1] + math.log((2 * j - 1) / (2 * j)))
+    assert list(table) == running

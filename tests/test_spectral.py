@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from equiweyl import eigensolve, geometry, specfun, spectral
 from equiweyl.errors import DomainError, EmptyWindowError, TruncationError
-from equiweyl.util import gauss_nodes
+from equiweyl.util import gauss_nodes, pairwise_sum
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,22 @@ def test_kuznecov_matches_label0_diagonal_at_suite_lambda():
         assert abs(ks - diag) <= 1e-10 * max(1.0, diag)
     # point by point, the same sums to the bit
     assert [spectral.kuznecov_sum(basis, x, 1e4) for x in xs] == sums.tolist()
+
+
+def test_kuznecov_sum_is_the_trivial_label_sum_at_the_suite_points():
+    """At the kuznecov suite id's 20 seeded points, the sum is bit for bit
+    the pairwise sum of |e_j(x)|^2 over the label-0 rows with lambda_j <=
+    lambda: the other labels' group averages vanish exactly, so no row of
+    theirs may enter it."""
+    basis = eigensolve.sphere_basis(1e4)
+    rng = np.random.default_rng(20260815)
+    xs = np.array([geometry.sphere_point(math.acos(rng.uniform(-1.0, 1.0)),
+                                         rng.uniform(0.0, 2.0 * math.pi))
+                   for _ in range(20)])
+    rows = np.flatnonzero((basis.m == 0) & (basis.eigenvalues <= 1e4))
+    vals = basis.evaluate(xs, rows)
+    want = [float(pairwise_sum(np.hypot(v.real, v.imag) ** 2)) for v in vals.T]
+    assert spectral.kuznecov_sum(basis, xs, 1e4).tolist() == want
 
 
 def test_kuznecov_pole_value(sphere200):
