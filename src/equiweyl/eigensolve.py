@@ -96,10 +96,21 @@ class EigenBasis:
         # not cached: basis and views would form a cycle only full GC passes free
         return tuple(EigenMode(self, i) for i in range(len(self.eigenvalues)))
 
-    def label_mask(self, m):
-        """Which modes lie in the isotypic component of the label m."""
+    def label_rows(self, m, lam):
+        """The rows of the modes in the isotypic component of the label m
+        with eigenvalue <= lam, ascending: a prefix of the label's rows."""
         order = self.manifold._group_order
-        return self.m == (m % order if order else m)
+        key = m % order if order else m
+        if key not in self._rows_by_label:
+            rows = np.flatnonzero(self.m == key)
+            self._rows_by_label[key] = rows, self.eigenvalues[rows]
+        rows, eigenvalues = self._rows_by_label[key]
+        return rows[: eigenvalues.searchsorted(lam, side="right")]
+
+    @functools.cached_property
+    def _rows_by_label(self):
+        """Label -> (its rows, their eigenvalues), filled as labels are asked."""
+        return {}
 
     def require(self, lam):
         if lam > self.lambda_max:

@@ -523,10 +523,11 @@ def run_interp_experiment(mu_tau_grid, epsilon):
 
 
 def run_critscan_experiment(theta):
-    tol = {"slope_tol": 0.1, "grad_tol": statphase.SCAN_GRAD_TOL}
+    tol = {"slope_tol": 0.1, "grad_tol": statphase.SCAN_GRAD_TOL, "closed_form_tol": 1e-9}
     deltas = (0.02, 0.04, 0.08, 0.16, 0.3)
     x = geometry.sphere_point(theta, 0.0)
     on = statphase.critical_set_scan(x, x)
+    deviation = statphase.closed_form_deviation(x, x, on.points)
     circle = [r for r in on.points if r.trans_dim == 2]
     on_ok = (
         on.classification == "on-orbit"
@@ -537,19 +538,22 @@ def run_critscan_experiment(theta):
     for d in deltas:
         y = geometry.sphere_point(theta + d, 0.0)
         scan = statphase.critical_set_scan(x, y)
+        deviation = max(deviation, statphase.closed_form_deviation(x, y, scan.points))
         isolated = [r for r in scan.points if r.trans_dim == 3]
         near = min(isolated, key=lambda r: abs(r.phase_value))
         dets.append(abs(near.trans_det))
     series = _series(deltas, dets, deltas)
     fit = fit_power_law(np.asarray(deltas), np.asarray(dets))
-    checks = [on_ok, abs(fit.slope - 1.0) <= tol["slope_tol"]]
+    checks = [on_ok, abs(fit.slope - 1.0) <= tol["slope_tol"],
+              deviation <= tol["closed_form_tol"]]
     return make_report(
         "critscan",
         {"theta": float(theta), "deltas": list(deltas)},
         series, fit, {"det_slope": 1.0}, tol,
         verdict_from(checks),
         extra={"on_orbit_components": len(on.points),
-               "on_orbit_circle_found": bool(len(circle) >= 1)},
+               "on_orbit_circle_found": bool(len(circle) >= 1),
+               "closed_form_deviation": deviation},
     )
 
 

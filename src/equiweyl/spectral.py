@@ -110,7 +110,7 @@ def _densities(basis, points, rows):
 def _diag_by_modes(rsf, x, lam):
     """Reference route: literal sum of |e_j(x)|^2 over matching modes."""
     basis = rsf.basis
-    rows = np.flatnonzero(basis.label_mask(rsf.label) & (basis.eigenvalues <= lam))
+    rows = basis.label_rows(rsf.label, lam)
     if not rows.size:
         return 0.0
     return float(pairwise_sum(_densities(basis, x, rows)[:, 0]))
@@ -141,7 +141,7 @@ def counting_function(rsf, lam):
         return sphere_count_direct(m, lam)
     if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
         return torus_count_direct(m, lam, order=man._group_order)
-    return int(np.count_nonzero(basis.label_mask(rsf.label) & (basis.eigenvalues <= lam)))
+    return len(basis.label_rows(rsf.label, lam))
 
 
 def cluster_sum(rsf, x, lam):
@@ -176,7 +176,7 @@ def kuznecov_sum(basis, x, lam):
     rotated points, is its test reference.
     """
     basis.require(lam)
-    rows = np.flatnonzero((basis.eigenvalues <= lam) & basis.label_mask(0))
+    rows = basis.label_rows(0, lam)
     sums = pairwise_sum(_densities(basis, x, rows).T)
     return float(sums[0]) if np.ndim(x) == 1 else sums
 
@@ -200,7 +200,7 @@ def _top_window_mode(rsf, lam):
     """Index of the mode with the largest (eigenvalue, quantum) in the window."""
     basis = rsf.basis
     lams = basis.eigenvalues
-    rows = np.flatnonzero(basis.label_mask(rsf.label) & (lam < lams) & (lams <= lam + 1.0))
+    rows = basis.label_rows(rsf.label, lam + 1.0)[len(basis.label_rows(rsf.label, lam)):]
     if not rows.size:
         raise EmptyWindowError(f"no modes with label {rsf.label} in ({lam}, {lam + 1}]")
     q = basis.quantum[rows]

@@ -13,7 +13,8 @@ decay fits.
 Each domain class owns what only it knows: node extents and fixed nodes, its
 chart (_points: the phase arguments at chart offsets U (k, dim) around a
 location; geodesic normal coordinates on the sphere), the Lipschitz scan that
-sizes the nodes, its quadrature chunks (args, weights), and the density of its
+sizes the nodes, its quadrature chunks (args, weights: consecutive blocks of
+_BLOCK nodes of its tensor grid, in tensor order), and the density of its
 measure against the chart's Lebesgue measure at the centre (_measure_scale).
 Only StationaryPhaseProblem.__init__ asks which domain it holds.
 """
@@ -41,8 +42,10 @@ MIN_NODES = 64
 NODES_PER_WAVELENGTH = 6
 # |gradient| at which a Newton-polished scan point counts as critical
 SCAN_GRAD_TOL = 1e-10
-# quadrature points per box slab
-_CHUNK = 1 << 22
+# quadrature nodes per block: every domain yields its tensor grid in
+# consecutive flat blocks of this many, a power of two (see
+# oscillatory_integral)
+_BLOCK = 1 << 14
 
 
 def nodes_for(mu, lip, extent):
@@ -93,18 +96,15 @@ class BoxDomain:
             t, w = gauss_nodes(int(n))
             axes.append(0.5 * (h + l) + 0.5 * (h - l) * t)
             weights.append(0.5 * (h - l) * w)
-        # slab over the first axis so tensor grids stay within memory; the
-        # inner grid of a 1-d box is the one empty point of weight 1
-        inner_w = np.ones(1)
-        for wgt in weights[1:]:
-            inner_w = np.multiply.outer(inner_w, wgt).ravel()
-        inner_pts = _lattice(axes[1:])
-        rows_per_slab = max(1, _CHUNK // len(inner_w))
-        for start in range(0, len(axes[0]), rows_per_slab):
-            xs = axes[0][start : start + rows_per_slab]
-            X = np.concatenate([np.repeat(xs, len(inner_w))[:, None],
-                                np.tile(inner_pts, (len(xs), 1))], axis=1)
-            yield (X,), np.multiply.outer(weights[0][start : start + rows_per_slab], inner_w).ravel()
+        shape = tuple(len(a) for a in axes)
+        for start, stop in _block_ranges(math.prod(shape)):
+            idx = np.unravel_index(np.arange(start, stop), shape)
+            # the first axis's weight times the product of the others, in
+            # axis order
+            inner = np.ones(stop - start)
+            for wgt, i in zip(weights[1:], idx[1:]):
+                inner = inner * wgt[i]
+            yield (np.column_stack([a[i] for a, i in zip(axes, idx)]),), weights[0][idx[0]] * inner
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,15 @@ class SphereDomain:
         return (_exp_map(loc, U),)
 
     def _lipschitz(self, problem):
-        W, _ = _sphere_grid(17, 33)
+        W = _sphere_points(gauss_nodes(17)[0], 33)
         lip = 1.25 * max(np.linalg.norm(problem._gradient(w)) for w in W) + 1e-12
         return (lip, lip)
 
     def _chunks(self, nodes):
-        W, wt = _sphere_grid(*nodes)
-        yield (W,), wt
+        alpha, w_a = gauss_nodes(int(nodes[0]))
+        for start, stop in _block_ranges(len(alpha) * nodes[1]):
+            W, wt = _sphere_block(alpha, w_a, nodes[1], start, stop)
+            yield (W,), wt
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ class SphereCircleDomain:
         return _exp_map(w, U[:, :2]), phi + U[:, 2]
 
     def _lipschitz(self, problem):
-        W, _ = _sphere_grid(9, 17)
+        W = _sphere_points(gauss_nodes(9)[0], 17)
         G = [problem._gradient((w, phi))
              for phi in np.linspace(0.0, _TWO_PI, 9, endpoint=False) for w in W[::4]]
         lip_s = 1.25 * max(float(np.linalg.norm(g[:2])) for g in G) + 1e-12
@@ -153,10 +155,23 @@ class SphereCircleDomain:
 
     def _chunks(self, nodes):
         n_pol, n_az, n_circ = nodes
-        W, wt = _sphere_grid(n_pol, n_az)
-        wt = wt / n_circ
-        for phi in np.arange(n_circ) * (_TWO_PI / n_circ):
-            yield (W, np.full(W.shape[0], phi)), wt
+        alpha, w_a = gauss_nodes(int(n_pol))
+        n_s = len(alpha) * n_az
+        for start, stop in _block_ranges(n_circ * n_s):
+            # the circle node is the outer index: a block may end one circle
+            # node's sphere and start the next one's
+            parts = [(c, max(start - c * n_s, 0), min(stop - c * n_s, n_s))
+                     for c in range(start // n_s, -(-stop // n_s))]
+            W, wt = (np.concatenate(a) for a in zip(
+                *(_sphere_block(alpha, w_a, n_az, j0, j1) for _, j0, j1 in parts)))
+            phi = np.concatenate([np.full(j1 - j0, c * (_TWO_PI / n_circ)) for c, j0, j1 in parts])
+            yield (W, phi), wt / n_circ
+
+
+def _block_ranges(size):
+    """(start, stop) of the consecutive _BLOCK-node blocks of a flat grid of
+    size nodes; the last block takes the rest."""
+    return ((start, min(start + _BLOCK, size)) for start in range(0, size, _BLOCK))
 
 
 def _lattice(axes):
@@ -178,10 +193,14 @@ def _sphere_points(alpha, n_az):
     return W.reshape(-1, 3)
 
 
-def _sphere_grid(n_pol, n_az):
-    alpha, w_a = gauss_nodes(int(n_pol))
-    wt = (w_a[:, None] * (_TWO_PI / n_az)) * np.ones((1, n_az))
-    return _sphere_points(alpha, n_az), wt.ravel()
+def _sphere_block(alpha, w_a, n_az, start, stop):
+    """Nodes start:stop, in _sphere_points order, of the product rule of the
+    heights alpha (weights w_a) and n_az equispaced azimuths, and their
+    weights; only the polar rows the block touches are built."""
+    p0, p1 = start // n_az, -(-stop // n_az)
+    cut = slice(start - p0 * n_az, stop - p0 * n_az)
+    W = _sphere_points(alpha[p0:p1], n_az)[cut]
+    return W, np.repeat(w_a[p0:p1] * (_TWO_PI / n_az), n_az)[cut]
 
 
 def _tangent_frames(W):
@@ -286,12 +305,21 @@ class StationaryPhaseProblem:
 
 
 def oscillatory_integral(problem, mu):
-    total = 0.0 + 0.0j
+    """The tensor quadrature of e^{i mu psi} a, summed by one pairwise_sum
+    over the whole grid in its tensor order, computed block by block.
+
+    The blocks hold _BLOCK = 2^k nodes each and start at multiples of it.
+    For its first k levels pairwise_sum's tree never pairs across such an
+    edge, and the leftover of an odd level is always the tail block's last
+    element, as in the tail block's own tree; so the pairwise_sum of the
+    block sums is bit for bit that of the whole grid, which is never built.
+    """
+    sums = []
     for args, wt in problem.domain._chunks(problem.resolve_nodes(mu)):
         amp = 1.0 if problem.amplitude is None else np.asarray(problem.amplitude(*args))
         vals = amp * np.exp(1j * mu * np.asarray(problem.phase(*args)))
-        total += complex(pairwise_sum(np.ravel(vals * wt)))
-    return total
+        sums.append(pairwise_sum(np.ravel(vals * wt)))
+    return complex(pairwise_sum(np.array(sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +561,16 @@ def _scan_seeds():
 
 
 def _newton_polish(x, y, W, PH):
+    """Newton steps on the seeds whose gradient is still above SCAN_GRAD_TOL;
+    a seed that reaches it stays where it is."""
+    W, PH = W.copy(), PH.copy()
+    active = np.arange(len(PH))
     for _ in range(50):
-        g, H, t1, t2 = _pairing_derivs(x, y, W, PH)
-        gn = np.linalg.norm(g, axis=1)
-        if np.all(gn <= SCAN_GRAD_TOL):
+        g, H, t1, t2 = _pairing_derivs(x, y, W[active], PH[active])
+        moving = np.linalg.norm(g, axis=1) > SCAN_GRAD_TOL
+        if not np.any(moving):
             break
+        active, g, H, t1, t2 = active[moving], g[moving], H[moving], t1[moving], t2[moving]
         H += 1e-12 * np.eye(3)[None, :, :]
         try:
             step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
@@ -546,9 +579,9 @@ def _newton_polish(x, y, W, PH):
         norm = np.linalg.norm(step, axis=1)
         big = norm > 0.5
         step[big] *= (0.5 / norm[big])[:, None]
-        W = W + step[:, [0]] * t1 + step[:, [1]] * t2
-        W /= np.linalg.norm(W, axis=1)[:, None]
-        PH = (PH + step[:, 2]) % _TWO_PI
+        Wa = W[active] + step[:, [0]] * t1 + step[:, [1]] * t2
+        W[active] = Wa / np.linalg.norm(Wa, axis=1)[:, None]
+        PH[active] = (PH[active] + step[:, 2]) % _TWO_PI
     g = _pairing_derivs(x, y, W, PH)[0]
     return W, PH, np.linalg.norm(g, axis=1)
 
@@ -600,6 +633,49 @@ def classify_pair(x, y):
         abs(x[2] - y[2]) < 1e-9 and abs(math.hypot(x[0], x[1]) - math.hypot(y[0], y[1])) < 1e-9
     )
     return "on-orbit" if same_orbit else "off-orbit"
+
+
+def closed_form_critical_points(x, y):
+    """Isolated critical points (omega, phi) of <x - R_phi y, omega>: R_phi y
+    shares the azimuth of x or its opposite, and omega = +-(x - R_phi y) /
+    |x - R_phi y|.  Where R_phi y = x the phase vanishes for every omega, and
+    that phi carries a circle of critical points instead."""
+    base = math.atan2(x[1], x[0]) - math.atan2(y[1], y[0])
+    points = []
+    for phi in (base, base + math.pi):
+        v = x - _rot_z(phi, y)
+        n = np.linalg.norm(v)
+        if n > 1e-12:
+            points += [(v / n, phi), (-v / n, phi)]
+    return points
+
+
+def _phi_gap(a, b):
+    return abs(math.remainder(a - b, _TWO_PI))
+
+
+def closed_form_deviation(x, y, records):
+    """Worst distance of scanned critical records from the closed-form set.
+
+    An isolated record (trans_dim 3) is at max(|omega - w|, phi gap) from
+    the nearest closed-form point (w, phi).  A circle record lies on
+    R_phi y = x with omega orthogonal to e3 x x, so it is at max(phi gap,
+    |<e3 x x, omega>|) from that circle."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    points = closed_form_critical_points(x, y)
+    base = math.atan2(x[1], x[0]) - math.atan2(y[1], y[0])
+    axis_cross = np.cross([0.0, 0.0, 1.0], x)
+    worst = 0.0
+    for r in records:
+        omega = np.asarray(r.omega)
+        if r.trans_dim == 3:
+            gap = min(max(float(np.linalg.norm(omega - w)), _phi_gap(r.phi, phi))
+                      for w, phi in points)
+        else:
+            gap = max(_phi_gap(r.phi, base), abs(float(np.dot(axis_cross, omega))))
+        worst = max(worst, gap)
+    return worst
 
 
 def critical_set_scan(x, y):

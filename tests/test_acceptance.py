@@ -178,9 +178,11 @@ def test_pairing_phase_critical_sets(suite):
     rep = suite["reports"]["critscan"]
     ok = (rep["verdict"] == "pass"
           and rep["on_orbit_circle_found"]
-          and abs(rep["fit"]["slope"] - 1.0) <= 0.1)
+          and abs(rep["fit"]["slope"] - 1.0) <= 0.1
+          and rep["closed_form_deviation"] <= 1e-9)
     assert _line("pairing-phase critical sets", ok,
-                 f"circle found, det-vs-separation slope {rep['fit']['slope']:.3f}")
+                 f"circle found, det-vs-separation slope {rep['fit']['slope']:.3f}, "
+                 f"closed-form dev {rep['closed_form_deviation']:.1e}")
 
 
 def test_caustic_interpolation_quality(suite):

@@ -17,6 +17,9 @@ the package asks which manifold it holds only where a function picks a
 closed-form oracle for a basis.  Inside the package an isotypic label is
 an int; the ``IsotypicLabel`` that a per-mode view returns lives in
 ``eigensolve`` beside that view, and no other module names it.
+``statphase`` streams every quadrature grid in blocks of ``_BLOCK`` nodes,
+its one quadrature size constant: no ``_CHUNK`` slab and no second size
+literal.
 """
 import ast
 from pathlib import Path
@@ -276,3 +279,19 @@ def test_only_eigensolve_names_the_label_view():
     found = [path.name for path in MODULES
              if path.name != "eigensolve.py" and "IsotypicLabel" in set(_names(_tree(path)))]
     assert found == []
+
+
+def test_statphase_has_one_quadrature_size():
+    # a size literal: a shift, or a power of two of 1024 or more; the
+    # grouping block of 256 scan points is not a quadrature size
+    tree = _tree(PACKAGE / "statphase.py")
+    block = [n for n in tree.body if isinstance(n, ast.Assign)
+             and [getattr(t, "id", None) for t in n.targets] == ["_BLOCK"]]
+    assert len(block) == 1
+    names = set(_names(tree))
+    sizes = [f"statphase.py:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift))
+             or (isinstance(node, ast.Constant) and type(node.value) is int
+                 and node.value >= 1024 and node.value & (node.value - 1) == 0)]
+    assert "_CHUNK" not in names
+    assert sizes == [f"statphase.py:{block[0].lineno}"]

@@ -54,8 +54,19 @@ def test_torus_count_against_brute_lattice():
         basis = eigensolve.torus_basis(1e4, order)
         for lam in np.unique(basis.eigenvalues):
             for m in labels:
-                want = np.count_nonzero(basis.label_mask(m) & (basis.eigenvalues <= lam))
+                want = len(basis.label_rows(m, lam))
                 assert spectral.torus_count_direct(m, lam, order) == want, (m, lam, order)
+
+
+def test_label_rows_are_the_label_mask_below_lam():
+    sor = eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 4, 200)
+    for basis in (sor, eigensolve.torus_basis(2e3, 3)):
+        order = basis.manifold._group_order
+        for m in range(-4, 5):
+            mask = basis.m == (m % order if order else m)
+            for lam in (-1.0, *np.unique(basis.eigenvalues), basis.lambda_max):
+                want = np.flatnonzero(mask & (basis.eigenvalues <= lam))
+                assert np.array_equal(basis.label_rows(m, lam), want), (m, lam)
 
 
 def test_sphere_count_direct():

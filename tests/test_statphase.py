@@ -1,13 +1,15 @@
 """Oscillatory integrals, their leading expansions, and pairing-phase scans."""
 import cmath
+import itertools
 import math
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from equiweyl import geometry, statphase
+from equiweyl import geometry, statphase, util
 from equiweyl.errors import (
     DegenerateCriticalError,
     DomainError,
@@ -27,26 +29,6 @@ def pairing_phase(x, y):
     def pairing(W, ph):
         return np.sum(W * (x[None, :] - rotate_z(ph, y)), axis=-1)
     return pairing
-
-
-def closed_form_critical_points(x, y):
-    """Isolated critical points of <x - R_phi y, omega>: R_phi y shares the
-    azimuth of x or its opposite, and omega = +-(x - R_phi y)/|x - R_phi y|."""
-    base = math.atan2(x[1], x[0]) - math.atan2(y[1], y[0])
-    points = []
-    for phi in (base, base + math.pi):
-        v = x - rotate_z(phi, y)
-        n = np.linalg.norm(v)
-        if n > 1e-12:
-            points += [(v / n, phi), (-v / n, phi)]
-    return points
-
-
-def closed_form_gaps(record, points):
-    """Distance of a scanned record from each closed-form critical point."""
-    return [max(np.linalg.norm(np.asarray(record.omega) - w),
-                abs(math.remainder(record.phi - phi, 2.0 * math.pi)))
-            for w, phi in points]
 
 
 def gaussian_problem(width=12.0, nodes=None):
@@ -132,6 +114,91 @@ def test_box_requires_decayed_amplitude():
             lambda X: X[..., 0],
             lambda X: np.exp(-X[..., 0] ** 2),
             types.SimpleNamespace(lo=(-1.0,), hi=(1.0,), dim=1, nodes=None))
+
+
+def sphere_grid(n_pol, n_az):
+    """The whole product grid of the sphere, polar rows outer, and its weights."""
+    alpha, w_a = util.gauss_nodes(n_pol)
+    phi = np.arange(n_az) * (2.0 * math.pi / n_az)
+    st = np.sqrt(1.0 - alpha * alpha)
+    W = np.empty((len(alpha), n_az, 3))
+    W[..., 0] = st[:, None] * np.cos(phi)[None, :]
+    W[..., 1] = st[:, None] * np.sin(phi)[None, :]
+    W[..., 2] = alpha[:, None]
+    wt = (w_a[:, None] * (2.0 * math.pi / n_az)) * np.ones((1, n_az))
+    return W.reshape(-1, 3), wt.ravel()
+
+
+def whole_box_grid(domain, nodes):
+    axes, weights = [], []
+    for lo, hi, n in zip(domain.lo, domain.hi, nodes):
+        t, w = util.gauss_nodes(n)
+        axes.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * t)
+        weights.append(0.5 * (hi - lo) * w)
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    inner = np.ones(1)
+    for w in weights[1:]:
+        inner = np.multiply.outer(inner, w).ravel()
+    return (X,), np.multiply.outer(weights[0], inner).ravel()
+
+
+def whole_sphere_grid(domain, nodes):
+    W, wt = sphere_grid(*nodes)
+    return (W,), wt
+
+
+def whole_sphere_circle_grid(domain, nodes):
+    n_pol, n_az, n_circ = nodes
+    W, wt = sphere_grid(n_pol, n_az)
+    phi = np.arange(n_circ) * (2.0 * math.pi / n_circ)
+    return (np.tile(W, (n_circ, 1)), np.repeat(phi, len(W))), np.tile(wt / n_circ, n_circ)
+
+
+# one problem per domain whose grid spans several blocks: a 3-d box, the
+# sphere at mu = 96 (361 x 721 nodes, 16 blocks), and S^2 x S^1 with
+# 64 x 101 x 86 nodes, whose blocks straddle circle nodes
+BLOCK_CASES = {
+    "box": (lambda X: 0.5 * (X[..., 0] ** 2 + X[..., 1] ** 2) + X[..., 2],
+            lambda X: np.exp(-(X[..., 0] ** 2 + X[..., 1] ** 2 + X[..., 2] ** 2)),
+            statphase.BoxDomain((-6.0, -6.0, -6.0), (6.0, 6.0, 6.0)), 1.0, whole_box_grid),
+    "sphere": (lambda W: W[..., 2], lambda W: 1.0 + W[..., 0] ** 2,
+               statphase.SphereDomain(), 96.0, whole_sphere_grid),
+    "sphere-circle": (lambda W, ph: W[..., 2] * np.cos(ph) + 0.5 * W[..., 0],
+                      lambda W, ph: 2.0 + W[..., 1] * np.sin(ph),
+                      statphase.SphereCircleDomain(), 12.0, whole_sphere_circle_grid),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocked_quadrature_is_the_whole_grid_sum(case):
+    # one pairwise_sum over the whole tensor grid, as the sphere computed it
+    # before the grids were streamed, bit for bit
+    phase, amp, domain, mu, whole = BLOCK_CASES[case]
+    prob = statphase.StationaryPhaseProblem(phase, amp, domain)
+    nodes = prob.resolve_nodes(mu)
+    args, wt = whole(domain, nodes)
+    assert len(wt) > 15 * statphase._BLOCK
+    vals = amp(*args) * np.exp(1j * mu * phase(*args))
+    want = complex(util.pairwise_sum(np.ravel(vals * wt)))
+    assert statphase.oscillatory_integral(prob, mu) == want
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_no_call_sees_more_than_a_block(case):
+    phase, amp, domain, mu, _ = BLOCK_CASES[case]
+    sizes = []
+
+    def recording(fn):
+        def call(*args):
+            sizes.append(len(args[0]))
+            return fn(*args)
+        return call
+
+    prob = statphase.StationaryPhaseProblem(recording(phase), recording(amp), domain)
+    sizes.clear()
+    statphase.oscillatory_integral(prob, mu)
+    assert len(sizes) > 2 * 15
+    assert max(sizes) <= statphase._BLOCK
 
 
 def test_critical_point_must_be_critical():
@@ -292,27 +359,32 @@ def test_scan_off_orbit():
 def test_scan_matches_closed_form_critical_set():
     x = geometry.sphere_point(1.2, 0.3)
     y = geometry.sphere_point(0.8, 1.1)
-    points = closed_form_critical_points(x, y)
     res = statphase.critical_set_scan(x, y)
     assert len(res.points) == 4
-    matched = []
-    for r in res.points:
-        gaps = closed_form_gaps(r, points)
-        assert min(gaps) <= 1e-9
-        matched.append(int(np.argmin(gaps)))
-    assert sorted(matched) == [0, 1, 2, 3]
+    assert statphase.closed_form_deviation(x, y, res.points) <= 1e-9
+    # the four closed-form points lie at least 2 apart, so four records
+    # within 1e-9 of them and apart from each other find each one once
+    for a, b in itertools.combinations(res.points, 2):
+        assert max(np.linalg.norm(np.subtract(a.omega, b.omega)),
+                   abs(math.remainder(a.phi - b.phi, 2.0 * math.pi))) > 1.0
 
     # on the orbit: the circle phi = 0, omega orthogonal to e3 x x, plus
     # the two isolated points at phi = pi
     on = statphase.critical_set_scan(x, x)
-    circle = [r for r in on.points if r.trans_dim == 2]
-    assert len(circle) == 1
-    assert abs(math.remainder(circle[0].phi, 2.0 * math.pi)) <= 1e-9
-    assert abs(np.dot(np.cross([0.0, 0.0, 1.0], x), circle[0].omega)) <= 1e-9
-    points = closed_form_critical_points(x, x)
-    for r in on.points:
-        if r.trans_dim == 3:
-            assert min(closed_form_gaps(r, points)) <= 1e-9
+    assert sorted(r.trans_dim for r in on.points) == [2, 3, 3]
+    assert statphase.closed_form_deviation(x, x, on.points) <= 1e-9
+
+
+def test_closed_form_deviation_sees_a_displaced_record():
+    x = geometry.sphere_point(1.2, 0.3)
+    y = geometry.sphere_point(0.8, 1.1)
+    w, phi = statphase.closed_form_critical_points(x, y)[0]
+    exact = statphase.CriticalPointRecord(tuple(w), phi, 0.0, 1.0, 3, 0.0)
+    assert statphase.closed_form_deviation(x, y, [exact]) == 0.0
+    assert statphase.closed_form_deviation(
+        x, y, [replace(exact, phi=phi + 1e-6)]) == pytest.approx(1e-6, rel=1e-6)
+    circle = statphase.CriticalPointRecord((0.0, 0.0, 1.0), 1e-7, 0.0, 1.0, 2, 0.0)
+    assert statphase.closed_form_deviation(x, x, [circle]) == pytest.approx(1e-7, rel=1e-6)
 
 
 def test_pairing_derivatives_match_finite_differences():
@@ -337,7 +409,7 @@ def sphere_circle_problem():
     y = geometry.sphere_point(0.8, 1.1)
     return x, y, statphase.StationaryPhaseProblem(
         pairing_phase(x, y), None, statphase.SphereCircleDomain(),
-        critical=("points", closed_form_critical_points(x, y)))
+        critical=("points", statphase.closed_form_critical_points(x, y)))
 
 
 def test_exact_critical_points_pass_the_gate():

@@ -68,6 +68,21 @@ def test_pairwise_sum_deterministic():
     assert util.pairwise_sum(a) == util.pairwise_sum(a.copy())
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 6), blocks=st.integers(0, 5), offset=st.integers(-2, 2),
+       complex_input=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_pairwise_sum_is_the_whole_sum(k, blocks, offset, complex_input, seed):
+    # blocks of 2^k aligned at 0, the tail block shorter: the sum of the
+    # block sums is bit for bit the sum of the whole array
+    n = max(1, blocks * 2**k + offset)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    if complex_input:
+        a = a + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    sums = np.array([util.pairwise_sum(a[i : i + 2**k]) for i in range(0, n, 2**k)])
+    assert util.pairwise_sum(sums).tobytes() == util.pairwise_sum(a).tobytes()
+
+
 def test_geometric_grid():
     g = util.geometric_grid(1.0, 16.0, 2.0)
     assert np.allclose(g, [1.0, 2.0, 4.0, 8.0, 16.0], rtol=1e-15)
