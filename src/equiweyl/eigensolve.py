@@ -640,17 +640,27 @@ def export_basis(basis, path):
 
 
 def import_basis(path, profile):
+    """The basis export_basis wrote for profile; quantum j numbers each
+    label's rows in file order.  A header that disagrees with the profile,
+    or a row without grid_n values, raises DomainError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     meta = dict(tok.split("=", 1) for ln in lines if ln.startswith("#")
                 for tok in ln[1:].split() if "=" in tok)
-    body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
+    for key, want in (("closed", str(int(profile.closed))), ("length", format_float(profile.length))):
+        if meta[key] != want:
+            raise DomainError(f"{path}: header {key}={meta[key]} but the profile has {want}")
+    body = [(no, ln) for no, ln in enumerate(lines, 1) if ln.strip() and not ln.startswith("#")]
     n = int(meta["grid_n"])
-    lam, m, U = [], [], np.empty((len(body), n))
-    for i, ln in enumerate(body):
-        toks = ln.split()
+    lam, m, j, U, seen = [], [], [], np.empty((len(body), n)), {}
+    for i, (no, ln) in enumerate(body):
+        toks = ln.split()  # one row at a time: every row's tokens at once cost megabytes
+        if len(toks) != n + 2:
+            raise DomainError(f"{path}:{no}: {len(toks) - 2} values, grid_n={n}")
         lam.append(float(toks[0]))
         m.append(int(toks[1]))
-        U[i] = [float(t) for t in toks[2 : 2 + n]]
-    return _sorted_basis(profile, lam, m, np.column_stack((m, np.arange(len(m)))),
+        j.append(seen.get(m[-1], 0))
+        seen[m[-1]] = j[-1] + 1
+        U[i] = [float(t) for t in toks[2:]]
+    return _sorted_basis(profile, lam, m, np.column_stack((m, j)),
                          float(meta["lambda_max"]), radial=U)

@@ -329,13 +329,13 @@ def run_kuznecov_experiment(lambda_top, points, seed):
     """Group-averaged squared sums against the trivial-isotypic diagonal."""
     tol = {"identity_tol": 1e-10, "growth_rel_tol": 0.05}
     basis = eigensolve.sphere_basis(lambda_top)
-    rsf = spectral.ReducedSpectralFunction(basis, 0)
     rng = np.random.default_rng(seed)
     draws = [(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi))
              for _ in range(points)]
     thetas, xs = [t for t, _ in draws], [geometry.sphere_point(t, phi) for t, phi in draws]
     sums = spectral.kuznecov_sum(basis, np.array(xs), lambda_top).tolist()
-    diags = [spectral.reduced_spectral_diag(rsf, x, lambda_top) for x in xs]
+    diags = [spectral.sphere_diag_direct(0, geometry.sphere_colatitude(x), lambda_top)
+             for x in xs]
     worst = max([0.0] + [abs(ks - d) / max(1.0, abs(d)) for ks, d in zip(sums, diags)])
     series = _series(thetas, sums, diags)
     # equator growth against the closed-form coefficient

@@ -1,10 +1,10 @@
 """Reduced spectral functions, counting functions, cluster sums, circle-average
 (Kuznecov-type) sums, and cluster L^p norms over a truncated eigenbasis.
 
-Two layers: basis-backed operations on EigenBasis objects, and direct
-closed-form evaluators for the analytic models (used for large-lambda scans
-where materializing (k+1)^2 sphere modes would be wasteful).  The two layers
-are cross-checked against each other in the test suite.
+Two layers: the basis layer sums |e_j(x)|^2 (or counts) over an EigenBasis's
+modes on every manifold; the direct layer is closed form for the analytic
+models (large-lambda scans would waste (k+1)^2 sphere modes).  The tests
+check each layer against the other, so neither calls the other.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .geometry import (
     FlatTorus2FiniteCyclic,
     RoundSphere2,
     rotate_cotangent,
-    sphere_colatitude,
 )
 from .util import gauss_nodes, pairwise_sum
 
@@ -91,9 +90,9 @@ def torus_count_direct(m, lam, order=0):
     return sum(_torus_k2_count(k1 * k1, lam) for k1 in range(-span, span + 1) if k1 % order == r)
 
 
-def torus_diag_direct(m, lam, order=0):
+def torus_diag_direct(m, lam):
     # every torus mode has |e_j(x)|^2 = 1, so the diagonal equals the count
-    return float(torus_count_direct(m, lam, order))
+    return float(torus_count_direct(m, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -107,41 +106,20 @@ def _densities(basis, points, rows):
     return np.hypot(vals.real, vals.imag) ** 2
 
 
-def _diag_by_modes(rsf, x, lam):
-    """Reference route: literal sum of |e_j(x)|^2 over matching modes."""
+def reduced_spectral_diag(rsf, x, lam):
+    """e_m(x, x, lam): the sum of |e_j(x)|^2 over the label's modes with
+    lambda_j <= lam; an empty label costs no evaluation."""
     basis = rsf.basis
+    basis.require(lam)
     rows = basis.label_rows(rsf.label, lam)
     if not rows.size:
         return 0.0
     return float(pairwise_sum(_densities(basis, x, rows)[:, 0]))
 
 
-def reduced_spectral_diag(rsf, x, lam):
-    basis = rsf.basis
-    basis.require(lam)
-    if lam < 0:
-        return 0.0
-    man = basis.manifold
-    m = rsf.label
-    if isinstance(man, RoundSphere2):
-        return sphere_diag_direct(m, sphere_colatitude(x), lam)
-    if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
-        return torus_diag_direct(m, lam, order=man._group_order)
-    return _diag_by_modes(rsf, x, lam)
-
-
 def counting_function(rsf, lam):
-    basis = rsf.basis
-    basis.require(lam)
-    if lam < 0:
-        return 0
-    man = basis.manifold
-    m = rsf.label
-    if isinstance(man, RoundSphere2):
-        return sphere_count_direct(m, lam)
-    if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
-        return torus_count_direct(m, lam, order=man._group_order)
-    return len(basis.label_rows(rsf.label, lam))
+    rsf.basis.require(lam)
+    return len(rsf.basis.label_rows(rsf.label, lam))
 
 
 def cluster_sum(rsf, x, lam):

@@ -120,14 +120,15 @@ class SphereDomain:
         return (_exp_map(loc, U),)
 
     def _lipschitz(self, problem):
-        W = _sphere_points(gauss_nodes(17)[0], 33)
+        W = _sphere_points(gauss_nodes(17)[0], _azimuths(33))
         lip = 1.25 * max(np.linalg.norm(problem._gradient(w)) for w in W) + 1e-12
         return (lip, lip)
 
     def _chunks(self, nodes):
         alpha, w_a = gauss_nodes(int(nodes[0]))
+        az = _azimuths(nodes[1])
         for start, stop in _block_ranges(len(alpha) * nodes[1]):
-            W, wt = _sphere_block(alpha, w_a, nodes[1], start, stop)
+            W, wt = _sphere_block(alpha, w_a, az, start, stop)
             yield (W,), wt
 
 
@@ -146,7 +147,7 @@ class SphereCircleDomain:
         return _exp_map(w, U[:, :2]), phi + U[:, 2]
 
     def _lipschitz(self, problem):
-        W = _sphere_points(gauss_nodes(9)[0], 17)
+        W = _sphere_points(gauss_nodes(9)[0], _azimuths(17))
         G = [problem._gradient((w, phi))
              for phi in np.linspace(0.0, _TWO_PI, 9, endpoint=False) for w in W[::4]]
         lip_s = 1.25 * max(float(np.linalg.norm(g[:2])) for g in G) + 1e-12
@@ -156,6 +157,7 @@ class SphereCircleDomain:
     def _chunks(self, nodes):
         n_pol, n_az, n_circ = nodes
         alpha, w_a = gauss_nodes(int(n_pol))
+        az = _azimuths(n_az)
         n_s = len(alpha) * n_az
         for start, stop in _block_ranges(n_circ * n_s):
             # the circle node is the outer index: a block may end one circle
@@ -163,7 +165,7 @@ class SphereCircleDomain:
             parts = [(c, max(start - c * n_s, 0), min(stop - c * n_s, n_s))
                      for c in range(start // n_s, -(-stop // n_s))]
             W, wt = (np.concatenate(a) for a in zip(
-                *(_sphere_block(alpha, w_a, n_az, j0, j1) for _, j0, j1 in parts)))
+                *(_sphere_block(alpha, w_a, az, j0, j1) for _, j0, j1 in parts)))
             phi = np.concatenate([np.full(j1 - j0, c * (_TWO_PI / n_circ)) for c, j0, j1 in parts])
             yield (W, phi), wt / n_circ
 
@@ -181,25 +183,32 @@ def _lattice(axes):
     return np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), size).T
 
 
-def _sphere_points(alpha, n_az):
-    """Unit vectors at the heights alpha times n_az equispaced azimuths,
-    shape (len(alpha) * n_az, 3), azimuth fastest."""
+def _azimuths(n_az):
+    """cos and sin of n_az equispaced azimuths, shared by every block of a grid."""
     phi = np.arange(n_az) * (_TWO_PI / n_az)
+    return np.cos(phi), np.sin(phi)
+
+
+def _sphere_points(alpha, az):
+    """Unit vectors at the heights alpha times the azimuths az = (cos, sin),
+    shape (len(alpha) * len(cos), 3), azimuth fastest."""
+    cos_az, sin_az = az
     st = np.sqrt(1.0 - alpha * alpha)
-    W = np.empty((len(alpha), n_az, 3))
-    W[..., 0] = st[:, None] * np.cos(phi)[None, :]
-    W[..., 1] = st[:, None] * np.sin(phi)[None, :]
+    W = np.empty((len(alpha), len(cos_az), 3))
+    W[..., 0] = st[:, None] * cos_az[None, :]
+    W[..., 1] = st[:, None] * sin_az[None, :]
     W[..., 2] = alpha[:, None]
     return W.reshape(-1, 3)
 
 
-def _sphere_block(alpha, w_a, n_az, start, stop):
+def _sphere_block(alpha, w_a, az, start, stop):
     """Nodes start:stop, in _sphere_points order, of the product rule of the
-    heights alpha (weights w_a) and n_az equispaced azimuths, and their
+    heights alpha (weights w_a) and the equispaced azimuths az, and their
     weights; only the polar rows the block touches are built."""
+    n_az = len(az[0])
     p0, p1 = start // n_az, -(-stop // n_az)
     cut = slice(start - p0 * n_az, stop - p0 * n_az)
-    W = _sphere_points(alpha[p0:p1], n_az)[cut]
+    W = _sphere_points(alpha[p0:p1], az)[cut]
     return W, np.repeat(w_a[p0:p1] * (_TWO_PI / n_az), n_az)[cut]
 
 
@@ -552,7 +561,7 @@ def _pairing_derivs(x, y, W, PH):
 
 def _scan_seeds():
     n_pol, n_az, n_phi = 14, 28, 24
-    W = _sphere_points(np.linspace(-0.97, 0.97, n_pol), n_az)
+    W = _sphere_points(np.linspace(-0.97, 0.97, n_pol), _azimuths(n_az))
     W = np.concatenate([W, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
     PH = np.arange(n_phi) * (_TWO_PI / n_phi)
     Wrep = np.repeat(W, n_phi, axis=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equiweyl import eigensolve, geometry, specfun, spectral
-from equiweyl.errors import ConvergenceError
+from equiweyl.errors import ConvergenceError, DomainError
 
 
 def test_sphere_basis_census():
@@ -138,6 +138,25 @@ def test_export_import_roundtrip(tmp_path):
     x = (1.1, 0.4)
     for ma, mb in zip(b.modes, b2.modes):
         assert ma.density(x) == pytest.approx(mb.density(x), rel=1e-12, abs=1e-15)
+    # every array comes back as built, quantum (m, j) included
+    for name in ("eigenvalues", "m", "quantum", "radial"):
+        assert np.array_equal(getattr(b2, name), getattr(b, name)), name
+    assert b2.lambda_max == b.lambda_max
+
+
+def test_import_checks_the_file_against_the_profile(tmp_path):
+    b = eigensolve.surface_of_revolution_basis(geometry.torus_profile(), 1, 2, 200)
+    path = tmp_path / "basis.txt"
+    eigensolve.export_basis(b, path)
+    with pytest.raises(DomainError, match="closed"):
+        eigensolve.import_basis(path, geometry.sphere_profile())
+    with pytest.raises(DomainError, match="length"):
+        eigensolve.import_basis(path, geometry.torus_profile(a=0.6))
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(" ", 1)[0]  # the first mode loses its last value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError, match=r"basis\.txt:4: 199 values, grid_n=200"):
+        eigensolve.import_basis(path, geometry.torus_profile())
 
 
 def test_sphere_k_max():

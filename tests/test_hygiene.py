@@ -14,8 +14,11 @@ constant.  A statphase domain owns its chart, measure and quadrature, so
 the package asks which domain it holds in one place only:
 ``StationaryPhaseProblem.__init__``.  A manifold owns its group action, so
 the package asks which manifold it holds only where a function picks a
-closed-form oracle for a basis.  Inside the package an isotypic label is
-an int; the ``IsotypicLabel`` that a per-mode view returns lives in
+closed-form route for a basis: ``EigenBasis.evaluate``, ``cluster_lp_norm``
+and ``run_local_weyl_experiment``.  The basis-backed reduced diagonal and
+count read the basis on every manifold; they never dispatch to the closed
+forms they are tested against.  Inside the package an isotypic label is an
+int; the ``IsotypicLabel`` that a per-mode view returns lives in
 ``eigensolve`` beside that view, and no other module names it.
 ``statphase`` streams every quadrature grid in blocks of ``_BLOCK`` nodes,
 its one quadrature size constant: no ``_CHUNK`` slab and no second size
@@ -53,10 +56,6 @@ MANIFOLDS = {"RoundSphere2", "FlatTorus2", "FlatTorus2FiniteCyclic", "SurfaceOfR
 MANIFOLD_ORACLE_CHOICES = {
     "EigenBasis.evaluate": "Legendre ladders on the sphere, exponentials on the torus, "
                            "node interpolation on profiles",
-    "reduced_spectral_diag": "the sphere's Legendre sum and the torus lattice count "
-                             "in place of a sum over modes",
-    "counting_function": "the sphere's and the torus's closed-form counts in place of "
-                         "a count over modes",
     "cluster_lp_norm": "Gauss-Legendre on the sphere, exactly 1 on the torus, a "
                        "meridian trapezoid on profiles",
     "run_local_weyl_experiment": "the sweep's closed-form diagonal and report name "

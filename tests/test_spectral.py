@@ -1,4 +1,5 @@
 """Reduced spectral sums: dual routes, invariants, norms."""
+import functools
 import math
 
 import numpy as np
@@ -67,6 +68,20 @@ def test_label_rows_are_the_label_mask_below_lam():
             for lam in (-1.0, *np.unique(basis.eigenvalues), basis.lambda_max):
                 want = np.flatnonzero(mask & (basis.eigenvalues <= lam))
                 assert np.array_equal(basis.label_rows(m, lam), want), (m, lam)
+
+
+def test_counting_function_is_the_closed_form_count(sphere200):
+    """The count over the basis's modes against the lattice and ladder
+    counts, for every label, at every distinct eigenvalue and at lambda_max."""
+    cases = [(sphere200, spectral.sphere_count_direct)]
+    for order in (0, 3):
+        cases.append((eigensolve.torus_basis(1e4, order),
+                      functools.partial(spectral.torus_count_direct, order=order)))
+    for basis, direct in cases:
+        for m in np.unique(basis.m).tolist():
+            rsf = spectral.ReducedSpectralFunction(basis, m)
+            for lam in (*np.unique(basis.eigenvalues).tolist(), basis.lambda_max):
+                assert spectral.counting_function(rsf, lam) == direct(m, lam), (m, lam)
 
 
 def test_sphere_count_direct():
@@ -140,11 +155,11 @@ def test_truncation_guard(sphere200):
 
 def test_kuznecov_identity(sphere200):
     rng = np.random.default_rng(3)
-    rsf = spectral.ReducedSpectralFunction(sphere200, 0)
     for _ in range(8):
-        x = geometry.sphere_point(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+        theta = math.acos(rng.uniform(-1, 1))
+        x = geometry.sphere_point(theta, rng.uniform(0, 2 * math.pi))
         kz = spectral.kuznecov_sum(sphere200, x, 200.0)
-        diag = spectral.reduced_spectral_diag(rsf, x, 200.0)
+        diag = spectral.sphere_diag_direct(0, theta, 200.0)
         assert kz == pytest.approx(diag, rel=1e-10)
 
 
@@ -167,13 +182,12 @@ def test_kuznecov_rotation_route(sphere200):
 
 def test_kuznecov_matches_label0_diagonal_at_suite_lambda():
     basis = eigensolve.sphere_basis(1e4)
-    rsf = spectral.ReducedSpectralFunction(basis, 0)
     rng = np.random.default_rng(20260815)
     xs = np.array([geometry.sphere_point(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
                    for _ in range(3)])
     sums = spectral.kuznecov_sum(basis, xs, 1e4)
     for x, ks in zip(xs, sums):
-        diag = spectral.reduced_spectral_diag(rsf, x, 1e4)
+        diag = spectral.sphere_diag_direct(0, geometry.sphere_colatitude(x), 1e4)
         assert abs(ks - diag) <= 1e-10 * max(1.0, diag)
     # point by point, the same sums to the bit
     assert [spectral.kuznecov_sum(basis, x, 1e4) for x in xs] == sums.tolist()
