@@ -34,8 +34,6 @@ from .errors import (
 from .geometry import FlatTorus2, FlatTorus2FiniteCyclic, RoundSphere2
 from .util import format_float
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class IsotypicLabel:
@@ -122,24 +120,21 @@ class EigenBasis:
         """Values, shape (modes, points), of the modes (None: all; else an
         index or index array) at one point or a (P, d) array of points: unit
         3-vectors on the sphere, (x1, x2) on the torus, (s, phi) on surfaces
-        of revolution.  Bit for bit the scalar formulas Pbar_{k,m}(cos theta)
-        e^{i m phi} (one Legendre ladder per distinct m), e^{2 pi i <k, x>},
-        and np.interp over the nodes times e^{i m phi}."""
+        of revolution.  Analytic bases ask the manifold for Pbar_{k,m}(cos
+        theta) e^{i m phi} or e^{2 pi i <k, x>}, bit for bit the scalar
+        formulas; discrete ones take np.interp over the nodes times e^{i m phi}."""
         pts = np.asarray(points, dtype=float)
         pts = pts.reshape(-1, pts.shape[-1])
         rows = np.arange(len(self.eigenvalues)) if modes is None else np.ravel(modes)
         rows = rows.astype(np.intp, copy=False)
         q = self.quantum[rows]
-        man = self.manifold
-        if isinstance(man, RoundSphere2):
-            return _sphere_values(q[:, 0], q[:, 1], pts)
-        if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
-            t = np.multiply.outer(q[:, 0], pts[:, 0]) + np.multiply.outer(q[:, 1], pts[:, 1])
-            return np.exp(1j * (_TWO_PI * t))
+        if self.radial is None:
+            return self.manifold._eigenfunctions(q, pts)
         # np.interp's formula: slope * (s - nodes[j]) + value[j], nodes[j] <= s
+        prof = self.manifold
         nodes, slopes = self._interpolation
         s = pts[:, 0]
-        s = s % man.length if man.closed else np.minimum(np.maximum(s, nodes[0]), nodes[-1])
+        s = s % prof.length if prof.closed else np.minimum(np.maximum(s, nodes[0]), nodes[-1])
         j = nodes.searchsorted(s, side="right") - 1
         col = rows[:, None]
         radial = slopes[col, j] * (s - nodes[j]) + self.radial[col, j]
@@ -157,18 +152,6 @@ class EigenBasis:
         slopes = np.zeros_like(self.radial)
         slopes[:, :-1] = np.diff(self.radial, axis=1) / np.diff(nodes)
         return nodes, slopes
-
-
-def _sphere_values(k, m, pts):
-    # theta and phi as the scalar formulas take them, point by point: the
-    # vectorized acos/cos may differ from math's in the last bit
-    alpha = np.array([math.cos(math.acos(max(-1.0, min(1.0, z)))) for z in pts[:, 2].tolist()])
-    phi = np.array([math.atan2(y, x) for x, y in pts[:, :2].tolist()])
-    pbar = np.empty((len(k), len(pts)))
-    for mm in np.unique(m).tolist():
-        at = m == mm
-        pbar[at] = specfun.assoc_ladder(mm, k[at].max(), alpha)[k[at] - abs(mm)]
-    return pbar * np.exp(1j * np.multiply.outer(m, phi))
 
 
 def _sorted_basis(manifold, eigenvalues, m, quantum, lambda_max, radial=None):
@@ -641,12 +624,16 @@ def export_basis(basis, path):
 
 def import_basis(path, profile):
     """The basis export_basis wrote for profile; quantum j numbers each
-    label's rows in file order.  A header that disagrees with the profile,
-    or a row without grid_n values, raises DomainError."""
+    label's rows in file order.  A header that lacks a key or disagrees with
+    the profile, or a row without grid_n numbers, raises DomainError naming
+    the key or the line."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     meta = dict(tok.split("=", 1) for ln in lines if ln.startswith("#")
                 for tok in ln[1:].split() if "=" in tok)
+    for key in ("closed", "length", "grid_n", "lambda_max"):
+        if key not in meta:
+            raise DomainError(f"{path}: header has no {key}=")
     for key, want in (("closed", str(int(profile.closed))), ("length", format_float(profile.length))):
         if meta[key] != want:
             raise DomainError(f"{path}: header {key}={meta[key]} but the profile has {want}")
@@ -657,10 +644,13 @@ def import_basis(path, profile):
         toks = ln.split()  # one row at a time: every row's tokens at once cost megabytes
         if len(toks) != n + 2:
             raise DomainError(f"{path}:{no}: {len(toks) - 2} values, grid_n={n}")
-        lam.append(float(toks[0]))
-        m.append(int(toks[1]))
+        try:
+            lam.append(float(toks[0]))
+            m.append(int(toks[1]))
+            U[i] = [float(t) for t in toks[2:]]
+        except ValueError as err:
+            raise DomainError(f"{path}:{no}: {err}") from None
         j.append(seen.get(m[-1], 0))
         seen[m[-1]] = j[-1] + 1
-        U[i] = [float(t) for t in toks[2:]]
     return _sorted_basis(profile, lam, m, np.column_stack((m, j)),
                          float(meta["lambda_max"]), radial=U)

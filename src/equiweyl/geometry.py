@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .errors import InvalidPointError, SingularProfileError, StratumContributionWarning
 from .util import gauss_nodes, pairwise_sum
 
@@ -19,10 +20,10 @@ _POLE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # manifolds
 #
-# Each class carries its own action: private attributes (perfbench/tracer.py
-# wraps public methods) answer every question that depends on it for the
-# module functions below, spectral's group averages, EigenBasis's labels and
-# weylcoef's global coefficient.
+# Each class carries its action and closed forms: private attributes
+# (perfbench's tracer wraps public methods) answer every question that
+# depends on the manifold.  _meridian(n) is a quadrature of the orbit space:
+# nodes, weights times the orbit length, the two ends, the map to points.
 
 _TWO_PI = 2.0 * math.pi
 _E3 = np.array([0.0, 0.0, 1.0])
@@ -55,6 +56,16 @@ class _FlatTorus:
         # x, so its integral over the unit-area torus is its value
         return local([0.5, 0.5])
 
+    def _eigenfunctions(self, quantum, pts):
+        t = quantum[:, :1] * pts[:, 0] + quantum[:, 1:] * pts[:, 1]
+        return np.exp(1j * (_TWO_PI * t))
+
+    def _meridian(self, n):
+        # every mode is one exponential, |e| constant along x1: x2 at n equal
+        # weights covers the unit area
+        return (np.arange(n) / n, np.full(n, 1.0 / n), (0.0, 1.0),
+                lambda t: np.column_stack((np.zeros_like(t), t)))
+
 
 @dataclass(frozen=True)
 class RoundSphere2(_Rotation):
@@ -62,8 +73,6 @@ class RoundSphere2(_Rotation):
 
     Points and covectors are ambient 3-vectors with <x, xi> = 0 (metric
     duality)."""
-
-    kind = "sphere"
 
     def _check_covector(self, x, xi):
         sphere_colatitude(x)  # raises off the unit sphere
@@ -120,13 +129,30 @@ class RoundSphere2(_Rotation):
             )
         return refined
 
+    def _eigenfunctions(self, quantum, pts):
+        # theta and phi as the scalar formulas take them, point by point: the
+        # vectorized acos/cos may differ from math's in the last bit
+        k, m = quantum[:, 0], quantum[:, 1]
+        alpha = np.array([math.cos(math.acos(max(-1.0, min(1.0, z)))) for z in pts[:, 2].tolist()])
+        phi = np.array([math.atan2(y, x) for x, y in pts[:, :2].tolist()])
+        pbar = np.empty((len(k), len(pts)))
+        for mm in np.unique(m).tolist():
+            at = m == mm
+            pbar[at] = specfun.assoc_ladder(mm, k[at].max(), alpha)[k[at] - abs(mm)]
+        return pbar * np.exp(1j * np.multiply.outer(m, phi))
+
+    def _meridian(self, n):
+        # Gauss in cos(theta), which never lands on the poles (the ends); the
+        # azimuth's 2 pi folded into the weights
+        alpha, w = gauss_nodes(n)
+        return (alpha, _TWO_PI * w, (-1.0, 1.0),
+                lambda a: np.column_stack((np.sqrt(1.0 - a * a), np.zeros_like(a), a)))
+
 
 @dataclass(frozen=True)
 class FlatTorus2(_FlatTorus):
     """R^2/Z^2 (unit square), circle acting by translation in x1; the group
     parameter is the shift t in [0, 1)."""
-
-    kind = "torus"
 
     def _orbit(self, x):
         return OrbitData(1, "trivial", math.inf, 1.0)
@@ -272,6 +298,17 @@ class SurfaceOfRevolution(_Rotation):
         vals = [2.0 * math.pi * float(self.r(s)) * ws * local([s, 0.0])
                 for s, ws in zip(s_nodes, w_s)]
         return float(pairwise_sum(np.array(vals)))
+
+    def _meridian(self, n):
+        # the meridian trapezoid, orbit length 2 pi r(s) folded in: a closed
+        # profile takes n steps of L/n, an open one halves its end weights
+        L = self.length
+        s = np.linspace(0.0, L, n, endpoint=not self.closed)
+        w = np.full(n, L / n if self.closed else L / (n - 1))
+        if not self.closed:
+            w[[0, -1]] *= 0.5
+        return (s, _TWO_PI * np.asarray(self.r(s), dtype=float) * w, (0.0, L),
+                lambda t: np.column_stack((t, np.zeros_like(t))))
 
 
 def sphere_profile():

@@ -115,10 +115,6 @@ def window_averaged_diag(diag, lam):
     return float(np.mean([diag(lam + j) for j in range(_WINDOWS)]))
 
 
-def default_lambda_grid(lo=1e3, hi=1e6):
-    return geometric_grid(lo, hi)
-
-
 def _series(grid, measured, predicted):
     return [{"grid": float(g), "measured": float(mv), "predicted": float(pv)}
             for g, mv, pv in zip(grid, measured, predicted)]
@@ -131,10 +127,14 @@ def _series(grid, measured, predicted):
 _K_GRID = (100, 141, 200, 283, 400, 566, 800)
 
 
-def run_local_weyl_experiment(manifold, x, m, lambda_grid, tolerance):
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if isinstance(manifold, geometry.RoundSphere2):
-        theta = geometry.sphere_colatitude(x)
+def run_local_weyl_experiment(manifold, m, theta, x, lambda_min, lambda_max, tolerance):
+    """Window-averaged reduced diagonal of the label m against its local
+    leading coefficient, at colatitude theta ("sphere") or x ("torus")."""
+    lambda_grid = geometric_grid(lambda_min, lambda_max)
+    if manifold == "sphere":
+        space, point = geometry.RoundSphere2(), geometry.sphere_point(theta, 0.0)
+        # the colatitude read back from the point: the reports keep their bits
+        theta = geometry.sphere_colatitude(point)
         diag = lambda lam: spectral.sphere_diag_direct(m, theta, lam)
         if min(theta, math.pi - theta) < 1e-9:
             tag = "pole"
@@ -145,19 +145,18 @@ def run_local_weyl_experiment(manifold, x, m, lambda_grid, tolerance):
             # the equator report in a shared out-dir
             tag = f"theta{theta:.3g}"
         name = f"weyl-sphere-{tag}"
-    elif isinstance(manifold, geometry.FlatTorus2):
+    else:
+        space, point = geometry.FlatTorus2(), tuple(x)
         diag = lambda lam: spectral.torus_diag_direct(m, lam)
         # weyl-torus-m{m} would share a file name with the suite's weyl-torus-m3
         name = f"weyl-torus-label{m}"
-    else:
-        raise DomainError("local Weyl sweeps cover the sphere and the flat torus")
-    pred = weylcoef.local_leading_coefficient(manifold, x, m)
+    pred = weylcoef.local_leading_coefficient(space, point, m)
     measured = np.array([window_averaged_diag(diag, lam) for lam in lambda_grid])
     predicted = np.array([pred.evaluate(lam) for lam in lambda_grid])
     series = _series(lambda_grid, measured, predicted)
     params = {
-        "manifold": manifold.kind,
-        "x": [float(v) for v in np.atleast_1d(x)],
+        "manifold": manifold,
+        "x": [float(v) for v in np.atleast_1d(point)],
         "m": m,
         "lambda_min": float(lambda_grid[0]),
         "lambda_max": float(lambda_grid[-1]),
@@ -310,7 +309,7 @@ def run_counting_experiment(manifold, m, lambda_top, tolerance):
             {"count_rule": "sqrt(lambda) - |m|"}, {"max_deviation": 0},
             verdict_from(checks), extra={"max_deviation": float(max(devs))},
         )
-    lambda_grid = default_lambda_grid(lambda_top / 100.0, lambda_top)
+    lambda_grid = geometric_grid(lambda_top / 100.0, lambda_top)
     counts = np.array([spectral.torus_count_direct(m, lam) for lam in lambda_grid])
     pred_coeff = 1.0 / math.pi
     series = _series(lambda_grid, counts, [pred_coeff * math.sqrt(l) for l in lambda_grid])
@@ -684,26 +683,17 @@ class Command:
         return params
 
 
-_MANIFOLDS = {"sphere": geometry.RoundSphere2, "torus": geometry.FlatTorus2}
-
-
 def _on_sphere_else(sphere, torus):
     return lambda params: sphere if params["manifold"] == "sphere" else torus
-
-
-def _weyl(manifold, m, theta, x, lambda_min, lambda_max, tolerance):
-    point = geometry.sphere_point(theta, 0.0) if manifold == "sphere" else tuple(x)
-    return run_local_weyl_experiment(_MANIFOLDS[manifold](), point, m,
-                                     default_lambda_grid(lambda_min, lambda_max), tolerance)
 
 
 _STATPHASE_PRESETS = {"gaussian": run_statphase_gaussian_experiment,
                       "sphere": run_statphase_sphere_experiment}
 
-_MANIFOLD = Param("manifold", "sphere", choices=tuple(_MANIFOLDS))
+_MANIFOLD = Param("manifold", "sphere", choices=("sphere", "torus"))
 
 COMMANDS = {c.name: c for c in (
-    Command("weyl", "local growth of the reduced diagonal", _weyl, (
+    Command("weyl", "local growth of the reduced diagonal", run_local_weyl_experiment, (
         _MANIFOLD,
         Param("m", 0, int, check=_integer),
         Param("theta", math.pi / 2, float, check=_colatitude,

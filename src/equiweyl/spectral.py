@@ -17,15 +17,8 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, EmptyWindowError
 from .eigensolve import EigenBasis, sphere_k_max
-from .geometry import (
-    FlatTorus2,
-    FlatTorus2FiniteCyclic,
-    RoundSphere2,
-    rotate_cotangent,
-)
-from .util import gauss_nodes, pairwise_sum
-
-_TWO_PI = 2.0 * math.pi
+from .geometry import rotate_cotangent
+from .util import pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -185,76 +178,45 @@ def _top_window_mode(rsf, lam):
     return int(rows[np.lexsort((q[:, 1], q[:, 0], lams[rows]))[-1]])
 
 
-def _refined_max(values, evaluate, coarse_grid):
+def _refined_max(size, nodes, ends):
+    # size's largest value on the nodes, a fine grid around the largest, the ends
+    values = size(nodes)
     i = int(np.argmax(values))
-    lo = coarse_grid[max(0, i - 1)]
-    hi = coarse_grid[min(len(coarse_grid) - 1, i + 1)]
-    fine = np.linspace(lo, hi, 4 * 16 + 1)
-    return max(float(np.max(values)), float(np.max(evaluate(fine))))
+    fine = np.linspace(nodes[max(0, i - 1)], nodes[min(len(nodes) - 1, i + 1)], 4 * 16 + 1)
+    return float(max(np.max(values), np.max(size(fine)), np.max(size(np.array(ends)))))
 
 
 def cluster_lp_norm(rsf, lam, p):
     """L^p(M) norm of the top mode in the window (lam, lam+1].
 
-    The meridian grid has max(64, 2 k + 8) nodes, k the degree (sphere) or
-    the ceiling of sqrt(eigenvalue).  p = inf is a refined grid maximum (a
+    One route on every manifold: pairwise_sum(w |e|^p)^(1/p) over the
+    manifold's meridian of max(64, 2 ceil(sqrt(eigenvalue)) + 8) nodes.
+    p = inf is a refined grid maximum, the meridian's ends included (a
     certified lower bound).
 
-    Known bias: on open surface-of-revolution profiles that trapezoid does
-    not follow the basis grid, so zonal (m = 0) modes, which peak at the
-    poles, carry an error that does not fall with grid_n (the L^4 norm of
-    the k = 4, m = 0 mode of sphere_profile() is off the round-sphere value
-    by -2.00e-3, -1.76e-3, -1.70e-3 at grids 200, 400, 800), while m != 0
-    errors fall as h^2.  Mending it moves the sor_query benchmark's lp_norms,
-    which perfbench/reference.json pins to 1e-8, so the fix waits for a
-    benchmark-only change that re-records that reference.
+    Known bias: the meridian trapezoid of an open surface-of-revolution
+    profile does not follow the basis grid, so zonal (m = 0) modes, which
+    peak at the poles, carry an error that does not fall with grid_n (the
+    L^4 norm of the k = 4, m = 0 mode of sphere_profile() is off the
+    round-sphere value by -2.00e-3, -1.76e-3, -1.70e-3 at grids 200, 400,
+    800), while m != 0 errors fall as h^2.  Mending it moves the sor_query
+    benchmark's lp_norms, pinned to 1e-8 by perfbench/reference.json, so it
+    waits for a benchmark-only change that re-records that reference.
     """
     if not (p >= 2):
         raise DomainError("p must lie in [2, inf]")
     basis = rsf.basis
     basis.require(lam + 1.0)
     top = _top_window_mode(rsf, lam)
-    man = basis.manifold
-    if isinstance(man, (FlatTorus2, FlatTorus2FiniteCyclic)):
-        # |exp| = 1 everywhere: every L^p norm is exactly 1 on unit area
-        return 1.0
-
-    if isinstance(man, RoundSphere2):
-        k, m = basis.quantum[top].tolist()
-        n_pol = max(64, 2 * k + 8)
-        nodes, weights = gauss_nodes(n_pol)
-        pbar = specfun.assoc_ladder(m, k, nodes)[-1] if k >= abs(m) else np.zeros(n_pol)
-        if math.isinf(p):
-            def ev(alpha_grid):
-                return np.abs(specfun.assoc_ladder(m, k, alpha_grid)[-1])
-
-            best = _refined_max(np.abs(pbar), ev, nodes)
-            for pole in (-1.0, 1.0):  # grid never contains the poles
-                best = max(best, abs(float(specfun.assoc_ladder(m, k, np.array([pole]))[-1][0])))
-            return best
-        # |Y|^p is azimuth-independent; the azimuth factor of the product
-        # rule sums to 2 pi exactly
-        integral = _TWO_PI * float(weights @ np.abs(pbar) ** p)
-        return integral ** (1.0 / p)
-
-    # surface of revolution
     mu = math.sqrt(max(float(basis.eigenvalues[top]), 0.0))
-    n_pol = max(64, 2 * int(math.ceil(mu)) + 8)
-    L = man.length
-    s = np.linspace(0.0, L, n_pol, endpoint=not man.closed)
+    nodes, weights, ends, to_points = basis.manifold._meridian(max(64, 2 * math.ceil(mu) + 8))
 
-    def ev(sg):
-        return np.abs(basis.evaluate(np.column_stack((sg, np.zeros_like(sg))), top)[0])
+    def size(t):
+        return np.abs(basis.evaluate(to_points(t), top)[0])
 
-    u = ev(s)
-    r = np.asarray(man.r(s), dtype=float)
     if math.isinf(p):
-        return _refined_max(u, ev, s)
-    if man.closed:
-        integral = _TWO_PI * float(np.sum(u**p * r)) * (L / n_pol)
-    else:
-        integral = _TWO_PI * float(np.trapezoid(u**p * r, s))
-    return integral ** (1.0 / p)
+        return _refined_max(size, nodes, ends)
+    return float(pairwise_sum(weights * size(nodes) ** p)) ** (1.0 / p)
 
 
 def exponent_delta(n, kappa, q):

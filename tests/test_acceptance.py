@@ -59,11 +59,10 @@ def test_harmonic_sum_rule():
 
 def test_torus_local_growth_coefficient():
     t0 = time.perf_counter()
-    grid = lab.default_lambda_grid()
     worst = 0.0
     for m in (0, 3, 10):
         rep = lab.run_local_weyl_experiment(
-            geometry.FlatTorus2(), (0.25, 0.35), m, grid, tolerance=0.01)
+            "torus", m, math.pi / 2, (0.25, 0.35), 1e3, 1e6, tolerance=0.01)
         worst = max(worst, abs(rep["ratio_at_top"] - 1.0))
         assert rep["verdict"] == "pass"
     elapsed = time.perf_counter() - t0

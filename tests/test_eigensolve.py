@@ -153,10 +153,18 @@ def test_import_checks_the_file_against_the_profile(tmp_path):
     with pytest.raises(DomainError, match="length"):
         eigensolve.import_basis(path, geometry.torus_profile(a=0.6))
     lines = path.read_text().splitlines()
-    lines[3] = lines[3].rsplit(" ", 1)[0]  # the first mode loses its last value
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DomainError, match=r"basis\.txt:4: 199 values, grid_n=200"):
-        eigensolve.import_basis(path, geometry.torus_profile())
+    bad = {
+        "header has no closed=": (1, lines[1].replace(" closed=1", "")),
+        "header has no lambda_max=": (1, lines[1].split(" lambda_max=")[0]),
+        r"basis\.txt:5: could not convert string to float: 'abc'":
+            (4, lines[4].rsplit(" ", 1)[0] + " abc"),
+        r"basis\.txt:4: 199 values, grid_n=200":  # the first mode loses its last value
+            (3, lines[3].rsplit(" ", 1)[0]),
+    }
+    for message, (i, line) in bad.items():
+        path.write_text("\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n")
+        with pytest.raises(DomainError, match=message):
+            eigensolve.import_basis(path, geometry.torus_profile())
 
 
 def test_sphere_k_max():

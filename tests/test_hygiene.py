@@ -12,14 +12,14 @@ the package, ``scripts/``, ``perfbench/`` or the tests to something other
 than the literal it already is: a setting with one value in use is a
 constant.  A statphase domain owns its chart, measure and quadrature, so
 the package asks which domain it holds in one place only:
-``StationaryPhaseProblem.__init__``.  A manifold owns its group action, so
-the package asks which manifold it holds only where a function picks a
-closed-form route for a basis: ``EigenBasis.evaluate``, ``cluster_lp_norm``
-and ``run_local_weyl_experiment``.  The basis-backed reduced diagonal and
-count read the basis on every manifold; they never dispatch to the closed
-forms they are tested against.  Inside the package an isotypic label is an
-int; the ``IsotypicLabel`` that a per-mode view returns lives in
-``eigensolve`` beside that view, and no other module names it.
+``StationaryPhaseProblem.__init__``.  A manifold owns its group action and
+its closed forms (analytic modes, the meridian of its L^p norms), so
+nothing in the package asks which manifold it holds.  The basis-backed
+reduced diagonal and count read the basis on every manifold; they never
+dispatch to the closed forms they are tested against.  Inside the package
+an isotypic label is an int; the ``IsotypicLabel`` that a per-mode view
+returns lives in ``eigensolve`` beside that view, and no other module
+names it.
 ``statphase`` streams every quadrature grid in blocks of ``_BLOCK`` nodes,
 its one quadrature size constant: no ``_CHUNK`` slab and no second size
 literal.
@@ -49,18 +49,8 @@ UNREFERENCED_OK = {
 }
 
 STATPHASE_DOMAINS = {"BoxDomain", "SphereDomain", "SphereCircleDomain"}
-MANIFOLDS = {"RoundSphere2", "FlatTorus2", "FlatTorus2FiniteCyclic", "SurfaceOfRevolution"}
-
-# the functions that may ask which manifold a basis lives on, each with the
-# closed-form oracle it picks
-MANIFOLD_ORACLE_CHOICES = {
-    "EigenBasis.evaluate": "Legendre ladders on the sphere, exponentials on the torus, "
-                           "node interpolation on profiles",
-    "cluster_lp_norm": "Gauss-Legendre on the sphere, exactly 1 on the torus, a "
-                       "meridian trapezoid on profiles",
-    "run_local_weyl_experiment": "the sweep's closed-form diagonal and report name "
-                                 "exist on the sphere and the flat torus only",
-}
+MANIFOLDS = {"RoundSphere2", "FlatTorus2", "FlatTorus2FiniteCyclic", "SurfaceOfRevolution",
+             "_Rotation", "_FlatTorus"}
 
 
 def _tree(path):
@@ -268,10 +258,8 @@ def test_only_the_problem_init_dispatches_on_the_domain():
     assert found == []
 
 
-def test_only_oracle_choices_dispatch_on_the_manifold():
-    found = [site for scope, site in _isinstance_sites(MANIFOLDS)
-             if scope not in MANIFOLD_ORACLE_CHOICES]
-    assert found == []
+def test_nothing_dispatches_on_the_manifold():
+    assert [site for _, site in _isinstance_sites(MANIFOLDS)] == []
 
 
 def test_only_eigensolve_names_the_label_view():

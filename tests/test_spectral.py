@@ -263,11 +263,34 @@ def test_cluster_l4_norm_sphere_profile():
         assert got == pytest.approx(_legendre_lp_norm(k, m, 4.0), rel=3e-3)
 
 
+def test_cluster_lp_norm_closed_profile():
+    # the closed meridian's L/n steps against sums over the basis's own cell
+    # centers, which are not the meridian nodes: L^2 and L^4 agree to the
+    # interpolation error.  Each label's highest mode whose unit window fits
+    # the basis peaks at s = 0 or L/2, a meridian node midway between two
+    # equal cell values, so the maximum agrees to rounding
+    prof = geometry.torus_profile()
+    sor = eigensolve.surface_of_revolution_basis(prof, 12, 4, 400)
+    n = sor.radial.shape[1] - 2
+    h = prof.length / n
+    r = prof.r((np.arange(n) + 0.5) * h)
+    for m in (0, 2, -3, 7):
+        top = int(sor.label_rows(m, sor.lambda_max - 0.5)[-1])
+        lam = float(sor.eigenvalues[top]) - 0.5
+        u = np.abs(sor.radial[top, 1:-1])
+        rsf = spectral.ReducedSpectralFunction(sor, m)
+        assert abs(spectral.cluster_lp_norm(rsf, lam, 2.0) - 1.0) <= 1e-4
+        l4 = (2.0 * math.pi * h * float(np.sum(u ** 4 * r))) ** 0.25
+        assert abs(spectral.cluster_lp_norm(rsf, lam, 4.0) - l4) <= 1e-4
+        assert abs(spectral.cluster_lp_norm(rsf, lam, math.inf) - float(np.max(u))) <= 1e-12
+
+
 def test_cluster_lp_norm_torus(torus500):
-    rsf = spectral.ReducedSpectralFunction(torus500, 1)
     lam = 4 * math.pi ** 2 - 0.5
-    assert spectral.cluster_lp_norm(rsf, lam, math.inf) == pytest.approx(1.0, rel=1e-9)
-    assert spectral.cluster_lp_norm(rsf, lam, 2.0) == pytest.approx(1.0, rel=1e-9)
+    for basis in (torus500, eigensolve.torus_basis(500.0, order=3)):
+        rsf = spectral.ReducedSpectralFunction(basis, 1)
+        assert spectral.cluster_lp_norm(rsf, lam, math.inf) == pytest.approx(1.0, rel=1e-9)
+        assert spectral.cluster_lp_norm(rsf, lam, 2.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_exponent_delta_pins():
