@@ -32,7 +32,7 @@ from .errors import (
     TruncationError,
 )
 from .geometry import FlatTorus2, FlatTorus2FiniteCyclic, RoundSphere2
-from .util import format_float
+from .util import _FLOAT_FORMAT, format_float
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,6 @@ class IsotypicLabel:
     """Circle-action Fourier index m, or residue mod N in the cyclic case."""
 
     m: int
-    modulus: int | None = None
-
-    def __post_init__(self):
-        if self.modulus is not None and not (0 <= self.m < self.modulus):
-            raise ValueError("residue label must satisfy 0 <= m < modulus")
 
 
 @dataclass(frozen=True)
@@ -55,15 +50,11 @@ class EigenMode:
     index: int
 
     eigenvalue = property(lambda self: float(self.basis.eigenvalues[self.index]))
-    label = property(lambda self: IsotypicLabel(
-        int(self.basis.m[self.index]), modulus=self.basis.manifold._group_order or None))
+    label = property(lambda self: IsotypicLabel(int(self.basis.m[self.index])))
     quantum = property(lambda self: tuple(self.basis.quantum[self.index].tolist()))
 
     def evaluator(self, x):
         return complex(self.basis.evaluate(x, self.index)[0, 0])
-
-    def density(self, x):
-        return abs(self.evaluator(x)) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -608,25 +599,20 @@ def export_basis(basis, path):
     if basis.radial is None:
         raise DomainError("text export is defined for discrete bases only")
     profile = basis.manifold
-    lines = [
-        "# radial eigenbasis, text format v1",
-        f"# profile={profile.name} closed={int(profile.closed)} "
-        f"length={format_float(profile.length)} grid_n={basis.radial.shape[1] - 2} "
-        f"lambda_max={format_float(basis.lambda_max)}",
-        "# line format: eigenvalue label u(s_1) ... u(s_n); s_i = (i-1/2) length/n",
-    ]
-    for lam, m, u in zip(basis.eigenvalues.tolist(), basis.m.tolist(), basis.radial[:, 1:-1]):
-        vals = " ".join(format_float(v) for v in u.tolist())
-        lines.append(f"{format_float(lam)} {m} {vals}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    n = basis.radial.shape[1] - 2
+    header = (f"radial eigenbasis, text format v1\nprofile={profile.name} "
+              f"closed={int(profile.closed)} length={format_float(profile.length)} grid_n={n} "
+              f"lambda_max={format_float(basis.lambda_max)}\n"
+              "line format: eigenvalue label u(s_1) ... u(s_n); s_i = (i-1/2) length/n")
+    rows = np.column_stack((basis.eigenvalues, basis.m, basis.radial[:, 1:-1]))
+    np.savetxt(path, rows, fmt=[_FLOAT_FORMAT, "%d"] + [_FLOAT_FORMAT] * n, header=header)
 
 
 def import_basis(path, profile):
     """The basis export_basis wrote for profile; quantum j numbers each
-    label's rows in file order.  A header that lacks a key or disagrees with
-    the profile, or a row without grid_n numbers, raises DomainError naming
-    the key or the line."""
+    label's rows in file order.  A header that lacks a key, holds a
+    malformed number or disagrees with the profile, or a row without grid_n
+    numbers, raises DomainError naming the key or the line."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     meta = dict(tok.split("=", 1) for ln in lines if ln.startswith("#")
@@ -637,8 +623,19 @@ def import_basis(path, profile):
     for key, want in (("closed", str(int(profile.closed))), ("length", format_float(profile.length))):
         if meta[key] != want:
             raise DomainError(f"{path}: header {key}={meta[key]} but the profile has {want}")
+    try:
+        n = int(meta["grid_n"])
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise DomainError(f"{path}: header grid_n={meta['grid_n']} is not a positive integer")
+    try:
+        lambda_max = float(meta["lambda_max"])
+    except ValueError:
+        lambda_max = math.nan
+    if not math.isfinite(lambda_max):  # a nan cut-off would pass every truncation check
+        raise DomainError(f"{path}: header lambda_max={meta['lambda_max']} is not a finite number")
     body = [(no, ln) for no, ln in enumerate(lines, 1) if ln.strip() and not ln.startswith("#")]
-    n = int(meta["grid_n"])
     lam, m, j, U, seen = [], [], [], np.empty((len(body), n)), {}
     for i, (no, ln) in enumerate(body):
         toks = ln.split()  # one row at a time: every row's tokens at once cost megabytes
@@ -647,10 +644,9 @@ def import_basis(path, profile):
         try:
             lam.append(float(toks[0]))
             m.append(int(toks[1]))
-            U[i] = [float(t) for t in toks[2:]]
+            U[i] = toks[2:]  # numpy parses as float() does, message included
         except ValueError as err:
             raise DomainError(f"{path}:{no}: {err}") from None
         j.append(seen.get(m[-1], 0))
         seen[m[-1]] = j[-1] + 1
-    return _sorted_basis(profile, lam, m, np.column_stack((m, j)),
-                         float(meta["lambda_max"]), radial=U)
+    return _sorted_basis(profile, lam, m, np.column_stack((m, j)), lambda_max, radial=U)

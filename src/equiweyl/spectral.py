@@ -168,14 +168,13 @@ def kuznecov_sum_by_rotation(basis, x, lam):
 
 
 def _top_window_mode(rsf, lam):
-    """Index of the mode with the largest (eigenvalue, quantum) in the window."""
+    """Index of the mode with the largest (eigenvalue, quantum) in the window:
+    its last row, as a label's rows keep the basis's (eigenvalue, quantum) order."""
     basis = rsf.basis
-    lams = basis.eigenvalues
     rows = basis.label_rows(rsf.label, lam + 1.0)[len(basis.label_rows(rsf.label, lam)):]
     if not rows.size:
         raise EmptyWindowError(f"no modes with label {rsf.label} in ({lam}, {lam + 1}]")
-    q = basis.quantum[rows]
-    return int(rows[np.lexsort((q[:, 1], q[:, 0], lams[rows]))[-1]])
+    return int(rows[-1])
 
 
 def _refined_max(size, nodes, ends):

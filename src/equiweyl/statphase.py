@@ -607,30 +607,26 @@ def _dedup(E, radius=1e-6):
 
 
 def _group_components(E):
-    link = 0.35
-    n = len(E)
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    block = 256
+    """Components of the graph that links points closer than 0.35, each an
+    ascending index list, in the order of their smallest index.  Each point
+    takes its neighbours' least label, then that label's label, until no
+    label changes: it ends labelled by its component's smallest index.  The
+    neighbour matrix is built from its upper triangle, 256 rows at a time."""
+    n, block = len(E), 256
+    near = np.empty((n, n), dtype=bool)
     for start in range(0, n, block):
         rows = E[start : start + block]
-        d = np.linalg.norm(rows[:, None, :] - E[None, start:, :], axis=2)
-        ii, jj = np.nonzero(d < link)
-        for i, j in zip(ii + start, jj + start):
-            if i < j:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+        near[start : start + block, start:] = (
+            np.linalg.norm(rows[:, None, :] - E[None, start:, :], axis=2) < 0.35)
+        near[start:, start : start + block] = near[start : start + block, start:].T
+    label, last = np.arange(n), None
+    while not np.array_equal(label, last):
+        last = label
+        low = np.concatenate([np.where(near[start : start + block], last, n).min(axis=1)
+                              for start in range(0, n, block)])
+        label = low[low]
+    order = np.argsort(label, kind="stable")
+    return [c.tolist() for c in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
 
 
 def classify_pair(x, y):

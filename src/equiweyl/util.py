@@ -82,9 +82,12 @@ def get_thread_count(explicit=None):
     return value
 
 
+_FLOAT_FORMAT = "%.17g"  # the package-wide numeric text: doubles read back bit for bit
+
+
 def format_float(x):
-    """17 significant digits, the package-wide numeric text format."""
-    return f"{float(x):.17g}"
+    """x in the package-wide numeric text format, 17 significant digits."""
+    return _FLOAT_FORMAT % float(x)
 
 
 def _json_scalar(x):

@@ -12,22 +12,19 @@ from equiweyl.errors import ConvergenceError, DomainError
 def test_sphere_basis_census():
     b = eigensolve.sphere_basis(200.0)
     # k(k+1) <= 200 -> k <= 13, so (13+1)^2 modes
-    assert len(b.modes) == 196
+    assert len(b.eigenvalues) == 196
     assert b.lambda_max == 200.0
-    lams = [md.eigenvalue for md in b.modes]
-    assert lams == sorted(lams)
-    ms = {md.label.m for md in b.modes}
-    assert ms == set(range(-13, 14))
+    assert np.all(np.diff(b.eigenvalues) >= 0)
+    assert set(b.m.tolist()) == set(range(-13, 14))
 
 
 def test_sphere_mode_evaluator_matches_specfun():
     b = eigensolve.sphere_basis(30.0)
-    x = geometry.sphere_point(0.8, 1.9)
-    for md in b.modes:
-        k, m = md.quantum
+    got = b.evaluate(geometry.sphere_point(0.8, 1.9))[:, 0]
+    for value, (k, m) in zip(got, b.quantum.tolist()):
         want = specfun.spherical_harmonic(k, m, 0.8, 1.9).value
-        assert md.evaluator(x) == pytest.approx(want, rel=1e-11, abs=1e-13)
-        assert md.density(x) == pytest.approx(abs(want) ** 2, rel=1e-10, abs=1e-13)
+        assert value == pytest.approx(want, rel=1e-11, abs=1e-13)
+        assert abs(value) ** 2 == pytest.approx(abs(want) ** 2, rel=1e-10, abs=1e-13)
 
 
 def test_torus_basis_circle():
@@ -35,20 +32,15 @@ def test_torus_basis_circle():
     # lattice points with 4 pi^2 |k|^2 <= 200, |k|^2 <= 5.066: |k|^2 in {0,1,2,4,5}
     want = sum(1 for k1 in range(-3, 4) for k2 in range(-3, 4)
                if 4 * math.pi ** 2 * (k1 * k1 + k2 * k2) <= 200.0)
-    assert len(b.modes) == want
-    x = (0.3, 0.7)
-    for md in b.modes:
-        assert abs(md.evaluator(x)) == pytest.approx(1.0, abs=1e-14)
+    assert len(b.eigenvalues) == want
+    assert np.abs(b.evaluate((0.3, 0.7))[:, 0]) == pytest.approx(np.ones(want), abs=1e-14)
 
 
 def test_torus_basis_cyclic_labels():
     b = eigensolve.torus_basis(300.0, order=3)
     assert b.manifold == geometry.FlatTorus2FiniteCyclic(3)
-    for md in b.modes:
-        k1, _ = md.quantum
-        assert md.label.m == k1 % 3
-        assert md.label.modulus == 3
-    assert len(b.modes) == len(eigensolve.torus_basis(300.0).modes)
+    assert np.array_equal(b.m, b.quantum[:, 0] % 3)
+    assert len(b.eigenvalues) == len(eigensolve.torus_basis(300.0).eigenvalues)
     with pytest.raises(ValueError):
         eigensolve.torus_basis(100.0, order=-1)
 
@@ -70,23 +62,18 @@ def test_torus_basis_holds_the_modes_at_its_lambda_max(order):
 def test_sor_eigenvalues_match_sphere():
     prof = geometry.sphere_profile()
     b = eigensolve.surface_of_revolution_basis(prof, 2, 8, 1000)
-    worst = 0.0
-    for md in b.modes:
-        m, j = md.quantum
-        k = abs(m) + j
-        exact = k * (k + 1.0)
-        if exact == 0.0:
-            assert abs(md.eigenvalue) <= 1e-9
-            continue
-        worst = max(worst, abs(md.eigenvalue - exact) / exact)
-    assert worst <= 2e-3
+    k = np.abs(b.quantum[:, 0]) + b.quantum[:, 1]
+    exact = k * (k + 1.0)
+    assert np.all(np.abs(b.eigenvalues[exact == 0.0]) <= 1e-9)
+    rel = np.abs(b.eigenvalues - exact)[exact > 0.0] / exact[exact > 0.0]
+    assert np.max(rel) <= 2e-3
 
 
 def test_sor_degenerate_pairs():
     # +m and -m share the radial problem exactly
     prof = geometry.sphere_profile()
     b = eigensolve.surface_of_revolution_basis(prof, 2, 5, 600)
-    by_quantum = {md.quantum: md.eigenvalue for md in b.modes}
+    by_quantum = dict(zip(map(tuple, b.quantum.tolist()), b.eigenvalues.tolist()))
     for (m, j), lam in by_quantum.items():
         if m > 0:
             assert lam == by_quantum[(-m, j)]
@@ -98,7 +85,7 @@ def test_sor_grid_convergence_monotone():
     lams = []
     for grid in (250, 500, 1000):
         b = eigensolve.surface_of_revolution_basis(prof, 0, 4, grid)
-        lams.append([md.eigenvalue for md in b.modes])
+        lams.append(b.eigenvalues)
     lams = np.array(lams)
     exact = np.array([k * (k + 1.0) for k in range(4)])
     errs = np.abs(lams - exact[None, :])
@@ -111,7 +98,7 @@ def test_sor_grid_convergence_monotone():
 def test_torus_profile_basis_smoke():
     prof = geometry.torus_profile()
     b = eigensolve.surface_of_revolution_basis(prof, 1, 4, 600)
-    lams = [md.eigenvalue for md in b.modes]
+    lams = b.eigenvalues.tolist()
     assert lams == sorted(lams)
     assert lams[0] == pytest.approx(0.0, abs=1e-9)
     assert all(l >= -1e-9 for l in lams)
@@ -121,8 +108,7 @@ def test_sor_determinism():
     prof = geometry.sphere_profile()
     a = eigensolve.surface_of_revolution_basis(prof, 1, 4, 400)
     b = eigensolve.surface_of_revolution_basis(prof, 1, 4, 400)
-    for ma, mb in zip(a.modes, b.modes):
-        assert ma.eigenvalue == mb.eigenvalue
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
 def test_export_import_roundtrip(tmp_path):
@@ -131,13 +117,9 @@ def test_export_import_roundtrip(tmp_path):
     path = tmp_path / "basis.npz"
     eigensolve.export_basis(b, path)
     b2 = eigensolve.import_basis(path, prof)
-    assert len(b2.modes) == len(b.modes)
-    for ma, mb in zip(b.modes, b2.modes):
-        assert ma.eigenvalue == mb.eigenvalue
-        assert ma.label.m == mb.label.m
     x = (1.1, 0.4)
-    for ma, mb in zip(b.modes, b2.modes):
-        assert ma.density(x) == pytest.approx(mb.density(x), rel=1e-12, abs=1e-15)
+    assert np.abs(b2.evaluate(x)) ** 2 == pytest.approx(np.abs(b.evaluate(x)) ** 2,
+                                                         rel=1e-12, abs=1e-15)
     # every array comes back as built, quantum (m, j) included
     for name in ("eigenvalues", "m", "quantum", "radial"):
         assert np.array_equal(getattr(b2, name), getattr(b, name)), name
@@ -160,6 +142,14 @@ def test_import_checks_the_file_against_the_profile(tmp_path):
             (4, lines[4].rsplit(" ", 1)[0] + " abc"),
         r"basis\.txt:4: 199 values, grid_n=200":  # the first mode loses its last value
             (3, lines[3].rsplit(" ", 1)[0]),
+        r"basis\.txt: header grid_n=2OO is not a positive integer":
+            (1, lines[1].replace("grid_n=200", "grid_n=2OO")),
+        r"basis\.txt: header grid_n=-3 is not a positive integer":
+            (1, lines[1].replace("grid_n=200", "grid_n=-3")),
+        r"basis\.txt: header lambda_max=x1\.5 is not a finite number":
+            (1, lines[1].split(" lambda_max=")[0] + " lambda_max=x1.5"),
+        r"basis\.txt: header lambda_max=nan is not a finite number":
+            (1, lines[1].split(" lambda_max=")[0] + " lambda_max=nan"),
     }
     for message, (i, line) in bad.items():
         path.write_text("\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n")
@@ -303,7 +293,7 @@ def test_closed_profile_with_vanishing_pivot():
     Schur pivot, nudged it to 1e-290 and overflowed."""
     prof = geometry.torus_profile(2.3401442037428994, 1.0)
     b = eigensolve.surface_of_revolution_basis(prof, 1, 32, 600)
-    lams = [md.eigenvalue for md in b.modes]
+    lams = b.eigenvalues.tolist()
     assert len(lams) == 96
     assert lams == sorted(lams)
 
@@ -390,13 +380,12 @@ def test_batched_evaluator_matches_scalar_formulas(case, tmp_path):
     basis, pts, formula = _CASES[case](tmp_path)
     got = basis.evaluate(np.array(pts))
     n = len(basis.eigenvalues)
-    assert got.shape == (n, len(pts)) == (len(basis.modes), len(pts))
+    assert got.shape == (n, len(pts))
     want = np.array([[formula(basis, i, x) for x in pts] for i in range(n)])
     assert np.array_equal(got, want)
-    # a subset of modes at one point, and the per-mode views, read the same values
+    # a subset of modes at one point reads the same values
     rows = np.arange(0, n, 3)
     assert np.array_equal(basis.evaluate(pts[1], rows)[:, 0], want[rows, 1])
-    assert all(md.evaluator(pts[1]) == want[i, 1] for i, md in enumerate(basis.modes))
 
 
 def test_export_import_export_is_byte_identical(tmp_path):
@@ -407,3 +396,40 @@ def test_export_import_export_is_byte_identical(tmp_path):
     eigensolve.export_basis(b2, tmp_path / "b.txt")
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
     assert np.array_equal(b2.radial, b.radial) and np.array_equal(b2.eigenvalues, b.eigenvalues)
+
+
+def test_export_matches_the_per_value_writer(tmp_path):
+    """export_basis writes, byte for byte, what one format call per value wrote."""
+    for prof in (geometry.sphere_profile(), geometry.torus_profile()):
+        b = eigensolve.surface_of_revolution_basis(prof, 2, 3, 150)
+        radial = b.radial[:, 1:-1]
+        lines = [
+            "# radial eigenbasis, text format v1",
+            f"# profile={prof.name} closed={int(prof.closed)} length={prof.length:.17g} "
+            f"grid_n={radial.shape[1]} lambda_max={b.lambda_max:.17g}",
+            "# line format: eigenvalue label u(s_1) ... u(s_n); s_i = (i-1/2) length/n",
+        ]
+        for lam, m, u in zip(b.eigenvalues.tolist(), b.m.tolist(), radial):
+            lines.append(f"{lam:.17g} {m} " + " ".join(f"{v:.17g}" for v in u.tolist()))
+        eigensolve.export_basis(b, tmp_path / "basis.txt")
+        assert (tmp_path / "basis.txt").read_text() == "\n".join(lines) + "\n"
+
+
+def test_mode_views_serve_the_benchmark(tmp_path):
+    """The per-mode views, exactly as the benchmark reads them: basis.modes,
+    and each view's evaluator, eigenvalue, label.m, quantum and label
+    equality, all read off the basis arrays.  No other test reads a view."""
+    prof = geometry.torus_profile()
+    b = eigensolve.surface_of_revolution_basis(prof, 2, 3, 200)
+    eigensolve.export_basis(b, tmp_path / "basis.txt")
+    again = eigensolve.import_basis(tmp_path / "basis.txt", prof)
+    x = (1.1, 0.4)
+    modes = b.modes
+    assert len(modes) == len(b.eigenvalues)
+    for i, (md, other) in enumerate(zip(modes, again.modes)):
+        assert md.evaluator(x) == b.evaluate(x, i)[0, 0]
+        assert md.eigenvalue == float(b.eigenvalues[i])
+        assert md.label.m == int(b.m[i])
+        assert md.quantum == tuple(b.quantum[i].tolist())
+        assert md.label == other.label
+        assert (md.label == modes[0].label) == (b.m[i] == b.m[0])

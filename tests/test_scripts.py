@@ -1,7 +1,10 @@
-"""Smoke runs of the sweeps in scripts/, which import the package as users do."""
+"""Smoke runs of the scripts in scripts/, which import the package as users do."""
 import importlib.util
+import json
 import math
 from pathlib import Path
+
+from equiweyl import lab
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,3 +23,22 @@ def test_colatitude_sweep_writes_its_csv(capsys):
     assert len(rows) == 25
     cells = [[float(c) for c in row.split(",")] for row in rows]
     assert all(len(row) == 4 and all(math.isfinite(c) for c in row) for row in cells)
+
+
+def test_golden_reports_rewrites_the_golden_files(tmp_path, capsys):
+    module = _load("golden_reports")
+    source, target = tmp_path / "reports", tmp_path / "golden"
+    report = {"experiment": "demo", "timestamp": "1970-01-01T00:00:00Z", "params": {"a": 0.1},
+              "series": [{"grid": 1, "measured": 0.5}], "runtime_s": 9.5}
+    lab.write_report(report, source)
+    target.mkdir()
+    (target / "stale.json").write_text("{}\n")
+    assert module.main(["--from", str(source), "--to", str(target)]) == 0
+    assert "2 golden reports" in capsys.readouterr().out
+    assert sorted(p.name for p in target.iterdir()) == ["demo.csv", "demo.json", "manifest.json"]
+    kept = json.loads((target / "demo.json").read_text())
+    assert kept == {"experiment": "demo", "params": {"a": 0.1},
+                    "series": [{"grid": 1, "measured": 0.5}]}
+    assert (target / "demo.csv").read_bytes() == (source / "demo.csv").read_bytes()
+    manifest = json.loads((target / "manifest.json").read_text())
+    assert sorted(manifest) == ["blas", "numpy", "simd_baseline", "simd_found"]

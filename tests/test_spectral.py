@@ -306,3 +306,24 @@ def test_exponent_delta_pins():
 def test_exponent_delta_nonnegative(q):
     for kappa in (0, 1):
         assert spectral.exponent_delta(2, kappa, q) >= 0.0
+
+
+@pytest.mark.parametrize("basis", [
+    eigensolve.sphere_basis(200.0), eigensolve.torus_basis(500.0),
+    eigensolve.torus_basis(500.0, order=3),
+    eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 5, 200)],
+    ids=["sphere", "torus", "torus-cyclic3", "profile"])
+def test_top_window_mode_is_the_lexsort_choice(basis):
+    """A label's last row in the window is the mode with the largest
+    (eigenvalue, quantum): the basis order makes the sort needless."""
+    eig, q = basis.eigenvalues, basis.quantum
+    windows = 0
+    for label in np.unique(basis.m).tolist():
+        rsf = spectral.ReducedSpectralFunction(basis, label)
+        for top in np.unique(eig[basis.m == label]).tolist():
+            for lam in (top - 1.0, top - 0.5):
+                rows = np.flatnonzero((basis.m == label) & (eig > lam) & (eig <= lam + 1.0))
+                want = rows[np.lexsort((q[rows, 1], q[rows, 0], eig[rows]))[-1]]
+                assert spectral._top_window_mode(rsf, lam) == want
+                windows += 1
+    assert windows >= 30

@@ -489,3 +489,34 @@ def test_hybrid_regime_warning():
     mu_grid = np.array([2.0 * 20.0 ** (j / 32.0) for j in range(33)])
     with pytest.warns(RegimeWarning):
         statphase.hybrid_decay_fit(x, y, mu_grid)
+
+
+def test_group_components_links_chains_and_orders_by_first_index():
+    """Two clusters, a chain at spacing 0.34 under the 0.35 link, and a point
+    0.36 past the chain's end, their indices interleaved: each component
+    comes ascending, the components in the order of their smallest index."""
+    chain = [[5.0 + 0.34 * i, 0.0, 0.0, 0.0, 0.0] for i in range(6)]
+    a = [[0.0, 0.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0, 0.0], [0.0, 0.1, 0.0, 0.0, 0.0]]
+    b = [[0.0, 0.0, 0.0, 0.0, 3.0], [0.0, 0.0, 0.0, 0.2, 3.0]]
+    lone = [5.0 + 0.34 * 5 + 0.36, 0.0, 0.0, 0.0, 0.0]
+    E = np.array([chain[3], a[0], chain[0], b[1], chain[5], a[2], lone, chain[1], b[0],
+                  chain[4], a[1], chain[2]])
+    assert statphase._group_components(E) == [[0, 2, 4, 7, 9, 11], [1, 5, 10], [3, 8], [6]]
+    # past one 256-row block, the chain's ends sit in different blocks
+    far = np.tile(E, (30, 1)) + np.repeat(np.arange(30) * 100.0, len(E))[:, None]
+    comps = statphase._group_components(far)
+    assert len(comps) == 4 * 30
+    assert comps[:4] == [[0, 2, 4, 7, 9, 11], [1, 5, 10], [3, 8], [6]]
+    assert comps[-4:] == [[348 + i for i in c] for c in ([0, 2, 4, 7, 9, 11], [1, 5, 10],
+                                                        [3, 8], [6])]
+    # random sets against scipy's connected components of the same links
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = np.random.default_rng(17)
+    for n, half_width in ((40, 0.4), (300, 0.6), (600, 0.7)):  # a mix of component sizes
+        E = rng.uniform(-half_width, half_width, (n, 5))
+        links = np.linalg.norm(E[:, None, :] - E[None, :, :], axis=2) < 0.35
+        _, label = csgraph.connected_components(links, directed=False)
+        want = {}
+        for i, c in enumerate(label.tolist()):
+            want.setdefault(c, []).append(i)
+        assert statphase._group_components(E) == list(want.values())
