@@ -18,6 +18,7 @@ The flux form keeps constants exactly harmonic for m = 0.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from . import specfun
 from .errors import (
     ConvergenceError,
     DomainError,
+    InvalidPointError,
     ResourceLimitError,
     TruncationError,
 )
@@ -78,7 +80,7 @@ class EigenBasis:
     @property
     def grid(self):
         """(cell centers,) for discrete bases, () for analytic ones."""
-        return () if self.radial is None else (tuple(self._interpolation[0][1:-1].tolist()),)
+        return () if self.radial is None else (tuple(self._interpolation[2][1:-1]),)
 
     @property
     def modes(self):
@@ -92,16 +94,20 @@ class EigenBasis:
         key = m % order if order else m
         if key not in self._rows_by_label:
             rows = np.flatnonzero(self.m == key)
-            self._rows_by_label[key] = rows, self.eigenvalues[rows]
+            self._rows_by_label[key] = rows, self.eigenvalues[rows].tolist()
         rows, eigenvalues = self._rows_by_label[key]
-        return rows[: eigenvalues.searchsorted(lam, side="right")]
+        # bisect_right is searchsorted(side="right") on a list, minus a numpy call
+        return rows[: bisect.bisect_right(eigenvalues, lam)]
 
     @functools.cached_property
     def _rows_by_label(self):
-        """Label -> (its rows, their eigenvalues), filled as labels are asked."""
+        """Label -> (its rows, their eigenvalues as a list), filled as labels
+        are asked."""
         return {}
 
     def require(self, lam):
+        if math.isnan(lam):  # nan compares false, so it would pass as every lambda
+            raise DomainError(f"lambda={lam} is not a number")
         if lam > self.lambda_max:
             raise TruncationError(
                 f"query at lambda={lam} exceeds basis truncation {self.lambda_max}"
@@ -113,28 +119,53 @@ class EigenBasis:
         3-vectors on the sphere, (x1, x2) on the torus, (s, phi) on surfaces
         of revolution.  Analytic bases ask the manifold for Pbar_{k,m}(cos
         theta) e^{i m phi} or e^{2 pi i <k, x>}, bit for bit the scalar
-        formulas; discrete ones take np.interp over the nodes times e^{i m phi}."""
+        formulas; discrete ones take np.interp over the nodes times e^{i m phi},
+        and raise InvalidPointError at a non-finite s or phi, or at s outside
+        [0, L] on an open profile (a closed one wraps s)."""
         pts = np.asarray(points, dtype=float)
+        rows = (np.arange(len(self.eigenvalues)) if modes is None
+                else np.asarray(modes, dtype=np.intp).ravel())
+        if self.radial is not None and pts.ndim == 1:
+            return self._evaluate_at(*pts.tolist(), rows)
         pts = pts.reshape(-1, pts.shape[-1])
-        rows = np.arange(len(self.eigenvalues)) if modes is None else np.ravel(modes)
-        rows = rows.astype(np.intp, copy=False)
         q = self.quantum[rows]
         if self.radial is None:
             return self.manifold._eigenfunctions(q, pts)
         # np.interp's formula: slope * (s - nodes[j]) + value[j], nodes[j] <= s
-        prof = self.manifold
-        nodes, slopes = self._interpolation
-        s = pts[:, 0]
-        s = s % prof.length if prof.closed else np.minimum(np.maximum(s, nodes[0]), nodes[-1])
+        nodes, slopes, _ = self._interpolation
+        s, L = pts[:, 0], self.manifold.length
+        s = self._wrap(s, np.all(np.isfinite(pts)), np.all((0.0 <= s) & (s <= L)))
         j = nodes.searchsorted(s, side="right") - 1
         col = rows[:, None]
         radial = slopes[col, j] * (s - nodes[j]) + self.radial[col, j]
         return radial * np.exp(1j * np.multiply.outer(q[:, 0], pts[:, 1]))
 
+    def _evaluate_at(self, s, phi, rows):
+        """evaluate's formula at one point (s, phi), on Python floats: the
+        node interval by bisect, then one column of the rows."""
+        _, slopes, node_list = self._interpolation
+        L = self.manifold.length
+        s = self._wrap(s, math.isfinite(s) and math.isfinite(phi), 0.0 <= s <= L)
+        j = bisect.bisect_right(node_list, s) - 1
+        # a column view, then a 1-D gather: half the cost of [rows, j]
+        radial = slopes[:, j][rows] * (s - node_list[j]) + self.radial[:, j][rows]
+        return (radial * np.exp(1j * (self.quantum[:, 0][rows] * phi)))[:, None]
+
+    def _wrap(self, s, finite, inside):
+        """s wrapped onto a closed profile; InvalidPointError unless the
+        points are finite and, on an open profile, inside [0, L]."""
+        if not finite:
+            raise InvalidPointError("point has a non-finite coordinate")
+        if self.manifold.closed:
+            return s % self.manifold.length
+        if not inside:
+            raise InvalidPointError("s outside the profile range")
+        return s
+
     @functools.cached_property
     def _interpolation(self):
-        """The nodes of radial, and np.interp's slope on each node interval
-        (0 after the last node)."""
+        """The nodes of radial, np.interp's slope on each node interval (0
+        after the last node), and the nodes as a list for bisect."""
         prof, n = self.manifold, self.radial.shape[1] - 2
         h = prof.length / n
         s = (np.arange(n) + 0.5) * h
@@ -142,7 +173,7 @@ class EigenBasis:
         nodes = np.concatenate((ends[0], s, ends[1]))
         slopes = np.zeros_like(self.radial)
         slopes[:, :-1] = np.diff(self.radial, axis=1) / np.diff(nodes)
-        return nodes, slopes
+        return nodes, slopes, nodes.tolist()
 
 
 def _sorted_basis(manifold, eigenvalues, m, quantum, lambda_max, radial=None):

@@ -692,6 +692,10 @@ def critical_set_scan(x, y):
     x = x / np.linalg.norm(x)
     y = y / np.linalg.norm(y)
     classification = classify_pair(x, y)
+    if classification == "degenerate" and np.linalg.norm(x - y) < 1e-12:
+        # R_phi y = x for every phi: every seed would be critical
+        raise DomainError("x = y on the rotation axis: the phase vanishes identically, "
+                          "so every (omega, phi) is critical")
     W, PH = _scan_seeds()
     W, PH, gn = _newton_polish(x, y, W, PH)
     ok = gn <= SCAN_GRAD_TOL

@@ -125,6 +125,12 @@ def test_bad_run_keys_exit_2_before_running(tmp_path, monkeypatch, capsys, keys,
     assert f"config error: {named} must be" in capsys.readouterr().err
 
 
+def test_critscan_on_the_axis_exits_2(capsys):
+    """theta = 0 pairs the pole with itself, where the phase vanishes."""
+    assert cli.main(["critscan", "--theta", "0"]) == 2
+    assert "vanishes identically" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "2.5"])
 def test_bad_thread_variable_exits_2(monkeypatch, capsys, value):
     monkeypatch.setenv("EQUIWEYL_THREADS", value)

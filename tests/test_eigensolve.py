@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equiweyl import eigensolve, geometry, specfun, spectral
-from equiweyl.errors import ConvergenceError, DomainError
+from equiweyl.errors import ConvergenceError, DomainError, InvalidPointError
 
 
 def test_sphere_basis_census():
@@ -386,6 +386,50 @@ def test_batched_evaluator_matches_scalar_formulas(case, tmp_path):
     # a subset of modes at one point reads the same values
     rows = np.arange(0, n, 3)
     assert np.array_equal(basis.evaluate(pts[1], rows)[:, 0], want[rows, 1])
+
+
+@pytest.mark.parametrize("prof", [geometry.sphere_profile(), geometry.torus_profile()],
+                         ids=["open", "closed"])
+def test_one_point_route_is_the_point_array_route(prof):
+    """evaluate at one point (bisect on Python floats) gives, byte for byte,
+    what it gives on a (1, 2) array of that point (searchsorted on arrays)."""
+    b = eigensolve.surface_of_revolution_basis(prof, 2, 5, 200)
+    L, nodes = prof.length, b.grid[0]
+    s_values = [0.0, L, nodes[0], nodes[17], nodes[-1], 0.5 * (nodes[3] + nodes[4]), 1.1]
+    if prof.closed:
+        s_values += [-5e-324, -1e-17, -0.3, math.nextafter(L, math.inf), L + 1e-15, 2 * L + 1.1]
+    phis = [0.0, -0.0, 2.7, -3.9, 1e6, -4e9]
+    m2 = np.flatnonzero(b.m == 2)
+    modes = [None, 0, 7, m2, m2[:0], np.arange(len(b.eigenvalues))[::-5]]
+    for s in s_values:
+        for phi in phis:
+            for rows in modes:
+                one, arr = b.evaluate((s, phi), rows), b.evaluate(np.array([[s, phi]]), rows)
+                assert one.shape == arr.shape and one.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("route", ["one point", "array"])
+def test_points_off_the_profile_raise(route):
+    """A non-finite coordinate raises on every profile, s outside [0, L] on
+    an open one; a closed one wraps s."""
+    def read(basis, s, phi):
+        return basis.evaluate((s, phi) if route == "one point" else [(1.0, 0.0), (s, phi)])
+
+    sphere = eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 2, 4, 200)
+    torus = eigensolve.surface_of_revolution_basis(geometry.torus_profile(), 2, 4, 200)
+    for s, phi in ((-1.0, 0.0), (5.0, 0.0), (-1e-300, 0.0), (math.pi * (1 + 1e-15), 0.0),
+                   (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf)):
+        with pytest.raises(InvalidPointError):
+            read(sphere, s, phi)
+    for s, phi in ((math.nan, 0.0), (1.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(InvalidPointError):
+            read(torus, s, phi)
+    L = torus.manifold.length
+    assert np.array_equal(read(torus, -1.0, 0.4), read(torus, L - 1.0, 0.4))
+    read(sphere, 0.0, 0.4), read(sphere, math.pi, 0.4)  # the ends lie on the profile
+    rsf = spectral.ReducedSpectralFunction(sphere, 0)
+    with pytest.raises(InvalidPointError):
+        spectral.reduced_spectral_diag(rsf, (-1.0, 0.0), 10.0)
 
 
 def test_export_import_export_is_byte_identical(tmp_path):

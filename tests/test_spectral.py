@@ -70,6 +70,49 @@ def test_label_rows_are_the_label_mask_below_lam():
                 assert np.array_equal(basis.label_rows(m, lam), want), (m, lam)
 
 
+def test_label_rows_is_the_searchsorted_prefix():
+    """bisect on the label's eigenvalue list cuts where searchsorted(side=
+    "right") on the array cuts: at every eigenvalue of the basis, one ulp
+    below and one above, for both labels of each exact +-m tie."""
+    sor = eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 4, 200)
+    for basis in (sor, eigensolve.torus_basis(2e3, 3), eigensolve.sphere_basis(30.0)):
+        order = basis.manifold._group_order
+        lams = np.unique(basis.eigenvalues)
+        probes = np.concatenate((lams, np.nextafter(lams, -np.inf), np.nextafter(lams, np.inf)))
+        for m in range(-4, 5):
+            rows = np.flatnonzero(basis.m == (m % order if order else m))
+            eig = basis.eigenvalues[rows]
+            for lam in probes.tolist():
+                want = rows[: eig.searchsorted(lam, side="right")]
+                assert np.array_equal(basis.label_rows(m, lam), want), (m, lam)
+    # the +-m blocks of a profile share their eigenvalues bit for bit
+    for m in (1, 2, 3):
+        tie = sor.eigenvalues[sor.m == m]
+        assert np.array_equal(tie, sor.eigenvalues[sor.m == -m])
+        for lam in tie.tolist():
+            assert len(sor.label_rows(m, lam)) == len(sor.label_rows(-m, lam))
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus", "profile"])
+def test_nan_lambda_is_refused(name):
+    """A nan lambda compares false with every cut-off, so it would sum every
+    mode of the label; every query refuses it instead."""
+    basis, x = {
+        "sphere": lambda: (eigensolve.sphere_basis(30.0), geometry.sphere_point(1.0, 0.3)),
+        "torus": lambda: (eigensolve.torus_basis(500.0), (0.2, 0.9)),
+        "profile": lambda: (eigensolve.surface_of_revolution_basis(
+            geometry.sphere_profile(), 3, 6, 200), (1.0, 0.3)),
+    }[name]()
+    rsf = spectral.ReducedSpectralFunction(basis, 0)
+    for query in (lambda: basis.require(math.nan),
+                  lambda: spectral.counting_function(rsf, math.nan),
+                  lambda: spectral.reduced_spectral_diag(rsf, x, math.nan),
+                  lambda: spectral.cluster_sum(rsf, x, math.nan),
+                  lambda: spectral.kuznecov_sum(basis, x, math.nan)):
+        with pytest.raises(DomainError, match="not a number"):
+            query()
+
+
 def test_counting_function_is_the_closed_form_count(sphere200):
     """The count over the basis's modes against the lattice and ladder
     counts, for every label, at every distinct eigenvalue and at lambda_max."""

@@ -55,6 +55,30 @@ def test_pairwise_sum_edge_cases():
     assert z == pytest.approx(0.0 + 1.5j)
 
 
+_SHORT_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),  # alike magnitudes, where the pairing shows in the bits
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308 / 3, 1.7976931348623157e308]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_SHORT_VALUES, min_size=1, max_size=2 * util._SHORT_SUM))
+def test_short_sums_keep_the_numpy_tree(values):
+    """A short 1-D sum runs the tree on Python floats; it must keep the bits
+    of the numpy tree, which a one-row 2-D input still takes.  Where two NaNs
+    meet, IEEE 754 leaves open whose payload the sum carries, and Python and
+    numpy pick differently: a NaN sum need only be NaN."""
+    a = np.array(values)
+    with np.errstate(all="ignore"):  # inf - inf and overflow warn in numpy only
+        got, want = util.pairwise_sum(a), util.pairwise_sum(a[None, :])[0]
+    assert type(got) is np.float64
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
 def test_pairwise_sum_rows_match_single_sums():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 37))
