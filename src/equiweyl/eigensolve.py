@@ -126,7 +126,7 @@ class EigenBasis:
         rows = (np.arange(len(self.eigenvalues)) if modes is None
                 else np.asarray(modes, dtype=np.intp).ravel())
         if self.radial is not None and pts.ndim == 1:
-            return self._evaluate_at(*pts.tolist(), rows)
+            return self._evaluate_at(*self._check_point(pts.tolist()), rows)
         pts = pts.reshape(-1, pts.shape[-1])
         q = self.quantum[rows]
         if self.radial is None:
@@ -140,12 +140,21 @@ class EigenBasis:
         radial = slopes[col, j] * (s - nodes[j]) + self.radial[col, j]
         return radial * np.exp(1j * np.multiply.outer(q[:, 0], pts[:, 1]))
 
-    def _evaluate_at(self, s, phi, rows):
-        """evaluate's formula at one point (s, phi), on Python floats: the
-        node interval by bisect, then one column of the rows."""
-        _, slopes, node_list = self._interpolation
+    def _check_point(self, x):
+        """evaluate's check of the one point x = (s, phi), in scalar
+        arithmetic and with no evaluation: a discrete basis returns (s, phi),
+        s wrapped on a closed profile, or raises what evaluate raises; an
+        analytic basis, whose evaluate checks no point, returns None."""
+        if self.radial is None:
+            return None
+        s, phi = x
         L = self.manifold.length
-        s = self._wrap(s, math.isfinite(s) and math.isfinite(phi), 0.0 <= s <= L)
+        return self._wrap(s, math.isfinite(s) and math.isfinite(phi), 0.0 <= s <= L), phi
+
+    def _evaluate_at(self, s, phi, rows):
+        """evaluate's formula at one checked point (s, phi), on Python
+        floats: the node interval by bisect, then one column of the rows."""
+        _, slopes, node_list = self._interpolation
         j = bisect.bisect_right(node_list, s) - 1
         # a column view, then a 1-D gather: half the cost of [rows, j]
         radial = slopes[:, j][rows] * (s - node_list[j]) + self.radial[:, j][rows]

@@ -111,8 +111,12 @@ _WINDOWS = 5
 
 
 def window_averaged_diag(diag, lam):
+    """The mean of diag over the unit windows lam + j, j < _WINDOWS: one
+    diag call on every window of every lam (diag takes an array of
+    lambdas); a float for a scalar lam, else one mean per lam."""
     # cluster sums oscillate about the Weyl mean; average a few unit windows
-    return float(np.mean([diag(lam + j) for j in range(_WINDOWS)]))
+    means = np.mean(diag(np.add.outer(lam, np.arange(_WINDOWS))), axis=-1)
+    return float(means) if means.ndim == 0 else means
 
 
 def _series(grid, measured, predicted):
@@ -147,11 +151,11 @@ def run_local_weyl_experiment(manifold, m, theta, x, lambda_min, lambda_max, tol
         name = f"weyl-sphere-{tag}"
     else:
         space, point = geometry.FlatTorus2(), tuple(x)
-        diag = lambda lam: spectral.torus_diag_direct(m, lam)
+        diag = np.vectorize(lambda lam: spectral.torus_diag_direct(m, lam), otypes=[float])
         # weyl-torus-m{m} would share a file name with the suite's weyl-torus-m3
         name = f"weyl-torus-label{m}"
     pred = weylcoef.local_leading_coefficient(space, point, m)
-    measured = np.array([window_averaged_diag(diag, lam) for lam in lambda_grid])
+    measured = window_averaged_diag(diag, lambda_grid)
     predicted = np.array([pred.evaluate(lam) for lam in lambda_grid])
     series = _series(lambda_grid, measured, predicted)
     params = {
@@ -333,8 +337,8 @@ def run_kuznecov_experiment(lambda_top, points, seed):
              for _ in range(points)]
     thetas, xs = [t for t, _ in draws], [geometry.sphere_point(t, phi) for t, phi in draws]
     sums = spectral.kuznecov_sum(basis, np.array(xs), lambda_top).tolist()
-    diags = [spectral.sphere_diag_direct(0, geometry.sphere_colatitude(x), lambda_top)
-             for x in xs]
+    diags = spectral.sphere_diag_direct(
+        0, np.array([geometry.sphere_colatitude(x) for x in xs]), lambda_top).tolist()
     worst = max([0.0] + [abs(ks - d) / max(1.0, abs(d)) for ks, d in zip(sums, diags)])
     series = _series(thetas, sums, diags)
     # equator growth against the closed-form coefficient

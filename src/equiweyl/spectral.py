@@ -40,16 +40,28 @@ class ClusterSum:
 
 def sphere_diag_direct(m, theta, lam):
     """e_m(x, x, lambda) = sum_{|m| <= k, k(k+1) <= lam} Pbar_{k,m}(cos theta)^2
-    on the round sphere; theta scalar or array."""
-    k_hi = sphere_k_max(lam)
-    if lam < 0 or k_hi < abs(int(m)):
-        return np.zeros(np.shape(theta)) if np.ndim(theta) else 0.0
+    on the round sphere; theta and lam scalar or array, the result of shape
+    lam.shape + theta.shape (a float when both are scalars).
+
+    One ladder to the largest k(lam) serves every lam: each value is the
+    prefix of one running sum, and a prefix of a running sum is the running
+    sum of that prefix, so a sweep keeps the bits of its one-lam calls.
+    """
+    am = abs(int(m))
+    lams = np.asarray(lam, dtype=float)
+    # the number of ladder rows each lam sums, none below |m|(|m| + 1)
+    rows = np.array([max(0, sphere_k_max(l) - am + 1) for l in lams.ravel().tolist()],
+                    dtype=int).reshape(lams.shape)
     alpha = np.atleast_1d(np.cos(np.asarray(theta, dtype=float)))
-    lad = specfun.assoc_ladder(int(m), k_hi, alpha)
-    # a running sum in ladder order; np.sum would pair the terms differently
-    # and move the last bits of every reported diagonal
-    out = np.cumsum(lad * lad, axis=0)[-1]
-    return float(out[0]) if np.ndim(theta) == 0 else out
+    # run[n]: the sum of the first n rows, run[0] the empty sum
+    run = np.zeros((1,) + alpha.shape)
+    if rows.max(initial=0):
+        lad = specfun.assoc_ladder(int(m), am + int(rows.max()) - 1, alpha)
+        # a running sum in ladder order; np.sum would pair the terms
+        # differently and move the last bits of every reported diagonal
+        run = np.concatenate((run, np.cumsum(lad * lad, axis=0)))
+    out = run[rows].reshape(lams.shape + np.shape(theta))
+    return float(out) if out.ndim == 0 else out
 
 
 def sphere_count_direct(m, lam):
@@ -101,11 +113,13 @@ def _densities(basis, points, rows):
 
 def reduced_spectral_diag(rsf, x, lam):
     """e_m(x, x, lam): the sum of |e_j(x)|^2 over the label's modes with
-    lambda_j <= lam; an empty label costs no evaluation."""
+    lambda_j <= lam; an empty label costs no evaluation, only the check of
+    x that evaluate makes."""
     basis = rsf.basis
     basis.require(lam)
     rows = basis.label_rows(rsf.label, lam)
     if not rows.size:
+        basis._check_point(x)
         return 0.0
     return float(pairwise_sum(_densities(basis, x, rows)[:, 0]))
 

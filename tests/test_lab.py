@@ -141,7 +141,12 @@ def test_verdict_from():
 
 def test_window_averaged_diag():
     got = lab.window_averaged_diag(lambda lam: 2.0 * lam, 100.0)
-    assert got == pytest.approx(204.0, abs=1e-12)
+    assert type(got) is float and got == pytest.approx(204.0, abs=1e-12)
+    # an array of lambdas: one diag call on all their windows, a mean each
+    calls = []
+    got = lab.window_averaged_diag(lambda lam: calls.append(lam.shape) or 2.0 * lam,
+                                   np.array([100.0, 7.0]))
+    assert calls == [(2, lab._WINDOWS)] and np.allclose(got, [204.0, 18.0], rtol=0, atol=1e-12)
 
 
 def test_envelope_maxima_bins():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiweyl import eigensolve, geometry, specfun, spectral
-from equiweyl.errors import DomainError, EmptyWindowError, TruncationError
+from equiweyl.errors import DomainError, EmptyWindowError, InvalidPointError, TruncationError
 from equiweyl.util import gauss_nodes, pairwise_sum
 
 
@@ -134,6 +134,45 @@ def test_sphere_count_direct():
     assert spectral.sphere_count_direct(0, 1e6) == 1000
     assert spectral.sphere_count_direct(40, 1e6) == 960
     assert spectral.sphere_count_direct(1001, 1e6) == 0
+
+
+# from below every |m|(|m| + 1) of the sweep test's labels to 1e6
+_SWEEP = np.array([-7.5, -0.0, 0.0, 1.9, 2.0, 11.99, 12.0, 29.5, 30.0, 30.5, 200.0, 1e4,
+                   123456.7, 1e6])
+
+
+@pytest.mark.parametrize("m", [0, 3, -5])
+def test_a_sweep_is_its_one_point_calls(m):
+    """An array of lambdas reads one ladder's running sum, an array of
+    colatitudes one ladder's columns: bit for bit the scalar calls, each
+    with its own ladder, and 0 below |m|(|m| + 1)."""
+    thetas = np.array([0.0, 0.3, math.pi / 2])
+    one = np.array([[spectral.sphere_diag_direct(m, th, lam) for th in thetas.tolist()]
+                    for lam in _SWEEP.tolist()])
+    assert type(spectral.sphere_diag_direct(m, 0.3, 200.0)) is float
+    for j, th in enumerate(thetas.tolist()):
+        swept = spectral.sphere_diag_direct(m, th, _SWEEP)
+        assert swept.shape == _SWEEP.shape and np.array_equal(swept, one[:, j])
+        square = spectral.sphere_diag_direct(m, th, _SWEEP.reshape(2, 7))
+        assert np.array_equal(square, one[:, j].reshape(2, 7))
+    for i, lam in enumerate(_SWEEP.tolist()):
+        assert np.array_equal(spectral.sphere_diag_direct(m, thetas, lam), one[i])
+    assert np.array_equal(spectral.sphere_diag_direct(m, thetas, _SWEEP), one)
+    assert not np.any(one[_SWEEP < abs(m) * (abs(m) + 1)])
+
+
+def test_an_empty_label_still_checks_the_point():
+    """Whether a point off an open profile raises does not hang on lambda:
+    label 3 of this basis has no mode up to 5 and one up to 15."""
+    basis = eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 6, 200)
+    rsf = spectral.ReducedSpectralFunction(basis, 3)
+    assert spectral.counting_function(rsf, 5.0) == 0 and spectral.counting_function(rsf, 15.0) == 1
+    for lam in (5.0, 15.0):
+        with pytest.raises(InvalidPointError):
+            spectral.reduced_spectral_diag(rsf, (-1.0, 0.0), lam)
+    with pytest.raises(InvalidPointError):
+        spectral.cluster_sum(rsf, (math.nan, 0.0), 5.0)
+    assert spectral.reduced_spectral_diag(rsf, (math.pi, 0.0), 5.0) == 0.0
 
 
 def test_monotone_in_lambda(sphere200):

@@ -156,13 +156,14 @@ def whole_sphere_circle_grid(domain, nodes):
 
 
 # one problem per domain whose grid spans several blocks: a 3-d box, the
-# sphere at mu = 96 (361 x 721 nodes, 16 blocks), and S^2 x S^1 with
+# sphere at mu = 96 (360 x 720 nodes, 16 blocks; the phase varies in
+# azimuth, as a zonal one would get MIN_NODES azimuths), and S^2 x S^1 with
 # 64 x 101 x 86 nodes, whose blocks straddle circle nodes
 BLOCK_CASES = {
     "box": (lambda X: 0.5 * (X[..., 0] ** 2 + X[..., 1] ** 2) + X[..., 2],
             lambda X: np.exp(-(X[..., 0] ** 2 + X[..., 1] ** 2 + X[..., 2] ** 2)),
             statphase.BoxDomain((-6.0, -6.0, -6.0), (6.0, 6.0, 6.0)), 1.0, whole_box_grid),
-    "sphere": (lambda W: W[..., 2], lambda W: 1.0 + W[..., 0] ** 2,
+    "sphere": (lambda W: W[..., 0], lambda W: 1.0 + W[..., 0] ** 2,
                statphase.SphereDomain(), 96.0, whole_sphere_grid),
     "sphere-circle": (lambda W, ph: W[..., 2] * np.cos(ph) + 0.5 * W[..., 0],
                       lambda W, ph: 2.0 + W[..., 1] * np.sin(ph),
@@ -235,6 +236,46 @@ def test_sphere_plane_wave_exact():
         got = statphase.oscillatory_integral(prob, mu)
         want = 4.0 * math.pi * math.sin(mu) / mu
         assert abs(got - want) <= 1e-10 * (4.0 * math.pi / mu) + 1e-13
+
+
+def test_zonal_phase_gets_the_fewest_azimuths():
+    # cos theta is constant on every azimuth circle: the azimuth trapezoid
+    # is exact on MIN_NODES nodes however large mu is
+    prob = plane_wave_problem()
+    mu = 400.0
+    assert prob.resolve_nodes(mu)[1] == statphase.MIN_NODES
+    want = 4.0 * math.pi * math.sin(mu) / mu
+    assert abs(statphase.oscillatory_integral(prob, mu) - want) <= 1e-12 * abs(want)
+
+
+_TILT = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
+# phases that vary in azimuth; None: the plane wave's exact 4 pi sin(mu) / mu
+AZIMUTH_CASES = {
+    "tilted plane wave": (lambda W: W @ _TILT, None),
+    "saddle": (lambda W: W[..., 0] * W[..., 1] + 0.3 * W[..., 2], lambda W: 1.0 + W[..., 2] ** 2),
+    "mixed": (lambda W: W[..., 0] ** 2 - 0.5 * W[..., 1] + W[..., 2] ** 3,
+              lambda W: np.exp(W[..., 0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AZIMUTH_CASES))
+def test_each_sphere_axis_gets_the_nodes_its_own_derivative_needs(case):
+    """Fewer azimuths than the polar bound gave them, and the integral of
+    the grid the polar bound gave both axes, or the exact one, to 1e-12."""
+    phase, amp = AZIMUTH_CASES[case]
+    prob = statphase.StationaryPhaseProblem(phase, amp, statphase.SphereDomain())
+    for mu in (12.5 * math.pi, 30.5 * math.pi):
+        n_pol, n_az = prob.resolve_nodes(mu)
+        isotropic = (statphase.nodes_for(mu, prob.lip[0], math.pi),
+                     statphase.nodes_for(mu, prob.lip[0], 2.0 * math.pi))
+        assert n_pol <= isotropic[0] and n_az < isotropic[1]
+        if amp is None:
+            want = 4.0 * math.pi * math.sin(mu) / mu
+        else:
+            W, wt = sphere_grid(*isotropic)
+            want = complex(util.pairwise_sum(amp(W) * np.exp(1j * mu * phase(W)) * wt))
+        got = statphase.oscillatory_integral(prob, mu)
+        assert abs(got - want) <= 1e-12 * abs(want), (mu, got, want)
 
 
 def test_sphere_expansion_structure():
