@@ -1,10 +1,10 @@
 """Command-line front end, generated from the subcommand records in ``lab``.
 
 A JSON file enters a run only through ``--config``: it carries the
-subcommand's own keys plus ``out_dir`` and ``threads``, and flags win over
-file keys.  Exit codes: 0 when every invoked experiment passes, 1 when any
-fails, 2 on a config problem (a bad flag, file key or EQUIWEYL_THREADS
-value), 3 when a resource or convergence limit trips.
+subcommand's own keys plus ``out_dir``, and flags win over file keys.  Exit
+codes: 0 when every invoked experiment passes, 1 when any fails, 2 on a
+config problem (a bad flag or file key), 3 when a resource or convergence
+limit trips.
 """
 from __future__ import annotations
 
@@ -23,9 +23,8 @@ from .errors import (
     ResourceLimitError,
     TruncationError,
 )
-from .util import get_thread_count
 
-_RUN_KEYS = dict.fromkeys(("out_dir", "threads"))
+_RUN_KEYS = {"out_dir": None}
 
 
 @dataclass
@@ -33,7 +32,6 @@ class RunConfig:
     experiment: str
     params: dict = field(default_factory=dict)
     out_dir: str | None = None
-    threads: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +55,6 @@ def build_parser():
         p.add_argument("--config", help="JSON file; flags override its keys")
         p.add_argument("--out-dir", dest="out_dir",
                        help="write <experiment>.json/.csv report pairs here")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker pool size (default: EQUIWEYL_THREADS or 1)")
     return top
 
 
@@ -114,8 +110,8 @@ def _validate(command, params):
 
 def parse_config(argv):
     """Flags (a list of strings) -> validated RunConfig.  A --config file
-    fills the keys that no flag gives; a bad value of any key, out_dir,
-    threads or EQUIWEYL_THREADS raises ConfigError."""
+    fills the keys that no flag gives; a bad value of any key or of out_dir
+    raises ConfigError."""
     given = vars(build_parser().parse_args(argv))
     command = lab.COMMANDS[given.pop("experiment")]
     path = given.pop("config")
@@ -125,12 +121,11 @@ def parse_config(argv):
             if given[key] is None:
                 given[key] = value
     out_dir = given.pop("out_dir")
-    threads = get_thread_count(given.pop("threads"))
     params = command.resolve(given)
     _validate(command, params)
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-    return RunConfig(command.name, params, out_dir, threads)
+    return RunConfig(command.name, params, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +138,7 @@ def _run(cfg):
     p = cfg.params
     names = None if p["all"] else [n for n in str(p["names"] or "").split(",") if n]
     out_dir = cfg.out_dir if cfg.out_dir is not None else "reports"
-    return lab.run_suite(names, out_dir=out_dir, threads=cfg.threads)
+    return lab.run_suite(names, out_dir=out_dir)
 
 
 def _summary_line(cfg, report):

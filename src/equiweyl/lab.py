@@ -14,7 +14,6 @@ import functools
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -825,15 +824,10 @@ def run_experiment(name):
     return _merge_parts(name, key, parts)
 
 
-def run_suite(names=None, out_dir=None, threads=1):
-    """Run experiments (optionally in a thread pool), write reports, return
-    them in registry order regardless of completion order."""
-    names = list(names or EXPERIMENTS)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_experiment, names))
-    else:
-        reports = [run_experiment(name) for name in names]
+def run_suite(names=None, out_dir=None):
+    """Run the named suite ids (every one, in registry order, when names is
+    None) one after another, write their reports, return them in order."""
+    reports = [run_experiment(name) for name in names or EXPERIMENTS]
     if out_dir is not None:
         for report in reports:
             write_report(report, out_dir)

@@ -17,8 +17,8 @@ _LOG_4PI = math.log(4.0 * math.pi)
 _LOG_TINY = -744.0
 
 # cumulative log prod_{j<=m} (2j-1)/(2j) for m = 0 .. DEGREE_LIMIT, summed in
-# j order (every seed depends on these bits) and built once at import, so no
-# ladder writes it while other threads read it
+# j order (every seed depends on these bits) and built once at import, so
+# every ladder reads the same table and none fills it
 _LOG_HALF_FACT = tuple(itertools.accumulate(
     (math.log((2 * j - 1) / (2 * j)) for j in range(1, DEGREE_LIMIT + 1)), initial=0.0))
 

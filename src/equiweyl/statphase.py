@@ -127,8 +127,8 @@ class SphereDomain:
         # |e3 x w| <= 1 it never exceeds the polar bound; min keeps rounding
         # from making it do so
         W = _sphere_points(gauss_nodes(17)[0], _azimuths(33))
-        G = np.array([problem._gradient(w) for w in W])
-        lip = 1.25 * max(np.linalg.norm(g) for g in G) + 1e-12
+        G = problem._gradient(W)
+        lip = 1.25 * float(np.max(_norms(G))) + 1e-12
         t1, t2 = _tangent_frames(W)
         grad = G[:, [0]] * t1 + G[:, [1]] * t2
         d_phi = grad[:, 1] * W[:, 0] - grad[:, 0] * W[:, 1]
@@ -230,12 +230,20 @@ def _tangent_frames(W):
     return t1, np.cross(W, t1)
 
 
+def _norms(V):
+    """Euclidean norms of the rows of V (..., n), each with the bits
+    np.linalg.norm gives that row alone: a row times itself as a column is
+    the same dot product."""
+    return np.sqrt((V[..., None, :] @ V[..., None])[..., 0, 0])
+
+
 def _exp_map(w, U):
     """Geodesic normal coordinates on S^2: the points at offsets U (k, 2)
-    in the tangent frame at w."""
+    in the tangent frame at w, shape (k, 3); base points w (S, 3) give one
+    chart each, shape (S, k, 3), each row as w alone gives it."""
     w0 = np.asarray(w, dtype=float)
-    w0 = w0 / np.linalg.norm(w0)
-    t1, t2 = _tangent_frames(w0[None, :])
+    w0 = (w0 / _norms(w0)[..., None])[..., None, :]
+    t1, t2 = (t.reshape(w0.shape) for t in _tangent_frames(w0.reshape(-1, 3)))
     r = np.hypot(U[:, 0], U[:, 1])
     direction = (U[:, [0]] * t1 + U[:, [1]] * t2) / np.maximum(r, 1e-300)[:, None]
     return np.cos(r)[:, None] * w0 + np.sin(r)[:, None] * direction
@@ -299,15 +307,17 @@ class StationaryPhaseProblem:
     # -- the chart around a location
 
     def _at(self, fn, loc, U):
-        """fn (the phase or the amplitude) at chart offsets U (k, dim) around loc."""
+        """fn (the phase or the amplitude) at chart offsets U (k, dim) around
+        loc, or around each of the sphere's base points loc (S, 3)."""
         return np.asarray(fn(*self.domain._points(loc, U)))
 
     def _gradient(self, loc):
-        """Central-difference gradient in the local orthonormal chart."""
+        """Central-difference gradient in the local orthonormal chart; the
+        sphere's base points loc (S, 3) give one gradient row each."""
         d = self.domain.dim
         E = _GRAD_STEP * np.eye(d)
         f = self._at(self.phase, loc, np.concatenate([E, -E]))
-        return (f[:d] - f[d:]) / (2 * _GRAD_STEP)
+        return (f[..., :d] - f[..., d:]) / (2 * _GRAD_STEP)
 
     def resolve_nodes(self, mu):
         need = tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, self.domain._extents))

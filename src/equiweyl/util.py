@@ -11,8 +11,6 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError
-
 _PANEL = 16
 
 
@@ -44,8 +42,8 @@ def pairwise_sum(values):
     """Sum in a fixed adjacent-pairing tree order; a 2-D input gives one sum
     per row, each exactly as the row alone would give.
 
-    The reduction order depends only on the input order, never on thread
-    count or chunking, so reports built from it are bit-reproducible.
+    The reduction order depends only on the input order, never on how the
+    input was chunked, so reports built from it are bit-reproducible.
     """
     a = np.asarray(values)
     a = a.astype(np.result_type(a, np.float64), copy=False)
@@ -88,20 +86,6 @@ def geometric_grid(lo, hi, ratio=math.sqrt(2.0)):
     if pts[-1] < hi * (1 - 1e-12):
         pts.append(hi)
     return np.array(pts)
-
-
-def get_thread_count(explicit=None):
-    """The worker pool size: explicit (the threads key), else
-    EQUIWEYL_THREADS, else 1.  Anything but a positive integer, or its
-    digits as text, raises ConfigError naming where it came from."""
-    name, value = "threads", explicit
-    if explicit is None:
-        name, value = "EQUIWEYL_THREADS", os.environ.get("EQUIWEYL_THREADS") or 1
-    if isinstance(value, str) and value.strip().isdecimal():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    return value
 
 
 _FLOAT_FORMAT = "%.17g"  # the package-wide numeric text: doubles read back bit for bit

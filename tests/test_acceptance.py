@@ -27,17 +27,13 @@ def _line(tag, ok, detail):
 
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
-    """One full registry run per thread count; reports land on disk."""
-    dir_a = tmp_path_factory.mktemp("suite-t1")
-    dir_b = tmp_path_factory.mktemp("suite-t8")
-    exit_code = cli.main(["suite", "--all", "--threads", "1",
-                          "--out-dir", str(dir_a)])
-    lab.run_suite(out_dir=dir_b, threads=8)
+    """One full registry run through the command line; reports land on disk."""
+    dir_a = tmp_path_factory.mktemp("suite")
+    exit_code = cli.main(["suite", "--all", "--out-dir", str(dir_a)])
     reports = {}
     for path in dir_a.glob("*.json"):
         reports[path.stem] = json.loads(path.read_text())
-    return {"exit_code": exit_code, "dir_a": dir_a, "dir_b": dir_b,
-            "reports": reports}
+    return {"exit_code": exit_code, "dir_a": dir_a, "reports": reports}
 
 
 def test_harmonic_sum_rule():
@@ -209,23 +205,6 @@ def test_profile_eigensolver_accuracy():
     ok = worst <= 1e-4 and elapsed < 30.0
     assert _line("profile eigensolver", ok,
                  f"worst rel {worst:.2e} over |m|<=5 x 20 modes, {elapsed:.1f}s")
-
-
-def test_suite_thread_determinism(suite):
-    def canon(path):
-        lines = path.read_text().splitlines()
-        return "\n".join(l for l in lines
-                         if '"timestamp":' not in l and '"runtime_s":' not in l)
-
-    names = sorted(p.stem for p in suite["dir_a"].glob("*.json"))
-    assert len(names) == len(lab.EXPERIMENTS)
-    mismatched = [n for n in names
-                  if canon(suite["dir_a"] / f"{n}.json")
-                  != canon(suite["dir_b"] / f"{n}.json")]
-    ok = not mismatched
-    assert _line("thread determinism", ok,
-                 f"{len(names)} reports bit-identical across 1 vs 8 threads"
-                 if ok else f"mismatch: {mismatched}")
 
 
 def _golden():

@@ -35,30 +35,21 @@ def test_parse_plist_and_pair():
         lab.parse_pair("1,2,3")
 
 
-def test_parse_config_flags(monkeypatch):
-    monkeypatch.delenv("EQUIWEYL_THREADS", raising=False)
+def test_parse_config_flags():
     cfg = cli.parse_config(
         ["counting", "--manifold", "sphere", "--m", "0", "--lambda", "1e6"])
     assert cfg.experiment == "counting"
     assert cfg.params["m"] == 0
     assert cfg.params["lambda_top"] == 1e6
-    assert cfg.threads == 1
     assert cfg.out_dir is None
 
 
-def test_parse_config_fills_defaults(monkeypatch):
-    monkeypatch.delenv("EQUIWEYL_THREADS", raising=False)
+def test_parse_config_fills_defaults():
     cfg = cli.parse_config(["critscan"])
     assert cfg.params["theta"] == pytest.approx(1.2)
     cfg = cli.parse_config(["statphase", "--mu-grid", "20:400:12"])
     assert cfg.params["preset"] == "gaussian"
     assert len(cfg.params["mu_grid"]) == 12
-
-
-def test_thread_resolution(monkeypatch):
-    monkeypatch.setenv("EQUIWEYL_THREADS", "3")
-    assert cli.parse_config(["critscan"]).threads == 3
-    assert cli.parse_config(["critscan", "--threads", "2"]).threads == 2
 
 
 def test_seed_plumbed_through():
@@ -112,12 +103,9 @@ def test_validation_of_file_values(tmp_path):
 
 
 @pytest.mark.parametrize("keys, named", [
-    ({"threads": "two"}, "threads"),
-    ({"threads": 0}, "threads"),
     ({"out_dir": 5}, "out_dir"),
 ])
 def test_bad_run_keys_exit_2_before_running(tmp_path, monkeypatch, capsys, keys, named):
-    monkeypatch.delenv("EQUIWEYL_THREADS", raising=False)
     monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
     path = tmp_path / "run.json"
     path.write_text(json.dumps(keys))
@@ -131,12 +119,16 @@ def test_critscan_on_the_axis_exits_2(capsys):
     assert "vanishes identically" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "2.5"])
-def test_bad_thread_variable_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("EQUIWEYL_THREADS", value)
+def test_threads_is_an_unknown_key_and_flag(tmp_path, monkeypatch, capsys):
+    # the suite runs serially: neither the file key nor the flag exists
     monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
-    assert cli.main(["critscan"]) == 2
-    assert "config error: EQUIWEYL_THREADS must be" in capsys.readouterr().err
+    monkeypatch.setattr(lab, "run_suite", lambda *args, **kw: pytest.fail("suite ran"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"threads": 2}))
+    assert cli.main(["critscan", "--config", str(path)]) == 2
+    assert "config error: unknown key 'threads'" in capsys.readouterr().err
+    assert cli.main(["suite", "--all", "--threads", "2"]) == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_p_list_floor():

@@ -23,7 +23,9 @@ returns lives in ``eigensolve`` beside that view, and no other module
 names it.
 ``statphase`` streams every quadrature grid in blocks of ``_BLOCK`` nodes,
 its one quadrature size constant: no ``_CHUNK`` slab and no second size
-literal.
+literal.  The suite runs serially and the package reads no environment
+variable: no module imports a thread or process pool, or reads
+``os.environ`` or ``os.getenv``.
 """
 import ast
 from pathlib import Path
@@ -288,3 +290,23 @@ def test_statphase_has_one_quadrature_size():
                  and node.value >= 1024 and node.value & (node.value - 1) == 0)]
     assert "_CHUNK" not in names
     assert sizes == [f"statphase.py:{block[0].lineno}"]
+
+
+# a worker pool, or a setting read from the environment, would be a second
+# way to run what the flags and config keys already say
+POOL_MODULES = ("concurrent.futures", "threading", "multiprocessing")
+ENVIRONMENT_READS = {"os.environ", "os.getenv"}
+
+
+def test_no_worker_pool_and_no_environment_reads():
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        found += [f"{path.name}: imports {name}" for name in _imported(tree)
+                  if name in ENVIRONMENT_READS
+                  or any(name == m or name.startswith(m + ".") for m in POOL_MODULES)]
+        found += [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and f"{node.value.id}.{node.attr}" in ENVIRONMENT_READS]
+    assert found == []

@@ -178,8 +178,8 @@ def test_run_experiment_unknown_name():
 
 def test_run_suite_subset_order_and_determinism(tmp_path):
     names = ["counting-torus", "lpnorms-torus", "weyl-torus-m3"]
-    first = lab.run_suite(names, out_dir=tmp_path / "a", threads=1)
-    second = lab.run_suite(names, out_dir=tmp_path / "b", threads=3)
+    first = lab.run_suite(names, out_dir=tmp_path / "a")
+    second = lab.run_suite(names, out_dir=tmp_path / "b")
     assert [r["experiment"] for r in first] == names
     assert [r["experiment"] for r in second] == names
     for a, b in zip(first, second):

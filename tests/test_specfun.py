@@ -122,9 +122,8 @@ def test_zonal_bounded_by_pole(k, frac):
 
 
 def test_seed_table_is_filled_once_for_every_degree():
-    # a tuple built at import up to the degree limit: no ladder writes it,
-    # so threads cannot interleave its fill; the entries are the running
-    # sums in j order, bit for bit
+    # a tuple built at import up to the degree limit: no ladder writes it;
+    # the entries are the running sums in j order, bit for bit
     table = specfun._LOG_HALF_FACT
     assert isinstance(table, tuple) and len(table) == specfun.DEGREE_LIMIT + 1
     running = [0.0]

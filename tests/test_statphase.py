@@ -278,6 +278,27 @@ def test_each_sphere_axis_gets_the_nodes_its_own_derivative_needs(case):
         assert abs(got - want) <= 1e-12 * abs(want), (mu, got, want)
 
 
+@pytest.mark.parametrize("case", ["zonal", *sorted(AZIMUTH_CASES)])
+def test_the_batched_scan_is_the_per_point_loop(case):
+    """The sphere's Lipschitz scan takes all its gradients in one call: each
+    row within 1e-9 of the one-point gradient, and the node counts that one
+    gradient call per scan point gives."""
+    phase = (lambda W: W[..., 2]) if case == "zonal" else AZIMUTH_CASES[case][0]
+    domain = statphase.SphereDomain()
+    prob = statphase.StationaryPhaseProblem(phase, None, domain)
+    W = statphase._sphere_points(util.gauss_nodes(17)[0], statphase._azimuths(33))
+    G = np.array([prob._gradient(w) for w in W])
+    assert np.max(np.abs(prob._gradient(W) - G)) <= 1e-9
+    lip = 1.25 * max(np.linalg.norm(g) for g in G) + 1e-12
+    t1, t2 = statphase._tangent_frames(W)
+    grad = G[:, [0]] * t1 + G[:, [1]] * t2
+    d_phi = grad[:, 1] * W[:, 0] - grad[:, 0] * W[:, 1]
+    loop = (lip, min(lip, 1.25 * float(np.max(np.abs(d_phi))) + 1e-12))
+    for mu in (20.0, 100.0, 400.0):
+        want = tuple(statphase.nodes_for(mu, l, ext) for l, ext in zip(loop, domain._extents))
+        assert prob.resolve_nodes(mu) == want
+
+
 def test_sphere_expansion_structure():
     exp = statphase.stationary_expansion(plane_wave_problem(declare_poles=True))
     assert exp.n == 2

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiweyl import util
-from equiweyl.errors import ConfigError
 
 
 def test_gauss_nodes_small_rule_exactness():
@@ -117,19 +116,6 @@ def test_geometric_grid():
         util.geometric_grid(-1.0, 10.0)
     with pytest.raises(ValueError):
         util.geometric_grid(1.0, 10.0, 0.5)
-
-
-def test_get_thread_count(monkeypatch):
-    monkeypatch.delenv("EQUIWEYL_THREADS", raising=False)
-    assert util.get_thread_count() == 1
-    assert util.get_thread_count(6) == 6
-    assert util.get_thread_count("3") == 3
-    for bad in (0, -2, "two", 2.5, True):
-        with pytest.raises(ConfigError, match="threads must be a positive integer"):
-            util.get_thread_count(bad)
-    monkeypatch.setenv("EQUIWEYL_THREADS", "4")
-    assert util.get_thread_count() == 4
-    assert util.get_thread_count(2) == 2
 
 
 @given(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False))
