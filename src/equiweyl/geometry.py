@@ -12,7 +12,7 @@ import numpy as np
 
 from . import specfun
 from .errors import InvalidPointError, SingularProfileError, StratumContributionWarning
-from .util import gauss_nodes, pairwise_sum
+from .util import _colatitude_nodes, gauss_nodes, pairwise_sum
 
 _POLE_TOL = 1e-12
 
@@ -22,13 +22,19 @@ _POLE_TOL = 1e-12
 #
 # Each class carries its action and closed forms: private attributes
 # (perfbench's tracer wraps public methods) answer every question that
-# depends on the manifold.  _meridian(n) is a quadrature of the orbit space:
-# nodes, weights times the orbit length, the two ends, the map to points.
+# depends on the manifold.  _meridian(mu, p) is an orbit-space rule for |e|^p
+# at frequency mu: nodes, orbit-length weights, the ends, the map to points.
 
 _TWO_PI = 2.0 * math.pi
 _E3 = np.array([0.0, 0.0, 1.0])
 # Gauss nodes of a global coefficient's orbit-space integral
 _X_NODES = 64
+_LADDER_BLOCK = 1024  # points per Legendre ladder, which holds every degree at each point
+
+
+def _meridian_nodes(mu):
+    """A meridian's node count at frequency mu: 2 nodes a wavelength and 8."""
+    return max(64, 2 * math.ceil(mu) + 8)
 
 
 class _Rotation:
@@ -60,9 +66,10 @@ class _FlatTorus:
         t = quantum[:, :1] * pts[:, 0] + quantum[:, 1:] * pts[:, 1]
         return np.exp(1j * (_TWO_PI * t))
 
-    def _meridian(self, n):
+    def _meridian(self, mu, p):
         # every mode is one exponential, |e| constant along x1: x2 at n equal
         # weights covers the unit area
+        n = _meridian_nodes(mu)
         return (np.arange(n) / n, np.full(n, 1.0 / n), (0.0, 1.0),
                 lambda t: np.column_stack((np.zeros_like(t), t)))
 
@@ -138,15 +145,20 @@ class RoundSphere2(_Rotation):
         pbar = np.empty((len(k), len(pts)))
         for mm in np.unique(m).tolist():
             at = m == mm
-            pbar[at] = specfun.assoc_ladder(mm, k[at].max(), alpha)[k[at] - abs(mm)]
+            for cut in (slice(i, i + _LADDER_BLOCK) for i in range(0, len(pts), _LADDER_BLOCK)):
+                pbar[at, cut] = specfun.assoc_ladder(mm, k[at].max(), alpha[cut])[k[at] - abs(mm)]
         return pbar * np.exp(1j * np.multiply.outer(m, phi))
 
-    def _meridian(self, n):
-        # Gauss in cos(theta), which never lands on the poles (the ends); the
-        # azimuth's 2 pi folded into the weights
-        alpha, w = gauss_nodes(n)
-        return (alpha, _TWO_PI * w, (-1.0, 1.0),
-                lambda a: np.column_stack((np.sqrt(1.0 - a * a), np.zeros_like(a), a)))
+    def _meridian(self, mu, p):
+        # the polar rule at 6 nodes a period of |Y|^p (p mu / 2 periods), 2 pi
+        # in the weights; a sup norm reads no weights and steps evenly in theta
+        if math.isinf(p):
+            theta, w = np.linspace(0.0, math.pi, _meridian_nodes(mu)), None
+        else:
+            theta, w = _colatitude_nodes(max(64, math.ceil(3 * p * mu) + 32))
+            w = _TWO_PI * w
+        return (theta, w, (0.0, math.pi),
+                lambda t: np.column_stack((np.sin(t), np.zeros_like(t), np.cos(t))))
 
 
 @dataclass(frozen=True)
@@ -299,9 +311,10 @@ class SurfaceOfRevolution(_Rotation):
                 for s, ws in zip(s_nodes, w_s)]
         return float(pairwise_sum(np.array(vals)))
 
-    def _meridian(self, n):
+    def _meridian(self, mu, p):
         # the meridian trapezoid, orbit length 2 pi r(s) folded in: a closed
         # profile takes n steps of L/n, an open one halves its end weights
+        n = _meridian_nodes(mu)
         L = self.length
         s = np.linspace(0.0, L, n, endpoint=not self.closed)
         w = np.full(n, L / n if self.closed else L / (n - 1))

@@ -22,14 +22,7 @@ import numpy as np
 from . import eigensolve, geometry, specfun, spectral, statphase, weylcoef
 from .errors import DomainError, RegimeWarning
 from .fits import PowerLawFit, envelope_maxima, fit_power_law
-from .util import (
-    atomic_write_text,
-    csv_text,
-    gauss_nodes,
-    geometric_grid,
-    json_dumps,
-    pairwise_sum,
-)
+from .util import atomic_write_text, csv_text, geometric_grid, json_dumps
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -232,21 +225,6 @@ def run_concentration_experiment(k_window):
     )
 
 
-def _zonal_lp_norm(k, p):
-    if math.isinf(p):
-        # zonal modes peak at the poles
-        return math.sqrt((2 * k + 1) / (4.0 * math.pi))
-    if p == 2.0:
-        # degree-2k polynomial in cos(theta): a plain Gauss rule is exact,
-        # composite panels are not
-        alpha, w = np.polynomial.legendre.leggauss(k + 16)
-    else:
-        # |P|^p carries harmonics up to ~ p k; keep the composite panels dense
-        alpha, w = gauss_nodes(max(256, int(3 * p * k) + 32))
-    vals = np.abs(specfun.assoc_legendre_normalized(k, 0, alpha)) ** p
-    return float((2.0 * math.pi * pairwise_sum(vals * w)) ** (1.0 / p))
-
-
 def run_lp_experiment(manifold, m, p_list):
     """Cluster L^p growth on the "sphere" (zonal clusters) or the "torus"."""
     tol = {"slope_tol": 0.02, "const_tol": 1e-6}
@@ -254,9 +232,13 @@ def run_lp_experiment(manifold, m, p_list):
     fits = {}
     checks = []
     if manifold == "sphere":
-        lam = np.array([kk * (kk + 1.0) for kk in _K_GRID])
+        k = np.array(_K_GRID)
+        lam = k * (k + 1.0)
+        # the grid's zonal modes, each alone in its window (lam - 1, lam]
+        zonal = spectral.ReducedSpectralFunction(eigensolve._sorted_basis(
+            geometry.RoundSphere2(), lam, 0 * k, np.column_stack((k, 0 * k)), lam[-1]), 0)
         for p in p_list:
-            norms = np.array([_zonal_lp_norm(kk, p) for kk in _K_GRID])
+            norms = np.array([spectral.cluster_lp_norm(zonal, l - 1.0, p) for l in lam])
             key = "inf" if math.isinf(p) else f"{p:g}"
             # zonal clusters pile up at the fixed points, where the orbit
             # collapses; the growth there follows the full-dimension exponent
@@ -637,6 +619,11 @@ def _lambda_order(params):
         yield f"lambda_min {lo} must be below lambda_max {hi}"
 
 
+def _zonal_on_sphere(params):
+    if params["manifold"] == "sphere" and params["m"] != 0:
+        yield f"lpnorms on the sphere measures zonal modes: m must be 0, got {params['m']}"
+
+
 def _suite_selection(params):
     if params["names"] is None and not params["all"]:
         yield "suite needs --all or --names"
@@ -720,7 +707,7 @@ COMMANDS = {c.name: c for c in (
         Param("m", _on_sphere_else(0, 3), int, check=_integer),
         Param("p_list", (2.0, math.inf), parse_plist, check=_p_floor,
               help="comma list, 'inf' allowed"),
-    )),
+    ), _zonal_on_sphere),
     Command("kuznecov", "group-averaged sums vs trivial diagonal", run_kuznecov_experiment, (
         Param("lambda_top", 1e4, float, check=_positive, flag="--lambda"),
         Param("points", 20, int, check=_count),

@@ -203,9 +203,10 @@ def cluster_lp_norm(rsf, lam, p):
     """L^p(M) norm of the top mode in the window (lam, lam+1].
 
     One route on every manifold: pairwise_sum(w |e|^p)^(1/p) over the
-    manifold's meridian of max(64, 2 ceil(sqrt(eigenvalue)) + 8) nodes.
-    p = inf is a refined grid maximum, the meridian's ends included (a
-    certified lower bound).
+    manifold's meridian at mu = sqrt(eigenvalue), of max(64, 2 ceil(mu) + 8)
+    nodes; for a finite p the round sphere's takes max(64, ceil(3 p mu) + 32)
+    Gauss nodes in the colatitude.  p = inf is a refined grid maximum, the
+    meridian's ends included (a certified lower bound).
 
     Known bias: the meridian trapezoid of an open surface-of-revolution
     profile does not follow the basis grid, so zonal (m = 0) modes, which
@@ -222,7 +223,7 @@ def cluster_lp_norm(rsf, lam, p):
     basis.require(lam + 1.0)
     top = _top_window_mode(rsf, lam)
     mu = math.sqrt(max(float(basis.eigenvalues[top]), 0.0))
-    nodes, weights, ends, to_points = basis.manifold._meridian(max(64, 2 * math.ceil(mu) + 8))
+    nodes, weights, ends, to_points = basis.manifold._meridian(mu, p)
 
     def size(t):
         return np.abs(basis.evaluate(to_points(t), top)[0])

@@ -35,13 +35,14 @@ from .errors import (
     ResolutionError,
 )
 from .fits import envelope_maxima, fit_power_law
-from .util import gauss_nodes, pairwise_sum
+from .util import _colatitude_nodes, gauss_nodes, pairwise_sum
 
 _TWO_PI = 2.0 * math.pi
 MIN_NODES = 64
 NODES_PER_WAVELENGTH = 6
 # |gradient| at which a Newton-polished scan point counts as critical
 SCAN_GRAD_TOL = 1e-10
+_THIN_CELL = 0.02  # cell edge of the scan's thinning, far below the linkage radius 0.35
 # quadrature nodes per block: every domain yields its tensor grid in
 # consecutive flat blocks of this many, a power of two (see
 # oscillatory_integral)
@@ -135,10 +136,10 @@ class SphereDomain:
         return (lip, min(lip, 1.25 * float(np.max(np.abs(d_phi))) + 1e-12))
 
     def _chunks(self, nodes):
-        alpha, w_a = gauss_nodes(int(nodes[0]))
+        theta, w_p = _colatitude_nodes(int(nodes[0]))
         az = _azimuths(nodes[1])
-        for start, stop in _block_ranges(len(alpha) * nodes[1]):
-            W, wt = _sphere_block(alpha, w_a, az, start, stop)
+        for start, stop in _block_ranges(len(theta) * nodes[1]):
+            W, wt = _sphere_block(theta, w_p, az, start, stop)
             yield (W,), wt
 
 
@@ -166,16 +167,16 @@ class SphereCircleDomain:
 
     def _chunks(self, nodes):
         n_pol, n_az, n_circ = nodes
-        alpha, w_a = gauss_nodes(int(n_pol))
+        theta, w_p = _colatitude_nodes(int(n_pol))
         az = _azimuths(n_az)
-        n_s = len(alpha) * n_az
+        n_s = len(theta) * n_az
         for start, stop in _block_ranges(n_circ * n_s):
             # the circle node is the outer index: a block may end one circle
             # node's sphere and start the next one's
             parts = [(c, max(start - c * n_s, 0), min(stop - c * n_s, n_s))
                      for c in range(start // n_s, -(-stop // n_s))]
             W, wt = (np.concatenate(a) for a in zip(
-                *(_sphere_block(alpha, w_a, az, j0, j1) for _, j0, j1 in parts)))
+                *(_sphere_block(theta, w_p, az, j0, j1) for _, j0, j1 in parts)))
             phi = np.concatenate([np.full(j1 - j0, c * (_TWO_PI / n_circ)) for c, j0, j1 in parts])
             yield (W, phi), wt / n_circ
 
@@ -199,11 +200,11 @@ def _azimuths(n_az):
     return np.cos(phi), np.sin(phi)
 
 
-def _sphere_points(alpha, az):
-    """Unit vectors at the heights alpha times the azimuths az = (cos, sin),
-    shape (len(alpha) * len(cos), 3), azimuth fastest."""
+def _sphere_points(alpha, az, st=None):
+    """Unit vectors at the heights alpha, sines st (sqrt(1 - alpha^2) if None),
+    times the azimuths az = (cos, sin), shape (len(alpha) * len(cos), 3)."""
     cos_az, sin_az = az
-    st = np.sqrt(1.0 - alpha * alpha)
+    st = np.sqrt(1.0 - alpha * alpha) if st is None else st
     W = np.empty((len(alpha), len(cos_az), 3))
     W[..., 0] = st[:, None] * cos_az[None, :]
     W[..., 1] = st[:, None] * sin_az[None, :]
@@ -211,15 +212,15 @@ def _sphere_points(alpha, az):
     return W.reshape(-1, 3)
 
 
-def _sphere_block(alpha, w_a, az, start, stop):
+def _sphere_block(theta, w_p, az, start, stop):
     """Nodes start:stop, in _sphere_points order, of the product rule of the
-    heights alpha (weights w_a) and the equispaced azimuths az, and their
-    weights; only the polar rows the block touches are built."""
+    colatitudes theta (weights w_p) and the equispaced azimuths az, and
+    their weights; only the polar rows the block touches are built."""
     n_az = len(az[0])
     p0, p1 = start // n_az, -(-stop // n_az)
     cut = slice(start - p0 * n_az, stop - p0 * n_az)
-    W = _sphere_points(alpha[p0:p1], az)[cut]
-    return W, np.repeat(w_a[p0:p1] * (_TWO_PI / n_az), n_az)[cut]
+    W = _sphere_points(np.cos(theta[p0:p1]), az, np.sin(theta[p0:p1]))[cut]
+    return W, np.repeat(w_p[p0:p1] * (_TWO_PI / n_az), n_az)[cut]
 
 
 def _tangent_frames(W):
@@ -619,9 +620,9 @@ def _embed(W, PH):
     return np.concatenate([W, np.cos(PH)[:, None], np.sin(PH)[:, None]], axis=1)
 
 
-def _dedup(E, radius=1e-6):
-    # merge points within radius by snapping to a grid of that pitch
-    cells = np.round(E / radius).astype(np.int64)
+def _dedup(E):
+    # keep the smallest index in each cell of pitch _THIN_CELL
+    cells = np.round(E / _THIN_CELL).astype(np.int64)
     _, keep = np.unique(cells, axis=0, return_index=True)
     return np.sort(keep)
 
@@ -723,10 +724,7 @@ def critical_set_scan(x, y):
         return CriticalScanResult((), "empty")
     W, PH, gn = W[ok], PH[ok], gn[ok]
     E = _embed(W, PH)
-    keep = _dedup(E)
-    W, PH, gn, E = W[keep], PH[keep], gn[keep], E[keep]
-    # thin far below the linkage radius: cheap grouping, same components
-    thin = _dedup(E, radius=0.02)
+    thin = _dedup(E)
     W, PH, gn, E = W[thin], PH[thin], gn[thin], E[thin]
     comps = _group_components(E)
     H = _pairing_derivs(x, y, W, PH)[1]

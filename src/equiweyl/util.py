@@ -21,7 +21,9 @@ def gauss_nodes(n):
     Single Gauss-Legendre rule up to 600 nodes; beyond that the companion
     eigensolve behind leggauss is cubic in n, so switch to composite
     16-point panels (node count rounds up to a multiple of 16).  Callers
-    must use the returned arrays' length, not n.
+    must use the returned arrays' length, not n.  The panels are uniform:
+    they miss oscillation that crowds toward an end, as a spherical
+    harmonic's does in cos(theta) at the poles (see _colatitude_nodes).
     """
     if n <= 600:
         x, w = np.polynomial.legendre.leggauss(int(n))
@@ -36,6 +38,14 @@ def gauss_nodes(n):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _colatitude_nodes(n):
+    """The round sphere's polar rule: gauss_nodes(n) in the colatitude theta
+    on [0, pi], where S^2's functions oscillate evenly, sin(theta) in the weights."""
+    t, w = gauss_nodes(n)
+    theta = 0.5 * math.pi * (t + 1.0)
+    return theta, 0.5 * math.pi * w * np.sin(theta)
 
 
 def pairwise_sum(values):

@@ -228,3 +228,9 @@ def test_weyl_with_too_few_positive_diagonals_exits_2(capsys):
     assert cli.main(["weyl", "--manifold", "torus", "--m", "10",
                      "--lambda-min", "1000", "--lambda-max", "5000"]) == 2
     assert "at least 5 points" in capsys.readouterr().err
+
+
+def test_lpnorms_on_the_sphere_with_a_nonzero_m_exits_2(capsys):
+    # the sphere's series is zonal: an m it would not measure is refused
+    assert cli.main(["lpnorms", "--manifold", "sphere", "--m", "5"]) == 2
+    assert "m must be 0" in capsys.readouterr().err

@@ -21,9 +21,10 @@ dispatch to the closed forms they are tested against.  Inside the package
 an isotypic label is an int; the ``IsotypicLabel`` that a per-mode view
 returns lives in ``eigensolve`` beside that view, and no other module
 names it.
-``statphase`` streams every quadrature grid in blocks of ``_BLOCK`` nodes,
-its one quadrature size constant: no ``_CHUNK`` slab and no second size
-literal.  The suite runs serially and the package reads no environment
+Quadrature rules are built in ``util`` alone: no other module names
+``leggauss``.  ``statphase`` streams every quadrature grid in blocks of
+``_BLOCK`` nodes, its one quadrature size constant: no ``_CHUNK`` slab and
+no second size literal.  The suite runs serially and the package reads no environment
 variable: no module imports a thread or process pool, or reads
 ``os.environ`` or ``os.getenv``.
 """
@@ -273,6 +274,13 @@ def test_nothing_dispatches_on_the_manifold():
 def test_only_eigensolve_names_the_label_view():
     found = [path.name for path in MODULES
              if path.name != "eigensolve.py" and "IsotypicLabel" in set(_names(_tree(path)))]
+    assert found == []
+
+
+def test_only_util_builds_gauss_rules():
+    # one home for quadrature rules: gauss_nodes and the sphere's polar rule
+    found = [path.name for path in MODULES
+             if path.name != "util.py" and "leggauss" in set(_names(_tree(path)))]
     assert found == []
 
 

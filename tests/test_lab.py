@@ -161,6 +161,27 @@ def test_envelope_maxima_bins():
     assert fit.r_squared > 0.999
 
 
+def test_lpnorms_sphere_measures_high_degrees():
+    # against a Gauss rule in cos(theta) exact for |Pbar_k|^p, a polynomial
+    # of degree p k, wherever that rule is good to the tolerance: numpy's
+    # leggauss loses digits as it grows (its rules of 1,620 and 2,420 nodes
+    # move by 1.9e-9 and 1.8e-8 under 64 more), so p = 6 at k = 800 is out
+    rep = lab.run_lp_experiment("sphere", 0, (4.0, 6.0))
+    checked = 0
+    for row in rep["series"]:
+        k = round(math.sqrt(row["grid"] + 0.25) - 0.5)
+        p = float(row["p"])
+        n = math.ceil(p * k / 2) + 20
+        if n > 2000:
+            continue
+        x, w = np.polynomial.legendre.leggauss(n)
+        vals = np.abs(specfun.assoc_legendre_normalized(k, 0, x)) ** p
+        want = (2 * math.pi * float(w @ vals)) ** (1 / p)
+        assert row["measured"] == pytest.approx(want, rel=1e-8), (k, p)
+        checked += 1
+    assert checked == 2 * len(lab._K_GRID) - 1
+
+
 def test_registry_names():
     assert set(lab.EXPERIMENTS) == {
         "weyl-torus-m3", "weyl-sphere-equator", "weyl-sphere-pole",

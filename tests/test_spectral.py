@@ -334,6 +334,36 @@ def test_cluster_l4_norm_sphere(sphere200, m, lam, k):
         _legendre_lp_norm(k, m, 4.0), rel=1e-12)
 
 
+@functools.cache
+def _leggauss(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _exact_lp_norm(k, m, p):
+    """L^p(S^2) norm of Y_{k,m} for an even p: |Pbar_{k,m}|^p is a polynomial
+    of degree p k in cos(theta), which one Gauss rule of p k / 2 + 20 nodes
+    integrates exactly."""
+    x, w = _leggauss(math.ceil(p * k / 2) + 20)
+    vals = np.abs(specfun.assoc_legendre_normalized(k, m, x)) ** p
+    return (2 * math.pi * float(w @ vals)) ** (1 / p)
+
+
+@pytest.fixture(scope="module")
+def sphere400():
+    return eigensolve.sphere_basis(400 * 401 + 1.0)
+
+
+@pytest.mark.parametrize("k", [50, 200, 300, 400])
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+def test_cluster_lp_norm_sphere_at_high_degree(sphere400, k, p):
+    # the meridian's nodes grow with p, and its panels, uniform in the
+    # colatitude, follow the oscillation up to the poles
+    for m in (0, k // 2):
+        rsf = spectral.ReducedSpectralFunction(sphere400, m)
+        got = spectral.cluster_lp_norm(rsf, k * (k + 1) - 0.5, p)
+        assert got == pytest.approx(_exact_lp_norm(k, m, p), rel=1e-8), m
+
+
 def test_cluster_l4_norm_sphere_profile():
     # the profile basis of grid 400 against the round sphere: m != 0 errors
     # fall as h^2 with the grid, m = 0 carries the meridian trapezoid's

@@ -118,14 +118,17 @@ def test_box_requires_decayed_amplitude():
 
 
 def sphere_grid(n_pol, n_az):
-    """The whole product grid of the sphere, polar rows outer, and its weights."""
-    alpha, w_a = util.gauss_nodes(n_pol)
+    """The whole product grid of the sphere, polar rows outer, and its
+    weights: Gauss in the colatitude, sin(theta) in the weights."""
+    t, w = util.gauss_nodes(n_pol)
+    theta = 0.5 * math.pi * (t + 1.0)
+    w_a = 0.5 * math.pi * w * np.sin(theta)
     phi = np.arange(n_az) * (2.0 * math.pi / n_az)
-    st = np.sqrt(1.0 - alpha * alpha)
-    W = np.empty((len(alpha), n_az, 3))
+    st = np.sin(theta)
+    W = np.empty((len(theta), n_az, 3))
     W[..., 0] = st[:, None] * np.cos(phi)[None, :]
     W[..., 1] = st[:, None] * np.sin(phi)[None, :]
-    W[..., 2] = alpha[:, None]
+    W[..., 2] = np.cos(theta)[:, None]
     wt = (w_a[:, None] * (2.0 * math.pi / n_az)) * np.ones((1, n_az))
     return W.reshape(-1, 3), wt.ravel()
 
@@ -236,6 +239,17 @@ def test_sphere_plane_wave_exact():
         got = statphase.oscillatory_integral(prob, mu)
         want = 4.0 * math.pi * math.sin(mu) / mu
         assert abs(got - want) <= 1e-10 * (4.0 * math.pi / mu) + 1e-13
+
+
+@pytest.mark.parametrize("u", [(1.0, 0.0, 0.0), (0.6, 0.0, 0.8)], ids=["x", "tilted"])
+@pytest.mark.parametrize("mu", [400.0, 800.0])
+def test_sphere_plane_waves_off_the_axis(u, mu):
+    # e^{i mu <u, w>} oscillates evenly in the colatitude about u, not about
+    # e3: Gauss in cos(theta) on uniform panels misses it, Gauss in theta not
+    v = np.array(u)
+    prob = statphase.StationaryPhaseProblem(lambda W: W @ v, None, statphase.SphereDomain())
+    got = statphase.oscillatory_integral(prob, mu)
+    assert abs(got - 4.0 * math.pi * math.sin(mu) / mu) <= 1e-10 * (4.0 * math.pi / mu)
 
 
 def test_zonal_phase_gets_the_fewest_azimuths():
