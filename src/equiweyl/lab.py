@@ -518,7 +518,7 @@ def run_critscan_experiment(theta):
         and len(circle) >= 1
         and all(r.grad_norm <= tol["grad_tol"] for r in on.points)
     )
-    dets = []
+    dets, exact_dets = [], []
     for d in deltas:
         y = geometry.sphere_point(theta + d, 0.0)
         scan = statphase.critical_set_scan(x, y)
@@ -526,6 +526,7 @@ def run_critscan_experiment(theta):
         isolated = [r for r in scan.points if r.trans_dim == 3]
         near = min(isolated, key=lambda r: abs(r.phase_value))
         dets.append(abs(near.trans_det))
+        exact_dets.append(statphase.closed_form_det(x, y))
     series = _series(deltas, dets, deltas)
     fit = fit_power_law(np.asarray(deltas), np.asarray(dets))
     checks = [on_ok, abs(fit.slope - 1.0) <= tol["slope_tol"],
@@ -537,7 +538,10 @@ def run_critscan_experiment(theta):
         verdict_from(checks),
         extra={"on_orbit_components": len(on.points),
                "on_orbit_circle_found": bool(len(circle) >= 1),
-               "closed_form_deviation": deviation},
+               "closed_form_deviation": deviation,
+               # reported beside the scanned dets, not checked
+               "closed_form_dets": exact_dets,
+               "closed_form_det_gap": max(abs(d - e) / e for d, e in zip(dets, exact_dets))},
     )
 
 

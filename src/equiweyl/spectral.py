@@ -192,11 +192,12 @@ def _top_window_mode(rsf, lam):
 
 
 def _refined_max(size, nodes, ends):
-    # size's largest value on the nodes, a fine grid around the largest, the ends
-    values = size(nodes)
-    i = int(np.argmax(values))
+    """size's largest value on the nodes and the ends, in one evaluation,
+    and on a fine grid around the largest node, in a second."""
+    values = size(np.concatenate((nodes, ends)))
+    i = int(np.argmax(values[:len(nodes)]))
     fine = np.linspace(nodes[max(0, i - 1)], nodes[min(len(nodes) - 1, i + 1)], 4 * 16 + 1)
-    return float(max(np.max(values), np.max(size(fine)), np.max(size(np.array(ends)))))
+    return float(max(np.max(values), np.max(size(fine))))
 
 
 def cluster_lp_norm(rsf, lam, p):

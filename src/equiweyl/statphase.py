@@ -557,27 +557,49 @@ def _rot_z(phi, v):
     return out
 
 
-def _pairing_derivs(x, y, W, PH):
-    """Closed-form gradient and Hessian of <x - R_phi y, omega> in normal
-    coordinates (u1, u2, dphi) at each seed, with per-seed frames (t1, t2).
+def _dot3(u, v):
+    """<u, v> over coordinate rows u, v (3, ...), summed in the order np.sum
+    sums a row of three, so each value keeps the bits of the row form."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    The phase is linear in omega, so with a = <x - R_phi y, omega> the sphere
-    block of the Hessian is -a I.  Returns (g (S,3), H (S,3,3), t1, t2)."""
-    Ry = _rot_z(PH, y[None, :] * np.ones((len(PH), 1)))
-    v = x[None, :] - Ry
-    t1, t2 = _tangent_frames(W)
+
+def _pairing_parts(x, y, w, ph):
+    """Closed-form gradient and Hessian of <x - R_phi y, omega> in normal
+    coordinates (u1, u2, dphi) at seeds held as coordinate rows: unit
+    vectors w (3, S) and angles ph (S,).
+
+    The phase is linear in omega, so with A = -<x - R_phi y, omega> the
+    Hessian is [[A, 0, b], [0, A, c], [b, c, D]].  The frames (t1, t2) take
+    _tangent_frames' probe rule and its np.cross products, bit for bit.
+    Returns (g (3, S), A, b, c, D, t1 (3, S), t2 (3, S))."""
+    cos, sin = np.cos(ph), np.sin(ph)
+    r0, r1 = cos * y[0] - sin * y[1], sin * y[0] + cos * y[1]
+    v = (x[0] - r0, x[1] - r1, x[2] - y[2])
+    # w x e1 where |w0| < 0.9, else w x e2
+    e1 = np.abs(w[0]) < 0.9
+    t1 = np.stack([np.where(e1, 0.0, -w[2]), np.where(e1, w[2], 0.0), np.where(e1, -w[1], w[0])])
+    t1 /= np.sqrt(_dot3(t1, t1))
+    t2 = np.stack([w[1] * t1[2] - w[2] * t1[1], w[2] * t1[0] - w[0] * t1[2],
+                   w[0] * t1[1] - w[1] * t1[0]])
 
     def rot_pair(u):
         # -<d/dphi R_phi y, u>
-        return Ry[:, 1] * u[:, 0] - Ry[:, 0] * u[:, 1]
+        return r1 * u[0] - r0 * u[1]
 
-    g = np.stack([np.sum(v * t1, axis=1), np.sum(v * t2, axis=1), rot_pair(W)], axis=1)
+    g = np.stack([_dot3(v, t1), _dot3(v, t2), rot_pair(w)])
+    return g, -_dot3(v, w), rot_pair(t1), rot_pair(t2), r0 * w[0] + r1 * w[1], t1, t2
+
+
+def _pairing_derivs(x, y, W, PH):
+    """_pairing_parts at seeds W (S, 3), PH (S,), as the gradients g (S, 3)
+    and the Hessians H (S, 3, 3)."""
+    g, A, b, c, D, _, _ = _pairing_parts(x, y, W.T, PH)
     H = np.zeros((len(PH), 3, 3))
-    H[:, 0, 0] = H[:, 1, 1] = -np.sum(v * W, axis=1)
-    H[:, 0, 2] = H[:, 2, 0] = rot_pair(t1)
-    H[:, 1, 2] = H[:, 2, 1] = rot_pair(t2)
-    H[:, 2, 2] = Ry[:, 0] * W[:, 0] + Ry[:, 1] * W[:, 1]
-    return g, H, t1, t2
+    H[:, 0, 0] = H[:, 1, 1] = A
+    H[:, 0, 2] = H[:, 2, 0] = b
+    H[:, 1, 2] = H[:, 2, 1] = c
+    H[:, 2, 2] = D
+    return g.T, H
 
 
 def _scan_seeds():
@@ -590,28 +612,45 @@ def _scan_seeds():
     return Wrep, PHrep
 
 
+def _newton_step(A, b, c, D, g):
+    """The Newton steps -H^{-1} g (3, S) for H = [[A, 0, b], [0, A, c],
+    [b, c, D]], entry by entry on flat arrays, by the Schur complement of
+    the A block: s3 = (b g1 + c g2 - A g3) / (A D - b^2 - c^2), then s1 and
+    s2 by back-substitution.  A seed whose H is singular or not finite
+    (det H = A (A D - b^2 - c^2) is 0, inf or nan) steps down its gradient,
+    -g; its neighbours keep their Newton steps."""
+    schur = A * D - b * b - c * c
+    det = A * schur
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s3 = (b * g[0] + c * g[1] - A * g[2]) / schur
+        step = np.stack([-(g[0] + b * s3) / A, -(g[1] + c * s3) / A, s3])
+    return np.where(np.isfinite(det) & (det != 0.0), step, -g)
+
+
 def _newton_polish(x, y, W, PH):
-    """Newton steps on the seeds whose gradient is still above SCAN_GRAD_TOL;
-    a seed that reaches it stays where it is."""
+    """Newton steps on the seeds whose gradient is still above SCAN_GRAD_TOL.
+    The moving seeds are held as coordinate rows; a seed that reaches the
+    tolerance is written back once and leaves them, so no step gathers or
+    scatters the whole seed array."""
     W, PH = W.copy(), PH.copy()
-    active = np.arange(len(PH))
+    at, w, ph = np.arange(len(PH)), W.T.copy(), PH.copy()
     for _ in range(50):
-        g, H, t1, t2 = _pairing_derivs(x, y, W[active], PH[active])
-        moving = np.linalg.norm(g, axis=1) > SCAN_GRAD_TOL
-        if not np.any(moving):
+        g, A, b, c, D, t1, t2 = _pairing_parts(x, y, w, ph)
+        moving = np.sqrt(_dot3(g, g)) > SCAN_GRAD_TOL
+        done = ~moving
+        W[at[done]], PH[at[done]] = w.compress(done, axis=1).T, ph[done]
+        if not moving.any():
             break
-        active, g, H, t1, t2 = active[moving], g[moving], H[moving], t1[moving], t2[moving]
-        H += 1e-12 * np.eye(3)[None, :, :]
-        try:
-            step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = -g
-        norm = np.linalg.norm(step, axis=1)
-        big = norm > 0.5
-        step[big] *= (0.5 / norm[big])[:, None]
-        Wa = W[active] + step[:, [0]] * t1 + step[:, [1]] * t2
-        W[active] = Wa / np.linalg.norm(Wa, axis=1)[:, None]
-        PH[active] = (PH[active] + step[:, 2]) % _TWO_PI
+        step = _newton_step(A + 1e-12, b, c, D + 1e-12, g)
+        step *= 0.5 / np.maximum(np.sqrt(_dot3(step, step)), 0.5)
+        w = w + step[0] * t1 + step[1] * t2
+        w /= np.sqrt(_dot3(w, w))
+        ph = (ph + step[2]) % _TWO_PI
+        # the seeds that were done take the step too, and leave with it
+        at, w, ph = (a.compress(moving, axis=-1) for a in (at, w, ph))
+    else:
+        # the step cap: the seeds still moving keep their last step
+        W[at], PH[at] = w.T, ph
     g = _pairing_derivs(x, y, W, PH)[0]
     return W, PH, np.linalg.norm(g, axis=1)
 
@@ -621,10 +660,14 @@ def _embed(W, PH):
 
 
 def _dedup(E):
-    # keep the smallest index in each cell of pitch _THIN_CELL
+    """The smallest index in each cell of pitch _THIN_CELL, ascending: a
+    stable sort of the cells puts it first in its cell's run."""
     cells = np.round(E / _THIN_CELL).astype(np.int64)
-    _, keep = np.unique(cells, axis=0, return_index=True)
-    return np.sort(keep)
+    order = np.lexsort(cells.T)
+    ranked = cells[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return np.sort(order[first])
 
 
 def _group_components(E):
@@ -678,6 +721,18 @@ def closed_form_critical_points(x, y):
 
 def _phi_gap(a, b):
     return abs(math.remainder(a - b, _TWO_PI))
+
+
+def closed_form_det(x, y):
+    """|det H| of the pairing phase's Hessian, through _pairing_derivs, at the
+    closed-form critical point of least |phase| (the first of a tie: the
+    two at one phi differ only in the sign of det H)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w, phi = min(closed_form_critical_points(x, y),
+                 key=lambda p: abs(float(np.dot(x - _rot_z(p[1], y), p[0]))))
+    H = _pairing_derivs(x, y, w[None, :], np.array([phi]))[1][0]
+    return abs(float(np.linalg.det(H)))
 
 
 def closed_form_deviation(x, y, records):

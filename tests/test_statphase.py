@@ -473,7 +473,7 @@ def test_pairing_derivatives_match_finite_differences():
     W = rng.normal(size=(20, 3))
     W /= np.linalg.norm(W, axis=1)[:, None]
     PH = rng.uniform(0.0, 2.0 * math.pi, 20)
-    G, H, _, _ = statphase._pairing_derivs(x, y, W, PH)
+    G, H = statphase._pairing_derivs(x, y, W, PH)
     for w, phi, g, h in zip(W, PH, G, H):
         assert np.max(np.abs(g - prob._gradient((w, phi)))) <= 1e-8
         fd = statphase._chart_hessian(prob, (w, phi))[1]
@@ -608,3 +608,77 @@ def test_group_components_links_chains_and_orders_by_first_index():
         for i, c in enumerate(label.tolist()):
             want.setdefault(c, []).append(i)
         assert statphase._group_components(E) == list(want.values())
+
+
+def pairing_hessians(A, b, c, D):
+    """The (S, 3, 3) Hessians [[A, 0, b], [0, A, c], [b, c, D]]."""
+    H = np.zeros((len(A), 3, 3))
+    H[:, 0, 0] = H[:, 1, 1] = A
+    H[:, 0, 2] = H[:, 2, 0] = b
+    H[:, 1, 2] = H[:, 2, 1] = c
+    H[:, 2, 2] = D
+    return H
+
+
+def test_newton_step_is_the_solve():
+    # the pairing phase's own Hessians and gradients at random seeds
+    rng = np.random.default_rng(23)
+    x, y = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+    W = rng.normal(size=(300, 3))
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    g, A, b, c, D, _, _ = statphase._pairing_parts(x, y, W.T, rng.uniform(0.0, 2.0 * math.pi, 300))
+    step = statphase._newton_step(A, b, c, D, g).T
+    want = np.linalg.solve(pairing_hessians(A, b, c, D), -g.T[:, :, None])[:, :, 0]
+    assert np.all(np.linalg.norm(step - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
+
+
+def test_a_singular_seed_steps_down_its_gradient_alone():
+    # row 1 has A D = b^2 + c^2 exactly, row 3 an infinite entry: each steps
+    # by -g, and rows 0 and 2 keep their Newton steps
+    A = np.array([2.0, 1.0, -0.5, 1.0])
+    b = np.array([0.3, 1.0, 0.1, 0.2])
+    c = np.array([-0.4, 0.0, 0.7, 0.1])
+    D = np.array([1.5, 1.0, 2.0, np.inf])
+    g = np.array([[0.1, 0.2, -0.3, 0.4], [0.5, -0.6, 0.7, 0.8], [0.9, 1.0, -1.1, 1.2]])
+    step = statphase._newton_step(A, b, c, D, g)
+    for i in (1, 3):
+        assert np.array_equal(step[:, i], -g[:, i])
+    H = pairing_hessians(A, b, c, D)
+    for i in (0, 2):
+        want = np.linalg.solve(H[i], -g[:, i])
+        assert np.max(np.abs(step[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_dedup_keeps_the_first_index_of_each_cell():
+    rng = np.random.default_rng(29)
+    for n, span in ((50, 1), (2000, 2), (5000, 4)):  # few cells, many ties
+        E = rng.integers(-span, span + 1, (n, 5)) * statphase._THIN_CELL
+        E += rng.uniform(-0.3, 0.3, E.shape) * statphase._THIN_CELL
+        cells = np.round(E / statphase._THIN_CELL).astype(np.int64)
+        want = np.sort(np.unique(cells, axis=0, return_index=True)[1])
+        assert np.array_equal(statphase._dedup(E), want)
+
+
+def test_every_scan_seed_converges_within_twenty_steps(monkeypatch):
+    """critscan's six (x, y) pairs: every one of the 9,456 seeds ends at or
+    below SCAN_GRAD_TOL within 20 Newton steps (13 to 16 with the LAPACK
+    solve the closed-form step replaced), and no step calls np.linalg.solve."""
+    steps = []
+    newton_step = statphase._newton_step
+
+    def counted(*args):
+        steps[-1] += 1
+        return newton_step(*args)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the Newton polish called np.linalg.solve")
+
+    monkeypatch.setattr(statphase, "_newton_step", counted)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    x = geometry.sphere_point(1.2, 0.0)
+    for d in (0.0, 0.02, 0.04, 0.08, 0.16, 0.3):
+        steps.append(0)
+        W, PH = statphase._scan_seeds()
+        _, _, gn = statphase._newton_polish(x, geometry.sphere_point(1.2 + d, 0.0), W, PH)
+        assert len(gn) == 9456 and np.all(gn <= statphase.SCAN_GRAD_TOL)
+    assert max(steps) <= 20, steps
