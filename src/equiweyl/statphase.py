@@ -224,11 +224,16 @@ def _sphere_block(theta, w_p, az, start, stop):
 
 
 def _tangent_frames(W):
-    """Orthonormal tangent frames (t1, t2) at the unit vectors W (S, 3)."""
-    probe = np.where(np.abs(W[:, [0]]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
-    t1 = np.cross(W, probe)
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    return t1, np.cross(W, t1)
+    """Orthonormal tangent frames (t1, t2) at the unit vectors W (S, 3):
+    t1 is W x e1 where |W_0| < 0.9, else W x e2, normalized, and t2 is
+    W x t1, each product written out on the coordinate rows of W."""
+    w = W.T
+    e1 = np.abs(w[0]) < 0.9
+    t1 = np.stack([np.where(e1, 0.0, -w[2]), np.where(e1, w[2], 0.0), np.where(e1, -w[1], w[0])])
+    t1 /= np.sqrt(_dot3(t1, t1))
+    t2 = np.stack([w[1] * t1[2] - w[2] * t1[1], w[2] * t1[0] - w[0] * t1[2],
+                   w[0] * t1[1] - w[1] * t1[0]])
+    return t1.T, t2.T
 
 
 def _norms(V):
@@ -569,18 +574,13 @@ def _pairing_parts(x, y, w, ph):
     vectors w (3, S) and angles ph (S,).
 
     The phase is linear in omega, so with A = -<x - R_phi y, omega> the
-    Hessian is [[A, 0, b], [0, A, c], [b, c, D]].  The frames (t1, t2) take
-    _tangent_frames' probe rule and its np.cross products, bit for bit.
+    Hessian is [[A, 0, b], [0, A, c], [b, c, D]].  The frames (t1, t2) are
+    _tangent_frames', as coordinate rows.
     Returns (g (3, S), A, b, c, D, t1 (3, S), t2 (3, S))."""
     cos, sin = np.cos(ph), np.sin(ph)
     r0, r1 = cos * y[0] - sin * y[1], sin * y[0] + cos * y[1]
     v = (x[0] - r0, x[1] - r1, x[2] - y[2])
-    # w x e1 where |w0| < 0.9, else w x e2
-    e1 = np.abs(w[0]) < 0.9
-    t1 = np.stack([np.where(e1, 0.0, -w[2]), np.where(e1, w[2], 0.0), np.where(e1, -w[1], w[0])])
-    t1 /= np.sqrt(_dot3(t1, t1))
-    t2 = np.stack([w[1] * t1[2] - w[2] * t1[1], w[2] * t1[0] - w[0] * t1[2],
-                   w[0] * t1[1] - w[1] * t1[0]])
+    t1, t2 = (t.T for t in _tangent_frames(w.T))
 
     def rot_pair(u):
         # -<d/dphi R_phi y, u>
@@ -646,7 +646,7 @@ def _newton_polish(x, y, W, PH):
         w = w + step[0] * t1 + step[1] * t2
         w /= np.sqrt(_dot3(w, w))
         ph = (ph + step[2]) % _TWO_PI
-        # the seeds that were done take the step too, and leave with it
+        # the seeds already written back took the step too; it is discarded
         at, w, ph = (a.compress(moving, axis=-1) for a in (at, w, ph))
     else:
         # the step cap: the seeds still moving keep their last step

@@ -610,6 +610,20 @@ def test_group_components_links_chains_and_orders_by_first_index():
         assert statphase._group_components(E) == list(want.values())
 
 
+def test_tangent_frames_are_the_probe_cross_products():
+    # random points, the axes and points on both sides of the |w0| = 0.9 switch
+    rng = np.random.default_rng(31)
+    W = rng.normal(size=(5000, 3))
+    W = np.concatenate([W / np.linalg.norm(W, axis=1)[:, None], np.eye(3), -np.eye(3),
+                        [[0.9, math.sqrt(0.19), 0.0], [np.nextafter(0.9, 0.0), 0.0, math.sqrt(0.19)]]])
+    probe = np.where(np.abs(W[:, [0]]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+    t1 = np.cross(W, probe)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    got = statphase._tangent_frames(W)
+    assert np.array_equal(got[0], t1)
+    assert np.array_equal(got[1], np.cross(W, t1))
+
+
 def pairing_hessians(A, b, c, D):
     """The (S, 3, 3) Hessians [[A, 0, b], [0, A, c], [b, c, D]]."""
     H = np.zeros((len(A), 3, 3))
@@ -661,8 +675,8 @@ def test_dedup_keeps_the_first_index_of_each_cell():
 
 def test_every_scan_seed_converges_within_twenty_steps(monkeypatch):
     """critscan's six (x, y) pairs: every one of the 9,456 seeds ends at or
-    below SCAN_GRAD_TOL within 20 Newton steps (13 to 16 with the LAPACK
-    solve the closed-form step replaced), and no step calls np.linalg.solve."""
+    below SCAN_GRAD_TOL within 20 Newton steps (13 to 16 steps, as with the
+    np.linalg.solve step this replaced), and no step calls np.linalg.solve."""
     steps = []
     newton_step = statphase._newton_step
 
