@@ -147,13 +147,12 @@ def _summary_line(cfg, report):
         count, predicted = int(row["measured"]), int(row["predicted"])
         return f"count={count} predicted={predicted} dev={count - predicted}"
     bits = [f"{report['experiment']}: {report['verdict']}"]
+    # every failing check, with its measured value and bound
+    bits += [f"{c['name']}={'none' if c['measured'] is None else format(c['measured'], '.6g')}"
+             f" ({c['relation']} {c['bound']:.6g})" for c in report["checks"] if not c["pass"]]
     fit = report.get("fit")
     if fit:
         bits.append(f"slope={fit['slope']:.6g}")
-    if "ratio_at_top" in report:
-        bits.append(f"ratio={report['ratio_at_top']:.6g}")
-    if "coefficient_at_top" in report:
-        bits.append(f"coefficient={report['coefficient_at_top']:.6g}")
     bits.append(f"runtime={report['runtime_s']:.2f}s")
     return " ".join(bits)
 

@@ -28,7 +28,9 @@ from .util import atomic_write_text, csv_text, geometric_grid, json_dumps
 # report plumbing
 
 
-def make_report(experiment, params, series, fit, prediction, tolerances, verdict, extra=None):
+def make_report(experiment, params, series, fit, prediction, checks, extra=None):
+    """A report whose verdict is its checks: pass when there is at least one
+    and every one passes."""
     # _stamped fills timestamp and runtime_s; they are listed here to fix the key order
     report = {
         "experiment": experiment,
@@ -37,8 +39,8 @@ def make_report(experiment, params, series, fit, prediction, tolerances, verdict
         "series": series,
         "fit": fit.as_dict() if isinstance(fit, PowerLawFit) else fit,
         "prediction": prediction,
-        "tolerances": tolerances,
-        "verdict": verdict,
+        "checks": checks,
+        "verdict": "pass" if checks and all(c["pass"] for c in checks) else "fail",
         "runtime_s": 0.0,
     }
     if extra:
@@ -89,9 +91,27 @@ def reports_equal(a, b):
     return canon(a) == canon(b)
 
 
-def verdict_from(checks):
-    # checks may be numpy bools, so coerce rather than test identity
-    return "pass" if all(bool(ok) for ok in checks) else "fail"
+def _number(v):
+    # the shortest text that reads back as v
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
+
+
+def _check(name, measured, bound, centre=None):
+    """One named check: measured <= bound, or |measured - centre| <= bound
+    when centre is given; relation writes the comparison with x for the
+    measured value.  margin is the distance inside the bound, negative
+    outside it.  A measured value of None (nothing was found to measure)
+    fails, with no margin."""
+    relation = ("x <=" if centre is None
+                else f"|x {'+' if centre < 0 else '-'} {_number(abs(centre))}| <=")
+    if measured is None:
+        return {"name": name, "measured": None, "relation": relation, "bound": float(bound),
+                "pass": False, "margin": None}
+    distance = measured if centre is None else abs(measured - centre)
+    return {"name": name, "measured": float(measured), "relation": relation,
+            "bound": float(bound), "pass": bool(distance <= bound),
+            "margin": float(bound - distance)}
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +143,12 @@ def _series(grid, measured, predicted):
 _K_GRID = (100, 141, 200, 283, 400, 566, 800)
 
 
-def run_local_weyl_experiment(manifold, m, theta, x, lambda_min, lambda_max, tolerance):
+def run_local_weyl_experiment(manifold, m, theta, x, lambda_min, lambda_max):
     """Window-averaged reduced diagonal of the label m against its local
     leading coefficient, at colatitude theta ("sphere") or x ("torus")."""
     lambda_grid = geometric_grid(lambda_min, lambda_max)
     if manifold == "sphere":
+        ratio_bound = 0.05
         space, point = geometry.RoundSphere2(), geometry.sphere_point(theta, 0.0)
         # the colatitude read back from the point: the reports keep their bits
         theta = geometry.sphere_colatitude(point)
@@ -142,6 +163,7 @@ def run_local_weyl_experiment(manifold, m, theta, x, lambda_min, lambda_max, tol
             tag = f"theta{theta:.3g}"
         name = f"weyl-sphere-{tag}"
     else:
+        ratio_bound = 0.01
         space, point = geometry.FlatTorus2(), tuple(x)
         diag = np.vectorize(lambda lam: spectral.torus_diag_direct(m, lam), otypes=[float])
         # weyl-torus-m{m} would share a file name with the suite's weyl-torus-m3
@@ -157,34 +179,23 @@ def run_local_weyl_experiment(manifold, m, theta, x, lambda_min, lambda_max, tol
         "lambda_min": float(lambda_grid[0]),
         "lambda_max": float(lambda_grid[-1]),
     }
-    tolerances = {"relative_error_at_top": tolerance}
-    if np.max(measured) == 0.0 and pred.coefficient == 0.0:
-        # zero-multiplicity label: nothing to fit, trivially consistent
-        return make_report(
-            name, params, series, None, {"coefficient": 0.0, "exponent": pred.exponent},
-            tolerances, "pass", extra={"ratio_at_top": 1.0},
-        )
+    prediction = {"coefficient": pred.coefficient, "exponent": pred.exponent}
+    if pred.coefficient == 0.0:
+        # a label with no predicted growth: its diagonal must vanish
+        return make_report(name, params, series, None, prediction,
+                           [_check("max_diagonal", np.max(measured), 0.0)])
     # a log-log fit only sees the window where the diagonal is positive
     # (below (2 pi m)^2 a torus label has no modes); fit.grid records it
     positive = measured > 0
     fit = fit_power_law(lambda_grid[positive], measured[positive])
     ratio = float(measured[-1] / predicted[-1])
-    checks = [abs(ratio - 1.0) <= tolerance]
-    return make_report(
-        name,
-        params,
-        series,
-        fit,
-        {"coefficient": pred.coefficient, "exponent": pred.exponent},
-        tolerances,
-        verdict_from(checks),
-        extra={"ratio_at_top": ratio},
-    )
+    return make_report(name, params, series, fit, prediction,
+                       [_check("ratio_at_top", ratio, ratio_bound, centre=1.0)],
+                       extra={"ratio_at_top": ratio})
 
 
 def run_concentration_experiment(k_window):
     """Zonal cluster-sum profile: envelope vs 1/sin(theta), pole value vs k."""
-    tol = {"theta_slope_tol": 0.15, "pole_slope_tol": 0.01}
     theta_grid = geometric_grid(0.05, 1.0, 2 ** 0.25)
     if np.any(k_window * np.sin(theta_grid) <= 1.0):
         warnings.warn("k sin(theta) <= 1 on part of the grid: pole regime mixes in",
@@ -208,9 +219,10 @@ def run_concentration_experiment(k_window):
     series = _series(theta_grid, envelope,
                      [envelope[-1] * math.sin(theta_grid[-1]) / math.sin(t) for t in theta_grid])
     checks = [
-        abs(theta_fit.slope - (-1.0)) <= tol["theta_slope_tol"],
-        abs(pole_fit.slope - 1.0) <= tol["pole_slope_tol"],
-        bool(np.max(np.abs(pole_measured - pole_vals) / pole_vals) <= 1e-10),
+        _check("theta_slope", theta_fit.slope, 0.15, centre=-1.0),
+        _check("pole_slope", pole_fit.slope, 0.01, centre=1.0),
+        _check("pole_value_rel_error",
+               np.max(np.abs(pole_measured - pole_vals) / pole_vals), 1e-10),
     ]
     return make_report(
         "concentration",
@@ -219,61 +231,58 @@ def run_concentration_experiment(k_window):
         series,
         theta_fit,
         {"theta_slope": -1.0, "pole_slope": 1.0},
-        tol,
-        verdict_from(checks),
+        checks,
         extra={"fit_pole": pole_fit.as_dict()},
     )
 
 
 def run_lp_experiment(manifold, m, p_list):
-    """Cluster L^p growth on the "sphere" (zonal clusters) or the "torus"."""
-    tol = {"slope_tol": 0.02, "const_tol": 1e-6}
-    series = []
-    fits = {}
-    checks = []
+    """Cluster L^p growth of the label m on the "sphere" (zonal clusters) or
+    the "torus", each cluster the top mode of a unit window."""
     if manifold == "sphere":
         k = np.array(_K_GRID)
         lam = k * (k + 1.0)
         # the grid's zonal modes, each alone in its window (lam - 1, lam]
-        zonal = spectral.ReducedSpectralFunction(eigensolve._sorted_basis(
-            geometry.RoundSphere2(), lam, 0 * k, np.column_stack((k, 0 * k)), lam[-1]), 0)
-        for p in p_list:
-            norms = np.array([spectral.cluster_lp_norm(zonal, l - 1.0, p) for l in lam])
-            key = "inf" if math.isinf(p) else f"{p:g}"
-            # zonal clusters pile up at the fixed points, where the orbit
-            # collapses; the growth there follows the full-dimension exponent
-            expected = spectral.exponent_delta(2, 0, p) / 2.0
-            if np.ptp(norms) <= 1e-12 * max(1.0, np.max(norms)):
-                fits[key] = PowerLawFit(0.0, float(np.log(norms[0])), 1.0,
-                                        tuple(float(v) for v in lam)).as_dict()
-                checks.append(abs(expected - 0.0) <= tol["const_tol"])
-            else:
-                fit = fit_power_law(lam, norms)
-                fits[key] = fit.as_dict()
-                checks.append(abs(fit.slope - expected) <= tol["slope_tol"])
-            for l, v in zip(lam, norms):
-                series.append({"grid": float(l), "p": key, "measured": float(v),
-                               "predicted": float(l ** expected)})
+        basis = eigensolve._sorted_basis(geometry.RoundSphere2(), lam, 0 * k,
+                                         np.column_stack((k, 0 * k)), lam[-1])
+        # zonal clusters pile up at the fixed points, where the orbit
+        # collapses; the growth there follows the full-dimension exponent
+        kappa, grid = 0, {"k_grid": list(_K_GRID)}
     else:
         lam = np.array([4.0 * math.pi ** 2 * (m * m + j * j) for j in range(1, 9)])
-        # |e^{2 pi i <k,x>}| = 1 at unit L^2 norm: every sup norm is exactly 1
-        fits["inf"] = PowerLawFit(0.0, 0.0, 1.0, tuple(float(v) for v in lam)).as_dict()
-        series = [{"grid": float(l), "p": "inf", "measured": 1.0, "predicted": 1.0} for l in lam]
+        # every torus orbit is a circle
+        basis, kappa, grid = eigensolve.torus_basis(lam[-1]), 1, {}
+    clusters = spectral.ReducedSpectralFunction(basis, m)
+    series = []
+    fits = {}
+    checks = []
+    for p in p_list:
+        norms = np.array([spectral.cluster_lp_norm(clusters, l - 1.0, p) for l in lam])
+        key = "inf" if math.isinf(p) else f"{p:g}"
+        expected = spectral.exponent_delta(2, kappa, p) / 2.0
+        if np.ptp(norms) <= 1e-12 * max(1.0, np.max(norms)):
+            fits[key] = PowerLawFit(0.0, float(np.log(norms[0])), 1.0,
+                                    tuple(float(v) for v in lam)).as_dict()
+            bound = 1e-6
+        else:
+            fits[key] = fit_power_law(lam, norms).as_dict()
+            bound = 0.02
+        checks.append(_check(f"slope_p{key}", fits[key]["slope"], bound, centre=expected))
+        for l, v in zip(lam, norms):
+            series.append({"grid": float(l), "p": key, "measured": float(v),
+                           "predicted": float(l ** expected)})
     return make_report(
         f"lpnorms-{manifold}",
-        {"m": m, "k_grid": list(_K_GRID),
-         "p_list": ["inf" if math.isinf(p) else float(p) for p in p_list]},
+        {"m": m, **grid, "p_list": ["inf" if math.isinf(p) else float(p) for p in p_list]},
         series,
         fits.get("inf"),
-        {"exponent_of_lambda": spectral.exponent_delta(2, 0, math.inf) / 2.0
-                               if manifold == "sphere" else 0.0},
-        tol,
-        verdict_from(checks),
+        {"exponent_of_lambda": spectral.exponent_delta(2, kappa, math.inf) / 2.0},
+        checks,
         extra={"fits": fits},
     )
 
 
-def run_counting_experiment(manifold, m, lambda_top, tolerance):
+def run_counting_experiment(manifold, m, lambda_top):
     """Isotypic counts: on the "sphere" every |m| <= 100 (or the one label
     m) at lambda_top, exactly; on the "torus" the sqrt(lambda) growth over
     lambda_top / 100 .. lambda_top."""
@@ -288,11 +297,10 @@ def run_counting_experiment(manifold, m, lambda_top, tolerance):
             series.append({"grid": float(mm), "measured": float(count),
                            "predicted": float(predicted)})
             devs.append(abs(count - predicted))
-        checks = [max(devs) == 0]
+        # the counts are exact: no deviation is allowed
         return make_report(
             "counting-sphere", {**scope, "lambda": lam_top}, series, None,
-            {"count_rule": "sqrt(lambda) - |m|"}, {"max_deviation": 0},
-            verdict_from(checks), extra={"max_deviation": float(max(devs))},
+            {"count_rule": "sqrt(lambda) - |m|"}, [_check("max_deviation", max(devs), 0.0)],
         )
     lambda_grid = geometric_grid(lambda_top / 100.0, lambda_top)
     counts = np.array([spectral.torus_count_direct(m, lam) for lam in lambda_grid])
@@ -300,18 +308,16 @@ def run_counting_experiment(manifold, m, lambda_top, tolerance):
     series = _series(lambda_grid, counts, [pred_coeff * math.sqrt(l) for l in lambda_grid])
     fit = fit_power_law(lambda_grid, counts)
     coeff_top = float(counts[-1] / math.sqrt(lambda_grid[-1]))
-    checks = [abs(coeff_top - pred_coeff) <= tolerance * pred_coeff]
     return make_report(
         "counting-torus", {"m": m, "lambda_max": float(lambda_grid[-1])}, series, fit,
         {"coefficient": pred_coeff, "exponent": 0.5},
-        {"coefficient_rel_tol": tolerance}, verdict_from(checks),
-        extra={"coefficient_at_top": coeff_top},
+        # within 1% of the predicted coefficient
+        [_check("coefficient_at_top", coeff_top, 0.01 * pred_coeff, centre=pred_coeff)],
     )
 
 
 def run_kuznecov_experiment(lambda_top, points, seed):
     """Group-averaged squared sums against the trivial-isotypic diagonal."""
-    tol = {"identity_tol": 1e-10, "growth_rel_tol": 0.05}
     basis = eigensolve.sphere_basis(lambda_top)
     rng = np.random.default_rng(seed)
     draws = [(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi))
@@ -328,13 +334,12 @@ def run_kuznecov_experiment(lambda_top, points, seed):
                                    lam_equator)
     coeff = weylcoef.equator_coefficient_closed_form(math.pi / 2)
     growth_ratio = equator / (coeff * math.sqrt(lam_equator))
-    checks = [worst <= tol["identity_tol"], abs(growth_ratio - 1.0) <= tol["growth_rel_tol"]]
     return make_report(
         "kuznecov",
         {"lambda_identity": float(lambda_top), "n_points": points, "seed": seed},
-        series, None, {"equator_coefficient": coeff}, tol,
-        verdict_from(checks),
-        extra={"worst_identity_error": float(worst), "growth_ratio": float(growth_ratio)},
+        series, None, {"equator_coefficient": coeff},
+        [_check("worst_identity_error", worst, 1e-10),
+         _check("growth_ratio", growth_ratio, 0.05, centre=1.0)],
     )
 
 
@@ -353,7 +358,6 @@ def _gaussian_problem():
 
 
 def run_statphase_gaussian_experiment(mu_grid):
-    tol = {"exact_rel_tol": 1e-6, "remainder_slope_tol": 0.2}
     if mu_grid is None:
         mu_grid = geometric_grid(20.0, 400.0)
     mu_grid = np.asarray(mu_grid, dtype=float)
@@ -372,27 +376,22 @@ def run_statphase_gaussian_experiment(mu_grid):
     gaps = np.array(gaps)
     remainder_fit = fit_power_law(mu_grid, gaps)
     scaled = gaps * mu_grid ** 1.5
-    checks = [
-        worst_rel <= tol["exact_rel_tol"],
-        abs(remainder_fit.slope - (-1.5)) <= tol["remainder_slope_tol"],
-        bool(np.max(scaled) <= 2.0 * np.median(scaled) + 1e-12),
-    ]
+    median = float(np.median(scaled))
     return make_report(
         "statphase-gaussian",
         {"mu_min": float(mu_grid[0]), "mu_max": float(mu_grid[-1])},
         series, remainder_fit,
         {"signature": expansion.signature, "order": -0.5},
-        tol,
-        verdict_from(checks),
-        extra={"worst_exact_rel": float(worst_rel),
-               "scaled_remainder_max": float(np.max(scaled)),
-               "scaled_remainder_median": float(np.median(scaled))},
+        [_check("worst_exact_rel", worst_rel, 1e-6),
+         _check("remainder_slope", remainder_fit.slope, 0.2, centre=-1.5),
+         # the mu^(3/2)-scaled remainder stays within twice its median
+         _check("scaled_remainder_max", np.max(scaled), 2.0 * median + 1e-12)],
+        extra={"scaled_remainder_median": median},
     )
 
 
 def run_statphase_sphere_experiment(mu_grid):
     """The sphere integral of e^{i mu z}, exactly 4 pi sin(mu) / mu."""
-    tol = {"slope_tol": 0.05, "exact_rel_tol": 1e-6}
     if mu_grid is None:
         # sample the envelope at its peaks |sin(mu)| = 1, spaced
         # geometrically: tensor quadratures are too costly for dense grids
@@ -412,18 +411,16 @@ def run_statphase_sphere_experiment(mu_grid):
         vals.append(abs(numeric))
     fit = fit_power_law(mu_grid, np.array(vals))
     series = _series(mu_grid, vals, [4.0 * math.pi / m for m in mu_grid])
-    checks = [abs(fit.slope - (-1.0)) <= tol["slope_tol"], worst_rel <= tol["exact_rel_tol"]]
     return make_report(
         "statphase-sphere",
         {"v": [0.0, 0.0, 1.0], "mu_min": float(mu_grid[0]), "mu_max": float(mu_grid[-1])},
-        series, fit, {"order": -1.0}, tol,
-        verdict_from(checks),
-        extra={"worst_exact_rel": float(worst_rel)},
+        series, fit, {"order": -1.0},
+        [_check("decay_slope", fit.slope, 0.05, centre=-1.0),
+         _check("worst_exact_rel", worst_rel, 1e-6)],
     )
 
 
 def run_hybrid_experiment(mu_grid):
-    tol = {"on_slope_tol": 0.1, "off_slope_tol": 0.1, "band_factor": 2.0}
     band_d = (0.02, 0.05, 0.1, 0.2, 0.5)
     x = geometry.sphere_point(1.2, 0.3)
     y = geometry.sphere_point(0.8, 1.1)
@@ -434,9 +431,8 @@ def run_hybrid_experiment(mu_grid):
     pair = statphase.hybrid_decay_fit(x, y, mu_grid)
     series = _series(pair.mu_grid, pair.on_values, pair.off_values)
     # two-regime check: the scaled envelope |I| mu (mu d + 1)^(1/2) must stay
-    # within band_factor of its central constant across the crossover
+    # within a factor 2 of its central constant across the crossover, at every d
     band = {}
-    band_ok = True
     theta_x = geometry.sphere_colatitude(x)
     for dd in band_d:
         y_d = geometry.sphere_point(theta_x + 2.0 * math.asin(dd / 2.0), 0.0)
@@ -449,11 +445,11 @@ def run_hybrid_experiment(mu_grid):
         center = math.sqrt(lo * hi)
         band[f"{dd:g}"] = {"low": lo, "high": hi, "center": center,
                            "spread": hi / lo, "worst_factor": max(hi / center, center / lo)}
-        band_ok = band_ok and max(hi / center, center / lo) <= tol["band_factor"]
+    # x and y lie on different orbits, so the off-orbit fit is always there
     checks = [
-        abs(pair.on_fit.slope - (-1.0)) <= tol["on_slope_tol"],
-        pair.off_fit is not None and abs(pair.off_fit.slope - (-1.5)) <= tol["off_slope_tol"],
-        band_ok,
+        _check("on_slope", pair.on_fit.slope, 0.1, centre=-1.0),
+        _check("off_slope", pair.off_fit.slope, 0.1, centre=-1.5),
+        _check("band_worst_factor", max(b["worst_factor"] for b in band.values()), 2.0),
     ]
     return make_report(
         "hybrid",
@@ -463,61 +459,48 @@ def run_hybrid_experiment(mu_grid):
         series,
         pair.on_fit,
         {"on_slope": -1.0, "off_slope": -1.5},
-        tol,
-        verdict_from(checks),
-        extra={"fit_off": pair.off_fit.as_dict() if pair.off_fit else None, "orbit_distance": pair.distance,
-               "band": band},
+        checks,
+        extra={"fit_off": pair.off_fit.as_dict(), "orbit_distance": pair.distance, "band": band},
     )
 
 
 def run_interp_experiment(mu_tau_grid, epsilon):
-    tol = {"rel_band": 0.35, "product_tol": 1e-10, "flat_tol": 1e-12}
     if mu_tau_grid is None:
         mu_tau_grid = geometric_grid(2.0, 100.0)
     problem = _gaussian_problem()
     series = []
     worst = 0.0
     for mt in mu_tau_grid:
-        out = statphase.caustic_interpolation(problem, float(mt), 1.0, epsilon)
+        out = statphase.caustic_interpolation(problem, float(mt), epsilon)
         rel = abs(out.numeric - out.prediction) / abs(out.numeric)
         worst = max(worst, rel)
         series.append({"grid": float(mt), "measured": abs(out.numeric),
                        "predicted": abs(out.prediction)})
-    # the numeric leg depends on mu and tau only through the product
-    a = statphase.caustic_interpolation(problem, 25.0, 2.0, epsilon).numeric
-    b = statphase.caustic_interpolation(problem, 50.0, 1.0, epsilon).numeric
-    product_gap = abs(a - b)
-    # tau = 0 collapses to the plain amplitude integral; the regime warning
-    # is expected there, the value is still exact
+    # mu tau = 0 collapses to the plain amplitude integral; the regime
+    # warning is expected there, the value is still exact
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        flat = statphase.caustic_interpolation(problem, 50.0, 0.0, epsilon).numeric
-    flat_gap = abs(flat - math.sqrt(2.0 * math.pi))
-    checks = [worst <= tol["rel_band"], product_gap <= tol["product_tol"],
-              flat_gap <= tol["flat_tol"]]
+        flat = statphase.caustic_interpolation(problem, 0.0, epsilon).numeric
     return make_report(
         "interp",
         {"epsilon": epsilon, "mu_tau_min": float(mu_tau_grid[0]),
          "mu_tau_max": float(mu_tau_grid[-1])},
-        series, None, {"regularized_power": "(mu tau + epsilon)^(-1/2)"}, tol,
-        verdict_from(checks),
-        extra={"worst_rel": float(worst), "product_gap": float(product_gap),
-               "flat_gap": float(flat_gap)},
+        series, None, {"regularized_power": "(mu tau + epsilon)^(-1/2)"},
+        [_check("worst_rel", worst, 0.35),
+         _check("flat_gap", abs(flat - math.sqrt(2.0 * math.pi)), 1e-12)],
     )
 
 
 def run_critscan_experiment(theta):
-    tol = {"slope_tol": 0.1, "grad_tol": statphase.SCAN_GRAD_TOL, "closed_form_tol": 1e-9}
     deltas = (0.02, 0.04, 0.08, 0.16, 0.3)
     x = geometry.sphere_point(theta, 0.0)
     on = statphase.critical_set_scan(x, x)
     deviation = statphase.closed_form_deviation(x, x, on.points)
     circle = [r for r in on.points if r.trans_dim == 2]
-    on_ok = (
-        on.classification == "on-orbit"
-        and len(circle) >= 1
-        and all(r.grad_norm <= tol["grad_tol"] for r in on.points)
-    )
+    # the on-orbit scan holds a circle and every record is critical: its
+    # worst gradient, measured only where the scan is on-orbit with a circle
+    on_grad = (max(r.grad_norm for r in on.points)
+               if on.classification == "on-orbit" and circle else None)
     dets, exact_dets = [], []
     for d in deltas:
         y = geometry.sphere_point(theta + d, 0.0)
@@ -529,16 +512,15 @@ def run_critscan_experiment(theta):
         exact_dets.append(statphase.closed_form_det(x, y))
     series = _series(deltas, dets, deltas)
     fit = fit_power_law(np.asarray(deltas), np.asarray(dets))
-    checks = [on_ok, abs(fit.slope - 1.0) <= tol["slope_tol"],
-              deviation <= tol["closed_form_tol"]]
     return make_report(
         "critscan",
         {"theta": float(theta), "deltas": list(deltas)},
-        series, fit, {"det_slope": 1.0}, tol,
-        verdict_from(checks),
+        series, fit, {"det_slope": 1.0},
+        [_check("on_orbit_grad_norm", on_grad, statphase.SCAN_GRAD_TOL),
+         _check("det_slope", fit.slope, 0.1, centre=1.0),
+         _check("closed_form_deviation", deviation, 1e-9)],
         extra={"on_orbit_components": len(on.points),
                "on_orbit_circle_found": bool(len(circle) >= 1),
-               "closed_form_deviation": deviation,
                # reported beside the scanned dets, not checked
                "closed_form_dets": exact_dets,
                "closed_form_det_gap": max(abs(d - e) / e for d, e in zip(dets, exact_dets))},
@@ -695,13 +677,11 @@ COMMANDS = {c.name: c for c in (
         Param("x", (0.25, 0.35), parse_pair, help="torus point 'a,b'"),
         Param("lambda_min", 1e3, float, check=_positive),
         Param("lambda_max", 1e6, float, check=_positive),
-        Param("tolerance", _on_sphere_else(0.05, 0.01), float, check=_positive),
     ), _lambda_order),
     Command("counting", "isotypic eigenvalue counts", run_counting_experiment, (
         _MANIFOLD,
         Param("m", _on_sphere_else(0, 2), int, check=_integer),
         Param("lambda_top", 1e6, float, check=_positive, flag="--lambda"),
-        Param("tolerance", 0.01, float, check=_positive),
     )),
     Command("concentration", "zonal cluster-sum profiles", run_concentration_experiment, (
         Param("k_window", 500, int, check=_count),
@@ -773,23 +753,27 @@ EXPERIMENTS = {
 
 
 def _merge_parts(name, key, parts):
-    """One report from the parts of a sweep over key.  Each part keeps its
-    params, fit, prediction, verdict and ratio; the headline ratio is the
-    part's with the worst |ratio - 1|, and worst_<key> names that part."""
-    worst = max(parts, key=lambda r: abs(r["ratio_at_top"] - 1.0))
+    """One report from the parts of a sweep over key.  Its checks are every
+    part's, each name tagged with the part's value, e.g. ratio_at_top[m=3];
+    each part keeps its params, fit, prediction, verdict and ratio.  The
+    worst check is the one of least margin: worst_<key> names its part,
+    worst_check the check, and the headline ratio is that part's."""
+    tagged = [(dict(c, name=f"{c['name']}[{key}={r['params'][key]}]"), r)
+              for r in parts for c in r["checks"]]
+    worst, part = min(tagged, key=lambda t: t[0]["margin"])
     return make_report(
         name,
         {key: [r["params"][key] for r in parts]},
         [dict(row, **{key: r["params"][key]}) for r in parts for row in r["series"]],
         None,
         None,
-        parts[0]["tolerances"],
-        verdict_from([r["verdict"] == "pass" for r in parts]),
+        [c for c, _ in tagged],
         extra={
             "parts": [{k: r[k] for k in ("params", "fit", "prediction", "verdict", "ratio_at_top")}
                       for r in parts],
-            "ratio_at_top": worst["ratio_at_top"],
-            f"worst_{key}": worst["params"][key],
+            "ratio_at_top": part["ratio_at_top"],
+            f"worst_{key}": part["params"][key],
+            "worst_check": worst["name"],
         },
     )
 

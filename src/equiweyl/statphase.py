@@ -508,17 +508,17 @@ class CausticValue:
     base: float
 
 
-def caustic_interpolation(problem, mu, tau, epsilon):
+def caustic_interpolation(problem, mu_tau, epsilon):
     """Numeric I(mu tau) next to the epsilon-regularized stationary value.
 
     The prediction replaces the decaying power 1/(mu tau)^((n-p)/2) by
     1/(mu tau + epsilon)^(...) with each component's q0 turned by
-    e^{-i eps psi0}, which stays finite through tau -> 0.
+    e^{-i eps psi0}, which stays finite through tau -> 0.  mu and tau
+    enter only through their product mu_tau.
     """
-    mu_eff = mu * tau
-    # at mu_eff = 0 the exponential is 1, so this is the plain amplitude mass
-    numeric = oscillatory_integral(problem, mu_eff)
-    base = mu_eff + epsilon
+    # at mu_tau = 0 the exponential is 1, so this is the plain amplitude mass
+    numeric = oscillatory_integral(problem, mu_tau)
+    base = mu_tau + epsilon
     regime_ok = base > 1.0
     if not regime_ok:
         warnings.warn(

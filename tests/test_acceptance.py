@@ -5,9 +5,12 @@ scorecard.  The pole-normalization constant and the clean suite exit are
 known-bad (see the failure notes printed by those tests); both are marked
 strict xfail so the scorecard stays honest while the run stays green.
 """
+import contextlib
 import importlib.util
+import io
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -27,13 +30,22 @@ def _line(tag, ok, detail):
 
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
-    """One full registry run through the command line; reports land on disk."""
+    """One full registry run through the command line; reports land on disk,
+    and its summary lines are kept (and echoed)."""
     dir_a = tmp_path_factory.mktemp("suite")
-    exit_code = cli.main(["suite", "--all", "--out-dir", str(dir_a)])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exit_code = cli.main(["suite", "--all", "--out-dir", str(dir_a)])
+    print(out.getvalue(), end="")
     reports = {}
     for path in dir_a.glob("*.json"):
         reports[path.stem] = json.loads(path.read_text())
-    return {"exit_code": exit_code, "dir_a": dir_a, "reports": reports}
+    return {"exit_code": exit_code, "dir_a": dir_a, "reports": reports,
+            "stdout": out.getvalue()}
+
+
+def _measured(report, name):
+    """The measured value of a report's named check."""
+    return next(c["measured"] for c in report["checks"] if c["name"] == name)
 
 
 def test_harmonic_sum_rule():
@@ -63,7 +75,7 @@ def test_torus_local_growth_coefficient():
     worst = 0.0
     for m in (0, 3, 10):
         rep = lab.run_local_weyl_experiment(
-            "torus", m, math.pi / 2, (0.25, 0.35), 1e3, 1e6, tolerance=0.01)
+            "torus", m, math.pi / 2, (0.25, 0.35), 1e3, 1e6)
         worst = max(worst, abs(rep["ratio_at_top"] - 1.0))
         assert rep["verdict"] == "pass"
     elapsed = time.perf_counter() - t0
@@ -115,13 +127,14 @@ def test_cluster_concentration_profile(suite):
 def test_isotypic_counting(suite):
     sphere = suite["reports"]["counting-sphere"]
     torus = suite["reports"]["counting-torus"]
-    coeff = torus["coefficient_at_top"]
+    coeff = _measured(torus, "coefficient_at_top")
     coeff_dev = abs(coeff - 1.0 / math.pi) * math.pi
-    ok = (sphere["max_deviation"] == 0.0
+    sphere_dev = _measured(sphere, "max_deviation")
+    ok = (sphere_dev == 0.0
           and len(sphere["series"]) == 201
           and coeff_dev <= 0.01)
     assert _line("isotypic counting", ok,
-                 f"sphere dev {sphere['max_deviation']:g} over |m|<=100, "
+                 f"sphere dev {sphere_dev:g} over |m|<=100, "
                  f"torus coeff {coeff:.5f} vs 1/pi")
 
 
@@ -140,23 +153,24 @@ def test_lp_norm_exponents(suite):
 
 def test_orbit_averaged_sums(suite):
     rep = suite["reports"]["kuznecov"]
-    ok = (rep["worst_identity_error"] <= 1e-10
-          and abs(rep["growth_ratio"] - 1.0) <= 0.05)
+    identity, growth = _measured(rep, "worst_identity_error"), _measured(rep, "growth_ratio")
+    ok = identity <= 1e-10 and abs(growth - 1.0) <= 0.05
     assert _line("orbit-averaged sums", ok,
-                 f"identity dev {rep['worst_identity_error']:.1e} at 20 points, "
-                 f"growth ratio {rep['growth_ratio']:.4f}")
+                 f"identity dev {identity:.1e} at 20 points, growth ratio {growth:.4f}")
 
 
 def test_oscillatory_integral_engine(suite):
     gauss = suite["reports"]["statphase-gaussian"]
     sphere = suite["reports"]["statphase-sphere"]
-    bounded = gauss["scaled_remainder_max"] <= 2.0 * gauss["scaled_remainder_median"] + 1e-12
-    ok = (gauss["worst_exact_rel"] <= 1e-6
+    bounded = (_measured(gauss, "scaled_remainder_max")
+               <= 2.0 * gauss["scaled_remainder_median"] + 1e-12)
+    exact_rel = _measured(gauss, "worst_exact_rel")
+    ok = (exact_rel <= 1e-6
           and bounded
           and abs(sphere["fit"]["slope"] - (-1.0)) <= 0.05
           and gauss["runtime_s"] + sphere["runtime_s"] < 60.0)
     assert _line("oscillatory integrals", ok,
-                 f"gaussian rel {gauss['worst_exact_rel']:.1e}, "
+                 f"gaussian rel {exact_rel:.1e}, "
                  f"sphere decay slope {sphere['fit']['slope']:.4f}")
 
 
@@ -174,23 +188,22 @@ def test_orbit_pair_decay_rates(suite):
 
 def test_pairing_phase_critical_sets(suite):
     rep = suite["reports"]["critscan"]
+    deviation = _measured(rep, "closed_form_deviation")
     ok = (rep["verdict"] == "pass"
           and rep["on_orbit_circle_found"]
           and abs(rep["fit"]["slope"] - 1.0) <= 0.1
-          and rep["closed_form_deviation"] <= 1e-9)
+          and deviation <= 1e-9)
     assert _line("pairing-phase critical sets", ok,
                  f"circle found, det-vs-separation slope {rep['fit']['slope']:.3f}, "
-                 f"closed-form dev {rep['closed_form_deviation']:.1e}")
+                 f"closed-form dev {deviation:.1e}")
 
 
 def test_caustic_interpolation_quality(suite):
     rep = suite["reports"]["interp"]
-    ok = (rep["product_gap"] <= 1e-10
-          and rep["worst_rel"] <= 0.35
-          and rep["flat_gap"] <= 1e-12)
+    worst_rel, flat_gap = _measured(rep, "worst_rel"), _measured(rep, "flat_gap")
+    ok = worst_rel <= 0.35 and flat_gap <= 1e-12
     assert _line("caustic interpolation", ok,
-                 f"product gap {rep['product_gap']:.1e}, worst rel "
-                 f"{rep['worst_rel']:.3f}, flat gap {rep['flat_gap']:.1e}")
+                 f"worst rel {worst_rel:.3f}, flat gap {flat_gap:.1e}")
 
 
 def test_profile_eigensolver_accuracy():
@@ -205,6 +218,43 @@ def test_profile_eigensolver_accuracy():
     ok = worst <= 1e-4 and elapsed < 30.0
     assert _line("profile eigensolver", ok,
                  f"worst rel {worst:.2e} over |m|<=5 x 20 modes, {elapsed:.1f}s")
+
+
+def _relation_holds(relation, measured, bound):
+    """The relation text of a check applied to its measured value and bound:
+    "x <=" or "|x - c| <=" / "|x + c| <=" (None is never inside a bound)."""
+    if measured is None:
+        return False
+    if relation == "x <=":
+        return measured <= bound
+    sign, centre = re.fullmatch(r"\|x ([-+]) (\S+)\| <=", relation).groups()
+    return abs(measured - (float(centre) if sign == "-" else -float(centre))) <= bound
+
+
+def test_every_verdict_is_its_check_list(suite):
+    """Each suite report names its checks; each check's pass is its relation
+    applied to its measured value and bound, and the verdict passes exactly
+    when every check does."""
+    wrong = []
+    for name, rep in sorted(suite["reports"].items()):
+        checks = rep["checks"]
+        if not checks:
+            wrong.append(f"{name}: no checks")
+        wrong += [f"{name}: {c['name']} pass is {c['pass']}" for c in checks
+                  if c["pass"] != _relation_holds(c["relation"], c["measured"], c["bound"])]
+        if (rep["verdict"] == "pass") != all(c["pass"] for c in checks):
+            wrong.append(f"{name}: verdict {rep['verdict']}")
+    assert len(suite["reports"]) == len(lab.EXPERIMENTS)
+    assert _line("verdicts are check lists", not wrong, f"{len(suite['reports'])} reports")
+    assert wrong == []
+
+
+def test_suite_names_the_failing_check(suite):
+    lines = suite["stdout"].splitlines()
+    failing = [line for line in lines if ": fail" in line]
+    assert failing == [line for line in lines if line.startswith("weyl-sphere-pole: fail ")]
+    assert failing[0].startswith(
+        "weyl-sphere-pole: fail ratio_at_top=3.14159 (|x - 1| <= 0.05) ")
 
 
 def _golden():

@@ -131,6 +131,18 @@ def test_threads_is_an_unknown_key_and_flag(tmp_path, monkeypatch, capsys):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["weyl", "counting"])
+def test_a_check_bound_is_no_flag_and_no_file_key(tmp_path, monkeypatch, capsys, command):
+    # each bound is a constant of its experiment: no user passes a failing check
+    monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
+    assert cli.main([command, "--tolerance", "10"]) == 2
+    assert "unrecognized arguments: --tolerance 10" in capsys.readouterr().err
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"tolerance": 10}))
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert "config error: unknown key 'tolerance'" in capsys.readouterr().err
+
+
 def test_p_list_floor():
     with pytest.raises(ConfigError):
         cli.parse_config(["lpnorms", "--p-list", "1,4"])
@@ -166,8 +178,9 @@ def test_main_generic_summary_line(capsys):
     code = cli.main(["counting", "--manifold", "torus"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.startswith("counting-torus: pass")
-    assert "coefficient=" in out and "runtime=" in out
+    # a passing report names no check
+    assert out.startswith("counting-torus: pass slope=")
+    assert "coefficient_at_top" not in out and "runtime=" in out
 
 
 def test_main_usage_errors_exit_2(capsys):
@@ -182,7 +195,7 @@ def test_main_failing_experiment_exits_1(tmp_path, capsys):
     code = cli.main(["suite", "--names", "weyl-sphere-pole",
                      "--out-dir", str(tmp_path)])
     assert code == 1
-    assert "weyl-sphere-pole: fail" in capsys.readouterr().out
+    assert "weyl-sphere-pole: fail ratio_at_top=3.14159 (|x - 1| <= 0.05)" in capsys.readouterr().out
     assert (tmp_path / "weyl-sphere-pole.json").exists()
     assert (tmp_path / "weyl-sphere-pole.csv").exists()
 

@@ -26,12 +26,16 @@ Quadrature rules are built in ``util`` alone: no other module names
 ``_BLOCK`` nodes, its one quadrature size constant: no ``_CHUNK`` slab and
 no second size literal.  The suite runs serially and the package reads no environment
 variable: no module imports a thread or process pool, or reads
-``os.environ`` or ``os.getenv``.
+``os.environ`` or ``os.getenv``.  A report's verdict is its check list,
+and each check's bound is a constant of its experiment: no subcommand
+parameter names a tolerance, and the package names neither
+``verdict_from`` nor ``tolerances``.
 """
 import ast
 from pathlib import Path
 
 import equiweyl
+from equiweyl import lab
 
 PACKAGE = Path(equiweyl.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -317,4 +321,16 @@ def test_no_worker_pool_and_no_environment_reads():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and f"{node.value.id}.{node.attr}" in ENVIRONMENT_READS]
+    assert found == []
+
+
+def test_no_parameter_names_a_tolerance():
+    found = [f"{command.name} {param.flag}" for command in lab.COMMANDS.values()
+             for param in command.params if "tol" in param.key]
+    assert found == []
+
+
+def test_checks_have_one_home():
+    found = [f"{path.name}: {name}" for path in MODULES for name in set(_names(_tree(path)))
+             if name in ("verdict_from", "tolerances")]
     assert found == []

@@ -91,18 +91,20 @@ def test_pole_intensity_slope_with_honest_band():
 
 def test_make_report_shapes():
     fit = lab.fit_power_law(np.geomspace(1, 10, 5), np.geomspace(1, 10, 5))
+    checks = [lab._check("ratio", 1.002, 0.01, centre=1.0)]
     rep = lab.make_report(
         "demo", {"m": 3}, [{"grid": 1.0, "measured": 2.0}], fit,
-        {"exponent": 1.0}, {"tol": 0.01}, "pass", extra={"note": "x"},
+        {"exponent": 1.0}, checks, extra={"note": "x"},
     )
     assert rep["experiment"] == "demo"
     assert rep["fit"]["slope"] == fit.slope
     assert rep["fit"]["grid"] == list(fit.grid)
+    assert rep["checks"] == checks
     assert rep["verdict"] == "pass"
     assert rep["note"] == "x"
     assert rep["runtime_s"] == 0.0
     # an already-flattened fit dict passes straight through
-    rep2 = lab.make_report("demo", {}, [], {"slope": -1.0}, {}, {}, "fail")
+    rep2 = lab.make_report("demo", {}, [], {"slope": -1.0}, {}, checks)
     assert rep2["fit"] == {"slope": -1.0}
 
 
@@ -110,7 +112,7 @@ def test_write_report_round_trip(tmp_path):
     rep = lab.make_report(
         "demo", {"m": 3}, [{"grid": 1.0, "measured": 2.0, "predicted": 2.0},
                            {"grid": 2.0, "measured": 1.0, "extra_col": 5.0}],
-        None, {"exponent": 1.0}, {"tol": 0.01}, "pass",
+        None, {"exponent": 1.0}, [lab._check("gap", 0.0, 1e-12)],
     )
     path = lab.write_report(rep, tmp_path)
     assert path == tmp_path / "demo.json"
@@ -127,16 +129,37 @@ def test_write_report_round_trip(tmp_path):
 
 
 def test_reports_equal_ignores_wall_clock():
-    base = lab.make_report("demo", {}, [], None, {}, {}, "pass")
+    base = lab.make_report("demo", {}, [], None, {}, [lab._check("gap", 0.0, 1e-12)])
     other = dict(base, timestamp="1970-01-01T00:00:00Z", runtime_s=9.5)
     assert lab.reports_equal(base, other)
     assert not lab.reports_equal(base, dict(base, verdict="fail"))
 
 
-def test_verdict_from():
-    assert lab.verdict_from([True, np.bool_(True)]) == "pass"
-    assert lab.verdict_from([True, np.bool_(False)]) == "fail"
-    assert lab.verdict_from([]) == "pass"
+def test_check_records_its_relation_and_margin():
+    inside = lab._check("ratio", 1.03, 0.05, centre=1.0)
+    assert inside == {"name": "ratio", "measured": 1.03, "relation": "|x - 1| <=",
+                      "bound": 0.05, "pass": True, "margin": 0.05 - abs(1.03 - 1.0)}
+    outside = lab._check("slope", -1.2, 0.2, centre=-1.5)
+    assert outside["relation"] == "|x + 1.5| <=" and not outside["pass"]
+    assert outside["margin"] == pytest.approx(-0.1, rel=1e-12)
+    assert lab._check("gap", 2e-12, 1e-12)["relation"] == "x <="
+    assert lab._check("gap", 2e-12, 1e-12)["margin"] == pytest.approx(-1e-12, rel=1e-12)
+    # a centre with no short text keeps every digit
+    assert lab._check("c", 0.3, 0.01, centre=1.0 / math.pi)["relation"] == (
+        f"|x - {1.0 / math.pi!r}| <=")
+    # nothing to measure fails, with no margin
+    missing = lab._check("on_orbit", None, 1e-10)
+    assert missing["measured"] is None and missing["margin"] is None and not missing["pass"]
+    # the bound is inclusive
+    assert lab._check("gap", 0.0, 0.0)["pass"]
+
+
+def test_verdict_is_the_check_list():
+    ok, bad = lab._check("a", 0.5, 1.0), lab._check("b", 2.0, 1.0)
+    assert lab.make_report("demo", {}, [], None, {}, [ok, ok])["verdict"] == "pass"
+    assert lab.make_report("demo", {}, [], None, {}, [ok, bad])["verdict"] == "fail"
+    # a report that measures nothing does not pass
+    assert lab.make_report("demo", {}, [], None, {}, [])["verdict"] == "fail"
 
 
 def test_window_averaged_diag():
@@ -224,6 +247,11 @@ def test_merged_torus_report_keeps_every_part():
     assert rep["ratio_at_top"] == worst["ratio_at_top"]
     assert rep["worst_m"] == worst["params"]["m"] == 10
     assert rep["ratio_at_top"] < 1.0
+    # every part's check is kept under its part's name; the worst is named
+    assert [c["name"] for c in rep["checks"]] == [
+        "ratio_at_top[m=0]", "ratio_at_top[m=3]", "ratio_at_top[m=10]"]
+    assert [c["measured"] for c in rep["checks"]] == [p["ratio_at_top"] for p in parts]
+    assert rep["worst_check"] == "ratio_at_top[m=10]"
 
 
 def test_kuznecov_report_fails_when_the_identity_breaks(monkeypatch):
@@ -231,8 +259,29 @@ def test_kuznecov_report_fails_when_the_identity_breaks(monkeypatch):
     monkeypatch.setattr(spectral, "kuznecov_sum",
                         lambda *args, **kw: exact(*args, **kw) * (1.0 + 1e-6))
     rep = lab.run_kuznecov_experiment(lambda_top=300.0, points=3, seed=5)
-    assert rep["worst_identity_error"] > rep["tolerances"]["identity_tol"]
+    identity = next(c for c in rep["checks"] if c["name"] == "worst_identity_error")
+    assert identity["measured"] > identity["bound"] == 1e-10
+    assert not identity["pass"] and identity["margin"] < 0
     assert rep["verdict"] == "fail"
+
+
+def test_zero_label_weyl_report_checks_its_diagonal():
+    # only m = 0 survives at the pole: the m = 2 label predicts no growth,
+    # and its check is that the measured diagonal vanishes
+    rep = lab.run_local_weyl_experiment("sphere", 2, 0.0, (0.25, 0.35), 1e3, 1e4)
+    assert rep["prediction"]["coefficient"] == 0.0
+    assert [(c["name"], c["measured"], c["bound"], c["pass"]) for c in rep["checks"]] == [
+        ("max_diagonal", 0.0, 0.0, True)]
+    assert rep["verdict"] == "pass" and "ratio_at_top" not in rep
+
+
+def test_lpnorms_torus_measures_every_p():
+    rep = lab.run_lp_experiment("torus", 3, (2.0, 4.0, math.inf))
+    # |e^{2 pi i <k,x>}| = 1 at unit L^2 norm: every cluster norm is 1
+    assert {row["p"] for row in rep["series"]} == {"2", "4", "inf"}
+    assert max(abs(row["measured"] - 1.0) for row in rep["series"]) <= 1e-15
+    assert [c["name"] for c in rep["checks"]] == ["slope_p2", "slope_p4", "slope_pinf"]
+    assert rep["verdict"] == "pass" and "k_grid" not in rep["params"]
 
 
 def test_torus_weyl_fit_sees_only_positive_diagonals():

@@ -374,32 +374,23 @@ def test_curve_must_stay_critical():
         statphase.stationary_expansion(prob)
 
 
-def test_caustic_product_invariance():
-    prob = gaussian_problem()
-    a = statphase.caustic_interpolation(prob, 25.0, 2.0, 1.0)
-    b = statphase.caustic_interpolation(prob, 50.0, 1.0, 1.0)
-    assert a.numeric == b.numeric
-    assert a.prediction == pytest.approx(b.prediction, rel=1e-12)
-    assert a.base == b.base == 51.0
-
-
 def test_caustic_flat_limit():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        out = statphase.caustic_interpolation(gaussian_problem(), 50.0, 0.0, 1.0)
+        out = statphase.caustic_interpolation(gaussian_problem(), 0.0, 1.0)
     assert abs(out.numeric - math.sqrt(2.0 * math.pi)) <= 1e-12
     assert not out.regime_ok
 
 
 def test_caustic_regime_warning():
     with pytest.warns(RegimeWarning):
-        statphase.caustic_interpolation(gaussian_problem(), 1.0, 0.5, 0.5)
+        statphase.caustic_interpolation(gaussian_problem(), 0.5, 0.5)
 
 
 def test_caustic_prediction_band():
     prob = gaussian_problem()
     for mt in (2.0, 8.0, 32.0, 100.0):
-        out = statphase.caustic_interpolation(prob, mt, 1.0, 1.0)
+        out = statphase.caustic_interpolation(prob, mt, 1.0)
         assert out.regime_ok
         rel = abs(out.numeric - out.prediction) / abs(out.numeric)
         assert rel <= 0.35
