@@ -29,7 +29,6 @@ _TWO_PI = 2.0 * math.pi
 _E3 = np.array([0.0, 0.0, 1.0])
 # Gauss nodes of a global coefficient's orbit-space integral
 _X_NODES = 64
-_LADDER_BLOCK = 1024  # points per Legendre ladder, which holds every degree at each point
 
 
 def _meridian_nodes(mu):
@@ -145,8 +144,7 @@ class RoundSphere2(_Rotation):
         pbar = np.empty((len(k), len(pts)))
         for mm in np.unique(m).tolist():
             at = m == mm
-            for cut in (slice(i, i + _LADDER_BLOCK) for i in range(0, len(pts), _LADDER_BLOCK)):
-                pbar[at, cut] = specfun.assoc_ladder(mm, k[at].max(), alpha[cut])[k[at] - abs(mm)]
+            pbar[at] = specfun.assoc_ladder(mm, k[at].max(), alpha, degrees=k[at])
         return pbar * np.exp(1j * np.multiply.outer(m, phi))
 
     def _meridian(self, mu, p):

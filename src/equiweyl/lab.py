@@ -201,20 +201,18 @@ def run_concentration_experiment(k_window):
         warnings.warn("k sin(theta) <= 1 on part of the grid: pole regime mixes in",
                       RegimeWarning)
     k = int(k_window)
-    envelope = []
-    for th in theta_grid:
-        # local maximum over a few oscillation periods around theta
-        window = th * np.linspace(0.94, 1.06, 321)
-        window = window[(window > 0) & (window < math.pi)]
-        vals = specfun.assoc_legendre_normalized(k, 0, np.cos(window)) ** 2
-        envelope.append(float(np.max(vals)))
-    envelope = np.array(envelope)
+    # local maximum over a few oscillation periods around each theta, every
+    # window's points on one ladder
+    windows = [th * np.linspace(0.94, 1.06, 321) for th in theta_grid]
+    windows = [w[(w > 0) & (w < math.pi)] for w in windows]
+    alpha = np.concatenate([np.cos(w) for w in windows])
+    vals = specfun.assoc_ladder(0, k, alpha, degrees=[k])[0] ** 2
+    ends = np.cumsum([len(w) for w in windows])[:-1]
+    envelope = np.array([float(np.max(v)) for v in np.split(vals, ends)])
     theta_fit = fit_power_law(np.sin(theta_grid), envelope)
     pole_vals = np.array([(2 * kk + 1) / (4.0 * math.pi) for kk in _K_GRID])
     # oracle route: the pole value is the full window sum, m = 0 only
-    pole_measured = np.array(
-        [float(specfun.assoc_legendre_normalized(kk, 0, np.array([1.0]))[0] ** 2) for kk in _K_GRID]
-    )
+    pole_measured = specfun.assoc_ladder(0, max(_K_GRID), 1.0, degrees=_K_GRID) ** 2
     pole_fit = fit_power_law(np.asarray(_K_GRID, dtype=float), pole_measured)
     series = _series(theta_grid, envelope,
                      [envelope[-1] * math.sin(theta_grid[-1]) / math.sin(t) for t in theta_grid])
@@ -432,15 +430,26 @@ def run_hybrid_experiment(mu_grid):
     series = _series(pair.mu_grid, pair.on_values, pair.off_values)
     # two-regime check: the scaled envelope |I| mu (mu d + 1)^(1/2) must stay
     # within a factor 2 of its central constant across the crossover, at every d
-    band = {}
     theta_x = geometry.sphere_colatitude(x)
-    for dd in band_d:
-        y_d = geometry.sphere_point(theta_x + 2.0 * math.asin(dd / 2.0), 0.0)
-        mu_lo = max(0.1 / dd, 20.0)
-        mu_hi = 100.0 / dd
-        mus = np.asarray(geometric_grid(mu_lo, mu_hi, 2 ** 0.0625))
-        vals = np.array([abs(statphase.hybrid_integral(x, y_d, mu)) for mu in mus])
-        env_mu, env = envelope_maxima(mus, vals * mus * np.sqrt(mus * dd + 1.0))
+    y_band = np.array([geometry.sphere_point(theta_x + 2.0 * math.asin(dd / 2.0), 0.0)
+                       for dd in band_d])
+    sweeps = [np.asarray(geometric_grid(max(0.1 / dd, 20.0), 100.0 / dd, 2 ** 0.0625))
+              for dd in band_d]
+    # the sweeps share their start and ratio, so a prefix of mu values: one
+    # call a distinct mu, its rows the separations that sweep it
+    rows_at = {}
+    for i, mus in enumerate(sweeps):
+        for mu in mus.tolist():
+            rows_at.setdefault(mu, []).append(i)
+    swept = [[] for _ in band_d]
+    # every sweep rises, so in rising mu each row's values come in its order
+    for mu in sorted(rows_at):
+        vals = np.abs(statphase.hybrid_integral(x, y_band[rows_at[mu]], mu))
+        for i, v in zip(rows_at[mu], vals.tolist()):
+            swept[i].append(v)
+    band = {}
+    for dd, mus, vals in zip(band_d, sweeps, swept):
+        env_mu, env = envelope_maxima(mus, np.array(vals) * mus * np.sqrt(mus * dd + 1.0))
         lo, hi = float(np.min(env)), float(np.max(env))
         center = math.sqrt(lo * hi)
         band[f"{dd:g}"] = {"low": lo, "high": hi, "center": center,

@@ -53,13 +53,15 @@ def _seed_log(m, sin2):
         return const + 0.5 * m * np.log(sin2)
 
 
-def assoc_ladder(m, k_max, alpha):
-    """All fully normalized P̄_{k,m}(alpha) for k = |m| .. k_max.
+def assoc_ladder(m, k_max, alpha, degrees=None):
+    """Fully normalized P̄_{k,m}(alpha) for k = |m| .. k_max, or for the k in
+    degrees (any order, repeats allowed).
 
-    Returns an array of shape (k_max - |m| + 1,) + alpha.shape.  The seed is
-    computed in the log domain so sin(theta)^m underflows cleanly to zero
-    instead of overflowing intermediates; the upward recurrence coefficients
-    are all O(1).
+    Returns an array of shape (rows,) + alpha.shape, one row per degree.  The
+    seed is computed in the log domain so sin(theta)^m underflows cleanly to
+    zero instead of overflowing intermediates; the upward recurrence
+    coefficients are all O(1).  The recurrence holds two rows, so asking for
+    a few degrees allocates only those rows.
     """
     m = int(m)
     k_max = int(k_max)
@@ -70,14 +72,25 @@ def assoc_ladder(m, k_max, alpha):
     scalar = a.ndim == 0
     a = np.atleast_1d(a)
     am = abs(m)
+    if degrees is None:
+        deg = range(am, k_max + 1)
+    else:
+        deg = np.asarray(degrees, dtype=int).ravel().tolist()
+    # the first row of each degree; a repeated degree is copied at the end
+    slot = {}
+    for i, d in enumerate(deg):
+        if not am <= d <= k_max:
+            raise IndexRangeError(f"degree {d} outside |m|={am} .. k_max={k_max}")
+        slot.setdefault(d, i)
     sin2 = np.clip(1.0 - a * a, 0.0, 1.0)
 
     lg = _seed_log(am, sin2)
     seed = np.where(lg > _LOG_TINY, np.exp(lg), 0.0)
     sign = -1.0 if (am % 2) else 1.0
     p_km = sign * seed  # P̄_{am,am}, Condon-Shortley included
-    out = np.empty((k_max - am + 1,) + a.shape)
-    out[0] = p_km
+    out = np.empty((len(deg),) + a.shape)
+    if am in slot:
+        out[slot[am]] = p_km
     p_prev = np.zeros_like(a)
     for k in range(am, k_max):
         A = math.sqrt((2 * k + 1) * (2 * k + 3) / ((k + 1 - am) * (k + 1 + am)))
@@ -86,7 +99,10 @@ def assoc_ladder(m, k_max, alpha):
         else:
             B = math.sqrt((2 * k + 3) * (k - am) * (k + am) / ((2 * k - 1) * (k + 1 - am) * (k + 1 + am)))
         p_km, p_prev = A * a * p_km - B * p_prev, p_km
-        out[k - am + 1] = p_km
+        if k + 1 in slot:
+            out[slot[k + 1]] = p_km
+    if len(slot) < len(deg):
+        out[:] = out[[slot[d] for d in deg]]
     if m < 0:
         out *= -1.0 if (am % 2) else 1.0
     return out[:, 0] if scalar else out
@@ -98,8 +114,7 @@ def assoc_legendre_normalized(k, m, alpha):
     _check_degree(k)
     if abs(m) > k:
         raise IndexRangeError(f"|m|={abs(m)} exceeds degree k={k}")
-    vals = assoc_ladder(m, k, alpha)
-    return vals[-1] if np.ndim(vals) > np.ndim(np.asarray(alpha)) else vals
+    return assoc_ladder(m, k, alpha, degrees=[k])[0]
 
 
 def spherical_harmonic(k, m, theta, phi):
@@ -119,6 +134,6 @@ def addition_theorem_sum(k, theta):
     total = np.zeros_like(np.atleast_1d(alpha))
     a = np.atleast_1d(alpha)
     for m in range(0, k + 1):
-        pbar = assoc_ladder(m, k, a)[-1]
+        pbar = assoc_ladder(m, k, a, degrees=[k])[0]
         total = total + (pbar * pbar if m == 0 else 2.0 * pbar * pbar)
     return float(total[0]) if np.ndim(alpha) == 0 else total

@@ -821,21 +821,32 @@ def _sinc(z):
 
 def hybrid_integral(x, y, mu):
     """I(mu) = circle average over phi of the sphere integral of
-    e^{i mu <x - R_phi y, omega>}.
+    e^{i mu <x - R_phi y, omega>}; y one point (3,) or rows (k, 3), giving
+    one value or k values.
 
     The inner sphere integral reduces exactly to 4 pi sinc(mu |x - R_phi y|)
     (1D reduction along the axis x - R_phi y); the circle average is a
-    trapezoid rule resolving the phi-oscillation.  Cross-checked against the
-    full tensor quadrature in the tests.
+    trapezoid rule resolving the phi-oscillation.  Every row shares the phi
+    table, and each row's value is its one-row call's.  Cross-checked against
+    the full tensor quadrature in the tests.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    rows = np.atleast_2d(y)
     n_phi = max(256, int(math.ceil(NODES_PER_WAVELENGTH * mu)))
     phis = np.arange(n_phi) * (_TWO_PI / n_phi)
-    Ry = _rot_z(phis, y[None, :] * np.ones((n_phi, 1)))
-    dists = np.linalg.norm(x[None, :] - Ry, axis=1)
+    c, s = np.cos(phis), np.sin(phis)
+    vx, vy, vz = rows[:, 0:1], rows[:, 1:2], rows[:, 2:3]
+    dx = x[0] - (c * vx - s * vy)
+    dy = x[1] - (s * vx + c * vy)
+    dz = x[2] - vz
+    # np.linalg.norm's sum of squares, in its order
+    dists = np.sqrt((dx * dx + dy * dy) + dz * dz)
     vals = 4.0 * math.pi * _sinc(mu * dists)
-    return complex(pairwise_sum(vals)) / n_phi
+    if y.ndim == 1:
+        return complex(pairwise_sum(vals[0])) / n_phi
+    # divided as floats: numpy's complex division multiplies by 1 / n_phi
+    return (pairwise_sum(vals) / n_phi).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -857,19 +868,23 @@ def hybrid_decay_fit(x, y, mu_grid):
     ratios = mu_grid[1:] / mu_grid[:-1]
     if np.any(ratios <= 1.0) or np.ptp(ratios) > 0.2 * ratios[0]:
         raise DomainError("mu_grid must be geometric and increasing")
-    on_vals = np.array([abs(hybrid_integral(x, x, mu)) for mu in mu_grid])
+    dist = orbit_distance(x, y)
+    off_orbit = dist > 1e-12
+    if off_orbit and mu_grid[0] * dist < 3.0:
+        warnings.warn(
+            f"mu_min * dist = {mu_grid[0] * dist:.3g} < 3: mixed regime for the off-orbit fit",
+            RegimeWarning,
+        )
+    # the on-orbit row x and the off-orbit row y, one call a mu
+    rows = np.array([x, y] if off_orbit else [x], dtype=float)
+    vals = np.abs(np.array([hybrid_integral(x, rows, mu) for mu in mu_grid]))
+    on_vals = vals[:, 0]
     m_on, v_on = envelope_maxima(mu_grid, on_vals)
     on_fit = fit_power_law(m_on, v_on)
-    dist = orbit_distance(x, y)
     off_fit = None
     off_vals = ()
-    if dist > 1e-12:
-        if mu_grid[0] * dist < 3.0:
-            warnings.warn(
-                f"mu_min * dist = {mu_grid[0] * dist:.3g} < 3: mixed regime for the off-orbit fit",
-                RegimeWarning,
-            )
-        ov = np.array([abs(hybrid_integral(x, y, mu)) for mu in mu_grid])
+    if off_orbit:
+        ov = vals[:, 1]
         m_off, v_off = envelope_maxima(mu_grid, ov)
         off_fit = fit_power_law(m_off, v_off)
         off_vals = tuple(ov)

@@ -1,5 +1,6 @@
 """Normalized Legendre / spherical harmonic evaluation against slow oracles."""
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -97,6 +98,35 @@ def test_domain_errors():
         specfun.assoc_legendre_normalized(3, 5, np.array([0.0]))
     with pytest.raises((DomainError, IndexRangeError)):
         specfun.assoc_ladder(0, -1, np.array([0.0]))
+
+
+@pytest.mark.parametrize("m", [0, 1, -4, 7])
+def test_chosen_degrees_are_the_full_ladders_rows(m):
+    alphas = np.concatenate(([-1.0, 0.0, 1.0], np.linspace(-0.999, 0.999, 41)))
+    for k_max in (abs(m), abs(m) + 3, 900):
+        full = specfun.assoc_ladder(m, k_max, alphas)
+        picks = [k_max, abs(m), k_max, (abs(m) + k_max) // 2, abs(m)]
+        got = specfun.assoc_ladder(m, k_max, alphas, degrees=picks)
+        assert np.array_equal(got, full[np.array(picks) - abs(m)])
+        # a scalar alpha gives one value a degree
+        one = specfun.assoc_ladder(m, k_max, 0.3, degrees=picks)
+        assert np.array_equal(one, specfun.assoc_ladder(m, k_max, 0.3)[np.array(picks) - abs(m)])
+    for bad in ([abs(m) - 1], [901], [abs(m), -1]):
+        with pytest.raises(IndexRangeError):
+            specfun.assoc_ladder(m, 900, alphas, degrees=bad)
+
+
+def test_one_degree_holds_one_row():
+    # a ladder to degree 800 at 20,000 points is 128 MB as a full table;
+    # one asked-for degree keeps two rows and the answer
+    alphas = np.linspace(-1.0, 1.0, 20_000)
+    tracemalloc.start()
+    try:
+        specfun.assoc_legendre_normalized(800, 0, alphas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equiweyl import geometry, statphase, util
+from equiweyl import geometry, lab, statphase, util
 from equiweyl.errors import (
     DegenerateCriticalError,
     DomainError,
@@ -541,6 +541,42 @@ def test_hybrid_fast_path_matches_tensor():
         pairing_phase(x, y), None, statphase.SphereCircleDomain())
     full = statphase.oscillatory_integral(prob, mu)
     assert abs(fast - full) <= 1e-10
+
+
+def _hybrid_by_norm(x, y, mu):
+    # the one-row formula as first written: np.linalg.norm of x - R_phi y
+    n_phi = max(256, int(math.ceil(statphase.NODES_PER_WAVELENGTH * mu)))
+    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    dists = np.linalg.norm(x[None, :] - rotate_z(phis, y), axis=1)
+    return complex(util.pairwise_sum(4.0 * math.pi * np.sinc(mu * dists / math.pi))) / n_phi
+
+
+@pytest.mark.parametrize("mu", [20.0, 42.7, 400.0, 5000.0])
+def test_hybrid_rows_keep_their_one_row_bits(mu):
+    x = geometry.sphere_point(1.2, 0.3)
+    y = geometry.sphere_point(0.8, 1.1)
+    y_d = geometry.sphere_point(1.2 + 2.0 * math.asin(0.01), 0.0)
+    rows = np.array([x, y, y_d])
+    one = np.array([statphase.hybrid_integral(x, r, mu) for r in rows])
+    assert np.array_equal(statphase.hybrid_integral(x, rows, mu), one)
+    assert np.array_equal(one, [_hybrid_by_norm(x, r, mu) for r in rows])
+    assert isinstance(statphase.hybrid_integral(x, y, mu), complex)
+
+
+def test_hybrid_report_calls_once_a_distinct_mu(monkeypatch):
+    calls = []
+    inner = statphase.hybrid_integral
+
+    def counted(x, y, mu):
+        calls.append((mu, np.array_equal(np.atleast_2d(y)[0], x)))
+        return inner(x, y, mu)
+
+    monkeypatch.setattr(statphase, "hybrid_integral", counted)
+    lab.run_hybrid_experiment(None)
+    fit = [mu for mu, on_row in calls if on_row]
+    band = [mu for mu, on_row in calls if not on_row]
+    assert (len(fit), len(band)) == (193, 133)
+    assert len(set(fit)) == len(fit) and len(set(band)) == len(band)
 
 
 def test_hybrid_decay_rates():
