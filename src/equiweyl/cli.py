@@ -19,7 +19,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    ResolutionError,
     ResourceLimitError,
     TruncationError,
 )
@@ -168,8 +167,7 @@ def main(argv=None):
         return 2
     try:
         reports = _run(cfg)
-    except (ResourceLimitError, ConvergenceError, ResolutionError,
-            TruncationError) as exc:
+    except (ResourceLimitError, ConvergenceError, TruncationError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, DomainError) as exc:

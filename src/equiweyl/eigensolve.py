@@ -241,6 +241,11 @@ def torus_basis(lambda_max, order=0):
     # lambda_max / (4 pi^2) may round below the integer |k|^2 it meets, so the
     # cut-off is the test the count puts to the stored eigenvalues
     R = math.isqrt(math.floor(lambda_max / (4.0 * math.pi * math.pi))) + 1
+    # the lattice holds (2R + 1)^2 entries: at most (DEGREE_LIMIT + 1)^2,
+    # the size of the largest sphere_basis
+    if 2 * R > specfun.DEGREE_LIMIT:
+        raise ResourceLimitError(f"lambda_max={lambda_max} needs a lattice of half-width {R} "
+                                 f"> {specfun.DEGREE_LIMIT // 2}")
     k = np.arange(-R, R + 1)
     k1, k2 = np.repeat(k, k.size), np.tile(k, k.size)
     lam = 4.0 * math.pi * math.pi * (k1 * k1 + k2 * k2)

@@ -33,10 +33,6 @@ class EmptyWindowError(EquiweylError, ValueError):
     """Spectral window contains no mode with the requested label."""
 
 
-class ResolutionError(EquiweylError, ValueError):
-    """Quadrature grid under-resolves the oscillation (node rule violated)."""
-
-
 class ConvergenceError(EquiweylError, RuntimeError):
     """Iterative solver failed to converge within its budget."""
 

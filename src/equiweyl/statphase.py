@@ -7,10 +7,11 @@ central-difference transversal Hessians in the domain's chart, weighted by
 the density of the domain's measure there; caustic-regularized interpolation
 in (mu, tau, epsilon); dense-seed Newton scans of the pairing phase
 <x - R_phi y, omega> on S^2 x S^1, whose Newton steps and component
-classification use that phase's closed-form gradient and Hessian; hybrid
-decay fits.
+classification use that phase's closed-form gradient and Hessian; the
+orbit-pair integrals of the hybrid experiment.  It computes; the fits of
+what it computes live in lab.
 
-Each domain class owns what only it knows: node extents and fixed nodes, its
+Each domain class owns what only it knows: node extents, its
 chart (_points: the phase arguments at chart offsets U (k, dim) around a
 location; geodesic normal coordinates on the sphere), the Lipschitz scan that
 sizes the nodes, its quadrature chunks (args, weights: consecutive blocks of
@@ -28,13 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateCriticalError,
-    DomainError,
-    RegimeWarning,
-    ResolutionError,
-)
-from .fits import envelope_maxima, fit_power_law
+from .errors import DegenerateCriticalError, DomainError, RegimeWarning
 from .util import _colatitude_nodes, gauss_nodes, pairwise_sum
 
 _TWO_PI = 2.0 * math.pi
@@ -62,7 +57,6 @@ def nodes_for(mu, lip, extent):
 class BoxDomain:
     lo: tuple
     hi: tuple
-    nodes: tuple | None = None
 
     _measure_scale = 1.0
 
@@ -113,7 +107,6 @@ class SphereDomain:
     """Unit sphere with the surface measure (total mass 4 pi)."""
 
     dim = 2
-    nodes = None
     _extents = (math.pi, _TWO_PI)
     _measure_scale = 1.0
 
@@ -148,7 +141,6 @@ class SphereCircleDomain:
     """S^2 x S^1 with surface measure x normalized circle average."""
 
     dim = 3
-    nodes = None
     _extents = (math.pi, _TWO_PI, _TWO_PI)
     # the circle average is d phi / (2 pi) in the chart coordinate phi
     _measure_scale = 1.0 / _TWO_PI
@@ -268,15 +260,17 @@ class StationaryPhaseProblem:
     Box: f(X) with X of shape (..., d).  Sphere: f(W), W (..., 3) unit
     vectors.  Sphere x circle: f(W, phi).  amplitude None means 1.  critical
     declares the stationary set: ("points", [locations]) or
-    ("curve", parametrization, (t0, t1), closed) for box domains.  A
+    ("curve", parametrization, (t0, t1), closed) for box domains, the
+    parametrization taking an array of t (k,) to points (k, d).  A
     location is a point of the box, a unit vector, or a pair (w, phi).
+    The declared set is held as its nodes (see _critical_nodes), each of
+    which must be critical.
     """
 
     def __init__(self, phase, amplitude, domain, critical=None):
         self.phase = phase
         self.amplitude = amplitude
         self.domain = domain
-        self.critical = critical
         if isinstance(domain, BoxDomain):
             self._check_support()
         elif not isinstance(domain, (SphereDomain, SphereCircleDomain)):
@@ -284,17 +278,17 @@ class StationaryPhaseProblem:
         elif critical and critical[0] == "curve":
             raise DomainError("curve-type critical sets are supported on box domains")
         self.lip = domain._lipschitz(self)
-        if critical and critical[0] == "points":
-            origin = np.zeros((1, domain.dim))
-            for loc in critical[1]:
-                g = np.linalg.norm(self._gradient(loc))
-                # each phase value carries a rounding error up to about
-                # eps |psi|, which the difference quotient divides by the
-                # step: an exact critical point reads |grad| up to that floor
-                psi = float(self._at(self.phase, loc, origin)[0])
-                floor = 8.0 * np.finfo(float).eps * (1.0 + abs(psi)) / _GRAD_STEP
-                if g > 1e-10 + floor:
-                    raise DomainError(f"declared critical point {loc} has |grad| = {g:.2e}")
+        self.critical = _critical_nodes(critical) if critical else None
+        origin = np.zeros((1, domain.dim))
+        for loc in self.critical[1] if self.critical else ():
+            g = np.linalg.norm(self._gradient(loc))
+            # each phase value carries a rounding error up to about eps |psi|,
+            # which the difference quotient divides by the step: an exact
+            # critical node reads |grad| up to that floor
+            psi = float(self._at(self.phase, loc, origin)[0])
+            floor = 8.0 * np.finfo(float).eps * (1.0 + abs(psi)) / _GRAD_STEP
+            if g > 1e-10 + floor:
+                raise DomainError(f"declared critical node {loc} has |grad| = {g:.2e}")
 
     # -- validation helpers
 
@@ -326,13 +320,7 @@ class StationaryPhaseProblem:
         return (f[..., :d] - f[..., d:]) / (2 * _GRAD_STEP)
 
     def resolve_nodes(self, mu):
-        need = tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, self.domain._extents))
-        if self.domain.nodes is None:
-            return need
-        got = tuple(self.domain.nodes)
-        if any(g < n for g, n in zip(got, need)):
-            raise ResolutionError(f"grid {got} under-resolves mu={mu}: need at least {need}")
-        return got
+        return tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, self.domain._extents))
 
 
 # ---------------------------------------------------------------------------
@@ -374,35 +362,44 @@ class SPExpansion:
     n: int
     components: tuple
 
-    def _single(self):
-        if len(self.components) != 1:
-            raise DomainError("expansion has several components; inspect .components")
-        return self.components[0]
-
-    @property
-    def psi0(self):
-        return self._single().psi0
-
-    @property
-    def p(self):
-        return self._single().p
-
-    @property
-    def signature(self):
-        return self._single().signature
-
-    @property
-    def q0(self):
-        return self._single().q0
-
     def predict(self, mu):
         return sum(
             cmath.exp(1j * mu * c.psi0) * (_TWO_PI / mu) ** ((self.n - c.p) / 2.0) * c.q0
             for c in self.components
         )
 
-    def envelope(self, mu):
-        return sum(abs(c.q0) * (_TWO_PI / mu) ** ((self.n - c.p) / 2.0) for c in self.components)
+
+# nodes of a declared critical curve
+_CURVE_NODES = 256
+
+
+def _critical_nodes(critical):
+    """A declared critical set as (p, locations, transversal frames,
+    weights): points, p = 0, are their locations with no frame and weight
+    1; a curve, p = 1, is its parametrization at _CURVE_NODES parameters,
+    each node with the orthonormal columns (d, d - 1) of its tangent's
+    complement and its line weight speed * dt."""
+    kind = critical[0]
+    if kind == "points":
+        return 0, list(critical[1]), [None] * len(critical[1]), np.ones(len(critical[1]))
+    if kind != "curve":
+        raise DomainError(f"unknown critical descriptor {kind!r}")
+    _, param, (t0, t1), closed = critical
+    if closed:
+        dt = (t1 - t0) / _CURVE_NODES
+        ts = t0 + (np.arange(_CURVE_NODES) + 0.5) * dt
+    else:
+        ts = np.linspace(t0, t1, _CURVE_NODES)
+        dt = ts[1] - ts[0]
+    locs = np.asarray(param(ts), dtype=float)
+    eps = 1e-6 * (1.0 + abs(t1 - t0))
+    tangent = (np.asarray(param(ts + eps)) - np.asarray(param(ts - eps))) / (2 * eps)
+    speed = np.linalg.norm(tangent, axis=1)
+    # complete each unit tangent to an orthonormal frame; the rest is transversal
+    n = locs.shape[1]
+    stacked = np.concatenate([(tangent / speed[:, None])[:, :, None],
+                              np.broadcast_to(np.eye(n), (len(ts), n, n))], axis=2)
+    return 1, locs, np.linalg.qr(stacked)[0][:, :, 1:n], speed * dt
 
 
 def _chart_hessian(problem, loc):
@@ -424,103 +421,64 @@ def _chart_hessian(problem, loc):
     return float(f[0]), H
 
 
-def _component_from_hessian(H, psi0, a_val, p, location, transversal=None):
-    if transversal is not None:
-        H = transversal.T @ H @ transversal
+def _node_term(problem, loc, frame, weight):
+    """(psi0, signature, q0) of one critical node: the chart Hessian at loc,
+    restricted to the columns of frame unless it is None, and the amplitude
+    at loc times the density of the domain's measure in its chart and the
+    node's weight.  q0 is Python complex arithmetic: numpy's complex
+    division would move its last bits."""
+    psi0, H = _chart_hessian(problem, loc)
+    if frame is not None:
+        H = frame.T @ H @ frame
     eig = np.linalg.eigvalsh(H)
     if np.min(np.abs(eig)) < 1e-8:
         raise DegenerateCriticalError(
-            f"transversal Hessian nearly singular at {location}: eigenvalues {eig}"
-        )
+            f"transversal Hessian nearly singular at {loc}: eigenvalues {eig}")
     sigma = int(np.sum(eig > 0) - np.sum(eig < 0))
+    amp = 1.0 if problem.amplitude is None else complex(
+        problem._at(problem.amplitude, loc, np.zeros((1, problem.domain.dim)))[0])
+    a_val = complex(amp * problem.domain._measure_scale) * float(weight)
     det = float(np.prod(eig))
-    q0 = complex(a_val) / math.sqrt(abs(det)) * cmath.exp(1j * math.pi * sigma / 4.0)
-    return SPComponent(float(psi0), p, sigma, q0)
-
-
-def _amp_at(problem, loc):
-    """Amplitude at loc times the density of the domain's measure in its
-    chart, the factor that the leading stationary term carries."""
-    scale = problem.domain._measure_scale
-    if problem.amplitude is None:
-        return scale
-    origin = np.zeros((1, problem.domain.dim))
-    return complex(problem._at(problem.amplitude, loc, origin)[0]) * scale
+    return psi0, sigma, a_val / math.sqrt(abs(det)) * cmath.exp(1j * math.pi * sigma / 4.0)
 
 
 def stationary_expansion(problem):
+    """The leading stationary terms of the declared critical set: one
+    component per point, or one for a curve, whose nodes must share their
+    signature and phase value and whose q0 is the pairwise sum of theirs."""
     if not problem.critical:
         raise DomainError("stationary_expansion needs a declared critical set")
-    kind = problem.critical[0]
-    n = problem.domain.dim
-    comps = []
-    if kind == "points":
-        for loc in problem.critical[1]:
-            psi0, H = _chart_hessian(problem, loc)
-            comps.append(_component_from_hessian(H, psi0, _amp_at(problem, loc), 0, loc))
-        return SPExpansion(n, tuple(comps))
-    if kind == "curve":
-        _, param, (t0, t1), closed = problem.critical
-        n_quad = 256
-        ts = (
-            t0 + (np.arange(n_quad) + 0.5) * (t1 - t0) / n_quad
-            if closed
-            else np.linspace(t0, t1, n_quad)
-        )
-        dt = (t1 - t0) / n_quad if closed else ts[1] - ts[0]
-        for t in ts:
-            loc = np.asarray(param(t), dtype=float)
-            g = problem._gradient(loc)
-            if np.linalg.norm(g) > 1e-8:
-                raise DomainError(f"curve point {loc} is not critical: |grad|={np.linalg.norm(g):.2e}")
-            eps = 1e-6 * (1.0 + abs(t1 - t0))
-            tangent = (np.asarray(param(t + eps)) - np.asarray(param(t - eps))) / (2 * eps)
-            speed = float(np.linalg.norm(tangent))
-            tangent = tangent / speed
-            # complete the tangent to an orthonormal frame; transversal block
-            basis = np.linalg.qr(
-                np.concatenate([tangent[:, None], np.eye(n)], axis=1)
-            )[0][:, 1:n]
-            psi0, H = _chart_hessian(problem, loc)
-            # the line element speed * dt rides on the amplitude
-            comps.append(_component_from_hessian(
-                H, psi0, _amp_at(problem, loc) * speed * dt, 1, loc, transversal=basis))
-        if len({c.signature for c in comps}) > 1:
-            raise DomainError("signature changes along the declared curve")
-        psi_vals = np.array([c.psi0 for c in comps])
-        if np.ptp(psi_vals) > 1e-9 * (1.0 + np.max(np.abs(psi_vals))):
-            raise DomainError("phase is not constant along the declared curve")
-        q0 = complex(pairwise_sum(np.array([c.q0 for c in comps])))
-        comp = SPComponent(float(np.mean(psi_vals)), 1, comps[0].signature, q0)
-        return SPExpansion(n, (comp,))
-    raise DomainError(f"unknown critical descriptor {kind!r}")
+    p, locs, frames, weights = problem.critical
+    terms = [_node_term(problem, *node) for node in zip(locs, frames, weights)]
+    if p == 0:
+        return SPExpansion(problem.domain.dim,
+                           tuple(SPComponent(psi0, 0, sigma, q0) for psi0, sigma, q0 in terms))
+    psi, sigma, q0 = (np.array(v) for v in zip(*terms))
+    if np.ptp(sigma) > 0:
+        raise DomainError("signature changes along the declared curve")
+    if np.ptp(psi) > 1e-9 * (1.0 + np.max(np.abs(psi))):
+        raise DomainError("phase is not constant along the declared curve")
+    comp = SPComponent(float(np.mean(psi)), 1, int(sigma[0]), complex(pairwise_sum(q0)))
+    return SPExpansion(problem.domain.dim, (comp,))
 
 
 # ---------------------------------------------------------------------------
 # caustic interpolation
 
 
-@dataclass(frozen=True)
-class CausticValue:
-    numeric: complex
-    prediction: complex
-    regime_ok: bool
-    base: float
-
-
 def caustic_interpolation(problem, mu_tau, epsilon):
-    """Numeric I(mu tau) next to the epsilon-regularized stationary value.
+    """(numeric I(mu tau), the epsilon-regularized stationary value).
 
     The prediction replaces the decaying power 1/(mu tau)^((n-p)/2) by
     1/(mu tau + epsilon)^(...) with each component's q0 turned by
     e^{-i eps psi0}, which stays finite through tau -> 0.  mu and tau
-    enter only through their product mu_tau.
+    enter only through their product mu_tau; mu tau + epsilon <= 1 warns
+    RegimeWarning.
     """
     # at mu_tau = 0 the exponential is 1, so this is the plain amplitude mass
     numeric = oscillatory_integral(problem, mu_tau)
     base = mu_tau + epsilon
-    regime_ok = base > 1.0
-    if not regime_ok:
+    if not base > 1.0:
         warnings.warn(
             f"mu tau + epsilon = {base} <= 1: interpolation outside its regime",
             RegimeWarning,
@@ -528,8 +486,7 @@ def caustic_interpolation(problem, mu_tau, epsilon):
     expansion = stationary_expansion(problem)
     turned = tuple(replace(c, q0=c.q0 * cmath.exp(-1j * epsilon * c.psi0))
                    for c in expansion.components)
-    prediction = SPExpansion(expansion.n, turned).predict(base)
-    return CausticValue(numeric, prediction, regime_ok, base)
+    return numeric, SPExpansion(expansion.n, turned).predict(base)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +760,7 @@ def critical_set_scan(x, y):
 
 
 # ---------------------------------------------------------------------------
-# hybrid decay
+# orbit-pair integrals
 
 
 def orbit_distance(x, y):
@@ -847,46 +804,3 @@ def hybrid_integral(x, y, mu):
         return complex(pairwise_sum(vals[0])) / n_phi
     # divided as floats: numpy's complex division multiplies by 1 / n_phi
     return (pairwise_sum(vals) / n_phi).astype(complex)
-
-
-@dataclass(frozen=True)
-class HybridDecayPair:
-    on_fit: object
-    off_fit: object
-    mu_grid: tuple
-    on_values: tuple
-    off_values: tuple
-    distance: float
-
-
-def hybrid_decay_fit(x, y, mu_grid):
-    """Envelope decay fits of |I(mu)|: the on-orbit reference (y replaced by
-    x itself) paired with the off-orbit fit at the given y."""
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    if len(mu_grid) < 8:
-        raise DomainError("mu_grid needs at least 8 points")
-    ratios = mu_grid[1:] / mu_grid[:-1]
-    if np.any(ratios <= 1.0) or np.ptp(ratios) > 0.2 * ratios[0]:
-        raise DomainError("mu_grid must be geometric and increasing")
-    dist = orbit_distance(x, y)
-    off_orbit = dist > 1e-12
-    if off_orbit and mu_grid[0] * dist < 3.0:
-        warnings.warn(
-            f"mu_min * dist = {mu_grid[0] * dist:.3g} < 3: mixed regime for the off-orbit fit",
-            RegimeWarning,
-        )
-    # the on-orbit row x and the off-orbit row y, one call a mu
-    rows = np.array([x, y] if off_orbit else [x], dtype=float)
-    vals = np.abs(np.array([hybrid_integral(x, rows, mu) for mu in mu_grid]))
-    on_vals = vals[:, 0]
-    m_on, v_on = envelope_maxima(mu_grid, on_vals)
-    on_fit = fit_power_law(m_on, v_on)
-    off_fit = None
-    off_vals = ()
-    if off_orbit:
-        ov = vals[:, 1]
-        m_off, v_off = envelope_maxima(mu_grid, ov)
-        off_fit = fit_power_law(m_off, v_off)
-        off_vals = tuple(ov)
-    return HybridDecayPair(on_fit, off_fit, tuple(mu_grid), tuple(on_vals), off_vals, dist)
-

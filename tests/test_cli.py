@@ -1,6 +1,7 @@
 """Flag and config-file parsing, dispatch, summary lines, exit codes."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,32 @@ def test_main_resource_errors_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(lab, "run_command", boom)
     assert cli.main(["critscan"]) == 3
     assert "resource error" in capsys.readouterr().err
+
+
+def test_a_torus_lattice_past_the_limit_exits_3(capsys):
+    # m = 20000 would ask for about 1.6e9 lattice entries per array
+    tracemalloc.start()
+    try:
+        assert cli.main(["lpnorms", "--manifold", "torus", "--m", "20000"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "resource error" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["statphase", "--mu-grid", "nan,20,40"],
+    ["statphase", "--mu-grid", "20,inf"],
+    ["interp", "--mu-tau-grid", "2,nan"],
+    ["weyl", "--lambda-max", "inf"],
+    ["kuznecov", "--lambda", "inf"],
+    ["counting", "--manifold", "torus", "--lambda", "inf"],
+], ids=" ".join)
+def test_non_finite_numbers_exit_2(monkeypatch, capsys, argv):
+    monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_main_writes_reports_for_single_experiment(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Analytic bases and the discrete Sturm-Liouville route."""
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from equiweyl import eigensolve, geometry, specfun, spectral
-from equiweyl.errors import ConvergenceError, DomainError, InvalidPointError
+from equiweyl.errors import ConvergenceError, DomainError, InvalidPointError, ResourceLimitError
 
 
 def test_sphere_basis_census():
@@ -57,6 +58,19 @@ def test_torus_basis_holds_the_modes_at_its_lambda_max(order):
         assert len(b.eigenvalues) == sum(spectral.torus_count_direct(m, lam, order)
                                          for m in labels)
         assert b.eigenvalues[-1] == lam
+
+
+def test_torus_basis_refuses_a_lattice_past_the_largest_sphere_basis():
+    """A lattice of half-width R > 1000, more than the 2001^2 entries of the
+    largest sphere basis, is refused before any of it is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="half-width 1001 > 1000"):
+            eigensolve.torus_basis(4.0 * math.pi * math.pi * (1000 ** 2 + 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sor_eigenvalues_match_sphere():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from equiweyl import lab, specfun, spectral
+from equiweyl import lab, specfun, spectral, statphase
 from equiweyl.errors import DegenerateDataError, DomainError
 
 
@@ -262,6 +262,43 @@ def test_kuznecov_report_fails_when_the_identity_breaks(monkeypatch):
     identity = next(c for c in rep["checks"] if c["name"] == "worst_identity_error")
     assert identity["measured"] > identity["bound"] == 1e-10
     assert not identity["pass"] and identity["margin"] < 0
+    assert rep["verdict"] == "fail"
+
+
+def _second_call_nan(exact):
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 2 else exact(*args)
+    return patched
+
+
+def _second_entry_nan(exact):
+    def patched(*args):
+        out = np.array(exact(*args), dtype=float)
+        out[1] = math.nan
+        return out
+    return patched
+
+
+# suite id: (module, function, how one NaN gets in, the worst-of check)
+NAN_CASES = {
+    "statphase-gaussian": (statphase, "oscillatory_integral", _second_call_nan, "worst_exact_rel"),
+    "statphase-sphere": (statphase, "oscillatory_integral", _second_call_nan, "worst_exact_rel"),
+    "interp": (statphase, "oscillatory_integral", _second_call_nan, "worst_rel"),
+    "kuznecov": (spectral, "kuznecov_sum", _second_entry_nan, "worst_identity_error"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CASES))
+def test_one_nan_fails_the_worst_of_check(monkeypatch, name):
+    # a worst-of reduction must not drop a NaN between finite values
+    module, attr, inject, check = NAN_CASES[name]
+    monkeypatch.setattr(module, attr, inject(getattr(module, attr)))
+    rep = lab.run_experiment(name)
+    worst = next(c for c in rep["checks"] if c["name"] == check)
+    assert math.isnan(worst["measured"]) and not worst["pass"]
     assert rep["verdict"] == "fail"
 
 

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from equiweyl import geometry, lab, statphase, util
-from equiweyl.errors import (
-    DegenerateCriticalError,
-    DomainError,
-    RegimeWarning,
-    ResolutionError,
-)
+from equiweyl.errors import DegenerateCriticalError, DomainError, RegimeWarning
 
 
 def rotate_z(phi, v):
@@ -32,11 +27,11 @@ def pairing_phase(x, y):
     return pairing
 
 
-def gaussian_problem(width=12.0, nodes=None):
+def gaussian_problem():
     return statphase.StationaryPhaseProblem(
         lambda X: 0.5 * X[..., 0] ** 2,
         lambda X: np.exp(-0.5 * X[..., 0] ** 2),
-        statphase.BoxDomain((-width,), (width,), nodes=nodes),
+        statphase.BoxDomain((-12.0,), (12.0,)),
         critical=("points", [np.array([0.0])]),
     )
 
@@ -70,9 +65,10 @@ def test_gaussian_exact():
 def test_gaussian_expansion():
     exp = statphase.stationary_expansion(gaussian_problem())
     assert exp.n == 1
-    assert exp.signature == 1
-    assert exp.psi0 == pytest.approx(0.0, abs=1e-12)
-    assert exp.q0 == pytest.approx(cmath.exp(1j * math.pi / 4.0), rel=1e-8)
+    (c,) = exp.components
+    assert (c.p, c.signature) == (0, 1)
+    assert c.psi0 == pytest.approx(0.0, abs=1e-12)
+    assert c.q0 == pytest.approx(cmath.exp(1j * math.pi / 4.0), rel=1e-8)
     assert abs(exp.predict(10.0)) == pytest.approx(
         math.sqrt(2.0 * math.pi / 10.0), rel=1e-8)
 
@@ -114,7 +110,7 @@ def test_box_requires_decayed_amplitude():
         statphase.StationaryPhaseProblem(
             lambda X: X[..., 0],
             lambda X: np.exp(-X[..., 0] ** 2),
-            types.SimpleNamespace(lo=(-1.0,), hi=(1.0,), dim=1, nodes=None))
+            types.SimpleNamespace(lo=(-1.0,), hi=(1.0,), dim=1))
 
 
 def sphere_grid(n_pol, n_az):
@@ -227,12 +223,6 @@ def test_degenerate_hessian_rejected():
         statphase.stationary_expansion(prob)
 
 
-def test_resolution_cap():
-    prob = gaussian_problem(nodes=(128,))
-    with pytest.raises(ResolutionError):
-        prob.resolve_nodes(4000.0)
-
-
 def test_sphere_plane_wave_exact():
     prob = plane_wave_problem()
     for mu in (20.0, 95.5, 333.0):
@@ -328,7 +318,6 @@ def test_sphere_expansion_structure():
     got = exp.predict(50.0)
     want = 4.0 * math.pi * math.sin(50.0) / 50.0
     assert abs(got - want) / (4.0 * math.pi / 50.0) <= 1e-4
-    assert exp.envelope(50.0) == pytest.approx(4.0 * math.pi / 50.0, rel=1e-6)
 
     # the amplitude route: 1 + z^2 is 2 at both poles
     v = np.array([0.0, 0.0, 1.0])
@@ -353,33 +342,32 @@ def test_curve_critical_set():
                   (-6.0, 6.0), False),
     )
     exp = statphase.stationary_expansion(prob)
-    assert exp.p == 1
-    assert exp.signature == 1
+    (c,) = exp.components
+    assert (c.p, c.signature) == (1, 1)
     # q0 collects the amplitude line integral: int e^{-t^2} dt = sqrt(pi)
-    assert abs(exp.q0) == pytest.approx(math.sqrt(math.pi), rel=1e-6)
+    assert abs(c.q0) == pytest.approx(math.sqrt(math.pi), rel=1e-6)
     mu = 200.0
     got = statphase.oscillatory_integral(prob, mu)
     assert abs(exp.predict(mu) - got) / abs(got) <= 2e-2
 
 
 def test_curve_must_stay_critical():
-    prob = statphase.StationaryPhaseProblem(
-        lambda X: 0.5 * X[..., 1] ** 2 + 0.1 * X[..., 0] ** 2,
-        lambda X: np.exp(-(X[..., 0] ** 2 + X[..., 1] ** 2)),
-        statphase.BoxDomain((-6.0, -6.0), (6.0, 6.0)),
-        critical=("curve", lambda t: np.stack([t, np.zeros_like(t)], axis=-1),
-                  (-6.0, 6.0), False),
-    )
-    with pytest.raises(DomainError):
-        statphase.stationary_expansion(prob)
+    # every node of the curve meets the points' gate, at construction
+    with pytest.raises(DomainError, match="declared critical node"):
+        statphase.StationaryPhaseProblem(
+            lambda X: 0.5 * X[..., 1] ** 2 + 0.1 * X[..., 0] ** 2,
+            lambda X: np.exp(-(X[..., 0] ** 2 + X[..., 1] ** 2)),
+            statphase.BoxDomain((-6.0, -6.0), (6.0, 6.0)),
+            critical=("curve", lambda t: np.stack([t, np.zeros_like(t)], axis=-1),
+                      (-6.0, 6.0), False),
+        )
 
 
 def test_caustic_flat_limit():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        out = statphase.caustic_interpolation(gaussian_problem(), 0.0, 1.0)
-    assert abs(out.numeric - math.sqrt(2.0 * math.pi)) <= 1e-12
-    assert not out.regime_ok
+    # mu tau + epsilon = 1 is outside the regime: the value is still exact
+    with pytest.warns(RegimeWarning):
+        numeric, _ = statphase.caustic_interpolation(gaussian_problem(), 0.0, 1.0)
+    assert abs(numeric - math.sqrt(2.0 * math.pi)) <= 1e-12
 
 
 def test_caustic_regime_warning():
@@ -389,11 +377,12 @@ def test_caustic_regime_warning():
 
 def test_caustic_prediction_band():
     prob = gaussian_problem()
-    for mt in (2.0, 8.0, 32.0, 100.0):
-        out = statphase.caustic_interpolation(prob, mt, 1.0)
-        assert out.regime_ok
-        rel = abs(out.numeric - out.prediction) / abs(out.numeric)
-        assert rel <= 0.35
+    with warnings.catch_warnings():
+        # inside the regime: no RegimeWarning
+        warnings.simplefilter("error", RegimeWarning)
+        for mt in (2.0, 8.0, 32.0, 100.0):
+            numeric, prediction = statphase.caustic_interpolation(prob, mt, 1.0)
+            assert abs(numeric - prediction) / abs(numeric) <= 0.35
 
 
 def test_scan_on_orbit():
@@ -583,27 +572,23 @@ def test_hybrid_decay_rates():
     x = geometry.sphere_point(1.2, 0.3)
     y = geometry.sphere_point(0.8, 1.1)
     mu_grid = np.array([50.0 * 2.0 ** (j / 64.0) for j in range(193)])
-    pair = statphase.hybrid_decay_fit(x, y, mu_grid)
-    assert abs(pair.on_fit.slope - (-1.0)) <= 0.1
-    assert abs(pair.off_fit.slope - (-1.5)) <= 0.1
-    assert pair.distance == pytest.approx(statphase.orbit_distance(x, y))
+    rep = lab.run_hybrid_experiment(mu_grid)
+    assert abs(rep["fit"]["slope"] - (-1.0)) <= 0.1
+    assert abs(rep["fit_off"]["slope"] - (-1.5)) <= 0.1
+    assert rep["orbit_distance"] == pytest.approx(statphase.orbit_distance(x, y))
 
 
 def test_hybrid_grid_validation():
-    x = geometry.sphere_point(1.2, 0.3)
-    y = geometry.sphere_point(0.8, 1.1)
     with pytest.raises(DomainError):
-        statphase.hybrid_decay_fit(x, y, np.array([50.0, 60.0, 70.0]))
+        lab.run_hybrid_experiment(np.array([50.0, 60.0, 70.0]))
     with pytest.raises(DomainError):
-        statphase.hybrid_decay_fit(x, y, np.linspace(10.0, 400.0, 16))
+        lab.run_hybrid_experiment(np.linspace(10.0, 400.0, 16))
 
 
 def test_hybrid_regime_warning():
-    x = geometry.sphere_point(1.2, 0.3)
-    y = geometry.sphere_point(0.8, 1.1)
     mu_grid = np.array([2.0 * 20.0 ** (j / 32.0) for j in range(33)])
     with pytest.warns(RegimeWarning):
-        statphase.hybrid_decay_fit(x, y, mu_grid)
+        lab.run_hybrid_experiment(mu_grid)
 
 
 def test_group_components_links_chains_and_orders_by_first_index():
