@@ -263,6 +263,11 @@ def torus_basis(lambda_max, order=0):
 # block by block, each block in ascending order.
 
 _PIVMIN_FLOOR = 1e-290
+# _sturm_counts holds a row block's shifted diagonals, under 2^16 doubles
+# (512 KiB), and counts more than 2^13 shifts in turns, so that a block
+# has at least 7 rows
+_ROW_BLOCK_ELEMENTS = 1 << 16
+_MAX_BLOCK_SHIFTS = 1 << 13
 
 
 def _sturm_counts(d, off, corner, shifts, block=None):
@@ -273,37 +278,93 @@ def _sturm_counts(d, off, corner, shifts, block=None):
     off: subdiagonal (n-1,), corner: wrap entry A[0,n-1] (0 for open chains).
     Counts via LDL pivot signs; the periodic case uses the bordered
     factorization, tracking the fill-in column and the Schur complement of
-    the last pivot.
+    the last pivot.  A pivot q with |q| < pivmin is replaced by -pivmin.
+
+    The rows after the first go in row blocks of at most
+    _ROW_BLOCK_ELEMENTS shifted diagonals, as LAPACK xLANEG does (Marques,
+    Riedy & Vomel 2006): each block runs the recurrence unguarded and in
+    place, two ufunc calls a row on open chains, then counts its negative
+    pivots at once.  Where every pivot of the block has |q| >= pivmin the
+    guard is the identity, so the block did the guarded recurrence's float
+    operations in its order and the counts are its counts bit for bit; any
+    other block (a tiny pivot, or an inf or nan after one) runs again,
+    guarded, from its saved start.
     """
     d = d.reshape(len(d), -1)
     n = len(d)
     shifts = np.asarray(shifts, dtype=float)
+    K = len(shifts)
     if block is None:
-        block = np.zeros(len(shifts), dtype=np.intp)
+        block = np.zeros(K, dtype=np.intp)
+    if K > _MAX_BLOCK_SHIFTS:  # the shifts' counts are independent
+        return np.concatenate([_sturm_counts(d, off, corner, shifts[j:j + _MAX_BLOCK_SHIFTS],
+                                             block[j:j + _MAX_BLOCK_SHIFTS])
+                               for j in range(0, K, _MAX_BLOCK_SHIFTS)])
+    # the shifts as runs of one block each: a row block's shifted diagonals
+    # are one repeat of the runs' columns, bit for bit d[i][block] - shifts
+    first = np.ones(K, dtype=bool)
+    first[1:] = block[1:] != block[:-1]
+    runs = np.flatnonzero(first)
+    run_cols, run_lens = block[runs], np.diff(np.append(runs, K))
+
+    def shifted(i0, out):
+        np.subtract(np.repeat(d[i0:i0 + len(out), run_cols], run_lens, axis=1), shifts, out=out)
+        return out
+
     pivmin = max(_PIVMIN_FLOOR, 1e-30 * float(np.max(np.abs(off)) ** 2 + 1.0))
-    q = d[0][block] - shifts
+    q = shifted(0, np.empty((1, K)))[0]
     q = np.where(np.abs(q) < pivmin, -pivmin, q)
     counts = (q < 0).astype(np.int64)
-    osq = off * off
-    if corner == 0.0:
-        for i in range(1, n):
-            q = (d[i][block] - shifts) - osq[i - 1] / q
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            counts += q < 0
-        return counts
-    # bordered: leading (n-1) x (n-1) block is plain tridiagonal; the border
-    # column f has entries corner (row 0) and off[n-2] (row n-2)
-    ftil = np.full_like(shifts, corner)
-    schur = (d[n - 1][block] - shifts) - ftil * ftil / q
-    for i in range(1, n - 1):
-        l_prev = off[i - 1] / q
-        q = (d[i][block] - shifts) - osq[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        fi = off[n - 2] if i == n - 2 else 0.0
-        ftil = fi - l_prev * ftil
-        schur = schur - ftil * ftil / q
-        counts += q < 0
-    counts += schur < 0
+    offs, osq = off.tolist(), (off * off).tolist()
+    closed = corner != 0.0
+    buf = np.empty(K)
+    if closed:
+        # bordered: leading (n-1) x (n-1) block is plain tridiagonal; the
+        # border column f has entries corner (row 0) and off[n-2] (row n-2)
+        ftil = np.full_like(shifts, corner)
+        schur = shifted(n - 1, np.empty((1, K)))[0] - ftil * ftil / q
+        l_prev = np.empty(K)
+
+    def recur(dsh, i0, q, guard):
+        """Rows i0.. of the recurrence after the pivot q, overwriting dsh
+        with the pivots; on closed chains ftil and schur are updated in place."""
+        for i, row in enumerate(dsh, i0):
+            if closed:
+                np.divide(offs[i - 1], q, out=l_prev)
+            np.divide(osq[i - 1], q, out=buf)
+            np.subtract(row, buf, out=row)
+            if guard:
+                np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
+            if closed:
+                np.multiply(l_prev, ftil, out=ftil)
+                np.subtract(offs[n - 2] if i == n - 2 else 0.0, ftil, out=ftil)
+                np.multiply(ftil, ftil, out=buf)
+                np.divide(buf, row, out=buf)
+                np.subtract(schur, buf, out=schur)
+            q = row
+
+    end = n - 1 if closed else n
+    # fewer than 2^16 rows, so a block's counts are exact in uint16, whose
+    # sum over rows is several times faster than int64's
+    rows = max(1, min((_ROW_BLOCK_ELEMENTS - 1) // max(K, 1), end - 1))
+    # one set of buffers for every block: fresh ones of this size go back to
+    # the system when freed and fault in again, block after block
+    pivots, size, neg = np.empty((rows, K)), np.empty((rows, K)), np.empty((rows, K), dtype=bool)
+    for i0 in range(1, end, rows):
+        r = min(rows, end - i0)
+        dsh = shifted(i0, pivots[:r])
+        if closed:
+            start = ftil.copy(), schur.copy()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            recur(dsh, i0, q, False)
+        if not np.min(np.abs(dsh, out=size[:r]), initial=np.inf) >= pivmin:  # also true at a nan
+            if closed:
+                ftil[:], schur[:] = start
+            recur(shifted(i0, dsh), i0, q, True)
+        counts += np.add.reduce(np.less(dsh, 0.0, out=neg[:r]), axis=0, dtype=np.uint16)
+        q[:] = dsh[-1]
+    if closed:
+        counts += schur < 0
     return counts
 
 
@@ -402,7 +463,7 @@ def _shifted_solver(d, off, corner, block, shifts, tnorm):
     overwrites its rhs b (n, K) with x (n, K).
 
     Column k is block block[k] of the stack d (n, B) shifted by shifts[k];
-    its rows are formed one at a time, as in _sturm_counts.  tnorm: (K,),
+    its rows are formed one at a time, d[i][block] - shifts.  tnorm: (K,),
     |T| of each column's block.  An orthogonal factorization
     is backward stable for every shift, so each solve is exact for a matrix
     within a small multiple of eps |T|; the unpivoted LDL^T is not, and on

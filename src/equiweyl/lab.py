@@ -602,8 +602,12 @@ def _colatitude(key, v):
 
 
 def _grid(key, v):
-    arr = np.asarray(v, dtype=float)
-    if arr.size < 2 or not np.all(np.isfinite(arr) & (arr > 0)) or np.any(np.diff(arr) <= 0):
+    try:  # a config file may hold strings or nested lists
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.zeros(0)
+    if (arr.ndim != 1 or arr.size < 2 or not np.all(np.isfinite(arr) & (arr > 0))
+            or np.any(np.diff(arr) <= 0)):
         yield f"{key} must be a strictly increasing grid of finite positive numbers"
 
 

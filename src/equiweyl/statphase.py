@@ -29,11 +29,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateCriticalError, DomainError, RegimeWarning
+from .errors import DegenerateCriticalError, DomainError, RegimeWarning, ResourceLimitError
 from .util import _colatitude_nodes, gauss_nodes, pairwise_sum
 
 _TWO_PI = 2.0 * math.pi
 MIN_NODES = 64
+# the most tensor-grid nodes one quadrature may take: 5 times the largest
+# grid the tests integrate (19.7 M), far below what gauss_nodes could hold
+MAX_GRID_NODES = 10 ** 8
 NODES_PER_WAVELENGTH = 6
 # |gradient| at which a Newton-polished scan point counts as critical
 SCAN_GRAD_TOL = 1e-10
@@ -320,7 +323,13 @@ class StationaryPhaseProblem:
         return (f[..., :d] - f[..., d:]) / (2 * _GRAD_STEP)
 
     def resolve_nodes(self, mu):
-        return tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, self.domain._extents))
+        """Nodes per axis at mu; ResourceLimitError past MAX_GRID_NODES in
+        all, before any rule is built."""
+        nodes = tuple(nodes_for(mu, lip, ext) for lip, ext in zip(self.lip, self.domain._extents))
+        if math.prod(nodes) > MAX_GRID_NODES:
+            raise ResourceLimitError(f"mu={mu} needs a quadrature grid of {' x '.join(map(str, nodes))}"
+                                     f" nodes, more than {MAX_GRID_NODES}")
+        return nodes
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,8 @@ def _json_scalar(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        if not math.isfinite(x):
-            raise ValueError("non-finite float in report")
-        return format_float(x)
+        # JSON has no nan or inf: a non-finite measurement is written as null
+        return format_float(x) if math.isfinite(x) else "null"
     if isinstance(x, str):
         return json.dumps(x)
     raise TypeError(f"unsupported report value {type(x)!r}")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equiweyl import cli, lab
+from equiweyl import cli, lab, statphase
 from equiweyl.errors import ConfigError, ResourceLimitError
 
 
@@ -220,6 +220,37 @@ def test_a_torus_lattice_past_the_limit_exits_3(capsys):
         tracemalloc.stop()
     assert "resource error" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+def test_a_quadrature_grid_past_the_node_cap_exits_3(capsys):
+    # the Gaussian preset at mu = 1e7 would take 3.3e9 box nodes
+    tracemalloc.start()
+    try:
+        assert cli.main(["statphase", "--preset", "gaussian", "--mu-grid", "1e7,2e7"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "resource error: mu=10000000.0 needs a quadrature grid" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("grid", [["a", "b"], [[20, 40], [60, 80]], {"lo": 20}])
+def test_a_config_grid_that_is_no_list_of_numbers_exits_2(tmp_path, monkeypatch, capsys, grid):
+    monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"mu_grid": grid}))
+    assert cli.main(["statphase", "--config", str(path)]) == 2
+    assert "config error: mu_grid must be a strictly increasing grid" in capsys.readouterr().err
+
+
+def test_a_nan_measurement_writes_a_failing_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(statphase, "oscillatory_integral", lambda *args: complex(math.nan))
+    assert cli.main(["interp", "--out-dir", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "interp.json").read_text())
+    assert report["verdict"] == "fail"
+    worst = next(c for c in report["checks"] if c["name"] == "worst_rel")
+    assert worst["measured"] is None and worst["pass"] is False
+    assert "interp: fail" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

@@ -313,6 +313,131 @@ def test_closed_profile_with_vanishing_pivot():
 
 
 # ---------------------------------------------------------------------------
+# the blocked Sturm counts against the guarded recurrence, row by row
+
+
+def _pivmin(off):
+    return max(eigensolve._PIVMIN_FLOOR, 1e-30 * float(np.max(np.abs(off)) ** 2 + 1.0))
+
+
+def _row_counts(d, off, corner, shifts, block=None):
+    """The guarded LDL^T pivot recurrence one row at a time, every pivot with
+    |q| < pivmin replaced by -pivmin: the counts _sturm_counts must give."""
+    d = d.reshape(len(d), -1)
+    n = len(d)
+    shifts = np.asarray(shifts, dtype=float)
+    if block is None:
+        block = np.zeros(len(shifts), dtype=np.intp)
+    pivmin = _pivmin(off)
+    q = d[0][block] - shifts
+    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+    counts = (q < 0).astype(np.int64)
+    osq = off * off
+    if corner == 0.0:
+        for i in range(1, n):
+            q = (d[i][block] - shifts) - osq[i - 1] / q
+            q = np.where(np.abs(q) < pivmin, -pivmin, q)
+            counts += q < 0
+        return counts
+    ftil = np.full_like(shifts, corner)
+    schur = (d[n - 1][block] - shifts) - ftil * ftil / q
+    for i in range(1, n - 1):
+        l_prev = off[i - 1] / q
+        q = (d[i][block] - shifts) - osq[i - 1] / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        fi = off[n - 2] if i == n - 2 else 0.0
+        ftil = fi - l_prev * ftil
+        schur = schur - ftil * ftil / q
+        counts += q < 0
+    counts += schur < 0
+    return counts
+
+
+def _chain(closed, n, blocks):
+    prof = geometry.torus_profile() if closed else geometry.sphere_profile()
+    _, _, _, d, off, corner = eigensolve._radial_matrix(prof, np.arange(blocks), n)
+    return d, off, corner
+
+
+def _rows_per_block(K, end):
+    """The row block _sturm_counts takes for K shifts over rows 1..end-1."""
+    return max(1, min((eigensolve._ROW_BLOCK_ELEMENTS - 1) // max(K, 1), end - 1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("K", [0, 1, 63, 7623, 20000])
+@pytest.mark.parametrize("grouping", ["none", "grouped", "interleaved"])
+def test_blocked_sturm_counts_are_the_row_recurrence(closed, K, grouping):
+    # 1100 rows: at 63 shifts a block of 1040 rows and a ragged one of 59,
+    # at 7,623 blocks of 8 rows and a ragged last one; 20,000 shifts are
+    # counted in three turns
+    n = 1100
+    d, off, corner = _chain(closed, n, 1 if grouping == "none" else 5)
+    lo, hi = eigensolve._gershgorin(d, off, corner)
+    rng = np.random.default_rng(K)
+    # most shifts in the lowest part of the spectrum, where the counts change
+    shifts = np.where(rng.random(K) < 0.8, rng.uniform(-1.0, 2000.0, K),
+                      rng.uniform(np.min(lo), np.max(hi), K))
+    block = None
+    if grouping != "none":
+        block = np.sort(rng.integers(0, 5, K))
+        if grouping == "interleaved":
+            rng.shuffle(block)
+    want = _row_counts(d, off, corner, shifts, block)
+    got = eigensolve._sturm_counts(d, off, corner, shifts, block)
+    assert got.dtype == np.int64 and got.shape == (K,)
+    assert np.array_equal(got, want)
+    if K > 1:
+        assert len(np.unique(want)) > 10  # the shifts meet many eigenvalues
+    end = n - 1 if closed else n
+    if K in (63, 7623):
+        rows = _rows_per_block(K, end)
+        assert 1 < (end - 1) / rows and (end - 1) % rows  # several blocks, the last ragged
+
+
+def _force_zero_pivot(d, off, rows):
+    """d with its first column changed on the given rows so that the guarded
+    pivot of every one of them is exactly 0 at shift 0."""
+    d, osq, pivmin = d.copy(), off * off, _pivmin(off)
+    q = d[0, 0]
+    for i in range(1, max(rows) + 1):
+        x = osq[i - 1] / q
+        if i in rows:
+            d[i, 0] = x
+        q = d[i, 0] - x
+        q = -pivmin if abs(q) < pivmin else q
+    return d
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", [63, 7623])
+@pytest.mark.parametrize("where", ["first", "middle", "split", "open-last", "border-row"])
+def test_blocked_sturm_counts_redo_a_block_with_a_tiny_pivot(K, where):
+    """An exact zero pivot at shift 0, in a block's first row, in its middle,
+    followed by a zero off-diagonal (0/0: nan in the unguarded pass), in an
+    open chain's last row and in the closed chain's row n-2, which meets the
+    border entry off[n-2]; the block is counted again from its saved start."""
+    n = 1100
+    closed = where == "border-row"
+    d, off, corner = _chain(closed, n, 3)
+    end = n - 1 if closed else n
+    rows = _rows_per_block(K, end)
+    second = min(rows, end - 1 - rows)  # the second block's length
+    zero = {"first": 1 + rows, "middle": 1 + rows + second // 2, "split": 1 + rows // 2,
+            "open-last": n - 1, "border-row": n - 2}[where]
+    if where == "split":
+        off = off.copy()
+        off[zero] = 0.0
+    d = _force_zero_pivot(d, off, [zero])
+    rng = np.random.default_rng(5)
+    shifts = np.concatenate(([0.0], rng.uniform(-1.0, 2000.0, K - 1)))
+    block = np.sort(np.concatenate(([0], rng.integers(0, 3, K - 1))))
+    want = _row_counts(d, off, corner, shifts, block)
+    assert np.array_equal(eigensolve._sturm_counts(d, off, corner, shifts, block), want)
+
+
+# ---------------------------------------------------------------------------
 # the batched evaluator against the scalar formulas, value for value
 
 

@@ -135,10 +135,14 @@ def test_json_dumps_structure():
 
 
 def test_json_dumps_rejects_bad_values():
-    with pytest.raises(ValueError):
-        util.json_dumps({"x": math.inf})
     with pytest.raises(TypeError):
         util.json_dumps({"x": object()})
+
+
+def test_json_dumps_writes_non_finite_floats_as_null():
+    # a failed measurement may be nan; JSON has no such number
+    text = util.json_dumps({"x": math.inf, "y": [np.float64("nan"), -math.inf, 1.5]})
+    assert json.loads(text) == {"x": None, "y": [None, None, 1.5]}
 
 
 def test_atomic_write_text(tmp_path):
