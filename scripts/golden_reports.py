@@ -46,8 +46,9 @@ def environment():
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     simd = config["SIMD Extensions"]
+    # numpy leaves "found" out when it dispatches to nothing past the baseline
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "simd_baseline": list(simd["baseline"]), "simd_found": list(simd["found"])}
+            "simd_baseline": list(simd["baseline"]), "simd_found": list(simd.get("found", []))}
 
 
 def write(source, target):

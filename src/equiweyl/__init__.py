@@ -1,15 +1,15 @@
 """Numerical experiments on spectral asymptotics under group symmetry.
 
 Model manifolds (round sphere, flat torus, surfaces of revolution) carry
-circle or finite-cyclic actions; the package measures reduced spectral
-functions, counting asymptotics, eigenfunction concentration, cluster
-L^p growth, and the oscillatory-integral machinery behind them, and
-compares each against closed-form or independently derived predictions.
+circle actions; the package measures reduced spectral functions, counting
+asymptotics, eigenfunction concentration, cluster L^p growth, and the
+oscillatory-integral machinery behind them, and compares each against
+closed-form or independently derived predictions.
 """
 
-# lab, the experiment harness, is loaded by cli, its only importer
+# cli, and lab below it, load when asked for (the equiweyl script, python -m
+# equiweyl, an import): python -m equiweyl.cli warns if cli is loaded already
 from . import (  # noqa: F401
-    cli,
     eigensolve,
     errors,
     fits,

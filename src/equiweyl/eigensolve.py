@@ -1,4 +1,4 @@
-"""Truncated Laplace eigenbases compatible with the circle / cyclic isotypic
+"""Truncated Laplace eigenbases compatible with the circle's isotypic
 decomposition.
 
 A basis is a set of arrays, one entry per mode, with one batched evaluator,
@@ -33,13 +33,13 @@ from .errors import (
     ResourceLimitError,
     TruncationError,
 )
-from .geometry import FlatTorus2, FlatTorus2FiniteCyclic, RoundSphere2
+from .geometry import FlatTorus2, RoundSphere2
 from .util import _FLOAT_FORMAT, format_float
 
 
 @dataclass(frozen=True)
 class IsotypicLabel:
-    """Circle-action Fourier index m, or residue mod N in the cyclic case."""
+    """Circle-action Fourier index m."""
 
     m: int
 
@@ -63,7 +63,7 @@ class EigenMode:
 class EigenBasis:
     """A truncated eigenbasis as arrays sorted by (eigenvalue, m, quantum).
 
-    m: the label, the Fourier index or its residue mod the cyclic group's order.
+    m: the label, the circle's Fourier index.
     quantum: (k, m) sphere, (k1, k2) torus, (m, j) surface of revolution.
     radial: values at the cell centers (i - 1/2) L/n plus one node past each
     end: the wrapped neighbour if closed, else the profile's end, valued as
@@ -90,12 +90,10 @@ class EigenBasis:
     def label_rows(self, m, lam):
         """The rows of the modes in the isotypic component of the label m
         with eigenvalue <= lam, ascending: a prefix of the label's rows."""
-        order = self.manifold._group_order
-        key = m % order if order else m
-        if key not in self._rows_by_label:
-            rows = np.flatnonzero(self.m == key)
-            self._rows_by_label[key] = rows, self.eigenvalues[rows].tolist()
-        rows, eigenvalues = self._rows_by_label[key]
+        if m not in self._rows_by_label:
+            rows = np.flatnonzero(self.m == m)
+            self._rows_by_label[m] = rows, self.eigenvalues[rows].tolist()
+        rows, eigenvalues = self._rows_by_label[m]
         # bisect_right is searchsorted(side="right") on a list, minus a numpy call
         return rows[: bisect.bisect_right(eigenvalues, lam)]
 
@@ -211,6 +209,8 @@ def sphere_k_max(lambda_max):
     k(k+1) <= n  iff  (2k+1)^2 <= 4n+1, n = floor(lambda_max)."""
     if lambda_max < 0:
         return -1
+    if not math.isfinite(lambda_max):
+        raise DomainError(f"lambda={lambda_max} is not finite")
     return (math.isqrt(4 * math.floor(lambda_max) + 1) - 1) // 2
 
 
@@ -232,15 +232,21 @@ def sphere_basis(lambda_max):
 # flat torus
 
 
-def torus_basis(lambda_max, order=0):
-    """The flat torus under the circle of x1 shifts (order 0, labels k1) or
-    the cyclic group of order N >= 1 (order N, labels k1 mod N)."""
+def _torus_norm_floor(lam):
+    """floor(lam / (4 pi^2)), the lattice bound on |k|^2 for eigenvalues
+    4 pi^2 |k|^2 <= lam; a non-finite lam raises DomainError."""
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda={lam} is not finite")
+    return math.floor(lam / (4.0 * math.pi * math.pi))
+
+
+def torus_basis(lambda_max):
+    """The flat torus under the circle of x1 shifts, labels k1."""
     if lambda_max < 0:
         raise DomainError("lambda_max must be >= 0")
-    manifold = FlatTorus2FiniteCyclic(order) if order else FlatTorus2()
     # lambda_max / (4 pi^2) may round below the integer |k|^2 it meets, so the
     # cut-off is the test the count puts to the stored eigenvalues
-    R = math.isqrt(math.floor(lambda_max / (4.0 * math.pi * math.pi))) + 1
+    R = math.isqrt(_torus_norm_floor(lambda_max)) + 1
     # the lattice holds (2R + 1)^2 entries: at most (DEGREE_LIMIT + 1)^2,
     # the size of the largest sphere_basis
     if 2 * R > specfun.DEGREE_LIMIT:
@@ -251,8 +257,7 @@ def torus_basis(lambda_max, order=0):
     lam = 4.0 * math.pi * math.pi * (k1 * k1 + k2 * k2)
     inside = lam <= lambda_max
     k1, k2, lam = k1[inside], k2[inside], lam[inside]
-    return _sorted_basis(manifold, lam, k1 % order if order else k1, np.column_stack((k1, k2)),
-                         lambda_max)
+    return _sorted_basis(FlatTorus2(), lam, k1, np.column_stack((k1, k2)), lambda_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Model surfaces with isometric circle / finite-cyclic actions: orbit data,
-momentum pairing, lifted-orbit volumes in the embedded (co)tangent bundle, and
+"""Model surfaces with isometric circle actions: orbit data, momentum
+pairing, lifted-orbit volumes in the embedded (co)tangent bundle, and
 quadrature slices of the momentum zero level in each fiber."""
 
 from __future__ import annotations
@@ -39,22 +39,38 @@ def _meridian_nodes(mu):
 class _Rotation:
     """The circle acting by rotation through the angle t."""
 
-    _group_order = 0  # the circle; N for a cyclic group
-
     def _group_nodes(self, n):
-        return np.arange(n) * (_TWO_PI / n), n
+        return np.arange(n) * (_TWO_PI / n)
 
 
-class _FlatTorus:
-    """The flat unit-square torus, acted on by translations in x1."""
+@dataclass(frozen=True)
+class FlatTorus2:
+    """R^2/Z^2 (unit square), circle acting by translation in x1; the group
+    parameter is the shift t in [0, 1)."""
 
     def _check_covector(self, x, xi):
         pass  # the chart is R^2 x R^2
 
+    def _orbit(self, x):
+        return OrbitData(1, math.inf, 1.0)
+
+    def _pairing(self, x, xi):
+        return float(xi[0])
+
+    def _act(self, x, xi, t):
+        return [(x[0] + t) % 1.0, x[1]], xi
+
     def _lifted_length(self, x, xi):
         # a translation lifts to a translation with xi fixed: the lifted orbit
-        # is the base orbit (a finite orbit's counting measure)
-        return np.full(len(xi), self._orbit(x).orbit_length)
+        # is the base orbit, of length 1
+        return np.ones(len(xi))
+
+    def _fiber_slice(self, x, n_nodes):
+        c, w = gauss_nodes(n_nodes)
+        return np.column_stack([np.zeros(len(c)), c]), w
+
+    def _group_nodes(self, n):
+        return np.arange(n) / n
 
     def _global_coefficient(self, local):
         # a translation action leaves the local coefficient independent of
@@ -89,8 +105,8 @@ class RoundSphere2(_Rotation):
         theta = sphere_colatitude(x)
         dist = min(theta, math.pi - theta)
         if dist <= _POLE_TOL:
-            return OrbitData(0, "full group", 0.0, 0.0)
-        return OrbitData(1, "trivial", dist, 2 * math.pi * math.sin(theta))
+            return OrbitData(0, 0.0, 0.0)
+        return OrbitData(1, dist, 2 * math.pi * math.sin(theta))
 
     def _pairing(self, x, xi):
         return float(xi @ np.cross(_E3, x))
@@ -159,62 +175,6 @@ class RoundSphere2(_Rotation):
                 lambda t: np.column_stack((np.sin(t), np.zeros_like(t), np.cos(t))))
 
 
-@dataclass(frozen=True)
-class FlatTorus2(_FlatTorus):
-    """R^2/Z^2 (unit square), circle acting by translation in x1; the group
-    parameter is the shift t in [0, 1)."""
-
-    def _orbit(self, x):
-        return OrbitData(1, "trivial", math.inf, 1.0)
-
-    def _pairing(self, x, xi):
-        return float(xi[0])
-
-    def _act(self, x, xi, t):
-        return [(x[0] + t) % 1.0, x[1]], xi
-
-    def _fiber_slice(self, x, n_nodes):
-        c, w = gauss_nodes(n_nodes)
-        return np.column_stack([np.zeros(len(c)), c]), w
-
-    _group_order = 0
-
-    def _group_nodes(self, n):
-        return np.arange(n) / n, n
-
-
-@dataclass(frozen=True)
-class FlatTorus2FiniteCyclic(_FlatTorus):
-    """R^2/Z^2 with the cyclic group of order N acting by x1 -> x1 + 1/N;
-    the group parameter is the integer j of the shift j/N."""
-
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("cyclic order must be >= 1")
-
-    def _orbit(self, x):
-        # free action by 1/N shifts: orbits are N points, counting measure
-        return OrbitData(0, "trivial", math.inf, float(self.order))
-
-    def _pairing(self, x, xi):
-        return 0.0  # finite group: no generator field, Omega is all of T*M
-
-    def _act(self, x, xi, t):
-        j = int(round(t))
-        return [(x[0] + j / self.order) % 1.0, x[1]], xi
-
-    def _fiber_slice(self, x, n_nodes):
-        rho, unit, w = _disc_nodes(n_nodes)
-        return rho[:, None] * unit, w
-
-    _group_order = property(lambda self: self.order)
-
-    def _group_nodes(self, n):
-        return np.arange(self.order, dtype=float), self.order  # every element
-
-
 # an open profile's end radii, and a closed profile's seam jump, must lie
 # within this of 0
 _END_TOL = 1e-9
@@ -268,11 +228,11 @@ class SurfaceOfRevolution(_Rotation):
             raise InvalidPointError("s outside the profile range")
         r = float(self.r(s))
         if self.closed:
-            return OrbitData(1, "trivial", math.inf, 2 * math.pi * r)
+            return OrbitData(1, math.inf, 2 * math.pi * r)
         dist = min(s, self.length - s)
         if r <= _POLE_TOL or dist <= _POLE_TOL:
-            return OrbitData(0, "full group", 0.0, 0.0)
-        return OrbitData(1, "trivial", dist, 2 * math.pi * r)
+            return OrbitData(0, 0.0, 0.0)
+        return OrbitData(1, dist, 2 * math.pi * r)
 
     def _pairing(self, x, xi):
         return float(xi[1])
@@ -496,15 +456,14 @@ def sphere_point(theta, phi=0.0):
 
 @dataclass(frozen=True)
 class OrbitData:
-    kappa_x: int
-    isotropy: str  # "trivial" | "full group" (a fixed point of the circle)
+    kappa_x: int  # 0 exactly at a fixed point of the circle
     stratum_distance: float
     orbit_length: float
 
     def trivial_multiplicity(self, m):
         """[pi_m restricted to the isotropy group : trivial]: 1, except 0
         for m != 0 at a fixed point of the circle."""
-        return 0.0 if self.isotropy == "full group" and m != 0 else 1.0
+        return 0.0 if self.kappa_x == 0 and m != 0 else 1.0
 
 
 def sphere_colatitude(x):
@@ -547,8 +506,7 @@ def lifted_orbit_volume(manifold, x, xi):
     a float for one covector xi, an array for rows xi of shape (K, d).
 
     Closed forms throughout: on a surface of revolution the lifted orbit is
-    traced at constant speed.  For finite-cyclic actions the orbit is a
-    finite point set and the counting measure (orbit size) is returned.
+    traced at constant speed.
     """
     vol = manifold._lifted_length(np.asarray(x, dtype=float), np.array(xi, dtype=float, ndmin=2))
     return float(vol[0]) if np.ndim(xi) == 1 else vol
@@ -564,7 +522,7 @@ def cosphere_fiber_slice(manifold, x, n_nodes):
 
     A Gauss-Legendre segment with total weight 2 when the orbit through x is
     a circle (kappa = 1), a polar-grid disc with total weight pi when the
-    fiber condition is empty (fixed points and finite actions, kappa = 0).
+    fiber condition is empty (fixed points of the circle, kappa = 0).
     x is checked once, by its orbit data; the rows are built, not checked.
     """
     if n_nodes < 2:

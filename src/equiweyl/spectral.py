@@ -16,7 +16,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, EmptyWindowError
-from .eigensolve import EigenBasis, sphere_k_max
+from .eigensolve import EigenBasis, _torus_norm_floor, sphere_k_max
 from .geometry import rotate_cotangent
 from .util import pairwise_sum
 
@@ -74,25 +74,17 @@ def _torus_k2_count(n1, lam):
     # integers k2 with 4 pi^2 (n1 + k2^2) <= lam, the test a torus basis puts
     # to its eigenvalues: lam / (4 pi^2) may round below the integer it meets
     c = 4.0 * math.pi * math.pi
-    q = math.isqrt(max(0, math.floor(lam / c) - n1)) + 1
+    q = math.isqrt(max(0, _torus_norm_floor(lam) - n1)) + 1
     while q >= 0 and c * (n1 + q * q) > lam:
         q -= 1
     return max(0, 2 * q + 1)
 
 
-def torus_count_direct(m, lam, order=0):
-    """Lattice count of modes with eigenvalue <= lam in the label class.
-
-    order = 0: circle action, label m = k1.  order = N: cyclic action,
-    label is the residue of k1 mod N.
-    """
+def torus_count_direct(m, lam):
+    """Lattice count of modes with eigenvalue <= lam and label m = k1."""
     if lam < 0:
         return 0
-    if order == 0:
-        return _torus_k2_count(int(m) ** 2, lam)
-    r = int(m) % order
-    span = math.isqrt(math.floor(lam / (4.0 * math.pi * math.pi))) + 1
-    return sum(_torus_k2_count(k1 * k1, lam) for k1 in range(-span, span + 1) if k1 % order == r)
+    return _torus_k2_count(int(m) ** 2, lam)
 
 
 def torus_diag_direct(m, lam):
@@ -138,13 +130,12 @@ def cluster_sum(rsf, x, lam):
 
 
 # ---------------------------------------------------------------------------
-# circle / cyclic group averages
+# circle averages
 
 
 def _group_nodes(basis):
-    """The manifold's canonical group parameters and their count: for a
-    circle, n equally spaced ones, which average every label |m| < n
-    exactly; for a cyclic group, its elements."""
+    """The manifold's canonical circle parameters: n equally spaced ones,
+    which average every label |m| < n exactly."""
     span = int(np.max(np.abs(basis.m), initial=0))
     return basis.manifold._group_nodes(max(8, 2 * span + 2))
 
@@ -169,11 +160,12 @@ def kuznecov_sum(basis, x, lam):
 def kuznecov_sum_by_rotation(basis, x, lam):
     """Literal route: evaluate each mode at rotated points and average."""
     basis.require(lam)
-    t_nodes, n = _group_nodes(basis)
+    t_nodes = _group_nodes(basis)
     man = basis.manifold
     zeros = np.zeros(np.shape(x))
     pts = [rotate_cotangent(man, x, zeros, -float(t))[0] for t in t_nodes]
-    avg = np.sum(basis.evaluate(pts, np.flatnonzero(basis.eigenvalues <= lam)), axis=1) / n
+    values = basis.evaluate(pts, np.flatnonzero(basis.eigenvalues <= lam))
+    avg = np.sum(values, axis=1) / len(t_nodes)
     return float(np.sum(np.abs(avg) ** 2))
 
 

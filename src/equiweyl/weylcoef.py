@@ -44,7 +44,7 @@ def local_leading_coefficient(manifold, x, label):
     mult = od.trivial_multiplicity(label)
     if mult == 0.0:
         return WeylPrediction(0.0, exponent)
-    if kappa == 0 and od.isotropy == "full group":
+    if kappa == 0:
         warnings.warn(
             "reciprocal orbit volume is singular at the zero covector; "
             "polar nodes avoid it and the integrand stays integrable",

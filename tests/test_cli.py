@@ -1,7 +1,11 @@
 """Flag and config-file parsing, dispatch, summary lines, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,3 +309,16 @@ def test_lpnorms_on_the_sphere_with_a_nonzero_m_exits_2(capsys):
     # the sphere's series is zonal: an m it would not measure is refused
     assert cli.main(["lpnorms", "--manifold", "sphere", "--m", "5"]) == 2
     assert "m must be 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["equiweyl", "equiweyl.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    """python -m equiweyl and python -m equiweyl.cli run the front end, and
+    runpy finds no cli loaded ahead of it to warn about."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-m", module, "suite", "--names", "interp",
+                          "--out-dir", str(tmp_path)], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout.split(":")[0]) == (0, "interp"), run.stderr
+    assert "RuntimeWarning" not in run.stderr

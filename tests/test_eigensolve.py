@@ -37,26 +37,15 @@ def test_torus_basis_circle():
     assert np.abs(b.evaluate((0.3, 0.7))[:, 0]) == pytest.approx(np.ones(want), abs=1e-14)
 
 
-def test_torus_basis_cyclic_labels():
-    b = eigensolve.torus_basis(300.0, order=3)
-    assert b.manifold == geometry.FlatTorus2FiniteCyclic(3)
-    assert np.array_equal(b.m, b.quantum[:, 0] % 3)
-    assert len(b.eigenvalues) == len(eigensolve.torus_basis(300.0).eigenvalues)
-    with pytest.raises(ValueError):
-        eigensolve.torus_basis(100.0, order=-1)
-
-
-@pytest.mark.parametrize("order", [0, 3])
-def test_torus_basis_holds_the_modes_at_its_lambda_max(order):
+def test_torus_basis_holds_the_modes_at_its_lambda_max():
     """A basis cut at a lattice eigenvalue keeps every mode there, as many as
     the lattice count gives, and stores that eigenvalue bit for bit."""
     for n in (1, 25, 26, 50, 65, 325):
         lam = 4.0 * math.pi * math.pi * n
-        b = eigensolve.torus_basis(lam, order)
+        b = eigensolve.torus_basis(lam)
         span = math.isqrt(n) + 1
-        labels = range(order) if order else range(-span, span + 1)
-        assert len(b.eigenvalues) == sum(spectral.torus_count_direct(m, lam, order)
-                                         for m in labels)
+        assert len(b.eigenvalues) == sum(spectral.torus_count_direct(m, lam)
+                                         for m in range(-span, span + 1))
         assert b.eigenvalues[-1] == lam
 
 
@@ -491,9 +480,9 @@ def _sphere_case():
     return eigensolve.sphere_basis(12 * 13), pts, _sphere_formula
 
 
-def _torus_case(order):
+def _torus_case():
     pts = [(0.0, 0.0), (0.3, 0.7), (0.999, 0.123), (0.5, 0.5)]
-    return eigensolve.torus_basis(500.0, order=order), pts, _torus_formula
+    return eigensolve.torus_basis(500.0), pts, _torus_formula
 
 
 def _profile_case(prof, imported=False, tmp_path=None):
@@ -506,8 +495,7 @@ def _profile_case(prof, imported=False, tmp_path=None):
 
 _CASES = {
     "sphere": lambda tmp: _sphere_case(),
-    "torus-circle": lambda tmp: _torus_case(0),
-    "torus-cyclic3": lambda tmp: _torus_case(3),
+    "torus-circle": lambda tmp: _torus_case(),
     "profile-open": lambda tmp: _profile_case(geometry.sphere_profile()),
     "profile-closed": lambda tmp: _profile_case(geometry.torus_profile()),
     "profile-imported": lambda tmp: _profile_case(geometry.torus_profile(), True, tmp),

@@ -99,17 +99,6 @@ def test_torus_conventions():
     assert od.kappa_x == 1
 
 
-def test_finite_cyclic_conventions():
-    fc = geometry.FlatTorus2FiniteCyclic(order=5)
-    x, xi = (0.25, 0.35), (0.3, -0.2)
-    # finite orbits: no generator field, counting measure
-    assert geometry.momentum_pairing(fc, x, xi) == 0.0
-    assert geometry.lifted_orbit_volume(fc, x, xi) == pytest.approx(5.0)
-    od = geometry.orbit_data(fc, (0.25, 0.35))
-    assert od.kappa_x == 0
-    assert od.orbit_length == pytest.approx(5.0)
-
-
 def test_cosphere_fiber_slice_structure():
     """A segment of weight 2 on a principal orbit, a disc of weight pi where
     the fiber condition is empty; every row lies on the momentum zero level
@@ -121,7 +110,6 @@ def test_cosphere_fiber_slice_structure():
         (geometry.sphere_profile(), (0.0, 0.0), disc),
         (geometry.sphere_profile(), (math.pi, 0.0), disc),
         (geometry.FlatTorus2(), (0.25, 0.35), segment),
-        (geometry.FlatTorus2FiniteCyclic(5), (0.25, 0.35), disc),
     ]
     for man, x, (n_rows, total) in cases:
         xi, w = geometry.cosphere_fiber_slice(man, x, 32)

@@ -12,7 +12,8 @@ Every keyword default and dataclass-field default is set by some call in
 the package, ``scripts/`` or ``perfbench/`` to something other than the
 literal it already is: a setting with one value in use is a constant, and
 one that only the tests set is a knob, unless it is listed with its
-reason.  ``statphase`` computes and ``lab`` fits: ``statphase`` imports
+reason.  Neither list may hold an entry that the rule would pass anyway.
+``statphase`` computes and ``lab`` fits: ``statphase`` imports
 nothing from ``fits``.  A statphase domain owns its chart, measure and
 quadrature, so the package asks which domain it holds in one place only:
 ``StationaryPhaseProblem.__init__``.  A manifold owns its group action and
@@ -53,22 +54,17 @@ UNREFERENCED_OK = {
     "momentum_pairing": "test reference: fiber slices lie on the momentum zero level",
     "reports_equal": "the report comparison the determinism tests use",
     "profile_from_file": "public entry point: profiles from data files",
-    "torus_basis": "public entry point: the flat-torus eigenbasis",
     "cluster_sum": "public entry point: unit-window cluster sums",
-    "SphereCircleDomain": "test reference: the tensor quadrature that hybrid_integral is checked against",
 }
 
 # defaults that only the tests set, each with the reason it stays settable
 TEST_SET_OK = {
-    "eigensolve.py:torus_basis.order": "the free cyclic torus action (ROADMAP item 6)",
-    "spectral.py:torus_count_direct.order": "the free cyclic torus action (ROADMAP item 6)",
     "geometry.py:torus_profile.R": "the profile's shape: axis distance of the tube",
     "geometry.py:torus_profile.a": "the profile's shape: tube radius",
 }
 
 STATPHASE_DOMAINS = {"BoxDomain", "SphereDomain", "SphereCircleDomain"}
-MANIFOLDS = {"RoundSphere2", "FlatTorus2", "FlatTorus2FiniteCyclic", "SurfaceOfRevolution",
-             "_Rotation", "_FlatTorus"}
+MANIFOLDS = {"RoundSphere2", "FlatTorus2", "SurfaceOfRevolution", "_Rotation"}
 
 
 def _tree(path):
@@ -138,19 +134,21 @@ def _names(tree, skip=(0, -1)):
 def test_every_public_name_has_a_caller():
     others = [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
     named = {path: set(_names(_tree(path))) for path in [*MODULES, *others]}
-    dead = []
+    uncalled = {}
     for path in MODULES:
         tree = _tree(path)
         elsewhere = set().union(*(names for other, names in named.items() if other != path))
         for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in UNREFERENCED_OK
-                    or node.name in elsewhere):
+                    or node.name.startswith("_") or node.name in elsewhere):
                 continue
             own = (node.lineno - len(node.decorator_list), node.end_lineno)
             if node.name not in set(_names(tree, own)):
-                dead.append(f"{path.name}:{node.name}")
-    assert dead == []
+                uncalled[node.name] = path.name
+    dead = [f"{where}:{name}" for name, where in uncalled.items() if name not in UNREFERENCED_OK]
+    # an entry that names no public definition, or one with a caller, is stale
+    stale = sorted(UNREFERENCED_OK.keys() - uncalled.keys())
+    assert (dead, stale) == ([], [])
 
 
 def _is_dataclass(cls):
@@ -243,14 +241,13 @@ def test_every_default_is_set_by_some_call():
     for path in CALLERS:
         for name, *call in _calls(_tree(path)):
             calls.setdefault(name, []).append(call)
-    unset = []
+    unset = set()
     for path in MODULES:
         for callee, param, pos, default in _defaults(_tree(path)):
-            name = f"{path.name}:{callee}.{param}"
-            if (name not in TEST_SET_OK
-                    and not any(_sets(call, param, pos, default) for call in calls.get(callee, []))):
-                unset.append(name)
-    assert unset == []
+            if not any(_sets(call, param, pos, default) for call in calls.get(callee, [])):
+                unset.add(f"{path.name}:{callee}.{param}")
+    # an entry that names no default, or one a program call sets, is stale
+    assert (sorted(unset - TEST_SET_OK.keys()), sorted(TEST_SET_OK.keys() - unset)) == ([], [])
 
 
 def test_statphase_imports_nothing_from_fits():

@@ -42,3 +42,15 @@ def test_golden_reports_rewrites_the_golden_files(tmp_path, capsys):
     assert (target / "demo.csv").read_bytes() == (source / "demo.csv").read_bytes()
     manifest = json.loads((target / "manifest.json").read_text())
     assert sorted(manifest) == ["blas", "numpy", "simd_baseline", "simd_found"]
+
+
+def test_golden_environment_without_dispatched_simd(monkeypatch):
+    """numpy's config has no "found" key when it dispatches to no SIMD
+    feature past its baseline: the manifest records an empty list."""
+    module = _load("golden_reports")
+    config = {"Build Dependencies": {"blas": {"name": "openblas", "version": "0.3"}},
+              "SIMD Extensions": {"baseline": ["X86_V2"], "not found": ["X86_V3", "X86_V4"]}}
+    monkeypatch.setattr(module.np, "show_config", lambda mode: config)
+    env = module.environment()
+    assert (env["blas"], env["simd_baseline"], env["simd_found"]) == \
+        ("openblas 0.3", ["X86_V2"], [])

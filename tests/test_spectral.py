@@ -51,20 +51,18 @@ def test_torus_count_against_brute_lattice():
     # at a basis's own eigenvalues lam / (4 pi^2) may round below the integer
     # it stands for (25.999999999999996 at 4 pi^2 * 26), so count as the basis
     assert spectral.torus_count_direct(5, 4.0 * math.pi * math.pi * 26) == 3
-    for order, labels in ((0, range(-5, 6)), (3, range(3))):
-        basis = eigensolve.torus_basis(1e4, order)
-        for lam in np.unique(basis.eigenvalues):
-            for m in labels:
-                want = len(basis.label_rows(m, lam))
-                assert spectral.torus_count_direct(m, lam, order) == want, (m, lam, order)
+    basis = eigensolve.torus_basis(1e4)
+    for lam in np.unique(basis.eigenvalues):
+        for m in range(-5, 6):
+            want = len(basis.label_rows(m, lam))
+            assert spectral.torus_count_direct(m, lam) == want, (m, lam)
 
 
 def test_label_rows_are_the_label_mask_below_lam():
     sor = eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 4, 200)
-    for basis in (sor, eigensolve.torus_basis(2e3, 3)):
-        order = basis.manifold._group_order
+    for basis in (sor, eigensolve.torus_basis(2e3)):
         for m in range(-4, 5):
-            mask = basis.m == (m % order if order else m)
+            mask = basis.m == m
             for lam in (-1.0, *np.unique(basis.eigenvalues), basis.lambda_max):
                 want = np.flatnonzero(mask & (basis.eigenvalues <= lam))
                 assert np.array_equal(basis.label_rows(m, lam), want), (m, lam)
@@ -75,12 +73,11 @@ def test_label_rows_is_the_searchsorted_prefix():
     "right") on the array cuts: at every eigenvalue of the basis, one ulp
     below and one above, for both labels of each exact +-m tie."""
     sor = eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 4, 200)
-    for basis in (sor, eigensolve.torus_basis(2e3, 3), eigensolve.sphere_basis(30.0)):
-        order = basis.manifold._group_order
+    for basis in (sor, eigensolve.torus_basis(2e3), eigensolve.sphere_basis(30.0)):
         lams = np.unique(basis.eigenvalues)
         probes = np.concatenate((lams, np.nextafter(lams, -np.inf), np.nextafter(lams, np.inf)))
         for m in range(-4, 5):
-            rows = np.flatnonzero(basis.m == (m % order if order else m))
+            rows = np.flatnonzero(basis.m == m)
             eig = basis.eigenvalues[rows]
             for lam in probes.tolist():
                 want = rows[: eig.searchsorted(lam, side="right")]
@@ -113,13 +110,26 @@ def test_nan_lambda_is_refused(name):
             query()
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_non_finite_lambda_is_refused_by_the_closed_forms(lam):
+    """The bases and the direct layer take floor(lambda) for their lattice
+    and ladder bounds; a nan or infinite lambda is a DomainError there, not
+    the bare ValueError or OverflowError of math.floor."""
+    for query in (lambda: eigensolve.sphere_basis(lam),
+                  lambda: eigensolve.torus_basis(lam),
+                  lambda: spectral.sphere_count_direct(0, lam),
+                  lambda: spectral.sphere_diag_direct(0, 1.0, lam),
+                  lambda: spectral.torus_count_direct(0, lam),
+                  lambda: spectral.torus_diag_direct(0, lam)):
+        with pytest.raises(DomainError, match="not finite"):
+            query()
+
+
 def test_counting_function_is_the_closed_form_count(sphere200):
     """The count over the basis's modes against the lattice and ladder
     counts, for every label, at every distinct eigenvalue and at lambda_max."""
-    cases = [(sphere200, spectral.sphere_count_direct)]
-    for order in (0, 3):
-        cases.append((eigensolve.torus_basis(1e4, order),
-                      functools.partial(spectral.torus_count_direct, order=order)))
+    cases = [(sphere200, spectral.sphere_count_direct),
+             (eigensolve.torus_basis(1e4), spectral.torus_count_direct)]
     for basis, direct in cases:
         for m in np.unique(basis.m).tolist():
             rsf = spectral.ReducedSpectralFunction(basis, m)
@@ -247,13 +257,12 @@ def test_kuznecov_identity(sphere200):
 
 def test_kuznecov_rotation_route(sphere200):
     """The phase-weighted sum against the literal average over rotated
-    points: sphere, surface of revolution, torus circle and cyclic actions."""
+    points: sphere, surface of revolution and torus."""
     sor = eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 4, 200)
     cases = [
         (sphere200, geometry.sphere_point(0.9, 1.7), 200.0),
         (sor, (1.1, 0.4), sor.lambda_max),
         (eigensolve.torus_basis(500.0), (0.123, 0.456), 500.0),
-        (eigensolve.torus_basis(500.0, order=3), (0.123, 0.456), 500.0),
     ]
     for basis, x, lam in cases:
         fast = spectral.kuznecov_sum(basis, x, lam)
@@ -399,10 +408,9 @@ def test_cluster_lp_norm_closed_profile():
 
 def test_cluster_lp_norm_torus(torus500):
     lam = 4 * math.pi ** 2 - 0.5
-    for basis in (torus500, eigensolve.torus_basis(500.0, order=3)):
-        rsf = spectral.ReducedSpectralFunction(basis, 1)
-        assert spectral.cluster_lp_norm(rsf, lam, math.inf) == pytest.approx(1.0, rel=1e-9)
-        assert spectral.cluster_lp_norm(rsf, lam, 2.0) == pytest.approx(1.0, rel=1e-9)
+    rsf = spectral.ReducedSpectralFunction(torus500, 1)
+    assert spectral.cluster_lp_norm(rsf, lam, math.inf) == pytest.approx(1.0, rel=1e-9)
+    assert spectral.cluster_lp_norm(rsf, lam, 2.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_exponent_delta_pins():
@@ -422,9 +430,8 @@ def test_exponent_delta_nonnegative(q):
 
 @pytest.mark.parametrize("basis", [
     eigensolve.sphere_basis(200.0), eigensolve.torus_basis(500.0),
-    eigensolve.torus_basis(500.0, order=3),
     eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), 3, 5, 200)],
-    ids=["sphere", "torus", "torus-cyclic3", "profile"])
+    ids=["sphere", "torus", "profile"])
 def test_top_window_mode_is_the_lexsort_choice(basis):
     """A label's last row in the window is the mode with the largest
     (eigenvalue, quantum): the basis order makes the sort needless."""

@@ -57,14 +57,6 @@ def test_torus_local_coefficient():
     assert pred.coefficient == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
-def test_finite_cyclic_coefficient():
-    for order in (2, 4, 7):
-        fc = geometry.FlatTorus2FiniteCyclic(order=order)
-        pred = weylcoef.local_leading_coefficient(fc, (0.25, 0.35), 1)
-        assert pred.exponent == pytest.approx(1.0)
-        assert pred.coefficient == pytest.approx(1.0 / (4.0 * math.pi * order), rel=1e-12)
-
-
 def test_torus_global_coefficient():
     got = weylcoef.global_leading_coefficient(geometry.FlatTorus2(), 3)
     assert got == pytest.approx(1.0 / math.pi, rel=1e-12)
