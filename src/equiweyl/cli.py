@@ -120,6 +120,8 @@ def parse_config(argv):
             if given[key] is None:
                 given[key] = value
     out_dir = given.pop("out_dir")
+    if out_dir is None and command.name == "suite":
+        out_dir = "reports"  # the suite always writes its reports
     params = command.resolve(given)
     _validate(command, params)
     if out_dir is not None and not isinstance(out_dir, str):
@@ -136,8 +138,7 @@ def _run(cfg):
         return [lab.run_command(cfg.experiment, cfg.params)]
     p = cfg.params
     names = None if p["all"] else [n for n in str(p["names"] or "").split(",") if n]
-    out_dir = cfg.out_dir if cfg.out_dir is not None else "reports"
-    return lab.run_suite(names, out_dir=out_dir)
+    return lab.run_suite(names, out_dir=cfg.out_dir)
 
 
 def _summary_line(cfg, report):
@@ -159,10 +160,12 @@ def _summary_line(cfg, report):
 def main(argv=None):
     try:
         cfg = parse_config(list(sys.argv[1:]) if argv is None else argv)
+        if cfg.out_dir is not None:  # before any run, so a bad path costs none
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except SystemExit as exc:
         # argparse already printed usage; normalize to the exit-code contract
         return int(exc.code or 0) and 2
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

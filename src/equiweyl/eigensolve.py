@@ -575,54 +575,49 @@ _RESIDUAL_FACTOR = 100.0
 
 
 def _eigenpairs(d, off, corner, k_want, seed):
-    """Lowest eigenpairs of every block: multisection, then batched inverse
-    iteration (k_want and seed: one value, or one per block).
+    """Lowest eigenpairs of every block: multisection, then batched block
+    inverse iteration (k_want and seed: one value, or one per block).
 
     All columns of all blocks go through one shifted solve per iteration,
     each with its own shift, its own block's diagonal and |T|; a block's
-    random start is that of its seed alone.  As in LAPACK xSTEIN,
-    eigenvalues of one block closer than 1e-3 |T| form a cluster that is
-    re-orthogonalized by modified Gram-Schmidt after every solve: the solve's
-    eps |T| backward error leaves two vectors overlapping by about
+    random start is that of its seed alone.  Each block's columns are
+    orthonormalized together by one Householder QR after every solve: the
+    solve's eps |T| backward error leaves two vectors overlapping by about
     eps |T| / gap, which reached 9.3e-8 on the closed torus profile's
     near-degenerate pairs without it, and the vectors of an exactly double
-    eigenvalue would collapse onto one.  A Rayleigh-Ritz step inside each
-    cluster then resolves its members, which the iteration leaves mixed
-    where their gap is below the shifts' error.  Every pair's residual
-    |Tv - lambda v| must end below _RESIDUAL_FACTOR eps |T|.  Values and
-    vectors come block by block, each block in ascending order.
+    eigenvalue would collapse onto one.  One Rayleigh-Ritz step per block
+    then resolves the pairs the iteration leaves mixed where their gap is
+    below the shifts' error (Parlett, The Symmetric Eigenvalue Problem, on
+    subspace iteration), and the block's Ritz values are its eigenvalues.
+    Every pair's residual |Tv - lambda v| must end below _RESIDUAL_FACTOR
+    eps |T|.  Values and vectors come block by block, each block in
+    ascending order.
     """
     vals = _lowest_eigenvalues(d, off, corner, k_want)
     d, block = _blocks(d, k_want)
     n, B = d.shape
     glo, ghi = _gershgorin(d, off, corner)
     tnorm = np.maximum(np.abs(glo), np.abs(ghi))[block]
-    close = (np.diff(vals) <= 1e-3 * tnorm[1:]) & (np.diff(block) == 0)
-    starts = np.flatnonzero(np.concatenate(([True], ~close)))
-    clusters = [(i, j) for i, j in zip(starts, np.append(starts[1:], len(block))) if j - i > 1]
+    edges = np.searchsorted(block, np.arange(B + 1)).tolist()
+    ranges = list(zip(edges[:-1], edges[1:]))
     seeds = np.broadcast_to(seed, (B,))
-    V = np.hstack([np.random.default_rng(s).standard_normal((n, k))
-                   for s, k in zip(seeds.tolist(), np.bincount(block, minlength=B).tolist())])
+    V = np.hstack([np.random.default_rng(s).standard_normal((n, j - i))
+                   for s, (i, j) in zip(seeds.tolist(), ranges)])
     solve = _shifted_solver(d, off, corner, block, vals, tnorm)
     for _ in range(3):
         V = solve(V)
         V /= np.maximum(V.max(axis=0), -V.min(axis=0))  # max |V|: keeps the squares below overflow
-        V /= np.sqrt(np.einsum("ij,ij->j", V, V))
-        for i, j in clusters:
-            for a in range(i + 1, j):
-                for b in range(i, a):
-                    V[:, a] -= (V[:, b] @ V[:, a]) * V[:, b]
-                V[:, a] /= math.sqrt(V[:, a] @ V[:, a])
         lost = ~np.all(np.isfinite(V), axis=0)
         if np.any(lost):
             raise _BlockError("inverse iteration collapsed to zero", block[lost])
+        for i, j in ranges:
+            V[:, i:j] = np.linalg.qr(V[:, i:j])[0]
     del solve  # frees the factorization, 4 to 8 arrays the size of V
     TV = _apply_tridiag(d[:, block], off, corner, V)
-    for i, j in clusters:
-        _, W = np.linalg.eigh(V[:, i:j].T @ TV[:, i:j])
+    for i, j in ranges:
+        vals[i:j], W = np.linalg.eigh(V[:, i:j].T @ TV[:, i:j])
         V[:, i:j] = V[:, i:j] @ W
         TV[:, i:j] = TV[:, i:j] @ W
-    vals = np.einsum("ij,ij->j", V, TV)
     R = TV - V * vals
     residual = np.sqrt(np.einsum("ij,ij->j", R, R))
     bound = _RESIDUAL_FACTOR * np.finfo(float).eps * tnorm
@@ -631,8 +626,7 @@ def _eigenpairs(d, off, corner, k_want, seed):
         worst = np.argmax(np.where(over, residual / bound, 0.0))
         raise _BlockError(f"inverse iteration residual {residual[worst]:.3e} exceeds "
                           f"{bound[worst]:.3e}", block[over])
-    order = np.lexsort((vals, block))
-    return vals[order], V[:, order]
+    return vals, V
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class ConfigError(EquiweylError, ValueError):
     """Invalid run configuration; message lists every violated constraint."""
 
 
-class IntegrabilityWarning(UserWarning):
-    """Fiber integrand 1/vol is singular on a measure-zero set."""
-
-
 class RegimeWarning(UserWarning):
     """Asymptotic prediction evaluated outside its regime of validity."""
 

@@ -580,38 +580,56 @@ def parse_plist(text):
 # checks yield one message per violation; they never see None
 
 
+def _is_number(v):
+    # a JSON true is no number, though bool is an int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v):
+    return isinstance(v, (list, tuple)) and all(_is_number(c) for c in v)
+
+
 def _positive(key, v):
-    if not (isinstance(v, (int, float)) and 0 < v < math.inf):
+    if not (_is_number(v) and 0 < v < math.inf):
         yield f"{key} must be a finite positive number, got {v!r}"
 
 
 def _integer(key, v):
-    if not isinstance(v, int):
+    if not (_is_number(v) and isinstance(v, int)):
         yield f"{key} must be an integer, got {v!r}"
 
 
 def _count(key, v):
     yield from _integer(key, v)
-    if isinstance(v, (int, float)) and v < 1:
+    if _is_number(v) and v < 1:
         yield f"{key} must be at least 1"
 
 
 def _colatitude(key, v):
-    if not (isinstance(v, (int, float)) and 0.0 <= v <= math.pi):
+    if not (_is_number(v) and 0.0 <= v <= math.pi):
         yield f"{key} must lie in [0, pi], got {v}"
 
 
+def _point(key, v):
+    if not (_is_numbers(v) and len(v) == 2 and all(math.isfinite(c) for c in v)):
+        yield f"{key} must be two finite numbers, got {v!r}"
+
+
+def _switch(key, v):
+    if not isinstance(v, bool):
+        yield f"{key} must be true or false, got {v!r}"
+
+
 def _grid(key, v):
-    try:  # a config file may hold strings or nested lists
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.zeros(0)
-    if (arr.ndim != 1 or arr.size < 2 or not np.all(np.isfinite(arr) & (arr > 0))
-            or np.any(np.diff(arr) <= 0)):
+    if not (_is_numbers(v) and len(v) >= 2 and all(0 < c < math.inf for c in v)
+            and all(a < b for a, b in zip(v, v[1:]))):
         yield f"{key} must be a strictly increasing grid of finite positive numbers"
 
 
 def _p_floor(key, v):
+    if not (_is_numbers(v) and v):
+        yield f"{key} must be a non-empty list of numbers, got {v!r}"
+        return
     for p in v:
         if not p >= 2:
             yield f"{key} entries must be >= 2, got {p}"
@@ -625,7 +643,7 @@ def _suite_ids(key, v):
 
 def _lambda_order(params):
     lo, hi = params["lambda_min"], params["lambda_max"]
-    if isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and not lo < hi:
+    if _is_number(lo) and _is_number(hi) and not lo < hi:
         yield f"lambda_min {lo} must be below lambda_max {hi}"
 
 
@@ -698,7 +716,7 @@ COMMANDS = {c.name: c for c in (
         Param("m", 0, int, check=_integer),
         Param("theta", math.pi / 2, float, check=_colatitude,
               help="colatitude of the sphere point"),
-        Param("x", (0.25, 0.35), parse_pair, help="torus point 'a,b'"),
+        Param("x", (0.25, 0.35), parse_pair, check=_point, help="torus point 'a,b'"),
         Param("lambda_min", 1e3, float, check=_positive),
         Param("lambda_max", 1e6, float, check=_positive),
     ), _lambda_order),
@@ -738,7 +756,7 @@ COMMANDS = {c.name: c for c in (
         Param("theta", 1.2, float, check=_colatitude),
     )),
     Command("suite", "run many experiments and write reports", None, (
-        Param("all", False, switch=True, help="run the whole registry"),
+        Param("all", False, switch=True, check=_switch, help="run the whole registry"),
         Param("names", None, check=_suite_ids, help="comma list of experiment ids"),
     ), _suite_selection),
 )}

@@ -27,13 +27,6 @@ class ReducedSpectralFunction:
     label: int
 
 
-@dataclass(frozen=True)
-class ClusterSum:
-    lam: float
-    value: float
-    mode_count: int
-
-
 # ---------------------------------------------------------------------------
 # direct closed-form layer (no basis object required)
 
@@ -119,14 +112,6 @@ def reduced_spectral_diag(rsf, x, lam):
 def counting_function(rsf, lam):
     rsf.basis.require(lam)
     return len(rsf.basis.label_rows(rsf.label, lam))
-
-
-def cluster_sum(rsf, x, lam):
-    rsf.basis.require(lam + 1.0)
-    hi = reduced_spectral_diag(rsf, x, lam + 1.0)
-    lo = reduced_spectral_diag(rsf, x, lam)
-    count = counting_function(rsf, lam + 1.0) - counting_function(rsf, lam)
-    return ClusterSum(float(lam), max(0.0, hi - lo), int(count))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ manifold's own rule (quadrature nodes never land on singular orbits).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, IntegrabilityWarning
+from .errors import DomainError
 from .geometry import cosphere_fiber_slice, lifted_orbit_volume, orbit_data
 from .util import pairwise_sum
 
@@ -44,12 +43,6 @@ def local_leading_coefficient(manifold, x, label):
     mult = od.trivial_multiplicity(label)
     if mult == 0.0:
         return WeylPrediction(0.0, exponent)
-    if kappa == 0:
-        warnings.warn(
-            "reciprocal orbit volume is singular at the zero covector; "
-            "polar nodes avoid it and the integrand stays integrable",
-            IntegrabilityWarning,
-        )
     xi, w = cosphere_fiber_slice(manifold, x, _FIBER_NODES)
     total = float(pairwise_sum(w / lifted_orbit_volume(manifold, x, xi)))
     return WeylPrediction(mult / (2.0 * math.pi) ** (_DIM - kappa) * total, exponent)

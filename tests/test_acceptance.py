@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equiweyl import cli, eigensolve, geometry, lab, specfun, spectral
+from equiweyl import cli, eigensolve, geometry, lab, specfun
 from equiweyl.util import json_dumps
 
 GOLDEN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden_reports.py"

@@ -247,6 +247,54 @@ def test_a_config_grid_that_is_no_list_of_numbers_exits_2(tmp_path, monkeypatch,
     assert "config error: mu_grid must be a strictly increasing grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, keys, named", [
+    ("lpnorms", {"p_list": 5}, "p_list must be a non-empty list"),
+    ("lpnorms", {"p_list": ["a"]}, "p_list must be a non-empty list"),
+    ("lpnorms", {"p_list": [3, "inf"]}, "p_list must be a non-empty list"),
+    ("lpnorms", {"p_list": []}, "p_list must be a non-empty list"),
+    ("weyl", {"manifold": "torus", "x": 5}, "x must be two finite numbers"),
+    ("weyl", {"manifold": "torus", "x": ["a", 1]}, "x must be two finite numbers"),
+    ("weyl", {"manifold": "torus", "x": [1, 2, 3]}, "x must be two finite numbers"),
+    ("suite", {"all": "no"}, "all must be true or false"),
+    ("counting", {"m": True}, "m must be an integer"),
+    ("kuznecov", {"points": True}, "points must be an integer"),
+    ("weyl", {"lambda_min": True}, "lambda_min must be a finite positive number"),
+    ("statphase", {"mu_grid": [True, 40]}, "mu_grid must be a strictly increasing grid"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else str(v))
+def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
+                                                  command, keys, named):
+    monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
+    monkeypatch.setattr(lab, "run_suite", lambda *args, **kw: pytest.fail("suite ran"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(keys))
+    assert cli.main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert f"config error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, text, value", [
+    ("lpnorms", "p_list", "2,inf", [2.0, math.inf]),
+    ("weyl", "x", "0.1,0.2", [0.1, 0.2]),
+])
+def test_a_config_list_key_still_reads_its_flag_string(tmp_path, command, key, text, value):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: text}))
+    assert cli.parse_config([command, "--config", str(path)]).params[key] == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["critscan", "--out-dir", "{file}"],
+    ["suite", "--names", "interp", "--out-dir", "{file}/sub"],
+], ids=" ".join)
+def test_an_out_dir_that_cannot_be_made_exits_2_before_running(tmp_path, monkeypatch, capsys,
+                                                               argv):
+    monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
+    monkeypatch.setattr(lab, "run_suite", lambda *args, **kw: pytest.fail("suite ran"))
+    file = tmp_path / "taken"
+    file.write_text("")
+    assert cli.main([a.format(file=file) for a in argv]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_a_nan_measurement_writes_a_failing_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(statphase, "oscillatory_integral", lambda *args: complex(math.nan))
     assert cli.main(["interp", "--out-dir", str(tmp_path)]) == 1
@@ -264,6 +312,7 @@ def test_a_nan_measurement_writes_a_failing_report(tmp_path, monkeypatch, capsys
     ["weyl", "--lambda-max", "inf"],
     ["kuznecov", "--lambda", "inf"],
     ["counting", "--manifold", "torus", "--lambda", "inf"],
+    ["weyl", "--manifold", "torus", "--x", "nan,0.3"],
 ], ids=" ".join)
 def test_non_finite_numbers_exit_2(monkeypatch, capsys, argv):
     monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
@@ -311,14 +360,25 @@ def test_lpnorms_on_the_sphere_with_a_nonzero_m_exits_2(capsys):
     assert "m must be 0" in capsys.readouterr().err
 
 
+def _python_m(module, *args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", module, *args],
+                          capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("module", ["equiweyl", "equiweyl.cli"])
 def test_python_dash_m_runs_the_cli(module, tmp_path):
     """python -m equiweyl and python -m equiweyl.cli run the front end, and
     runpy finds no cli loaded ahead of it to warn about."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    run = subprocess.run([sys.executable, "-m", module, "suite", "--names", "interp",
-                          "--out-dir", str(tmp_path)], capture_output=True, text=True, env=env)
+    run = _python_m(module, "suite", "--names", "interp", "--out-dir", str(tmp_path))
     assert (run.returncode, run.stdout.split(":")[0]) == (0, "interp"), run.stderr
     assert "RuntimeWarning" not in run.stderr
+
+
+def test_the_pole_id_writes_nothing_on_stderr(tmp_path):
+    """The fixed point's coefficient is integrable whatever the quadrature
+    does, so its run warns of nothing; it fails only on the pole xfail."""
+    run = _python_m("equiweyl", "suite", "--names", "weyl-sphere-pole", "--out-dir", str(tmp_path))
+    assert (run.returncode, run.stderr) == (1, "")

@@ -219,12 +219,29 @@ def test_closed_chain_eigenpairs_match_dense():
 
 
 def test_torus_profile_near_degenerate_pairs_orthonormal():
-    """Pairs at relative gaps down to 3e-8 are re-orthogonalized as a cluster."""
+    """Pairs at relative gaps down to 3e-8 are re-orthogonalized as a block."""
     prof = geometry.torus_profile()
     for m in range(3):
         _, _, _, d, off, corner = eigensolve._radial_matrix(prof, m, 1000)
         _, V = eigensolve._eigenpairs(d, off, corner, 10, seed=m)
         assert np.max(np.abs(V.T @ V - np.eye(10))) <= 1e-10
+
+
+def test_exactly_double_eigenvalues_of_a_circulant_chain():
+    """A closed profile of constant radius gives a circulant chain: every
+    block's eigenvalues d - 2|off| cos(2 pi k / n) are double for 0 < k < n/2,
+    and each pair's two vectors stay apart."""
+    prof = geometry.SurfaceOfRevolution(lambda s: np.full(np.shape(s), 1.5),
+                                        lambda s: np.zeros(np.shape(s)), 2.0, closed=True)
+    n, want = 200, 7
+    _, _, _, d, off, corner = eigensolve._radial_matrix(prof, np.arange(4), n)
+    vals, V = eigensolve._eigenpairs(d, off, corner, want, seed=np.arange(4))
+    k = np.array([0, 1, 1, 2, 2, 3, 3])
+    for b in range(4):
+        exact = d[0, b] - 2.0 * abs(off[0]) * np.cos(2.0 * np.pi * k / n)
+        block = slice(b * want, (b + 1) * want)
+        assert np.max(np.abs(vals[block] - exact)) <= 10.0 * _eps_norm(d[:, b], off, corner)
+        assert np.max(np.abs(V[:, block].T @ V[:, block] - np.eye(want))) <= 1e-12
 
 
 def test_inverse_iteration_residual_gate(monkeypatch):

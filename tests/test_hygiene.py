@@ -32,7 +32,9 @@ variable: no module imports a thread or process pool, or reads
 ``os.environ`` or ``os.getenv``.  A report's verdict is its check list,
 and each check's bound is a constant of its experiment: no subcommand
 parameter names a tolerance, and the package names neither
-``verdict_from`` nor ``tolerances``.
+``verdict_from`` nor ``tolerances``.  No module of the package,
+``scripts/`` or ``tests/`` imports a name it never reads, unless the line
+is marked ``# noqa: F401``.
 """
 import ast
 from pathlib import Path
@@ -54,7 +56,6 @@ UNREFERENCED_OK = {
     "momentum_pairing": "test reference: fiber slices lie on the momentum zero level",
     "reports_equal": "the report comparison the determinism tests use",
     "profile_from_file": "public entry point: profiles from data files",
-    "cluster_sum": "public entry point: unit-window cluster sums",
 }
 
 # defaults that only the tests set, each with the reason it stays settable
@@ -348,3 +349,25 @@ def test_checks_have_one_home():
     found = [f"{path.name}: {name}" for path in MODULES for name in set(_names(_tree(path)))
              if name in ("verdict_from", "tolerances")]
     assert found == []
+
+
+def _unused_imports(path):
+    """Names path imports and never reads; __future__ imports and lines
+    marked ``# noqa: F401`` (re-exports) are exempt."""
+    lines = path.read_text().splitlines()
+    tree = _tree(path)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or "# noqa: F401" in lines[node.lineno - 1]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.partition(".")[0]
+            if bound not in read:
+                yield f"{path.parent.name}/{path.name}:{node.lineno} {bound}"
+
+
+def test_no_unused_imports():
+    paths = [*MODULES, *ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
+    assert [hit for path in paths for hit in _unused_imports(path)] == []

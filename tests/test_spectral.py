@@ -104,7 +104,6 @@ def test_nan_lambda_is_refused(name):
     for query in (lambda: basis.require(math.nan),
                   lambda: spectral.counting_function(rsf, math.nan),
                   lambda: spectral.reduced_spectral_diag(rsf, x, math.nan),
-                  lambda: spectral.cluster_sum(rsf, x, math.nan),
                   lambda: spectral.kuznecov_sum(basis, x, math.nan)):
         with pytest.raises(DomainError, match="not a number"):
             query()
@@ -181,7 +180,7 @@ def test_an_empty_label_still_checks_the_point():
         with pytest.raises(InvalidPointError):
             spectral.reduced_spectral_diag(rsf, (-1.0, 0.0), lam)
     with pytest.raises(InvalidPointError):
-        spectral.cluster_sum(rsf, (math.nan, 0.0), 5.0)
+        spectral.reduced_spectral_diag(rsf, (math.nan, 0.0), 5.0)
     assert spectral.reduced_spectral_diag(rsf, (math.pi, 0.0), 5.0) == 0.0
 
 
@@ -218,22 +217,8 @@ def test_counting_consistency(sphere200):
     assert integral == pytest.approx(spectral.counting_function(rsf, 200.0), rel=1e-6)
 
 
-def test_window_additivity(sphere200):
-    rsf = spectral.ReducedSpectralFunction(sphere200, 0)
-    x = geometry.sphere_point(1.3, 2.0)
-    lam = 109.5
-    c = spectral.cluster_sum(rsf, x, lam)
-    lo = spectral.reduced_spectral_diag(rsf, x, lam)
-    hi = spectral.reduced_spectral_diag(rsf, x, lam + 1.0)
-    assert c.value == pytest.approx(hi - lo, abs=1e-14)
-    assert c.mode_count == 1
-
-
 def test_cluster_empty_window(sphere200):
     rsf = spectral.ReducedSpectralFunction(sphere200, 0)
-    x = geometry.sphere_point(1.3, 2.0)
-    c = spectral.cluster_sum(rsf, x, 115.0)
-    assert c.value == 0.0 and c.mode_count == 0
     with pytest.raises(EmptyWindowError):
         spectral.cluster_lp_norm(rsf, 115.0, 2.0)
 

@@ -1,12 +1,10 @@
 """Leading growth coefficients from the fiber-slice integral."""
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from equiweyl import geometry, spectral, weylcoef
-from equiweyl.errors import IntegrabilityWarning
 from equiweyl.lab import fit_power_law
 
 
@@ -32,20 +30,16 @@ def test_generic_latitude_matches_closed_form():
 
 
 def test_pole_prediction_frozen_formula():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrabilityWarning)
-        pred = weylcoef.local_leading_coefficient(
-            geometry.RoundSphere2(), geometry.sphere_point(0.0, 0.0), 0)
+    pred = weylcoef.local_leading_coefficient(
+        geometry.RoundSphere2(), geometry.sphere_point(0.0, 0.0), 0)
     assert pred.exponent == pytest.approx(1.0)
     assert pred.coefficient == pytest.approx(1.0 / (4.0 * math.pi ** 2), rel=1e-10)
 
 
 def test_exponent_dichotomy():
     sphere = geometry.RoundSphere2()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrabilityWarning)
-        at_pole = weylcoef.local_leading_coefficient(sphere, geometry.sphere_point(0.0, 0.0), 0)
-        generic = weylcoef.local_leading_coefficient(sphere, geometry.sphere_point(1.1, 0.0), 0)
+    at_pole = weylcoef.local_leading_coefficient(sphere, geometry.sphere_point(0.0, 0.0), 0)
+    generic = weylcoef.local_leading_coefficient(sphere, geometry.sphere_point(1.1, 0.0), 0)
     # (n - kappa_x)/2 jumps from 1 at the fixed point to 1/2 on circles
     assert at_pole.exponent == 1.0
     assert generic.exponent == 0.5
@@ -64,26 +58,20 @@ def test_torus_global_coefficient():
 
 def test_sphere_global_value():
     """The x-integral of the frozen local coefficients evaluates to pi/4."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrabilityWarning)
-        got = weylcoef.global_leading_coefficient(geometry.RoundSphere2(), 0)
+    got = weylcoef.global_leading_coefficient(geometry.RoundSphere2(), 0)
     assert got == pytest.approx(math.pi / 4.0, rel=1e-3)
 
 
 def test_sor_global_consistent_with_sphere():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrabilityWarning)
-        s2 = weylcoef.global_leading_coefficient(geometry.RoundSphere2(), 0)
-        sor = weylcoef.global_leading_coefficient(geometry.sphere_profile(), 0)
+    s2 = weylcoef.global_leading_coefficient(geometry.RoundSphere2(), 0)
+    sor = weylcoef.global_leading_coefficient(geometry.sphere_profile(), 0)
     assert sor == pytest.approx(s2, rel=1e-4)
 
 
 @pytest.mark.xfail(strict=True, reason="the fiber-slice integral of the frozen "
                    "reciprocal orbit volume gives pi/4, not the counting slope 1")
 def test_sphere_global_equals_counting_slope():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrabilityWarning)
-        got = weylcoef.global_leading_coefficient(geometry.RoundSphere2(), 0)
+    got = weylcoef.global_leading_coefficient(geometry.RoundSphere2(), 0)
     assert got == pytest.approx(1.0, rel=0.01)
 
 
@@ -125,9 +113,3 @@ def test_predicted_coefficient_monotone_blowup():
         for th in thetas
     ]
     assert all(a > b for a, b in zip(cs, cs[1:]))
-
-
-def test_integrability_warning_at_pole():
-    with pytest.warns(IntegrabilityWarning):
-        weylcoef.local_leading_coefficient(
-            geometry.RoundSphere2(), geometry.sphere_point(0.0, 0.0), 0)
