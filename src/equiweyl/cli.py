@@ -3,8 +3,8 @@
 A JSON file enters a run only through ``--config``: it carries the
 subcommand's own keys plus ``out_dir``, and flags win over file keys.  Exit
 codes: 0 when every invoked experiment passes, 1 when any fails, 2 on a
-config problem (a bad flag or file key), 3 when a resource or convergence
-limit trips.
+config problem (a bad flag or file key, or a range that leaves a fit
+nothing to fit), 3 when a resource or convergence limit trips.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from . import lab
 from .errors import (
     ConfigError,
     ConvergenceError,
+    DegenerateDataError,
     DomainError,
     ResourceLimitError,
     TruncationError,
@@ -137,8 +138,7 @@ def _run(cfg):
     if cfg.experiment != "suite":
         return [lab.run_command(cfg.experiment, cfg.params)]
     p = cfg.params
-    names = None if p["all"] else [n for n in str(p["names"] or "").split(",") if n]
-    return lab.run_suite(names, out_dir=cfg.out_dir)
+    return lab.run_suite(None if p["all"] else p["names"], out_dir=cfg.out_dir)
 
 
 def _summary_line(cfg, report):
@@ -173,7 +173,7 @@ def main(argv=None):
     except (ResourceLimitError, ConvergenceError, TruncationError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, DegenerateDataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for report in reports:

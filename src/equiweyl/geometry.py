@@ -538,6 +538,6 @@ def _disc_nodes(n_nodes):
     rho, wr = 0.5 * (t + 1.0), 0.5 * u
     n_phi = max(8, int(n_nodes))
     dphi = 2 * math.pi / n_phi
-    # math.cos/math.sin per angle: np.cos may round the last bit differently
-    unit = np.array([(math.cos(ph), math.sin(ph)) for ph in (np.arange(n_phi) + 0.5) * dphi])
+    ph = (np.arange(n_phi) + 0.5) * dphi
+    unit = np.column_stack((np.cos(ph), np.sin(ph)))
     return np.repeat(rho, n_phi), np.tile(unit, (len(rho), 1)), np.repeat(rho * wr, n_phi) * dphi

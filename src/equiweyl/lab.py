@@ -165,7 +165,8 @@ def run_local_weyl_experiment(manifold, m, theta, x, lambda_min, lambda_max):
     else:
         ratio_bound = 0.01
         space, point = geometry.FlatTorus2(), tuple(x)
-        diag = np.vectorize(lambda lam: spectral.torus_diag_direct(m, lam), otypes=[float])
+        # every torus mode has |e_j(x)|^2 = 1: the diagonal is the count
+        diag = lambda lam: spectral.torus_count_direct(m, lam)
         # weyl-torus-m{m} would share a file name with the suite's weyl-torus-m3
         name = f"weyl-torus-label{m}"
     pred = weylcoef.local_leading_coefficient(space, point, m)
@@ -301,10 +302,12 @@ def run_counting_experiment(manifold, m, lambda_top):
             {"count_rule": "sqrt(lambda) - |m|"}, [_check("max_deviation", max(devs), 0.0)],
         )
     lambda_grid = geometric_grid(lambda_top / 100.0, lambda_top)
-    counts = np.array([spectral.torus_count_direct(m, lam) for lam in lambda_grid])
+    counts = spectral.torus_count_direct(m, lambda_grid)
     pred_coeff = 1.0 / math.pi
     series = _series(lambda_grid, counts, [pred_coeff * math.sqrt(l) for l in lambda_grid])
-    fit = fit_power_law(lambda_grid, counts)
+    # as in weyl, the log-log fit sees only the positive counts; fit.grid records them
+    positive = counts > 0
+    fit = fit_power_law(lambda_grid[positive], counts[positive])
     coeff_top = float(counts[-1] / math.sqrt(lambda_grid[-1]))
     return make_report(
         "counting-torus", {"m": m, "lambda_max": float(lambda_grid[-1])}, series, fit,
@@ -511,39 +514,41 @@ def run_interp_experiment(mu_tau_grid, epsilon):
     )
 
 
+# the separations delta of critscan's pairs y = (theta + delta, 0) from x = (theta, 0)
+_SCAN_DELTAS = (0.02, 0.04, 0.08, 0.16, 0.3)
+
+
 def run_critscan_experiment(theta):
-    deltas = (0.02, 0.04, 0.08, 0.16, 0.3)
     x = geometry.sphere_point(theta, 0.0)
     on = statphase.critical_set_scan(x, x)
-    deviation = statphase.closed_form_deviation(x, x, on.points)
-    circle = [r for r in on.points if r.trans_dim == 2]
-    # the on-orbit scan holds a circle and every record is critical: its
-    # worst gradient, measured only where the scan is on-orbit with a circle
-    on_grad = (max(r.grad_norm for r in on.points)
-               if on.classification == "on-orbit" and circle else None)
+    deviation = statphase.closed_form_deviation(x, x, on)
+    # the on-orbit scan holds a circle, where R_phi x = x, and every
+    # component is critical: its worst gradient, measured only with a circle
+    circle_found = bool(np.any(on["trans_dim"] == 2))
+    on_grad = np.max(on["grad_norm"]) if circle_found else None
     dets, exact_dets = [], []
-    for d in deltas:
+    for d in _SCAN_DELTAS:
         y = geometry.sphere_point(theta + d, 0.0)
         scan = statphase.critical_set_scan(x, y)
-        deviation = max(deviation, statphase.closed_form_deviation(x, y, scan.points))
-        isolated = [r for r in scan.points if r.trans_dim == 3]
-        near = min(isolated, key=lambda r: abs(r.phase_value))
-        dets.append(abs(near.trans_det))
+        deviation = max(deviation, statphase.closed_form_deviation(x, y, scan))
+        # the isolated component of least |phase|: the scan's first
+        dets.append(abs(scan["trans_det"][scan["trans_dim"] == 3][0]))
         exact_dets.append(statphase.closed_form_det(x, y))
-    series = _series(deltas, dets, deltas)
-    fit = fit_power_law(np.asarray(deltas), np.asarray(dets))
+    dets, exact_dets = np.array(dets), np.array(exact_dets)
+    series = _series(_SCAN_DELTAS, dets, _SCAN_DELTAS)
+    fit = fit_power_law(np.asarray(_SCAN_DELTAS), dets)
     return make_report(
         "critscan",
-        {"theta": float(theta), "deltas": list(deltas)},
+        {"theta": float(theta), "deltas": list(_SCAN_DELTAS)},
         series, fit, {"det_slope": 1.0},
         [_check("on_orbit_grad_norm", on_grad, statphase.SCAN_GRAD_TOL),
          _check("det_slope", fit.slope, 0.1, centre=1.0),
          _check("closed_form_deviation", deviation, 1e-9)],
-        extra={"on_orbit_components": len(on.points),
-               "on_orbit_circle_found": bool(len(circle) >= 1),
+        extra={"on_orbit_components": len(on["phi"]),
+               "on_orbit_circle_found": circle_found,
                # reported beside the scanned dets, not checked
-               "closed_form_dets": exact_dets,
-               "closed_form_det_gap": max(abs(d - e) / e for d, e in zip(dets, exact_dets))},
+               "closed_form_dets": exact_dets.tolist(),
+               "closed_form_det_gap": float(np.max(np.abs(dets - exact_dets) / exact_dets))},
     )
 
 
@@ -610,6 +615,12 @@ def _colatitude(key, v):
         yield f"{key} must lie in [0, pi], got {v}"
 
 
+def _scan_colatitude(key, v):
+    if not (_is_number(v) and 0.0 < v and v + max(_SCAN_DELTAS) < math.pi):
+        yield (f"{key} must lie in (0, pi - {max(_SCAN_DELTAS):g}), got {v!r}: at 0 the on-orbit "
+               "phase vanishes identically, and from the top up a pair y reaches the south pole")
+
+
 def _point(key, v):
     if not (_is_numbers(v) and len(v) == 2 and all(math.isfinite(c) for c in v)):
         yield f"{key} must be two finite numbers, got {v!r}"
@@ -636,15 +647,22 @@ def _p_floor(key, v):
 
 
 def _suite_ids(key, v):
-    for name in str(v).split(","):
-        if name and name not in EXPERIMENTS:
-            yield f"unknown experiment {name!r} in {key}"
+    if not (isinstance(v, list) and v and all(isinstance(name, str) for name in v)):
+        yield f"{key} must be a non-empty list of experiment ids, got {v!r}"
+        return
+    yield from (f"unknown experiment {name!r} in {key}" for name in v if name not in EXPERIMENTS)
+    yield from (f"{key} names {name!r} more than once"
+                for name in sorted(set(v)) if v.count(name) > 1)
 
 
-def _lambda_order(params):
+def _weyl_checks(params):
     lo, hi = params["lambda_min"], params["lambda_max"]
     if _is_number(lo) and _is_number(hi) and not lo < hi:
         yield f"lambda_min {lo} must be below lambda_max {hi}"
+    # the point of the other manifold would go unread
+    other = "x" if params["manifold"] == "sphere" else "theta"
+    if params[other] is not None:
+        yield f"{other} gives no point on the {params['manifold']}"
 
 
 def _zonal_on_sphere(params):
@@ -714,12 +732,13 @@ COMMANDS = {c.name: c for c in (
     Command("weyl", "local growth of the reduced diagonal", run_local_weyl_experiment, (
         _MANIFOLD,
         Param("m", 0, int, check=_integer),
-        Param("theta", math.pi / 2, float, check=_colatitude,
+        Param("theta", _on_sphere_else(math.pi / 2, None), float, check=_colatitude,
               help="colatitude of the sphere point"),
-        Param("x", (0.25, 0.35), parse_pair, check=_point, help="torus point 'a,b'"),
+        Param("x", _on_sphere_else(None, (0.25, 0.35)), parse_pair, check=_point,
+              help="torus point 'a,b'"),
         Param("lambda_min", 1e3, float, check=_positive),
         Param("lambda_max", 1e6, float, check=_positive),
-    ), _lambda_order),
+    ), _weyl_checks),
     Command("counting", "isotypic eigenvalue counts", run_counting_experiment, (
         _MANIFOLD,
         Param("m", _on_sphere_else(0, 2), int, check=_integer),
@@ -753,11 +772,12 @@ COMMANDS = {c.name: c for c in (
         Param("mu_tau_grid", None, parse_grid, check=_grid),
     )),
     Command("critscan", "critical-set geometry of the pairing phase", run_critscan_experiment, (
-        Param("theta", 1.2, float, check=_colatitude),
+        Param("theta", 1.2, float, check=_scan_colatitude),
     )),
     Command("suite", "run many experiments and write reports", None, (
         Param("all", False, switch=True, check=_switch, help="run the whole registry"),
-        Param("names", None, check=_suite_ids, help="comma list of experiment ids"),
+        Param("names", None, lambda text: text.split(","), check=_suite_ids,
+              help="comma list of experiment ids"),
     ), _suite_selection),
 )}
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, EmptyWindowError
+from .errors import DomainError, EmptyWindowError, ResourceLimitError
 from .eigensolve import EigenBasis, _torus_norm_floor, sphere_k_max
 from .geometry import rotate_cotangent
 from .util import pairwise_sum
@@ -63,26 +63,28 @@ def sphere_count_direct(m, lam):
     return max(0, sphere_k_max(lam) - abs(int(m)) + 1)
 
 
-def _torus_k2_count(n1, lam):
-    # integers k2 with 4 pi^2 (n1 + k2^2) <= lam, the test a torus basis puts
-    # to its eigenvalues: lam / (4 pi^2) may round below the integer it meets
-    c = 4.0 * math.pi * math.pi
-    q = math.isqrt(max(0, _torus_norm_floor(lam) - n1)) + 1
-    while q >= 0 and c * (n1 + q * q) > lam:
-        q -= 1
-    return max(0, 2 * q + 1)
+# the most levels one torus count holds (8 MiB of them): lam up to about 4e13
+_MAX_TORUS_LEVELS = 1 << 20
 
 
 def torus_count_direct(m, lam):
-    """Lattice count of modes with eigenvalue <= lam and label m = k1."""
-    if lam < 0:
-        return 0
-    return _torus_k2_count(int(m) ** 2, lam)
-
-
-def torus_diag_direct(m, lam):
-    # every torus mode has |e_j(x)|^2 = 1, so the diagonal equals the count
-    return float(torus_count_direct(m, lam))
+    """Lattice count of modes with eigenvalue <= lam and label m = k1; lam
+    scalar or array.  The levels 4 pi^2 (m^2 + k2^2) are computed as
+    torus_basis computes its eigenvalues, and compared with lam as floats, as
+    its cut-off is: lam / (4 pi^2) may round below the integer it meets."""
+    lams = np.asarray(lam, dtype=float)
+    top = _torus_norm_floor(np.max(lams, initial=0.0))
+    # an m^2 past the top level counts nothing, capped or not
+    n1 = min(int(m) ** 2, top + 2)
+    size = math.isqrt(max(0, top - n1)) + 2
+    if size > _MAX_TORUS_LEVELS:
+        raise ResourceLimitError(f"lambda={np.max(lams)} needs {size} lattice levels "
+                                 f"> {_MAX_TORUS_LEVELS}")
+    k2 = np.arange(size)
+    levels = 4.0 * math.pi * math.pi * (n1 + k2 * k2)
+    # the levels k2 >= 0 at or below lam, each k2 > 0 twice (+-k2)
+    counts = np.maximum(0, 2 * np.searchsorted(levels, lams, side="right") - 1)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 # ---------------------------------------------------------------------------

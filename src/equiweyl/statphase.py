@@ -6,8 +6,8 @@ stationary terms from declared critical sets (points or curves) built from
 central-difference transversal Hessians in the domain's chart, weighted by
 the density of the domain's measure there; caustic-regularized interpolation
 in (mu, tau, epsilon); dense-seed Newton scans of the pairing phase
-<x - R_phi y, omega> on S^2 x S^1, whose Newton steps and component
-classification use that phase's closed-form gradient and Hessian; the
+<x - R_phi y, omega> on S^2 x S^1, whose Newton steps and transversal
+determinants use that phase's closed-form gradient and Hessian; the
 orbit-pair integrals of the hybrid experiment.  It computes; the fits of
 what it computes live in lab.
 
@@ -502,22 +502,6 @@ def caustic_interpolation(problem, mu_tau, epsilon):
 # critical-set scan on S^2 x S^1
 
 
-@dataclass(frozen=True)
-class CriticalPointRecord:
-    omega: tuple
-    phi: float
-    grad_norm: float
-    trans_det: float
-    trans_dim: int
-    phase_value: float
-
-
-@dataclass(frozen=True)
-class CriticalScanResult:
-    points: tuple
-    classification: str
-
-
 def _rot_z(phi, v):
     c, s = np.cos(phi), np.sin(phi)
     out = np.empty(np.broadcast_shapes(np.shape(phi) + (3,), np.shape(v)))
@@ -532,6 +516,12 @@ def _dot3(u, v):
     """<u, v> over coordinate rows u, v (3, ...), summed in the order np.sum
     sums a row of three, so each value keeps the bits of the row form."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _row_dots(u, v):
+    """<u, v> over the last axis, broadcast: matmul takes a stack of 1 x 3 by
+    3 x 1 products through np.dot's kernel, so each keeps np.dot's bits."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _pairing_parts(x, y, w, ph):
@@ -659,17 +649,6 @@ def _group_components(E):
     return [c.tolist() for c in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
 
 
-def classify_pair(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if math.hypot(y[0], y[1]) < 1e-12:
-        return "degenerate"
-    same_orbit = (
-        abs(x[2] - y[2]) < 1e-9 and abs(math.hypot(x[0], x[1]) - math.hypot(y[0], y[1])) < 1e-9
-    )
-    return "on-orbit" if same_orbit else "off-orbit"
-
-
 def closed_form_critical_points(x, y):
     """Isolated critical points (omega, phi) of <x - R_phi y, omega>: R_phi y
     shares the azimuth of x or its opposite, and omega = +-(x - R_phi y) /
@@ -686,7 +665,9 @@ def closed_form_critical_points(x, y):
 
 
 def _phi_gap(a, b):
-    return abs(math.remainder(a - b, _TWO_PI))
+    # abs(math.remainder(a - b, 2 pi)): fmod is exact, and so is one shift by 2 pi
+    r = np.fmod(np.subtract(a, b), _TWO_PI)
+    return np.abs(np.where(np.abs(r) > math.pi, r - np.copysign(_TWO_PI, r), r))
 
 
 def closed_form_det(x, y):
@@ -701,71 +682,66 @@ def closed_form_det(x, y):
     return abs(float(np.linalg.det(H)))
 
 
-def closed_form_deviation(x, y, records):
-    """Worst distance of scanned critical records from the closed-form set.
+def closed_form_deviation(x, y, scan):
+    """Worst distance of a scan's components from the closed-form set (0.0
+    for an empty scan).
 
-    An isolated record (trans_dim 3) is at max(|omega - w|, phi gap) from
-    the nearest closed-form point (w, phi).  A circle record lies on
-    R_phi y = x with omega orthogonal to e3 x x, so it is at max(phi gap,
+    An isolated component (trans_dim 3) is at max(|omega - w|, phi gap) from
+    the nearest closed-form point (w, phi).  A circle lies on R_phi y = x
+    with omega orthogonal to e3 x x, so it is at max(phi gap,
     |<e3 x x, omega>|) from that circle."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    points = closed_form_critical_points(x, y)
+    omega, phi = scan["omega"], scan["phi"]
+    ws, phis = (np.array(v) for v in zip(*closed_form_critical_points(x, y)))
     base = math.atan2(x[1], x[0]) - math.atan2(y[1], y[0])
-    axis_cross = np.cross([0.0, 0.0, 1.0], x)
-    worst = 0.0
-    for r in records:
-        omega = np.asarray(r.omega)
-        if r.trans_dim == 3:
-            gap = min(max(float(np.linalg.norm(omega - w)), _phi_gap(r.phi, phi))
-                      for w, phi in points)
-        else:
-            gap = max(_phi_gap(r.phi, base), abs(float(np.dot(axis_cross, omega))))
-        worst = max(worst, gap)
-    return worst
+    to_points = omega[:, None, :] - ws
+    isolated = np.min(np.maximum(np.sqrt(_row_dots(to_points, to_points)),
+                                 _phi_gap(phi[:, None], phis)), axis=1)
+    circle = np.maximum(_phi_gap(phi, base),
+                        np.abs(_row_dots(omega, np.cross([0.0, 0.0, 1.0], x))))
+    return float(np.max(np.where(scan["trans_dim"] == 3, isolated, circle), initial=0.0))
 
 
 def critical_set_scan(x, y):
-    """All zeros of the (omega, phi)-gradient of <x - R_phi y, omega>."""
+    """All zeros of the (omega, phi)-gradient of <x - R_phi y, omega>: arrays
+    omega (C, 3), phi, grad_norm, trans_det, trans_dim, phase_value (C,), one
+    entry per critical component, read at its point of least gradient and
+    ordered by (|phase|, phi).  trans_dim counts the Hessian eigenvalues that
+    are not (numerically) null, trans_det is their product (1.0 for none).
+    A circle (trans_dim 2) lies where R_phi y = x, or at every phi for y on
+    the axis."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(x) < 1e-12 or np.linalg.norm(y) < 1e-12:
         raise DomainError("x and y must be nonzero")
     x = x / np.linalg.norm(x)
     y = y / np.linalg.norm(y)
-    classification = classify_pair(x, y)
-    if classification == "degenerate" and np.linalg.norm(x - y) < 1e-12:
+    if math.hypot(y[0], y[1]) < 1e-12 and np.linalg.norm(x - y) < 1e-12:
         # R_phi y = x for every phi: every seed would be critical
         raise DomainError("x = y on the rotation axis: the phase vanishes identically, "
                           "so every (omega, phi) is critical")
     W, PH = _scan_seeds()
     W, PH, gn = _newton_polish(x, y, W, PH)
     ok = gn <= SCAN_GRAD_TOL
-    if not np.any(ok):
-        return CriticalScanResult((), "empty")
     W, PH, gn = W[ok], PH[ok], gn[ok]
     E = _embed(W, PH)
     thin = _dedup(E)
     W, PH, gn, E = W[thin], PH[thin], gn[thin], E[thin]
-    comps = _group_components(E)
-    H = _pairing_derivs(x, y, W, PH)[1]
-
-    records = []
-    for comp in comps:
-        rep = comp[int(np.argmin(gn[comp]))]
-        w_rep, phi_rep = W[rep], float(PH[rep])
-        eig = np.linalg.eigvalsh(H[rep])
-        order = np.argsort(np.abs(eig))
-        # manifold directions show up as (numerically) null eigenvalues
-        p_dim = int(np.sum(np.abs(eig) <= 1e-6 * max(1.0, np.max(np.abs(eig)))))
-        trans_eig = eig[order][p_dim:]
-        det = float(np.prod(trans_eig)) if len(trans_eig) else 1.0
-        phase_val = float(np.dot(x - _rot_z(phi_rep, y), w_rep))
-        records.append(
-            CriticalPointRecord(tuple(w_rep), phi_rep, float(gn[rep]), det, 3 - p_dim, phase_val)
-        )
-    records.sort(key=lambda r: (abs(r.phase_value), r.phi))
-    return CriticalScanResult(tuple(records), classification)
+    comps = _group_components(E) if len(E) else []
+    rep = [c[int(np.argmin(gn[c]))] for c in comps]
+    W, PH, gn = W[rep], PH[rep], gn[rep]
+    eig = np.linalg.eigvalsh(_pairing_derivs(x, y, W, PH)[1])
+    eig = np.take_along_axis(eig, np.argsort(np.abs(eig), axis=1), 1)
+    null = np.abs(eig) <= 1e-6 * np.maximum(1.0, np.max(np.abs(eig), axis=1))[:, None]
+    # the null eigenvalues come first; a factor 1.0 in their place leaves
+    # the product of the others, in |eigenvalue| order, bit for bit
+    trans = np.where(null, 1.0, eig)
+    phase = _row_dots(x - _rot_z(PH, y), W)
+    by_phase = np.lexsort((PH, np.abs(phase)))
+    fields = {"omega": W, "phi": PH, "grad_norm": gn, "trans_det": np.prod(trans, axis=1),
+              "trans_dim": 3 - null.sum(axis=1), "phase_value": phase}
+    return {key: value[by_phase] for key, value in fields.items()}
 
 
 # ---------------------------------------------------------------------------

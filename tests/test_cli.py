@@ -124,6 +124,88 @@ def test_critscan_on_the_axis_exits_2(capsys):
     assert "vanishes identically" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["2.8415926535897931", "2.85", "3.1", "-0.1"])
+def test_critscan_refuses_pairs_that_reach_the_axis(monkeypatch, capsys, theta):
+    """At theta = pi - 0.3 the last pair y sits on the south pole, and past
+    it the pairs run beyond the pole: refused before any scan."""
+    monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
+    assert cli.main(["critscan", "--theta", theta]) == 2
+    assert "config error: theta must lie in (0, pi - 0.3)" in capsys.readouterr().err
+    assert cli.parse_config(["critscan", "--theta", "2.84"]).params["theta"] == 2.84
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["counting", "--manifold", "torus", "--lambda", "50"], "need at least 5 points, got 0"),
+    (["counting", "--manifold", "torus", "--m", "0", "--lambda", "1e-3"],
+     "constant data cannot pin a power law"),
+], ids=["empty window", "constant window"])
+def test_a_torus_count_with_nothing_to_fit_exits_2(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_counting_torus_fits_the_positive_window():
+    # m = 20 has no mode below (2 pi 20)^2 ~ 15791: the fit starts above it
+    rep = lab.run_counting_experiment("torus", 20, 1e5)
+    assert rep["series"][0]["measured"] == 0.0
+    assert min(rep["fit"]["grid"]) > (2 * math.pi * 20) ** 2
+    assert len(rep["fit"]["grid"]) == sum(row["measured"] > 0 for row in rep["series"])
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["weyl", "--manifold", "sphere", "--x", "0.9,0.9"], "x gives no point on the sphere"),
+    (["weyl", "--manifold", "torus", "--theta", "0.3"], "theta gives no point on the torus"),
+    (["weyl", "--x", "0.9,0.9"], "x gives no point on the sphere"),
+], ids=["sphere x", "torus theta", "default sphere x"])
+def test_weyl_refuses_the_other_manifolds_point(monkeypatch, capsys, argv, named):
+    monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
+    assert cli.main(argv) == 2
+    assert f"config error: {named}" in capsys.readouterr().err
+
+
+def test_weyl_defaults_the_point_of_its_own_manifold():
+    sphere = cli.parse_config(["weyl"]).params
+    torus = cli.parse_config(["weyl", "--manifold", "torus"]).params
+    assert (sphere["theta"], sphere["x"]) == (math.pi / 2, None)
+    assert (torus["theta"], torus["x"]) == (None, (0.25, 0.35))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["suite", "--names", ","], "unknown experiment ''"),
+    (["suite", "--names", "interp,,interp"], "names names 'interp' more than once"),
+    (["suite", "--names", "interp,interp"], "names names 'interp' more than once"),
+    (["suite", "--names", "interp,"], "unknown experiment ''"),
+], ids=["comma", "empty between repeats", "repeat", "trailing comma"])
+def test_suite_names_refuse_empty_and_repeated_ids(monkeypatch, capsys, argv, named):
+    monkeypatch.setattr(lab, "run_suite", lambda *args, **kw: pytest.fail("suite ran"))
+    assert cli.main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names, named", [
+    ([], "names must be a non-empty list of experiment ids"),
+    (["interp", "interp"], "names names 'interp' more than once"),
+    (["interp", 5], "names must be a non-empty list of experiment ids"),
+], ids=["empty", "repeat", "no string"])
+def test_suite_names_in_a_config_file_are_checked(tmp_path, monkeypatch, capsys, names, named):
+    monkeypatch.setattr(lab, "run_suite", lambda *args, **kw: pytest.fail("suite ran"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"names": names}))
+    assert cli.main(["suite", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert f"config error: {named}" in capsys.readouterr().err
+
+
+def test_suite_names_in_a_config_file_run_in_order(tmp_path, monkeypatch):
+    # a JSON list, or the flag's comma text
+    ran = []
+    monkeypatch.setattr(lab, "run_suite", lambda names, out_dir: ran.append(names) or [])
+    path = tmp_path / "run.json"
+    for names in (["interp", "critscan"], "interp,critscan"):
+        path.write_text(json.dumps({"names": names}))
+        assert cli.main(["suite", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert ran == 2 * [["interp", "critscan"]]
+
+
 def test_threads_is_an_unknown_key_and_flag(tmp_path, monkeypatch, capsys):
     # the suite runs serially: neither the file key nor the flag exists
     monkeypatch.setattr(lab, "run_command", lambda *args: pytest.fail("experiment ran"))
@@ -160,7 +242,7 @@ def test_suite_needs_selection():
         cli.parse_config(["suite", "--names", "counting-sphere,wrong"])
     assert "wrong" in str(err.value)
     cfg = cli.parse_config(["suite", "--names", "counting-sphere"])
-    assert cfg.params["names"] == "counting-sphere"
+    assert cfg.params["names"] == ["counting-sphere"]
 
 
 def test_main_pinned_counting_line(capsys):
@@ -276,8 +358,9 @@ def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
     ("weyl", "x", "0.1,0.2", [0.1, 0.2]),
 ])
 def test_a_config_list_key_still_reads_its_flag_string(tmp_path, command, key, text, value):
+    # on the torus: weyl reads x there only
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({key: text}))
+    path.write_text(json.dumps({key: text, "manifold": "torus"}))
     assert cli.parse_config([command, "--config", str(path)]).params[key] == value
 
 

@@ -34,7 +34,8 @@ and each check's bound is a constant of its experiment: no subcommand
 parameter names a tolerance, and the package names neither
 ``verdict_from`` nor ``tolerances``.  No module of the package,
 ``scripts/`` or ``tests/`` imports a name it never reads, unless the line
-is marked ``# noqa: F401``.
+is marked ``# noqa: F401``.  No module calls ``np.vectorize``, a Python loop
+per element: a closed form that a sweep reads takes an array.
 """
 import ast
 from pathlib import Path
@@ -371,3 +372,9 @@ def _unused_imports(path):
 def test_no_unused_imports():
     paths = [*MODULES, *ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def test_no_module_calls_np_vectorize():
+    found = [f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr == "vectorize"]
+    assert found == []

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiweyl import eigensolve, geometry, specfun, spectral
-from equiweyl.errors import DomainError, EmptyWindowError, InvalidPointError, TruncationError
+from equiweyl.errors import (
+    DomainError,
+    EmptyWindowError,
+    InvalidPointError,
+    ResourceLimitError,
+    TruncationError,
+)
 from equiweyl.util import gauss_nodes, pairwise_sum
 
 
@@ -34,8 +40,9 @@ def test_sphere_diag_dual_route(sphere200):
 
 def test_torus_diag_dual_route(torus500):
     rsf = spectral.ReducedSpectralFunction(torus500, 0)
+    # every torus mode has |e_j(x)|^2 = 1: the diagonal is the count
     assert spectral.reduced_spectral_diag(rsf, (0.2, 0.9), 500.0) == \
-        spectral.torus_diag_direct(0, 500.0)
+        spectral.torus_count_direct(0, 500.0)
 
 
 def test_torus_count_against_brute_lattice():
@@ -56,6 +63,30 @@ def test_torus_count_against_brute_lattice():
         for m in range(-5, 6):
             want = len(basis.label_rows(m, lam))
             assert spectral.torus_count_direct(m, lam) == want, (m, lam)
+
+
+def test_torus_count_on_an_array_is_its_scalar_calls():
+    """One searchsorted serves a whole lambda array: each entry is the
+    scalar call's int, at lattice eigenvalues, one ulp either side, below 0
+    and at 0, in the shape of lambda."""
+    lams = np.unique(eigensolve.torus_basis(3e3).eigenvalues)
+    lams = np.concatenate((lams, np.nextafter(lams, -np.inf), np.nextafter(lams, np.inf),
+                           [-7.5, -0.0, 0.0, -math.inf]))
+    for m in (0, 1, -3, 8, 10 ** 12):
+        counts = spectral.torus_count_direct(m, lams)
+        assert counts.shape == lams.shape
+        assert counts.tolist() == [spectral.torus_count_direct(m, lam) for lam in lams.tolist()]
+        grid = spectral.torus_count_direct(m, lams[:12].reshape(3, 4))
+        assert grid.tolist() == counts[:12].reshape(3, 4).tolist()
+    assert spectral.torus_count_direct(0, 0.0) == 1
+    assert spectral.torus_count_direct(0, -1.0) == 0
+    assert type(spectral.torus_count_direct(2, 1e3)) is int
+
+
+def test_torus_count_past_its_level_cap_is_refused():
+    # lam = 1e20 would take 1.6e9 lattice levels
+    with pytest.raises(ResourceLimitError, match="lattice levels"):
+        spectral.torus_count_direct(0, np.array([1.0, 1e20]))
 
 
 def test_label_rows_are_the_label_mask_below_lam():
@@ -119,7 +150,7 @@ def test_non_finite_lambda_is_refused_by_the_closed_forms(lam):
                   lambda: spectral.sphere_count_direct(0, lam),
                   lambda: spectral.sphere_diag_direct(0, 1.0, lam),
                   lambda: spectral.torus_count_direct(0, lam),
-                  lambda: spectral.torus_diag_direct(0, lam)):
+                  lambda: spectral.torus_count_direct(0, np.array([1.0, lam]))):
         with pytest.raises(DomainError, match="not finite"):
             query()
 

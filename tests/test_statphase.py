@@ -5,7 +5,6 @@ import math
 import time
 import types
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -385,63 +384,119 @@ def test_caustic_prediction_band():
             assert abs(numeric - prediction) / abs(numeric) <= 0.35
 
 
+SCAN_FIELDS = ("omega", "phi", "grad_norm", "trans_det", "trans_dim", "phase_value")
+
+
 def test_scan_on_orbit():
     x = geometry.sphere_point(1.2, 0.0)
     res = statphase.critical_set_scan(x, x)
-    assert res.classification == "on-orbit"
-    assert all(r.grad_norm <= 1e-10 for r in res.points)
-    dims = sorted(r.trans_dim for r in res.points)
+    assert tuple(res) == SCAN_FIELDS
+    assert np.all(res["grad_norm"] <= 1e-10)
     # one codimension-2 circle plus two isolated extrema
-    assert dims == [2, 3, 3]
-    for r in res.points:
-        if r.trans_dim == 2:
-            assert abs(r.phase_value) <= 1e-8
-        else:
-            assert abs(r.phase_value) == pytest.approx(2.0 * math.sin(1.2), abs=1e-6)
-        assert abs(r.trans_det) > 0.01
+    assert sorted(res["trans_dim"]) == [2, 3, 3]
+    circle = res["trans_dim"] == 2
+    assert np.all(np.abs(res["phase_value"][circle]) <= 1e-8)
+    assert np.abs(res["phase_value"][~circle]) == pytest.approx(2.0 * math.sin(1.2), abs=1e-6)
+    assert np.all(np.abs(res["trans_det"]) > 0.01)
 
 
 def test_scan_off_orbit():
     x = geometry.sphere_point(1.2, 0.0)
     y = geometry.sphere_point(1.5, 0.0)
     res = statphase.critical_set_scan(x, y)
-    assert res.classification == "off-orbit"
-    assert all(r.trans_dim == 3 for r in res.points)
-    assert all(r.grad_norm <= 1e-10 for r in res.points)
-    assert len(res.points) == 4
-    nearest = min(abs(r.phase_value) for r in res.points)
-    assert nearest == pytest.approx(2.0 * math.sin(0.15), rel=0.02)
+    assert res["omega"].shape == (4, 3)
+    assert all(res[key].shape == (4,) for key in SCAN_FIELDS[1:])
+    assert np.all(res["trans_dim"] == 3)
+    assert np.all(res["grad_norm"] <= 1e-10)
+    # ordered by |phase|: the nearest first
+    assert np.all(np.diff(np.abs(res["phase_value"])) >= 0.0)
+    assert abs(res["phase_value"][0]) == pytest.approx(2.0 * math.sin(0.15), rel=0.02)
 
 
 def test_scan_matches_closed_form_critical_set():
     x = geometry.sphere_point(1.2, 0.3)
     y = geometry.sphere_point(0.8, 1.1)
     res = statphase.critical_set_scan(x, y)
-    assert len(res.points) == 4
-    assert statphase.closed_form_deviation(x, y, res.points) <= 1e-9
-    # the four closed-form points lie at least 2 apart, so four records
+    assert len(res["phi"]) == 4
+    assert statphase.closed_form_deviation(x, y, res) <= 1e-9
+    # the four closed-form points lie at least 2 apart, so four components
     # within 1e-9 of them and apart from each other find each one once
-    for a, b in itertools.combinations(res.points, 2):
-        assert max(np.linalg.norm(np.subtract(a.omega, b.omega)),
-                   abs(math.remainder(a.phi - b.phi, 2.0 * math.pi))) > 1.0
+    for a, b in itertools.combinations(range(4), 2):
+        assert max(np.linalg.norm(res["omega"][a] - res["omega"][b]),
+                   abs(math.remainder(res["phi"][a] - res["phi"][b], 2.0 * math.pi))) > 1.0
 
     # on the orbit: the circle phi = 0, omega orthogonal to e3 x x, plus
     # the two isolated points at phi = pi
     on = statphase.critical_set_scan(x, x)
-    assert sorted(r.trans_dim for r in on.points) == [2, 3, 3]
-    assert statphase.closed_form_deviation(x, x, on.points) <= 1e-9
+    assert sorted(on["trans_dim"]) == [2, 3, 3]
+    assert statphase.closed_form_deviation(x, x, on) <= 1e-9
+
+
+def _scan_of(omega, phi, trans_dim):
+    """A one-component scan with the given place and kind."""
+    return {"omega": np.array([omega], dtype=float), "phi": np.array([phi]),
+            "trans_dim": np.array([trans_dim])}
 
 
 def test_closed_form_deviation_sees_a_displaced_record():
     x = geometry.sphere_point(1.2, 0.3)
     y = geometry.sphere_point(0.8, 1.1)
     w, phi = statphase.closed_form_critical_points(x, y)[0]
-    exact = statphase.CriticalPointRecord(tuple(w), phi, 0.0, 1.0, 3, 0.0)
-    assert statphase.closed_form_deviation(x, y, [exact]) == 0.0
-    assert statphase.closed_form_deviation(
-        x, y, [replace(exact, phi=phi + 1e-6)]) == pytest.approx(1e-6, rel=1e-6)
-    circle = statphase.CriticalPointRecord((0.0, 0.0, 1.0), 1e-7, 0.0, 1.0, 2, 0.0)
-    assert statphase.closed_form_deviation(x, x, [circle]) == pytest.approx(1e-7, rel=1e-6)
+    shifted = _scan_of(w, phi + 1e-6, 3)
+    assert statphase.closed_form_deviation(x, y, _scan_of(w, phi, 3)) == 0.0
+    assert statphase.closed_form_deviation(x, y, shifted) == pytest.approx(1e-6, rel=1e-6)
+    circle = _scan_of((0.0, 0.0, 1.0), 1e-7, 2)
+    assert statphase.closed_form_deviation(x, x, circle) == pytest.approx(1e-7, rel=1e-6)
+    # the worst of several components; none is no deviation
+    both = {key: np.concatenate((shifted[key], _scan_of(w, phi, 3)[key])) for key in circle}
+    assert statphase.closed_form_deviation(x, y, both) == pytest.approx(1e-6, rel=1e-6)
+    assert statphase.closed_form_deviation(x, y, {key: v[:0] for key, v in both.items()}) == 0.0
+
+
+def test_phi_gap_is_the_remainder_distance():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-20.0, 20.0, 2000)
+    b = np.concatenate((rng.uniform(-20.0, 20.0, 1000), a[:1000] + 2.0 * math.pi * 3))
+    want = [abs(math.remainder(u - v, 2.0 * math.pi)) for u, v in zip(a.tolist(), b.tolist())]
+    assert statphase._phi_gap(a, b).tolist() == want
+
+
+def test_row_dots_keep_the_bits_of_np_dot():
+    rng = np.random.default_rng(4)
+    u, v = rng.normal(size=(2, 500, 3))
+    assert statphase._row_dots(u, v).tolist() == [float(np.dot(a, b)) for a, b in zip(u, v)]
+    assert statphase._row_dots(u, v[0]).tolist() == [float(np.dot(a, v[0])) for a in u]
+
+
+def test_scan_fields_are_the_per_component_loop():
+    """The batched fields equal, bit for bit, the loop over components that
+    they replace: each component's own eigvalsh, the product of its
+    non-null eigenvalues in |eigenvalue| order, and np.dot for its phase."""
+    x = geometry.sphere_point(1.2, 0.3)
+    for y in (geometry.sphere_point(0.8, 1.1), x):
+        res = statphase.critical_set_scan(x, y)
+        # the scan works on x and y normalized
+        u, v = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        for w, phi, det, dim, phase in zip(res["omega"], res["phi"], res["trans_det"],
+                                           res["trans_dim"], res["phase_value"]):
+            H = statphase._pairing_derivs(u, v, w[None, :], np.array([phi]))[1][0]
+            eig = np.linalg.eigvalsh(H)
+            p_dim = int(np.sum(np.abs(eig) <= 1e-6 * max(1.0, np.max(np.abs(eig)))))
+            trans = eig[np.argsort(np.abs(eig))][p_dim:]
+            assert (dim, det) == (3 - p_dim, float(np.prod(trans)) if len(trans) else 1.0)
+            assert phase == float(np.dot(u - statphase._rot_z(phi, v), w))
+
+
+def test_scan_with_no_converged_seed_is_empty(monkeypatch):
+    def stalled(x, y, W, PH):
+        return W, PH, np.full(len(PH), np.inf)
+
+    monkeypatch.setattr(statphase, "_newton_polish", stalled)
+    x = geometry.sphere_point(1.2, 0.0)
+    res = statphase.critical_set_scan(x, geometry.sphere_point(1.5, 0.0))
+    assert res["omega"].shape == (0, 3)
+    assert all(res[key].shape == (0,) for key in SCAN_FIELDS[1:])
+    assert statphase.closed_form_deviation(x, x, res) == 0.0
 
 
 def test_pairing_derivatives_match_finite_differences():
@@ -491,15 +546,21 @@ def test_scan_nearest_phase_tracks_separation():
     gaps = []
     for delta in (0.3, 0.08):
         res = statphase.critical_set_scan(x, geometry.sphere_point(1.2 + delta, 0.0))
-        gaps.append(min(abs(r.phase_value) for r in res.points))
+        gaps.append(np.min(np.abs(res["phase_value"])))
     assert gaps[0] == pytest.approx(2.0 * math.sin(0.15), rel=0.02)
     assert gaps[1] == pytest.approx(2.0 * math.sin(0.04), rel=0.02)
 
 
 def test_scan_degenerate_axis():
     x = geometry.sphere_point(1.2, 0.0)
-    res = statphase.critical_set_scan(x, np.array([0.0, 0.0, 1.0]))
-    assert res.classification == "degenerate"
+    y = np.array([0.0, 0.0, 1.0])
+    res = statphase.critical_set_scan(x, y)
+    # R_phi y = y: the phase <x - y, omega> is flat in phi, so its critical
+    # set is two phi-circles, omega = +-(x - y) / |x - y|, at phase +-|x - y|
+    assert list(res["trans_dim"]) == [2, 2]
+    gap = np.linalg.norm(x - y)
+    assert sorted(res["phase_value"]) == pytest.approx([-gap, gap], rel=1e-12)
+    assert np.abs(res["omega"] @ (x - y)) == pytest.approx([gap, gap], rel=1e-12)
 
 
 @pytest.mark.parametrize("z", [1.0, -1.0])
