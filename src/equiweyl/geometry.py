@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import InvalidPointError, SingularProfileError, StratumContributionWarning
-from .util import _colatitude_nodes, gauss_nodes, pairwise_sum
+from .errors import (InvalidPointError, ResourceLimitError, SingularProfileError,
+                     StratumContributionWarning)
+from .util import MAX_GRID_NODES, _colatitude_nodes, gauss_nodes, pairwise_sum
 
 _POLE_TOL = 1e-12
 
@@ -169,6 +170,11 @@ class RoundSphere2(_Rotation):
         if math.isinf(p):
             theta, w = np.linspace(0.0, math.pi, _meridian_nodes(mu)), None
         else:
+            # sized as a float first: a huge p gives inf, which math.ceil refuses
+            need = 3 * p * mu + 32
+            if need > MAX_GRID_NODES:
+                raise ResourceLimitError(f"p={p:g} at mu={mu:.6g} needs a meridian rule of "
+                                         f"{need:.4g} nodes, more than {MAX_GRID_NODES}")
             theta, w = _colatitude_nodes(max(64, math.ceil(3 * p * mu) + 32))
             w = _TWO_PI * w
         return (theta, w, (0.0, math.pi),

@@ -25,18 +25,15 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateCriticalError, DomainError, RegimeWarning, ResourceLimitError
-from .util import _colatitude_nodes, gauss_nodes, pairwise_sum
+from .util import MAX_GRID_NODES, _colatitude_nodes, gauss_nodes, pairwise_sum
 
 _TWO_PI = 2.0 * math.pi
 MIN_NODES = 64
-# the most tensor-grid nodes one quadrature may take: 5 times the largest
-# grid the tests integrate (19.7 M), far below what gauss_nodes could hold
-MAX_GRID_NODES = 10 ** 8
 NODES_PER_WAVELENGTH = 6
 # |gradient| at which a Newton-polished scan point counts as critical
 SCAN_GRAD_TOL = 1e-10
@@ -266,8 +263,8 @@ class StationaryPhaseProblem:
     ("curve", parametrization, (t0, t1), closed) for box domains, the
     parametrization taking an array of t (k,) to points (k, d).  A
     location is a point of the box, a unit vector, or a pair (w, phi).
-    The declared set is held as its nodes (see _critical_nodes), each of
-    which must be critical.
+    The declared set is held as its components (see _critical_nodes), every
+    node of which must be critical.
     """
 
     def __init__(self, phase, amplitude, domain, critical=None):
@@ -281,9 +278,9 @@ class StationaryPhaseProblem:
         elif critical and critical[0] == "curve":
             raise DomainError("curve-type critical sets are supported on box domains")
         self.lip = domain._lipschitz(self)
-        self.critical = _critical_nodes(critical) if critical else None
+        self.critical = _critical_nodes(critical) if critical else []
         origin = np.zeros((1, domain.dim))
-        for loc in self.critical[1] if self.critical else ():
+        for loc in (loc for _, locs, _, _ in self.critical for loc in locs):
             g = np.linalg.norm(self._gradient(loc))
             # each phase value carries a rounding error up to about eps |psi|,
             # which the difference quotient divides by the step: an exact
@@ -358,39 +355,19 @@ def oscillatory_integral(problem, mu):
 # stationary expansion
 
 
-@dataclass(frozen=True)
-class SPComponent:
-    psi0: float
-    p: int
-    signature: int
-    q0: complex
-
-
-@dataclass(frozen=True)
-class SPExpansion:
-    n: int
-    components: tuple
-
-    def predict(self, mu):
-        return sum(
-            cmath.exp(1j * mu * c.psi0) * (_TWO_PI / mu) ** ((self.n - c.p) / 2.0) * c.q0
-            for c in self.components
-        )
-
-
 # nodes of a declared critical curve
 _CURVE_NODES = 256
 
 
 def _critical_nodes(critical):
-    """A declared critical set as (p, locations, transversal frames,
-    weights): points, p = 0, are their locations with no frame and weight
-    1; a curve, p = 1, is its parametrization at _CURVE_NODES parameters,
-    each node with the orthonormal columns (d, d - 1) of its tangent's
-    complement and its line weight speed * dt."""
+    """A declared critical set as its components, each (p, locations,
+    transversal frames, weights): a point, p = 0, is one node, its location
+    with no frame and weight 1; a curve, p = 1, is its parametrization at
+    _CURVE_NODES parameters, each node with the orthonormal columns
+    (d, d - 1) of its tangent's complement and its line weight speed * dt."""
     kind = critical[0]
     if kind == "points":
-        return 0, list(critical[1]), [None] * len(critical[1]), np.ones(len(critical[1]))
+        return [(0, [loc], [None], [1.0]) for loc in critical[1]]
     if kind != "curve":
         raise DomainError(f"unknown critical descriptor {kind!r}")
     _, param, (t0, t1), closed = critical
@@ -408,7 +385,7 @@ def _critical_nodes(critical):
     n = locs.shape[1]
     stacked = np.concatenate([(tangent / speed[:, None])[:, :, None],
                               np.broadcast_to(np.eye(n), (len(ts), n, n))], axis=2)
-    return 1, locs, np.linalg.qr(stacked)[0][:, :, 1:n], speed * dt
+    return [(1, locs, np.linalg.qr(stacked)[0][:, :, 1:n], speed * dt)]
 
 
 def _chart_hessian(problem, loc):
@@ -452,23 +429,33 @@ def _node_term(problem, loc, frame, weight):
 
 
 def stationary_expansion(problem):
-    """The leading stationary terms of the declared critical set: one
-    component per point, or one for a curve, whose nodes must share their
-    signature and phase value and whose q0 is the pairwise sum of theirs."""
+    """The leading stationary terms of the declared critical set: the
+    domain's dimension n and one array per field, psi0, p, signature and
+    q0, one entry per component in declared order.  A component's nodes
+    must share their signature and phase value; psi0 is their mean and q0
+    the pairwise sum of theirs."""
     if not problem.critical:
         raise DomainError("stationary_expansion needs a declared critical set")
-    p, locs, frames, weights = problem.critical
-    terms = [_node_term(problem, *node) for node in zip(locs, frames, weights)]
-    if p == 0:
-        return SPExpansion(problem.domain.dim,
-                           tuple(SPComponent(psi0, 0, sigma, q0) for psi0, sigma, q0 in terms))
-    psi, sigma, q0 = (np.array(v) for v in zip(*terms))
-    if np.ptp(sigma) > 0:
-        raise DomainError("signature changes along the declared curve")
-    if np.ptp(psi) > 1e-9 * (1.0 + np.max(np.abs(psi))):
-        raise DomainError("phase is not constant along the declared curve")
-    comp = SPComponent(float(np.mean(psi)), 1, int(sigma[0]), complex(pairwise_sum(q0)))
-    return SPExpansion(problem.domain.dim, (comp,))
+    fields = []
+    for p, locs, frames, weights in problem.critical:
+        terms = [_node_term(problem, *node) for node in zip(locs, frames, weights)]
+        psi, sigma, q0 = (np.array(v) for v in zip(*terms))
+        if np.ptp(sigma) > 0:
+            raise DomainError("signature changes along the declared curve")
+        if np.ptp(psi) > 1e-9 * (1.0 + np.max(np.abs(psi))):
+            raise DomainError("phase is not constant along the declared curve")
+        fields.append((float(np.mean(psi)), p, int(sigma[0]), complex(pairwise_sum(q0))))
+    psi0, p, signature, q0 = (np.array(v) for v in zip(*fields))
+    return {"n": problem.domain.dim, "psi0": psi0, "p": p, "signature": signature, "q0": q0}
+
+
+def stationary_prediction(expansion, mu):
+    """The sum, over the components in order, of e^{i mu psi0}
+    (2 pi / mu)^((n - p) / 2) q0, in Python complex arithmetic: numpy's
+    complex operations would move its last bits."""
+    n = expansion["n"]
+    return sum(cmath.exp(1j * mu * psi0) * (_TWO_PI / mu) ** ((n - p) / 2.0) * q0
+               for psi0, p, q0 in zip(*(expansion[k].tolist() for k in ("psi0", "p", "q0"))))
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +480,9 @@ def caustic_interpolation(problem, mu_tau, epsilon):
             RegimeWarning,
         )
     expansion = stationary_expansion(problem)
-    turned = tuple(replace(c, q0=c.q0 * cmath.exp(-1j * epsilon * c.psi0))
-                   for c in expansion.components)
-    return numeric, SPExpansion(expansion.n, turned).predict(base)
+    turned = [q0 * cmath.exp(-1j * epsilon * psi0)
+              for psi0, q0 in zip(expansion["psi0"].tolist(), expansion["q0"].tolist())]
+    return numeric, stationary_prediction(dict(expansion, q0=np.array(turned)), base)
 
 
 # ---------------------------------------------------------------------------
@@ -764,18 +751,25 @@ def _sinc(z):
 def hybrid_integral(x, y, mu):
     """I(mu) = circle average over phi of the sphere integral of
     e^{i mu <x - R_phi y, omega>}; y one point (3,) or rows (k, 3), giving
-    one value or k values.
+    one complex value or k values.
 
     The inner sphere integral reduces exactly to 4 pi sinc(mu |x - R_phi y|)
     (1D reduction along the axis x - R_phi y); the circle average is a
     trapezoid rule resolving the phi-oscillation.  Every row shares the phi
-    table, and each row's value is its one-row call's.  Cross-checked against
-    the full tensor quadrature in the tests.
+    table, and each row's value is its one-row call's; one point is one
+    row.  Cross-checked against the full tensor quadrature in the tests.
+    ResourceLimitError when the phi table would hold more than
+    MAX_GRID_NODES nodes over all rows, before it is built.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rows = np.atleast_2d(y)
-    n_phi = max(256, int(math.ceil(NODES_PER_WAVELENGTH * mu)))
+    # sized as a float first: a huge mu gives inf, which math.ceil refuses
+    need = NODES_PER_WAVELENGTH * mu
+    if max(256.0, need) * len(rows) > MAX_GRID_NODES:
+        raise ResourceLimitError(f"mu={mu} needs a phi table of {need:.4g} x {len(rows)} "
+                                 f"nodes, more than {MAX_GRID_NODES}")
+    n_phi = max(256, int(math.ceil(need)))
     phis = np.arange(n_phi) * (_TWO_PI / n_phi)
     c, s = np.cos(phis), np.sin(phis)
     vx, vy, vz = rows[:, 0:1], rows[:, 1:2], rows[:, 2:3]
@@ -785,7 +779,6 @@ def hybrid_integral(x, y, mu):
     # np.linalg.norm's sum of squares, in its order
     dists = np.sqrt((dx * dx + dy * dy) + dz * dz)
     vals = 4.0 * math.pi * _sinc(mu * dists)
-    if y.ndim == 1:
-        return complex(pairwise_sum(vals[0])) / n_phi
     # divided as floats: numpy's complex division multiplies by 1 / n_phi
-    return (pairwise_sum(vals) / n_phi).astype(complex)
+    out = (pairwise_sum(vals) / n_phi).astype(complex)
+    return complex(out[0]) if y.ndim == 1 else out

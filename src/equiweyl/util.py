@@ -12,6 +12,10 @@ import tempfile
 import numpy as np
 
 _PANEL = 16
+# the most nodes one quadrature rule, tensor grid or table may take: 5 times
+# the largest grid the tests integrate (19.7 M), far below what gauss_nodes
+# could hold
+MAX_GRID_NODES = 10 ** 8
 
 
 @functools.lru_cache(maxsize=128)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -122,6 +123,17 @@ def test_critscan_on_the_axis_exits_2(capsys):
     """theta = 0 pairs the pole with itself, where the phase vanishes."""
     assert cli.main(["critscan", "--theta", "0"]) == 2
     assert "vanishes identically" in capsys.readouterr().err
+
+
+def test_critscan_with_no_isolated_point_writes_a_failing_report(tmp_path, capsys):
+    """Just off the pole the pair scans find no isolated component: the
+    missing determinants leave det_slope nothing to measure."""
+    assert cli.main(["critscan", "--theta", "1e-6", "--out-dir", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "critscan.json").read_text())
+    det_slope = next(c for c in report["checks"] if c["name"] == "det_slope")
+    assert det_slope["measured"] is None and det_slope["pass"] is False
+    assert report["fit"] is None and report["verdict"] == "fail"
+    assert "critscan: fail det_slope=none" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("theta", ["2.8415926535897931", "2.85", "3.1", "-0.1"])
@@ -318,6 +330,36 @@ def test_a_quadrature_grid_past_the_node_cap_exits_3(capsys):
         tracemalloc.stop()
     assert "resource error: mu=10000000.0 needs a quadrature grid" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv, named", [
+    # a sphere meridian rule of 3e9 nodes; 3e302; inf, past any ceil.  The
+    # huge p leads: a p = 2 pass before it peaks near 3 MB on its own
+    (["lpnorms", "--p-list", "1e7,2"], "p=1e+07 at mu=100.499 needs a meridian rule"),
+    (["lpnorms", "--p-list", "1e300,2"], "p=1e+300 at mu=100.499 needs a meridian rule"),
+    (["lpnorms", "--p-list", "1e308,2"], "p=1e+308 at mu=100.499 needs a meridian rule of inf"),
+    # a phi table of 6e10 nodes a row
+    (["hybrid", "--mu-grid", "1e10:2e10:8"], "mu=10000000000.0 needs a phi table"),
+    # 100 label-0 modes at 1e8 points
+    (["kuznecov", "--points", "100000000"], "100000000 points need 10000000000 label-0"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "refused")
+def test_a_rule_or_table_past_the_node_cap_exits_3(capsys, argv, named):
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"resource error: {named}" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 10.0
+
+
+def test_a_huge_p_on_the_torus_still_runs(capsys):
+    # a torus mode's meridian rule does not grow with p
+    assert cli.main(["lpnorms", "--manifold", "torus", "--p-list", "2,1e7"]) == 0
+    assert "lpnorms-torus: pass" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("grid", [["a", "b"], [[20, 40], [60, 80]], {"lo": 20}])

@@ -16,7 +16,9 @@ reason.  Neither list may hold an entry that the rule would pass anyway.
 ``statphase`` computes and ``lab`` fits: ``statphase`` imports
 nothing from ``fits``.  A statphase domain owns its chart, measure and
 quadrature, so the package asks which domain it holds in one place only:
-``StationaryPhaseProblem.__init__``.  A manifold owns its group action and
+``StationaryPhaseProblem.__init__``.  ``statphase`` returns plain values and
+arrays: the only classes it defines are its domains and
+``StationaryPhaseProblem``.  A manifold owns its group action and
 its closed forms (analytic modes, the meridian of its L^p norms), so
 nothing in the package asks which manifold it holds.  The basis-backed
 reduced diagonal and count read the basis on every manifold; they never
@@ -285,6 +287,14 @@ def test_only_the_problem_init_dispatches_on_the_domain():
     found = [site for scope, site in _isinstance_sites(STATPHASE_DOMAINS)
              if scope != "StationaryPhaseProblem.__init__"]
     assert found == []
+
+
+def test_statphase_defines_no_record_class():
+    # its results are plain values and arrays: the only classes are the
+    # domains and the problem they belong to
+    classes = {node.name for node in _tree(PACKAGE / "statphase.py").body
+               if isinstance(node, ast.ClassDef)}
+    assert classes - STATPHASE_DOMAINS - {"StationaryPhaseProblem"} == set()
 
 
 def test_nothing_dispatches_on_the_manifold():
