@@ -21,6 +21,6 @@ from . import (  # noqa: F401
     weylcoef,
 )
 from .errors import EquiweylError  # noqa: F401
-from .fits import PowerLawFit, fit_power_law  # noqa: F401
+from .fits import fit_power_law  # noqa: F401
 
 __version__ = "0.1.0"

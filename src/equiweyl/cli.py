@@ -138,7 +138,7 @@ def _run(cfg):
     if cfg.experiment != "suite":
         return [lab.run_command(cfg.experiment, cfg.params)]
     p = cfg.params
-    return lab.run_suite(None if p["all"] else p["names"], out_dir=cfg.out_dir)
+    return lab.run_suite(None if p["all"] else p["names"])
 
 
 def _summary_line(cfg, report):
@@ -178,7 +178,7 @@ def main(argv=None):
         return 2
     for report in reports:
         print(_summary_line(cfg, report))
-    if cfg.out_dir is not None and cfg.experiment != "suite":
+    if cfg.out_dir is not None:
         for report in reports:
             lab.write_report(report, cfg.out_dir)
     return 0 if all(r["verdict"] == "pass" for r in reports) else 1

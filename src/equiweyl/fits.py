@@ -4,35 +4,15 @@ per-bin envelope maxima of oscillating series that feed them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    grid: tuple
-
-    def amplitude(self):
-        return math.exp(self.intercept)
-
-    def as_dict(self):
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "grid": list(self.grid),
-        }
-
-
 def fit_power_law(xs, ys):
-    """Least squares of log y on log x.  Demands positive, nonconstant data
-    on a strictly increasing grid of at least 5 points."""
+    """Least squares of log y on log x, as the report dict {slope,
+    intercept, r_squared, grid}.  Demands positive, nonconstant data on a
+    strictly increasing grid of at least 5 points."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -53,7 +33,8 @@ def fit_power_law(xs, ys):
     resid = ly - (intercept + slope * lx)
     ss_tot = float(np.dot(ly - ly.mean(), ly - ly.mean()))
     r2 = 1.0 - float(np.dot(resid, resid)) / ss_tot
-    return PowerLawFit(slope, intercept, max(0.0, min(1.0, r2)), tuple(float(v) for v in xs))
+    return {"slope": slope, "intercept": intercept, "r_squared": max(0.0, min(1.0, r2)),
+            "grid": xs.tolist()}
 
 
 def envelope_maxima(mu, vals):

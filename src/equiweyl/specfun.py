@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +20,6 @@ _LOG_TINY = -744.0
 # every ladder reads the same table and none fills it
 _LOG_HALF_FACT = tuple(itertools.accumulate(
     (math.log((2 * j - 1) / (2 * j)) for j in range(1, DEGREE_LIMIT + 1)), initial=0.0))
-
-
-@dataclass(frozen=True)
-class EvaluatedHarmonic:
-    value: complex
-    magnitude_sq: float
 
 
 def _check_alpha(alpha):
@@ -122,8 +115,7 @@ def spherical_harmonic(k, m, theta, phi):
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta={theta} outside [0, pi]")
     pbar = float(assoc_legendre_normalized(k, m, math.cos(theta)))
-    value = pbar * complex(math.cos(m * phi), math.sin(m * phi))
-    return EvaluatedHarmonic(value=value, magnitude_sq=pbar * pbar)
+    return pbar * complex(math.cos(m * phi), math.sin(m * phi))
 
 
 def addition_theorem_sum(k, theta):

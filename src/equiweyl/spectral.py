@@ -186,7 +186,8 @@ def cluster_lp_norm(rsf, lam, p):
     manifold's meridian at mu = sqrt(eigenvalue), of max(64, 2 ceil(mu) + 8)
     nodes; for a finite p the round sphere's takes max(64, ceil(3 p mu) + 32)
     Gauss nodes in the colatitude.  p = inf is a refined grid maximum, the
-    meridian's ends included (a certified lower bound).
+    meridian's ends included (a certified lower bound).  A sum that a huge
+    p drives to 0 or inf is taken again with |e| scaled by its maximum.
 
     Known bias: the meridian trapezoid of an open surface-of-revolution
     profile does not follow the basis grid, so zonal (m = 0) modes, which
@@ -210,7 +211,14 @@ def cluster_lp_norm(rsf, lam, p):
 
     if math.isinf(p):
         return _refined_max(size, nodes, ends)
-    return float(pairwise_sum(weights * size(nodes) ** p)) ** (1.0 / p)
+    values = size(nodes)
+    with np.errstate(over="ignore"):
+        total = float(pairwise_sum(weights * values ** p))
+    if total == 0.0 or math.isinf(total):
+        # a huge p under- or overflows |e|^p: the same sum scaled by max |e|
+        peak = float(np.max(values))
+        return peak * float(pairwise_sum(weights * (values / peak) ** p)) ** (1.0 / p)
+    return total ** (1.0 / p)
 
 
 def exponent_delta(n, kappa, q):

@@ -210,7 +210,7 @@ def test_suite_names_in_a_config_file_are_checked(tmp_path, monkeypatch, capsys,
 def test_suite_names_in_a_config_file_run_in_order(tmp_path, monkeypatch):
     # a JSON list, or the flag's comma text
     ran = []
-    monkeypatch.setattr(lab, "run_suite", lambda names, out_dir: ran.append(names) or [])
+    monkeypatch.setattr(lab, "run_suite", lambda names: ran.append(names) or [])
     path = tmp_path / "run.json"
     for names in (["interp", "critscan"], "interp,critscan"):
         path.write_text(json.dumps({"names": names}))
@@ -477,6 +477,18 @@ def test_weyl_with_too_few_positive_diagonals_exits_2(capsys):
     assert cli.main(["weyl", "--manifold", "torus", "--m", "10",
                      "--lambda-min", "1000", "--lambda-max", "5000"]) == 2
     assert "at least 5 points" in capsys.readouterr().err
+
+
+def test_lpnorms_torus_at_a_huge_p_passes_without_a_warning(capsys):
+    for p in ("1e300", "1e308"):
+        assert cli.main(["lpnorms", "--manifold", "torus", "--p-list", f"2,{p}"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_counting_sphere_counts_the_level_at_its_edge(capsys):
+    # lambda = 1000 * 1001 is the edge where the level k = 1000 enters
+    assert cli.main(["counting", "--manifold", "sphere", "--lambda", "1001000"]) == 0
+    assert capsys.readouterr().out == "count=1001 predicted=1001 dev=0\n"
 
 
 def test_lpnorms_on_the_sphere_with_a_nonzero_m_exits_2(capsys):

@@ -18,9 +18,11 @@ nothing from ``fits``.  A statphase domain owns its chart, measure and
 quadrature, so the package asks which domain it holds in one place only:
 ``StationaryPhaseProblem.__init__``.  ``statphase`` returns plain values and
 arrays: the only classes it defines are its domains and
-``StationaryPhaseProblem``.  A manifold owns its group action and
-its closed forms (analytic modes, the meridian of its L^p norms), so
-nothing in the package asks which manifold it holds.  The basis-backed
+``StationaryPhaseProblem``; ``fits`` and ``specfun`` define no class (a
+fit is its report dict, a spherical harmonic its complex value).  A
+manifold owns its group action and its closed forms (analytic modes, the
+meridian of its L^p norms), so nothing in the package asks which manifold
+it holds.  The basis-backed
 reduced diagonal and count read the basis on every manifold; they never
 dispatch to the closed forms they are tested against.  Inside the package
 an isotypic label is an int; the ``IsotypicLabel`` that a per-mode view
@@ -295,6 +297,12 @@ def test_statphase_defines_no_record_class():
     classes = {node.name for node in _tree(PACKAGE / "statphase.py").body
                if isinstance(node, ast.ClassDef)}
     assert classes - STATPHASE_DOMAINS - {"StationaryPhaseProblem"} == set()
+
+
+def test_fits_and_specfun_define_no_class():
+    found = [f"{name}:{node.name}" for name in ("fits.py", "specfun.py")
+             for node in ast.walk(_tree(PACKAGE / name)) if isinstance(node, ast.ClassDef)]
+    assert found == []
 
 
 def test_nothing_dispatches_on_the_manifold():

@@ -83,12 +83,18 @@ def test_orthonormality_by_quadrature():
 def test_spherical_harmonic_value():
     # Y_{1,0} = sqrt(3/4pi) cos(theta)
     got = specfun.spherical_harmonic(1, 0, 0.4, 1.1)
-    assert got.value == pytest.approx(math.sqrt(3 / (4 * math.pi)) * math.cos(0.4), rel=1e-13)
-    assert got.magnitude_sq == pytest.approx(abs(got.value) ** 2, rel=1e-13)
+    assert got == pytest.approx(math.sqrt(3 / (4 * math.pi)) * math.cos(0.4), rel=1e-13)
     # Y_{1,1} magnitude
     got = specfun.spherical_harmonic(1, 1, 0.4, 1.1)
     mag = math.sqrt(3 / (8 * math.pi)) * math.sin(0.4)
-    assert abs(got.value) == pytest.approx(mag, rel=1e-12)
+    assert abs(got) == pytest.approx(mag, rel=1e-12)
+
+
+def test_spherical_harmonic_at_phi_zero_keeps_the_ladder_square():
+    # e^{i m 0} = 1 + 0i: |Y|^2 is the squared normalized Legendre value, bit for bit
+    for k, m, theta in ((0, 0, 0.0), (7, 3, 0.4), (140, 0, 0.0), (800, -5, 2.9)):
+        pbar = float(specfun.assoc_legendre_normalized(k, m, math.cos(theta)))
+        assert abs(specfun.spherical_harmonic(k, m, theta, 0.0)) ** 2 == pbar * pbar
 
 
 def test_domain_errors():

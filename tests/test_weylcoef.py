@@ -86,7 +86,7 @@ def test_predicted_coefficient_blowup_rate():
         for th in thetas
     ])
     fit = fit_power_law(thetas, cs)
-    assert abs(fit.slope - (-1.0)) <= 0.05
+    assert abs(fit["slope"] - (-1.0)) <= 0.05
 
 
 def test_measured_coefficient_blowup_rate():
@@ -99,7 +99,7 @@ def test_measured_coefficient_blowup_rate():
         for th in thetas
     ])
     fit = fit_power_law(thetas, measured)
-    assert abs(fit.slope - (-1.0)) <= 0.05
+    assert abs(fit["slope"] - (-1.0)) <= 0.05
     # and the profile tracks 1/(2 pi^2 sin theta) pointwise
     ref = 1.0 / (2.0 * math.pi ** 2 * np.sin(thetas))
     assert np.max(np.abs(measured / ref - 1.0)) <= 0.05
