@@ -53,7 +53,7 @@ class FlatTorus2:
         pass  # the chart is R^2 x R^2
 
     def _orbit(self, x):
-        return OrbitData(1, math.inf, 1.0)
+        return OrbitData(1, 1.0)
 
     def _pairing(self, x, xi):
         return float(xi[0])
@@ -104,10 +104,9 @@ class RoundSphere2(_Rotation):
 
     def _orbit(self, x):
         theta = sphere_colatitude(x)
-        dist = min(theta, math.pi - theta)
-        if dist <= _POLE_TOL:
-            return OrbitData(0, 0.0, 0.0)
-        return OrbitData(1, dist, 2 * math.pi * math.sin(theta))
+        if min(theta, math.pi - theta) <= _POLE_TOL:
+            return OrbitData(0, 0.0)
+        return OrbitData(1, 2 * math.pi * math.sin(theta))
 
     def _pairing(self, x, xi):
         return float(xi @ np.cross(_E3, x))
@@ -234,11 +233,10 @@ class SurfaceOfRevolution(_Rotation):
             raise InvalidPointError("s outside the profile range")
         r = float(self.r(s))
         if self.closed:
-            return OrbitData(1, math.inf, 2 * math.pi * r)
-        dist = min(s, self.length - s)
-        if r <= _POLE_TOL or dist <= _POLE_TOL:
-            return OrbitData(0, 0.0, 0.0)
-        return OrbitData(1, dist, 2 * math.pi * r)
+            return OrbitData(1, 2 * math.pi * r)
+        if r <= _POLE_TOL or min(s, self.length - s) <= _POLE_TOL:
+            return OrbitData(0, 0.0)
+        return OrbitData(1, 2 * math.pi * r)
 
     def _pairing(self, x, xi):
         return float(xi[1])
@@ -463,7 +461,6 @@ def sphere_point(theta, phi=0.0):
 @dataclass(frozen=True)
 class OrbitData:
     kappa_x: int  # 0 exactly at a fixed point of the circle
-    stratum_distance: float
     orbit_length: float
 
     def trivial_multiplicity(self, m):

@@ -622,6 +622,13 @@ def _count(key, v):
         yield f"{key} must be at least 1"
 
 
+def _seed(key, v):
+    # numpy's generators take no negative seed
+    yield from _integer(key, v)
+    if _is_number(v) and v < 0:
+        yield f"{key} must be non-negative, got {v}"
+
+
 def _colatitude(key, v):
     if not (_is_number(v) and 0.0 <= v <= math.pi):
         yield f"{key} must lie in [0, pi], got {v}"
@@ -768,7 +775,7 @@ COMMANDS = {c.name: c for c in (
     Command("kuznecov", "group-averaged sums vs trivial diagonal", run_kuznecov_experiment, (
         Param("lambda_top", 1e4, float, check=_positive, flag="--lambda"),
         Param("points", 20, int, check=_count),
-        Param("seed", 20260815, int, check=_integer),
+        Param("seed", 20260815, int, check=_seed),
     )),
     Command("statphase", "oscillatory-integral benchmarks",
             lambda preset, mu_grid: _STATPHASE_PRESETS[preset](mu_grid), (

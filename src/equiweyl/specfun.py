@@ -47,8 +47,9 @@ def _seed_log(m, sin2):
 
 
 def assoc_ladder(m, k_max, alpha, degrees=None):
-    """Fully normalized P̄_{k,m}(alpha) for k = |m| .. k_max, or for the k in
-    degrees (any order, repeats allowed).
+    """Fully normalized P̄_{k,m}(alpha) = sqrt((2k+1)/(4pi) (k-m)!/(k+m)!)
+    P_{k,m}(alpha), Condon-Shortley sign included, for k = |m| .. k_max, or
+    for the k in degrees (any order, repeats allowed).
 
     Returns an array of shape (rows,) + alpha.shape, one row per degree.  The
     seed is computed in the log domain so sin(theta)^m underflows cleanly to
@@ -101,31 +102,10 @@ def assoc_ladder(m, k_max, alpha, degrees=None):
     return out[:, 0] if scalar else out
 
 
-def assoc_legendre_normalized(k, m, alpha):
-    """sqrt((2k+1)/(4pi) (k-m)!/(k+m)!) P_{k,m}(alpha), Condon-Shortley sign."""
-    k, m = int(k), int(m)
-    _check_degree(k)
-    if abs(m) > k:
-        raise IndexRangeError(f"|m|={abs(m)} exceeds degree k={k}")
-    return assoc_ladder(m, k, alpha, degrees=[k])[0]
-
-
 def spherical_harmonic(k, m, theta, phi):
     """Y_{k,m}(theta, phi) = P̄_{k,m}(cos theta) e^{i m phi}."""
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta={theta} outside [0, pi]")
-    pbar = float(assoc_legendre_normalized(k, m, math.cos(theta)))
+    pbar = float(assoc_ladder(m, k, math.cos(theta), degrees=[k])[0])
     return pbar * complex(math.cos(m * phi), math.sin(m * phi))
 
-
-def addition_theorem_sum(k, theta):
-    """sum_m |Y_{k,m}(theta,phi)|^2, computed mode by mode (no closed form);
-    phi drops out since |e^{im phi}| = 1.  theta may be an array.
-    """
-    alpha = np.cos(np.asarray(theta, dtype=float))
-    total = np.zeros_like(np.atleast_1d(alpha))
-    a = np.atleast_1d(alpha)
-    for m in range(0, k + 1):
-        pbar = assoc_ladder(m, k, a, degrees=[k])[0]
-        total = total + (pbar * pbar if m == 0 else 2.0 * pbar * pbar)
-    return float(total[0]) if np.ndim(alpha) == 0 else total

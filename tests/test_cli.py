@@ -60,6 +60,9 @@ def test_parse_config_fills_defaults():
 
 def test_seed_plumbed_through():
     assert cli.parse_config(["kuznecov", "--seed", "7"]).params["seed"] == 7
+    # numpy's generators refuse a negative seed: a config error, not their traceback
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        cli.parse_config(["kuznecov", "--seed", "-1"])
 
 
 def test_config_file_route(tmp_path):
@@ -382,6 +385,7 @@ def test_a_config_grid_that_is_no_list_of_numbers_exits_2(tmp_path, monkeypatch,
     ("suite", {"all": "no"}, "all must be true or false"),
     ("counting", {"m": True}, "m must be an integer"),
     ("kuznecov", {"points": True}, "points must be an integer"),
+    ("kuznecov", {"seed": -1}, "seed must be non-negative, got -1"),
     ("weyl", {"lambda_min": True}, "lambda_min must be a finite positive number"),
     ("statphase", {"mu_grid": [True, 40]}, "mu_grid must be a strictly increasing grid"),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else str(v))

@@ -450,7 +450,7 @@ def test_blocked_sturm_counts_redo_a_block_with_a_tiny_pivot(K, where):
 def _sphere_formula(basis, i, x):
     k, m = basis.quantum[i].tolist()
     theta = math.acos(max(-1.0, min(1.0, x[2])))
-    pbar = specfun.assoc_legendre_normalized(k, m, math.cos(theta))
+    pbar = specfun.assoc_ladder(m, k, math.cos(theta), degrees=[k])[0]
     return pbar * cmath.exp(1j * m * math.atan2(x[1], x[0]))
 
 

@@ -4,8 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from equiweyl import geometry
 from equiweyl.errors import InvalidPointError, SingularProfileError
@@ -25,10 +23,8 @@ def test_orbit_data_principal_vs_fixed():
     pole = geometry.orbit_data(man, geometry.sphere_point(0.0, 0.0))
     assert pole.kappa_x == 0
     assert pole.orbit_length == 0.0
-    assert pole.stratum_distance == 0.0
     mid = geometry.orbit_data(man, geometry.sphere_point(0.3, 0.0))
     assert mid.orbit_length == pytest.approx(2 * math.pi * math.sin(0.3), rel=1e-12)
-    assert mid.stratum_distance == pytest.approx(0.3, rel=1e-12)
 
 
 def test_cotangent_point_validation():
@@ -51,19 +47,6 @@ def test_momentum_pairing_annihilator():
     assert abs(geometry.momentum_pairing(man, x, xi)) <= 1e-14
     along = orbit_dir / np.linalg.norm(orbit_dir)
     assert abs(geometry.momentum_pairing(man, x, along)) == pytest.approx(math.sin(1.2), rel=1e-12)
-
-
-def test_rotation_invariance():
-    man = geometry.RoundSphere2()
-    x = geometry.sphere_point(0.9, 0.1)
-    xi = np.array([0.2, -0.1, 0.3])
-    xi = xi - np.dot(xi, x) * x
-    for t in (0.3, 2.0, -1.4):
-        rot = geometry.rotate_cotangent(man, x, xi, t)
-        assert geometry.momentum_pairing(man, *rot) == pytest.approx(
-            geometry.momentum_pairing(man, x, xi), abs=1e-14)
-        assert geometry.lifted_orbit_volume(man, *rot) == pytest.approx(
-            geometry.lifted_orbit_volume(man, x, xi), rel=1e-12)
 
 
 def test_lifted_volume_closed_form():
@@ -197,20 +180,3 @@ def test_profile_from_file_rejects_garbage(tmp_path):
     with pytest.raises(SingularProfileError):
         geometry.profile_from_file(path)
 
-
-@settings(max_examples=40, deadline=None)
-@given(
-    theta=st.floats(min_value=0.05, max_value=math.pi - 0.05),
-    phi=st.floats(min_value=0.0, max_value=2 * math.pi),
-    t=st.floats(min_value=-6.0, max_value=6.0),
-)
-def test_pairing_rotation_property(theta, phi, t):
-    man = geometry.RoundSphere2()
-    x = geometry.sphere_point(theta, phi)
-    raw = np.array([0.37, -0.11, 0.21])
-    xi = raw - np.dot(raw, x) * x
-    if np.linalg.norm(xi) < 1e-6:
-        return
-    rot = geometry.rotate_cotangent(man, x, xi, t)
-    assert geometry.momentum_pairing(man, *rot) == pytest.approx(
-        geometry.momentum_pairing(man, x, xi), abs=1e-12)

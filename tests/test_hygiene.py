@@ -45,7 +45,7 @@ import ast
 from pathlib import Path
 
 import equiweyl
-from equiweyl import lab
+from equiweyl import geometry, lab
 
 PACKAGE = Path(equiweyl.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -56,7 +56,6 @@ CALLERS = [*MODULES, *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
 # public names that only the tests call, each with the reason it stays
 UNREFERENCED_OK = {
     "spherical_harmonic": "test reference for the normalized ladder",
-    "addition_theorem_sum": "test reference: the addition theorem mode by mode",
     "kuznecov_sum_by_rotation": "test reference: the literal rotated-point average",
     "momentum_pairing": "test reference: fiber slices lie on the momentum zero level",
     "reports_equal": "the report comparison the determinism tests use",
@@ -70,7 +69,12 @@ TEST_SET_OK = {
 }
 
 STATPHASE_DOMAINS = {"BoxDomain", "SphereDomain", "SphereCircleDomain"}
-MANIFOLDS = {"RoundSphere2", "FlatTorus2", "SurfaceOfRevolution", "_Rotation"}
+# every class of geometry that defines part of a manifold: its orbits
+# (_orbit) or its group's parameters (_group_nodes, which _Rotation holds
+# for the rotation manifolds)
+MANIFOLDS = {name for name, cls in vars(geometry).items()
+             if isinstance(cls, type) and cls.__module__ == geometry.__name__
+             and {"_orbit", "_group_nodes"} & vars(cls).keys()}
 
 
 def _tree(path):

@@ -25,23 +25,23 @@ def test_normalized_ladder_matches_mpmath():
     rng = np.random.default_rng(7)
     alphas = rng.uniform(-0.999, 0.999, size=6)
     for k, m in [(3, 0), (3, 2), (10, 5), (25, 25), (60, 7)]:
-        ours = specfun.assoc_legendre_normalized(k, m, alphas)
+        ours = specfun.assoc_ladder(m, k, alphas, degrees=[k])[0]
         for a, v in zip(alphas, ours):
             assert v == pytest.approx(mp_normalized_legendre(k, m, a), rel=1e-10, abs=1e-13)
 
 
 def test_negative_m_magnitude():
     alphas = np.linspace(-0.9, 0.9, 5)
-    plus = specfun.assoc_legendre_normalized(9, 4, alphas)
-    minus = specfun.assoc_legendre_normalized(9, -4, alphas)
+    plus = specfun.assoc_ladder(4, 9, alphas, degrees=[9])[0]
+    minus = specfun.assoc_ladder(-4, 9, alphas, degrees=[9])[0]
     assert np.allclose(np.abs(plus), np.abs(minus), rtol=1e-13)
 
 
 def test_parity():
     alphas = np.linspace(-0.8, 0.8, 7)
     for k, m in [(6, 0), (7, 3), (12, 5)]:
-        left = specfun.assoc_legendre_normalized(k, m, -alphas)
-        right = (-1.0) ** (k + m) * specfun.assoc_legendre_normalized(k, m, alphas)
+        left = specfun.assoc_ladder(m, k, -alphas, degrees=[k])[0]
+        right = (-1.0) ** (k + m) * specfun.assoc_ladder(m, k, alphas, degrees=[k])[0]
         assert np.allclose(left, right, rtol=1e-12, atol=1e-14)
 
 
@@ -49,24 +49,18 @@ def test_pole_values():
     # only m = 0 survives at the poles, at sqrt((2k+1)/4pi); the recurrence
     # loses ~ eps * k, so the bound scales with k
     for k in (0, 1, 5, 200, 800):
-        v = specfun.assoc_legendre_normalized(k, 0, np.array([1.0]))[0]
+        v = specfun.assoc_ladder(0, k, 1.0, degrees=[k])[0]
         assert v == pytest.approx(math.sqrt((2 * k + 1) / (4 * math.pi)),
                                   rel=1e-14 * max(100, k))
     for m in (1, 3):
-        v = specfun.assoc_legendre_normalized(8, m, np.array([1.0, -1.0]))
+        v = specfun.assoc_ladder(m, 8, np.array([1.0, -1.0]), degrees=[8])[0]
         assert np.all(v == 0.0)
-
-
-def test_addition_theorem_small():
-    for k in (0, 1, 2, 15):
-        got = specfun.addition_theorem_sum(k, 0.93)
-        assert got == pytest.approx((2 * k + 1) / (4 * math.pi), rel=1e-12)
 
 
 def test_high_degree_stability():
     # the pointwise values stay bounded by the pole value at high degree
     alphas = np.linspace(-1.0, 1.0, 201)
-    vals = specfun.assoc_legendre_normalized(900, 0, alphas)
+    vals = specfun.assoc_ladder(0, 900, alphas, degrees=[900])[0]
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) <= math.sqrt((2 * 900 + 1) / (4 * math.pi)) * (1 + 1e-11)
 
@@ -74,8 +68,8 @@ def test_high_degree_stability():
 def test_orthonormality_by_quadrature():
     nodes, w = np.polynomial.legendre.leggauss(120)
     for m in (0, 2):
-        f1 = specfun.assoc_legendre_normalized(8, m, nodes)
-        f2 = specfun.assoc_legendre_normalized(12, m, nodes)
+        f1 = specfun.assoc_ladder(m, 8, nodes, degrees=[8])[0]
+        f2 = specfun.assoc_ladder(m, 12, nodes, degrees=[12])[0]
         assert 2 * math.pi * np.sum(f1 * f1 * w) == pytest.approx(1.0, abs=1e-12)
         assert 2 * math.pi * np.sum(f1 * f2 * w) == pytest.approx(0.0, abs=1e-12)
 
@@ -93,7 +87,7 @@ def test_spherical_harmonic_value():
 def test_spherical_harmonic_at_phi_zero_keeps_the_ladder_square():
     # e^{i m 0} = 1 + 0i: |Y|^2 is the squared normalized Legendre value, bit for bit
     for k, m, theta in ((0, 0, 0.0), (7, 3, 0.4), (140, 0, 0.0), (800, -5, 2.9)):
-        pbar = float(specfun.assoc_legendre_normalized(k, m, math.cos(theta)))
+        pbar = float(specfun.assoc_ladder(m, k, math.cos(theta), degrees=[k])[0])
         assert abs(specfun.spherical_harmonic(k, m, theta, 0.0)) ** 2 == pbar * pbar
 
 
@@ -101,7 +95,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         specfun.assoc_ladder(0, 3, np.array([1.5]))
     with pytest.raises((DomainError, IndexRangeError)):
-        specfun.assoc_legendre_normalized(3, 5, np.array([0.0]))
+        specfun.assoc_ladder(5, 3, np.array([0.0]))
     with pytest.raises((DomainError, IndexRangeError)):
         specfun.assoc_ladder(0, -1, np.array([0.0]))
 
@@ -128,22 +122,11 @@ def test_one_degree_holds_one_row():
     alphas = np.linspace(-1.0, 1.0, 20_000)
     tracemalloc.start()
     try:
-        specfun.assoc_legendre_normalized(800, 0, alphas)
+        specfun.assoc_ladder(0, 800, alphas, degrees=[800])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    k=st.integers(min_value=0, max_value=120),
-    alpha=st.floats(min_value=-1.0, max_value=1.0),
-)
-def test_addition_theorem_property(k, alpha):
-    theta = math.acos(alpha)
-    got = specfun.addition_theorem_sum(k, theta)
-    assert got == pytest.approx((2 * k + 1) / (4 * math.pi), rel=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,7 +136,7 @@ def test_addition_theorem_property(k, alpha):
 )
 def test_zonal_bounded_by_pole(k, frac):
     alpha = 2.0 * frac - 1.0
-    v = specfun.assoc_legendre_normalized(k, 0, np.array([alpha]))[0]
+    v = specfun.assoc_ladder(0, k, alpha, degrees=[k])[0]
     assert abs(v) <= math.sqrt((2 * k + 1) / (4 * math.pi)) * (1 + 1e-12)
 
 
