@@ -117,9 +117,12 @@ class EigenBasis:
         3-vectors on the sphere, (x1, x2) on the torus, (s, phi) on surfaces
         of revolution.  Analytic bases ask the manifold for Pbar_{k,m}(cos
         theta) e^{i m phi} or e^{2 pi i <k, x>}, bit for bit the scalar
-        formulas; discrete ones take np.interp over the nodes times e^{i m phi},
-        and raise InvalidPointError at a non-finite s or phi, or at s outside
-        [0, L] on an open profile (a closed one wraps s)."""
+        formulas at every height z = cos t (the sphere reads cos theta as z,
+        where the formulas take cos(acos(z)); other heights may move in the
+        last bit); discrete ones take np.interp over the nodes times e^{i m phi}.
+        Every basis raises InvalidPointError at a non-finite coordinate, and
+        a discrete one at s outside [0, L] on an open profile (a closed one
+        wraps s)."""
         pts = np.asarray(points, dtype=float)
         rows = (np.arange(len(self.eigenvalues)) if modes is None
                 else np.asarray(modes, dtype=np.intp).ravel())
@@ -128,6 +131,7 @@ class EigenBasis:
         pts = pts.reshape(-1, pts.shape[-1])
         q = self.quantum[rows]
         if self.radial is None:
+            self._check_point(pts)
             return self.manifold._eigenfunctions(q, pts)
         # np.interp's formula: slope * (s - nodes[j]) + value[j], nodes[j] <= s
         nodes, slopes, _ = self._interpolation
@@ -139,11 +143,13 @@ class EigenBasis:
         return radial * np.exp(1j * np.multiply.outer(q[:, 0], pts[:, 1]))
 
     def _check_point(self, x):
-        """evaluate's check of the one point x = (s, phi), in scalar
-        arithmetic and with no evaluation: a discrete basis returns (s, phi),
-        s wrapped on a closed profile, or raises what evaluate raises; an
-        analytic basis, whose evaluate checks no point, returns None."""
+        """evaluate's check of x, with no evaluation: it raises what evaluate
+        raises.  An analytic basis takes one point or rows and returns None;
+        a discrete basis takes the one point x = (s, phi), in scalar
+        arithmetic, and returns (s, phi), s wrapped on a closed profile."""
         if self.radial is None:
+            if not np.all(np.isfinite(x)):
+                raise InvalidPointError("point has a non-finite coordinate")
             return None
         s, phi = x
         L = self.manifold.length

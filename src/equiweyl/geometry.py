@@ -152,11 +152,13 @@ class RoundSphere2(_Rotation):
         return refined
 
     def _eigenfunctions(self, quantum, pts):
-        # theta and phi as the scalar formulas take them, point by point: the
-        # vectorized acos/cos may differ from math's in the last bit
+        # cos theta is z itself: the scalar formulas' cos(acos(z)) gives z
+        # back where z = cos t, as on every meridian the lab reads (tests pin
+        # it), so the round trip is skipped; phi stays math.atan2, point by
+        # point, since np.arctan2 may differ from it in the last bit
         k, m = quantum[:, 0], quantum[:, 1]
-        alpha = np.array([math.cos(math.acos(max(-1.0, min(1.0, z)))) for z in pts[:, 2].tolist()])
-        phi = np.array([math.atan2(y, x) for x, y in pts[:, :2].tolist()])
+        alpha = np.clip(pts[:, 2], -1.0, 1.0)
+        phi = np.fromiter(map(math.atan2, pts[:, 1].tolist(), pts[:, 0].tolist()), float, len(pts))
         pbar = np.empty((len(k), len(pts)))
         for mm in np.unique(m).tolist():
             at = m == mm

@@ -24,7 +24,8 @@ _LOG_HALF_FACT = tuple(itertools.accumulate(
 
 def _check_alpha(alpha):
     a = np.asarray(alpha, dtype=float)
-    if np.any(np.abs(a) > 1.0):
+    # a NaN fails every comparison, so it is refused by failing this one
+    if not np.all(np.abs(a) <= 1.0):
         raise DomainError("alpha outside [-1, 1] is not a valid cos(theta)")
     return a
 
@@ -85,14 +86,25 @@ def assoc_ladder(m, k_max, alpha, degrees=None):
     out = np.empty((len(deg),) + a.shape)
     if am in slot:
         out[slot[am]] = p_km
-    p_prev = np.zeros_like(a)
+    if a.size == 1:
+        # one point runs on Python floats: the same IEEE steps, without
+        # numpy's per-call cost, which is most of a one-element step
+        x, p_km, p_prev = float(a[0]), float(p_km[0]), 0.0
+    else:
+        x, p_prev = a, np.zeros_like(a)
     for k in range(am, k_max):
         A = math.sqrt((2 * k + 1) * (2 * k + 3) / ((k + 1 - am) * (k + 1 + am)))
         if k == am:
             B = 0.0
         else:
             B = math.sqrt((2 * k + 3) * (k - am) * (k + am) / ((2 * k - 1) * (k + 1 - am) * (k + 1 + am)))
-        p_km, p_prev = A * a * p_km - B * p_prev, p_km
+        # A a p - B p_prev: one fresh row, the rest in place (p_prev is
+        # dropped after this step, and out holds copies)
+        step = A * x
+        step *= p_km
+        p_prev *= B
+        step -= p_prev
+        p_km, p_prev = step, p_km
         if k + 1 in slot:
             out[slot[k + 1]] = p_km
     if len(slot) < len(deg):

@@ -573,15 +573,17 @@ def _newton_step(A, b, c, D, g):
 def _newton_polish(x, y, W, PH):
     """Newton steps on the seeds whose gradient is still above SCAN_GRAD_TOL.
     The moving seeds are held as coordinate rows; a seed that reaches the
-    tolerance is written back once and leaves them, so no step gathers or
-    scatters the whole seed array."""
-    W, PH = W.copy(), PH.copy()
+    tolerance is written back once, with its gradient norm, and leaves them,
+    so no step gathers or scatters the whole seed array.
+    Returns the seeds (W, PH) and their gradient norms."""
+    W, PH, GN = W.copy(), PH.copy(), np.empty(len(PH))
     at, w, ph = np.arange(len(PH)), W.T.copy(), PH.copy()
     for _ in range(50):
         g, A, b, c, D, t1, t2 = _pairing_parts(x, y, w, ph)
-        moving = np.sqrt(_dot3(g, g)) > SCAN_GRAD_TOL
+        gn = np.sqrt(_dot3(g, g))
+        moving = gn > SCAN_GRAD_TOL
         done = ~moving
-        W[at[done]], PH[at[done]] = w.compress(done, axis=1).T, ph[done]
+        W[at[done]], PH[at[done]], GN[at[done]] = w.compress(done, axis=1).T, ph[done], gn[done]
         if not moving.any():
             break
         step = _newton_step(A + 1e-12, b, c, D + 1e-12, g)
@@ -593,9 +595,9 @@ def _newton_polish(x, y, W, PH):
         at, w, ph = (a.compress(moving, axis=-1) for a in (at, w, ph))
     else:
         # the step cap: the seeds still moving keep their last step
-        W[at], PH[at] = w.T, ph
-    g = _pairing_derivs(x, y, W, PH)[0]
-    return W, PH, np.linalg.norm(g, axis=1)
+        g = _pairing_parts(x, y, w, ph)[0]
+        W[at], PH[at], GN[at] = w.T, ph, np.sqrt(_dot3(g, g))
+    return W, PH, GN
 
 
 def _embed(W, PH):
@@ -690,6 +692,15 @@ def closed_form_deviation(x, y, scan):
     return float(np.max(np.where(scan["trans_dim"] == 3, isolated, circle), initial=0.0))
 
 
+def _finite_vector(name, v):
+    """v as a float array; DomainError naming it at a non-finite coordinate
+    (a NaN would pass every later comparison)."""
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{name}={v.tolist()} has a non-finite coordinate")
+    return v
+
+
 def critical_set_scan(x, y):
     """All zeros of the (omega, phi)-gradient of <x - R_phi y, omega>: arrays
     omega (C, 3), phi, grad_norm, trans_det, trans_dim, phase_value (C,), one
@@ -697,9 +708,8 @@ def critical_set_scan(x, y):
     ordered by (|phase|, phi).  trans_dim counts the Hessian eigenvalues that
     are not (numerically) null, trans_det is their product (1.0 for none).
     A circle (trans_dim 2) lies where R_phi y = x, or at every phi for y on
-    the axis."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    the axis.  DomainError at a non-finite coordinate."""
+    x, y = _finite_vector("x", x), _finite_vector("y", y)
     if np.linalg.norm(x) < 1e-12 or np.linalg.norm(y) < 1e-12:
         raise DomainError("x and y must be nonzero")
     x = x / np.linalg.norm(x)
@@ -736,16 +746,12 @@ def critical_set_scan(x, y):
 
 
 def orbit_distance(x, y):
-    """Chordal distance from y to the rotation orbit of x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Chordal distance from y to the rotation orbit of x; DomainError at a
+    non-finite coordinate."""
+    x, y = _finite_vector("x", x), _finite_vector("y", y)
     tx = math.acos(max(-1.0, min(1.0, x[2] / np.linalg.norm(x))))
     ty = math.acos(max(-1.0, min(1.0, y[2] / np.linalg.norm(y))))
     return 2.0 * abs(math.sin((tx - ty) / 2.0))
-
-
-def _sinc(z):
-    return np.sinc(np.asarray(z) / math.pi)
 
 
 def hybrid_integral(x, y, mu):
@@ -758,11 +764,13 @@ def hybrid_integral(x, y, mu):
     trapezoid rule resolving the phi-oscillation.  Every row shares the phi
     table, and each row's value is its one-row call's; one point is one
     row.  Cross-checked against the full tensor quadrature in the tests.
-    ResourceLimitError when the phi table would hold more than
-    MAX_GRID_NODES nodes over all rows, before it is built.
+    DomainError at a NaN mu; ResourceLimitError when the phi table would
+    hold more than MAX_GRID_NODES nodes over all rows, before it is built.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if math.isnan(mu):
+        raise DomainError(f"mu={mu} is not a number")
     rows = np.atleast_2d(y)
     # sized as a float first: a huge mu gives inf, which math.ceil refuses
     need = NODES_PER_WAVELENGTH * mu
@@ -770,15 +778,36 @@ def hybrid_integral(x, y, mu):
         raise ResourceLimitError(f"mu={mu} needs a phi table of {need:.4g} x {len(rows)} "
                                  f"nodes, more than {MAX_GRID_NODES}")
     n_phi = max(256, int(math.ceil(need)))
-    phis = np.arange(n_phi) * (_TWO_PI / n_phi)
-    c, s = np.cos(phis), np.sin(phis)
+    # the float arange holds the same integers, and the table's sin takes
+    # its buffer: no fresh array but the cos
+    phis = np.arange(n_phi, dtype=float)
+    phis *= _TWO_PI / n_phi
+    c, s = np.cos(phis), np.sin(phis, out=phis)
     vx, vy, vz = rows[:, 0:1], rows[:, 1:2], rows[:, 2:3]
-    dx = x[0] - (c * vx - s * vy)
-    dy = x[1] - (s * vx + c * vy)
+    # three (rows, n_phi) buffers, every step in place: dx = x0 - (c vx - s vy)
+    # and dy = x1 - (s vx + c vy) squared, then np.linalg.norm's
+    # (dx^2 + dy^2) + dz^2, in its order
+    d, t, u = np.multiply(c, vx), np.multiply(s, vy), np.multiply(c, vy)
+    d -= t
+    np.subtract(x[0], d, out=d)
+    d *= d
+    np.multiply(s, vx, out=t)
+    t += u
+    np.subtract(x[1], t, out=t)
+    t *= t
+    d += t
     dz = x[2] - vz
-    # np.linalg.norm's sum of squares, in its order
-    dists = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    vals = 4.0 * math.pi * _sinc(mu * dists)
+    d += dz * dz
+    np.sqrt(d, out=d)
+    d *= mu
+    # np.sinc(mu d / pi), step by step: x pi back, a zero to eps, sin(y) / y
+    d /= math.pi
+    d *= math.pi
+    if not d.all():
+        d[d == 0.0] = np.finfo(float).eps
+    np.sin(d, out=u)
+    u /= d
+    u *= 4.0 * math.pi
     # divided as floats: numpy's complex division multiplies by 1 / n_phi
-    out = (pairwise_sum(vals) / n_phi).astype(complex)
+    out = (pairwise_sum(u) / n_phi).astype(complex)
     return complex(out[0]) if y.ndim == 1 else out

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equiweyl import eigensolve, geometry, specfun, spectral
+from equiweyl import eigensolve, geometry, lab, specfun, spectral
 from equiweyl.errors import ConvergenceError, DomainError, InvalidPointError, ResourceLimitError
 
 
@@ -574,6 +574,44 @@ def test_points_off_the_profile_raise(route):
     rsf = spectral.ReducedSpectralFunction(sphere, 0)
     with pytest.raises(InvalidPointError):
         spectral.reduced_spectral_diag(rsf, (-1.0, 0.0), 10.0)
+
+
+@pytest.mark.parametrize("make, point, label, lams", [
+    (lambda: eigensolve.sphere_basis(20.0), [0.1, 0.2, math.nan], 3, (5.0, 20.0)),
+    (lambda: eigensolve.torus_basis(500.0), [math.inf, 0.2], 3, (100.0, 500.0)),
+], ids=["sphere", "torus"])
+def test_analytic_bases_refuse_a_non_finite_point(make, point, label, lams):
+    """The sphere once read a NaN height as the pole.  The label has no mode
+    up to the first lambda and one up to the second: whether the point
+    raises does not hang on lambda."""
+    basis = make()
+    with pytest.raises(InvalidPointError):
+        basis.evaluate(point)
+    with pytest.raises(InvalidPointError):
+        basis.evaluate([[0.0] * (len(point) - 1) + [1.0], point])
+    rsf = spectral.ReducedSpectralFunction(basis, label)
+    assert [spectral.counting_function(rsf, lam) > 0 for lam in lams] == [False, True]
+    for lam in lams:
+        with pytest.raises(InvalidPointError):
+            spectral.reduced_spectral_diag(rsf, point, lam)
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_sphere_heights_keep_the_scalar_round_trip(p):
+    """The sphere's evaluator takes cos theta as the clipped height z, where
+    the scalar formulas take cos(acos(z)): on every meridian lpnorms-sphere
+    reads, the zonal mode it reads is bit for bit the ladder at
+    cos(acos(z))."""
+    k_hi = max(lab._K_GRID)
+    basis = eigensolve.sphere_basis(k_hi * (k_hi + 1.0))
+    for k in lab._K_GRID:
+        nodes, _, _, to_points = basis.manifold._meridian(math.sqrt(k * (k + 1.0)), p)
+        pts = to_points(nodes)
+        round_trip = np.array([math.cos(math.acos(z)) for z in pts[:, 2].tolist()])
+        assert np.array_equal(round_trip, pts[:, 2])
+        want = specfun.assoc_ladder(0, k, round_trip, degrees=[k])
+        got = basis.evaluate(pts, k * (k + 1))
+        assert got.real.tobytes() == want.tobytes() and not np.any(got.imag)
 
 
 def test_export_import_export_is_byte_identical(tmp_path):

@@ -100,6 +100,46 @@ def test_domain_errors():
         specfun.assoc_ladder(0, -1, np.array([0.0]))
 
 
+@pytest.mark.parametrize("alpha", [math.nan, np.array([0.2, math.nan, 0.4])], ids=["scalar", "array"])
+def test_nan_alpha_is_a_domain_error(alpha):
+    # abs(nan) > 1 is False, so a NaN once ran the ladder to [0.2821, nan, ...]
+    with pytest.raises(DomainError):
+        specfun.assoc_ladder(0, 5, alpha)
+
+
+def _ladder_as_first_written(m, k_max, a):
+    """Every row of the two-row recurrence in its first form: each step
+    A a p - B p_prev as fresh arrays."""
+    am = abs(m)
+    lg = specfun._seed_log(am, np.clip(1.0 - a * a, 0.0, 1.0))
+    p_km = (-1.0 if am % 2 else 1.0) * np.where(lg > specfun._LOG_TINY, np.exp(lg), 0.0)
+    rows, p_prev = [p_km], np.zeros_like(a)
+    for k in range(am, k_max):
+        A = math.sqrt((2 * k + 1) * (2 * k + 3) / ((k + 1 - am) * (k + 1 + am)))
+        B = 0.0 if k == am else math.sqrt(
+            (2 * k + 3) * (k - am) * (k + am) / ((2 * k - 1) * (k + 1 - am) * (k + 1 + am)))
+        p_km, p_prev = A * a * p_km - B * p_prev, p_km
+        rows.append(p_km)
+    out = np.array(rows)
+    return -out if m < 0 and am % 2 else out
+
+
+@pytest.mark.parametrize("n", [1, 65, 4832])
+@pytest.mark.parametrize("m", [0, 3, -5])
+def test_ladder_keeps_the_first_recurrence_bits(m, n):
+    """The in-place steps, and the Python floats of one point, give the
+    first form's rows bit for bit, all of them and a repeated subset."""
+    k_max = 200
+    a = np.cos(np.linspace(0.0, math.pi, n)) if n > 1 else np.array([0.3])
+    want = _ladder_as_first_written(m, k_max, a)
+    assert specfun.assoc_ladder(m, k_max, a).tobytes() == want.tobytes()
+    picks = [k_max, abs(m), k_max, (abs(m) + k_max) // 2, abs(m)]
+    got = specfun.assoc_ladder(m, k_max, a, degrees=picks)
+    assert got.tobytes() == want[np.array(picks) - abs(m)].tobytes()
+    if n == 1:
+        assert specfun.assoc_ladder(m, k_max, 0.3).tobytes() == want[:, 0].tobytes()
+
+
 @pytest.mark.parametrize("m", [0, 1, -4, 7])
 def test_chosen_degrees_are_the_full_ladders_rows(m):
     alphas = np.concatenate(([-1.0, 0.0, 1.0], np.linspace(-0.999, 0.999, 41)))
