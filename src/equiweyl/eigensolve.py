@@ -29,7 +29,6 @@ from . import specfun
 from .errors import (
     ConvergenceError,
     DomainError,
-    InvalidPointError,
     ResourceLimitError,
     TruncationError,
 )
@@ -113,47 +112,30 @@ class EigenBasis:
 
     def evaluate(self, points, modes=None):
         """Values, shape (modes, points), of the modes (None: all; else an
-        index or index array) at one point or a (P, d) array of points: unit
-        3-vectors on the sphere, (x1, x2) on the torus, (s, phi) on surfaces
-        of revolution.  Analytic bases ask the manifold for Pbar_{k,m}(cos
-        theta) e^{i m phi} or e^{2 pi i <k, x>}, bit for bit the scalar
-        formulas at every height z = cos t (the sphere reads cos theta as z,
-        where the formulas take cos(acos(z)); other heights may move in the
-        last bit); discrete ones take np.interp over the nodes times e^{i m phi}.
-        Every basis raises InvalidPointError at a non-finite coordinate, and
-        a discrete one at s outside [0, L] on an open profile (a closed one
-        wraps s)."""
+        index or index array) at one point or a (P, d) array of points, read
+        through the manifold's point rule _point (geometry), which raises
+        InvalidPointError.  Analytic bases ask the manifold for
+        Pbar_{k,m}(cos theta) e^{i m phi} or e^{2 pi i <k, x>}, bit for bit
+        the scalar formulas at every height z = cos t (the sphere reads cos
+        theta as z, where the formulas take cos(acos(z)); other heights may
+        move in the last bit); discrete ones take np.interp over the nodes
+        times e^{i m phi}."""
         pts = np.asarray(points, dtype=float)
         rows = (np.arange(len(self.eigenvalues)) if modes is None
                 else np.asarray(modes, dtype=np.intp).ravel())
         if self.radial is not None and pts.ndim == 1:
-            return self._evaluate_at(*self._check_point(pts.tolist()), rows)
-        pts = pts.reshape(-1, pts.shape[-1])
+            return self._evaluate_at(*self.manifold._point(pts.tolist()), rows)
+        pts = self.manifold._point(pts.reshape(-1, pts.shape[-1]))
         q = self.quantum[rows]
         if self.radial is None:
-            self._check_point(pts)
             return self.manifold._eigenfunctions(q, pts)
         # np.interp's formula: slope * (s - nodes[j]) + value[j], nodes[j] <= s
         nodes, slopes, _ = self._interpolation
-        s, L = pts[:, 0], self.manifold.length
-        s = self._wrap(s, np.all(np.isfinite(pts)), np.all((0.0 <= s) & (s <= L)))
+        s = pts[:, 0]
         j = nodes.searchsorted(s, side="right") - 1
         col = rows[:, None]
         radial = slopes[col, j] * (s - nodes[j]) + self.radial[col, j]
         return radial * np.exp(1j * np.multiply.outer(q[:, 0], pts[:, 1]))
-
-    def _check_point(self, x):
-        """evaluate's check of x, with no evaluation: it raises what evaluate
-        raises.  An analytic basis takes one point or rows and returns None;
-        a discrete basis takes the one point x = (s, phi), in scalar
-        arithmetic, and returns (s, phi), s wrapped on a closed profile."""
-        if self.radial is None:
-            if not np.all(np.isfinite(x)):
-                raise InvalidPointError("point has a non-finite coordinate")
-            return None
-        s, phi = x
-        L = self.manifold.length
-        return self._wrap(s, math.isfinite(s) and math.isfinite(phi), 0.0 <= s <= L), phi
 
     def _evaluate_at(self, s, phi, rows):
         """evaluate's formula at one checked point (s, phi), on Python
@@ -163,17 +145,6 @@ class EigenBasis:
         # a column view, then a 1-D gather: half the cost of [rows, j]
         radial = slopes[:, j][rows] * (s - node_list[j]) + self.radial[:, j][rows]
         return (radial * np.exp(1j * (self.quantum[:, 0][rows] * phi)))[:, None]
-
-    def _wrap(self, s, finite, inside):
-        """s wrapped onto a closed profile; InvalidPointError unless the
-        points are finite and, on an open profile, inside [0, L]."""
-        if not finite:
-            raise InvalidPointError("point has a non-finite coordinate")
-        if self.manifold.closed:
-            return s % self.manifold.length
-        if not inside:
-            raise InvalidPointError("s outside the profile range")
-        return s
 
     @functools.cached_property
     def _interpolation(self):

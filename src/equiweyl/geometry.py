@@ -23,8 +23,11 @@ _POLE_TOL = 1e-12
 #
 # Each class carries its action and closed forms: private attributes
 # (perfbench's tracer wraps public methods) answer every question that
-# depends on the manifold.  _meridian(mu, p) is an orbit-space rule for |e|^p
-# at frequency mu: nodes, orbit-length weights, the ends, the map to points.
+# depends on the manifold.  _point(x), the one point rule, returns one point
+# or (P, d) rows checked and in canonical form, or raises InvalidPointError;
+# the other private methods take its points.  _meridian(mu, p) is an
+# orbit-space rule for |e|^p at frequency mu: nodes, orbit-length weights,
+# the ends, the map to points.
 
 _TWO_PI = 2.0 * math.pi
 _E3 = np.array([0.0, 0.0, 1.0])
@@ -48,6 +51,13 @@ class _Rotation:
 class FlatTorus2:
     """R^2/Z^2 (unit square), circle acting by translation in x1; the group
     parameter is the shift t in [0, 1)."""
+
+    def _point(self, x):
+        # every finite (x1, x2) is a point of the chart
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise InvalidPointError("point has a non-finite coordinate")
+        return x
 
     def _check_covector(self, x, xi):
         pass  # the chart is R^2 x R^2
@@ -97,13 +107,19 @@ class RoundSphere2(_Rotation):
     Points and covectors are ambient 3-vectors with <x, xi> = 0 (metric
     duality)."""
 
+    def _point(self, x):
+        # unit 3-vectors within 1e-9, one or (P, 3) rows; a NaN fails the test
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (3,) or not np.all(np.abs(np.sum(x * x, axis=-1) - 1.0) <= 1e-9):
+            raise InvalidPointError("sphere point must be a unit 3-vector")
+        return x
+
     def _check_covector(self, x, xi):
-        sphere_colatitude(x)  # raises off the unit sphere
         if abs(x @ xi) > 1e-8 * (1 + np.linalg.norm(xi)):
             raise InvalidPointError("sphere covector must be tangent (ambient identification)")
 
     def _orbit(self, x):
-        theta = sphere_colatitude(x)
+        theta = _colatitude(x)
         if min(theta, math.pi - theta) <= _POLE_TOL:
             return OrbitData(0, 0.0)
         return OrbitData(1, 2 * math.pi * math.sin(theta))
@@ -123,7 +139,7 @@ class RoundSphere2(_Rotation):
         if self._orbit(x).kappa_x == 0:
             rho, unit, w = _disc_nodes(n_nodes)
             return rho[:, None] * np.column_stack([unit, np.zeros(len(rho))]), w
-        theta = sphere_colatitude(x)
+        theta = _colatitude(x)
         c, w = gauss_nodes(n_nodes)
         phi = math.atan2(x[1], x[0])
         # unit conormal (meridian direction, metric-dual ambient vector)
@@ -226,17 +242,30 @@ class SurfaceOfRevolution(_Rotation):
         if np.any(np.abs(rp) > 1 + 1e-10):
             raise SingularProfileError("|r'(s)| > 1 violates the arclength normalization")
 
+    def _point(self, x):
+        """x with s wrapped mod L on a closed profile: one point (s, phi) on
+        Python floats where x holds them (the basis's one-point read), or
+        (P, 2) rows; InvalidPointError at a non-finite coordinate, or at s
+        outside [0, L] on an open profile."""
+        L = self.length
+        rows = isinstance(x, np.ndarray) and x.ndim == 2
+        s = x[:, 0] if rows else x[0]
+        # one point is (s, phi), or (s,) where nothing reads phi
+        if not (np.all(np.isfinite(x)) if rows else math.isfinite(s) and math.isfinite(x[-1])):
+            raise InvalidPointError("point has a non-finite coordinate")
+        if self.closed:
+            return np.column_stack((s % L, x[:, 1:])) if rows else (s % L, *x[1:])
+        if not (np.all((0.0 <= s) & (s <= L)) if rows else 0.0 <= s <= L):
+            raise InvalidPointError("s outside the profile range")
+        return x
+
     def _check_covector(self, x, xi):
-        self._orbit(x)  # raises off the profile range
+        pass  # every xi = (xi_s, xi_phi) is a covector at a point of the chart
 
     def _orbit(self, x):
         s = float(x[0])
-        if not (0.0 <= s <= self.length):
-            raise InvalidPointError("s outside the profile range")
         r = float(self.r(s))
-        if self.closed:
-            return OrbitData(1, 2 * math.pi * r)
-        if r <= _POLE_TOL or min(s, self.length - s) <= _POLE_TOL:
+        if not self.closed and (r <= _POLE_TOL or min(s, self.length - s) <= _POLE_TOL):
             return OrbitData(0, 0.0)
         return OrbitData(1, 2 * math.pi * r)
 
@@ -472,14 +501,16 @@ class OrbitData:
 
 
 def sphere_colatitude(x):
-    x = np.asarray(x, dtype=float)
-    if abs(x @ x - 1.0) > 1e-9:
-        raise InvalidPointError("sphere point must be a unit 3-vector")
+    """The colatitude of x, a point of the round sphere by its point rule."""
+    return _colatitude(RoundSphere2()._point(x))
+
+
+def _colatitude(x):
     return math.acos(max(-1.0, min(1.0, x[2])))
 
 
 def orbit_data(manifold, x):
-    return manifold._orbit(np.asarray(x, dtype=float))
+    return manifold._orbit(manifold._point(x))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +518,9 @@ def orbit_data(manifold, x):
 
 
 def _checked_covector(manifold, x, xi):
-    """(x, xi) as float arrays, checked against the manifold's chart."""
-    x = np.asarray(x, dtype=float)
+    """x by the manifold's point rule, and xi as a float array checked
+    against the chart."""
+    x = manifold._point(x)
     xi = np.asarray(xi, dtype=float)
     manifold._check_covector(x, xi)
     return x, xi
@@ -513,7 +545,7 @@ def lifted_orbit_volume(manifold, x, xi):
     Closed forms throughout: on a surface of revolution the lifted orbit is
     traced at constant speed.
     """
-    vol = manifold._lifted_length(np.asarray(x, dtype=float), np.array(xi, dtype=float, ndmin=2))
+    vol = manifold._lifted_length(manifold._point(x), np.array(xi, dtype=float, ndmin=2))
     return float(vol[0]) if np.ndim(xi) == 1 else vol
 
 
@@ -528,11 +560,11 @@ def cosphere_fiber_slice(manifold, x, n_nodes):
     A Gauss-Legendre segment with total weight 2 when the orbit through x is
     a circle (kappa = 1), a polar-grid disc with total weight pi when the
     fiber condition is empty (fixed points of the circle, kappa = 0).
-    x is checked once, by its orbit data; the rows are built, not checked.
+    x is checked once, by the point rule; the rows are built, not checked.
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
-    return manifold._fiber_slice(np.asarray(x, dtype=float), n_nodes)
+    return manifold._fiber_slice(manifold._point(x), n_nodes)
 
 
 def _disc_nodes(n_nodes):

@@ -153,7 +153,7 @@ def run_local_weyl_experiment(manifold, m, theta, x, lambda_min, lambda_max):
         # the colatitude read back from the point: the reports keep their bits
         theta = geometry.sphere_colatitude(point)
         diag = lambda lam: spectral.sphere_diag_direct(m, theta, lam)
-        if min(theta, math.pi - theta) < 1e-9:
+        if geometry.orbit_data(space, point).kappa_x == 0:
             tag = "pole"
         elif abs(theta - math.pi / 2) < 1e-9:
             tag = "equator"
@@ -284,11 +284,8 @@ def run_counting_experiment(manifold, m, lambda_top):
     if manifold == "sphere":
         lam_top = float(lambda_top)
         ms, scope = (range(-100, 101), {"m_range": 100}) if m == 0 else ([m], {"m": m})
-        # the levels k(k+1) <= lambda are k = 0 .. top: the largest k with
-        # k^2 <= lambda, or one less when its k(k+1) passes lambda
-        top = math.isqrt(int(lam_top))
-        if top * (top + 1) > lam_top:
-            top -= 1
+        # the levels k(k+1) <= lambda are k = 0 .. top
+        top = eigensolve.sphere_k_max(lam_top)
         series = []
         devs = []
         for mm in ms:

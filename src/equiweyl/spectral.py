@@ -100,13 +100,13 @@ def _densities(basis, points, rows):
 
 def reduced_spectral_diag(rsf, x, lam):
     """e_m(x, x, lam): the sum of |e_j(x)|^2 over the label's modes with
-    lambda_j <= lam; an empty label costs no evaluation, only the check of
-    x that evaluate makes."""
+    lambda_j <= lam; an empty label costs no evaluation, only the
+    manifold's point rule, which evaluate applies."""
     basis = rsf.basis
     basis.require(lam)
     rows = basis.label_rows(rsf.label, lam)
     if not rows.size:
-        basis._check_point(x)
+        basis.manifold._point(x)
         return 0.0
     return float(pairwise_sum(_densities(basis, x, rows)[:, 0]))
 

@@ -6,8 +6,10 @@ manifold, given the basis and its full diagonal in closed form (None: the
 sum of |e_j(x)|^2 over the modes).  Clauses 1 and 5 integrate over the
 meridian: to rounding on the analytic bases, by the trapezoid on a profile,
 which does not follow the basis grid (cluster_lp_norm's open-profile bias),
-so a profile bounds those two by its measured errors.  A manifold joins the
-contract by one line of BASES.
+so a profile bounds those two by its measured errors.  Clause 8 instead
+counts the reads that break the manifold's point rule at probes off the
+manifold.  A manifold joins the contract by one line of BASES (and a new
+class of manifold by one line of OFF_POINTS).
 """
 import dataclasses
 import functools
@@ -16,7 +18,8 @@ import math
 import numpy as np
 import pytest
 
-from equiweyl import eigensolve, geometry, spectral
+from equiweyl import eigensolve, geometry, spectral, weylcoef
+from equiweyl.errors import InvalidPointError
 from equiweyl.util import pairwise_sum
 
 # the bound of every clause that holds to rounding (worst measured 3.7e-15)
@@ -158,8 +161,57 @@ def lifted(basis, _):
     return worst
 
 
+# each class of manifold's probes beside a point x of it: (probe, the point
+# whose reads the probe gives, or None where every read raises).  s +- L is
+# exact at the contract's point s = L/4 of the torus profile, L = pi.
+OFF_POINTS = {
+    geometry.RoundSphere2: lambda man, x: [([0.0, 0.0, 5.0], None), ([2.0, 0.0, 0.0], None)],
+    geometry.FlatTorus2: lambda man, x: [],
+    geometry.SurfaceOfRevolution: lambda man, x: (
+        [((x[0] + man.length, x[1]), x), ((x[0] - man.length, x[1]), x)] if man.closed
+        else [((-1.0, x[1]), None), ((man.length + 1.0, x[1]), None)]),
+}
+
+
+def _reads(basis, x, xi):
+    """What both layers read at x, each as bytes or InvalidPointError: the
+    basis's values, the diagonals of a label with modes up to lambda_max and
+    of one without, the orbit data, the lifted volumes of the rows xi and
+    the local coefficient."""
+    man = basis.manifold
+    reads = (lambda: basis.evaluate(x), lambda: _diag(basis, 0, x),
+             lambda: _diag(basis, int(np.max(basis.m)) + 1, x),
+             lambda: dataclasses.astuple(geometry.orbit_data(man, x)),
+             lambda: geometry.lifted_orbit_volume(man, x, xi),
+             lambda: dataclasses.astuple(weylcoef.local_leading_coefficient(man, x, 0)))
+    out = []
+    for read in reads:
+        try:
+            out.append(np.asarray(read()).tobytes())
+        except InvalidPointError:
+            out.append(InvalidPointError)
+    return out
+
+
+def point_rule(basis, _):
+    """8. Both layers read the manifold's point rule alike: at a non-finite
+    coordinate or off the manifold every read raises InvalidPointError, and
+    a closed profile reads s +- L as s.  The number of reads that break it."""
+    man, x = basis.manifold, _points(basis)[1]
+    xi = geometry.cosphere_fiber_slice(man, x, 4)[0][:4]
+    nan, inf = np.array(x), np.array(x)
+    nan[0], inf[-1] = math.nan, math.inf
+    off = next(OFF_POINTS[cls] for cls in type(man).__mro__ if cls in OFF_POINTS)
+    broken = 0
+    for probe, want in [(nan, None), (inf, None)] + off(man, x):
+        got = _reads(basis, probe, xi)
+        expected = [InvalidPointError] * len(got) if want is None else _reads(basis, want, xi)
+        broken += sum(g != e for g, e in zip(got, expected))
+    return broken
+
+
 CLAUSES = {f.__name__: f for f in (orthonormal, invariant, complete, averaged, counted, fixed,
-                                    lifted)}
+                                    lifted, point_rule)}
 
 
 @pytest.mark.parametrize("clause", CLAUSES)

@@ -28,6 +28,8 @@ dispatch to the closed forms they are tested against.  Inside the package
 an isotypic label is an int; the ``IsotypicLabel`` that a per-mode view
 returns lives in ``eigensolve`` beside that view, and no other module
 names it.
+A point is refused in ``geometry`` alone: each manifold's point rule
+raises ``InvalidPointError``, and no other module raises it.
 Quadrature rules are built in ``util`` alone: no other module names
 ``leggauss``.  ``statphase`` streams every quadrature grid in blocks of
 ``_BLOCK`` nodes, its one quadrature size constant: no ``_CHUNK`` slab and
@@ -316,6 +318,13 @@ def test_nothing_dispatches_on_the_manifold():
 def test_only_eigensolve_names_the_label_view():
     found = [path.name for path in MODULES
              if path.name != "eigensolve.py" and "IsotypicLabel" in set(_names(_tree(path)))]
+    assert found == []
+
+
+def test_only_geometry_refuses_a_point():
+    found = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "geometry.py"
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Raise) and "InvalidPointError" in set(_names(node))]
     assert found == []
 
 

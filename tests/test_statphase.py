@@ -598,6 +598,16 @@ def test_non_finite_input_is_a_domain_error(call, named):
         call()
 
 
+@pytest.mark.parametrize("x, y, named", [
+    ([math.nan, 0.0, 1.0], _X, "x="),
+    (_X, [[0.0, 0.0, 1.0], [0.0, 0.0, math.inf]], "y="),
+], ids=["x", "y"])
+def test_hybrid_integral_refuses_a_non_finite_point(x, y, named):
+    """A NaN x once gave (nan+0j), and an inf y a RuntimeWarning from np.sin."""
+    with pytest.raises(DomainError, match=named):
+        statphase.hybrid_integral(x, y, 20.0)
+
+
 def test_hybrid_fast_path_matches_tensor():
     x = geometry.sphere_point(1.2, 0.3)
     y = geometry.sphere_point(0.8, 1.1)
