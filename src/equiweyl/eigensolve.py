@@ -382,36 +382,45 @@ def _blocks(d, k_want):
     return d, np.repeat(np.arange(d.shape[1]), k_want)
 
 
-_MAX_SWEEPS = 40
+# a sweep cuts each unconverged bracket into _SECTIONS pieces, so the cap
+# allows an 8^80 = 2^240-fold shrink
+_SECTIONS = 8
+_MAX_SWEEPS = 80
 
 
 def _lowest_eigenvalues(d, off, corner, k_want):
     """Lowest k_want eigenvalues of every block (k_want: one count, or one
     per block) by vectorized Sturm multisection, all blocks in one sweep.
 
-    Every sweep cuts each unconverged bracket at 63 interior points and
-    counts all of them, across all blocks, in one _sturm_counts call (Lo,
-    Philippe & Sameh 1987): a sweep over n rows costs about the same for
-    many shifts as for one, so a bracket shrinks 64-fold per sweep where
-    bisection halves it, and B blocks cost one row loop, not B.  Eigenvalues
-    of one block that still share a bracket share its points; each block
-    starts from its own Gershgorin interval.  Each bracket keeps a lower end
-    counted below its target and an upper end counted at or above it, so the
-    result never rests on counts being monotone in the shift (Demmel,
-    Dhillon & Ren 1995).
+    Every sweep cuts each unconverged bracket into _SECTIONS = 8 pieces and
+    counts their 7 interior points, across all blocks, in one _sturm_counts
+    call (Lo, Philippe & Sameh 1987), so B blocks cost one row loop, not B.
+    A sweep over n rows at K shifts costs about a n + b n K: the row blocks
+    leave a per-row overhead a, but the count itself grows with K, so a
+    bracket cut 8-fold takes twice the sweeps of a 64-fold cut at 1/9 of the
+    shifts a sweep (DECISIONS.md, "The multisection cuts each bracket in
+    eight").  Eigenvalues of one block that still share a bracket share its
+    points; each block starts from its own Gershgorin interval.  Each
+    bracket keeps a lower end counted below its target and an upper end
+    counted at or above it, so the result never rests on counts being
+    monotone in the shift (Demmel, Dhillon & Ren 1995).  A bracket still
+    wider than 1e-11 (1 + |mid|) after _MAX_SWEEPS sweeps raises
+    ConvergenceError naming its block.
     """
     d, block = _blocks(d, k_want)
     glo, ghi = _gershgorin(d, off, corner)
     lo = (glo - 1e-8)[block]
     hi = (ghi + 1e-8)[block]
     targets = np.arange(1, len(block) + 1) - block.searchsorted(block)
-    sections = 64
-    frac = np.arange(1, sections) / sections
-    for _ in range(_MAX_SWEEPS):
+    frac = np.arange(1, _SECTIONS) / _SECTIONS
+    for sweep in range(_MAX_SWEEPS + 1):
         tol = 1e-11 * (1.0 + np.abs(0.5 * (lo + hi)))
         active = np.flatnonzero(hi - lo > tol)
         if active.size == 0:
             break
+        if sweep == _MAX_SWEEPS:
+            raise _BlockError(f"multisection did not converge in {_MAX_SWEEPS} sweeps",
+                              block[active])
         # within a block brackets are nested or disjoint, so equal ones sit
         # side by side
         lo_a, hi_a, blk_a = lo[active], hi[active], block[active]
@@ -421,18 +430,15 @@ def _lowest_eigenvalues(d, off, corner, k_want):
         b_lo, b_hi = lo_a[first], hi_a[first]
         points = b_lo[:, None] + (b_hi - b_lo)[:, None] * frac
         counts = _sturm_counts(d, off, corner, points.ravel(),
-                               np.repeat(blk_a[first], sections - 1)).reshape(points.shape)
-        # j: the first point counted at or above each target (sections - 1
+                               np.repeat(blk_a[first], _SECTIONS - 1)).reshape(points.shape)
+        # j: the first point counted at or above each target (_SECTIONS - 1
         # if none); the new bracket is [point j - 1, point j] with the old
-        # ends standing in for points -1 and sections - 1
+        # ends standing in for points -1 and _SECTIONS - 1
         above = counts[which] >= targets[active][:, None]
-        j = np.where(above.any(axis=1), np.argmax(above, axis=1), sections - 1)
+        j = np.where(above.any(axis=1), np.argmax(above, axis=1), _SECTIONS - 1)
         ends = np.hstack((lo_a[:, None], points[which], hi_a[:, None]))
         rows = np.arange(active.size)
         lo[active], hi[active] = ends[rows, j], ends[rows, j + 1]
-    else:
-        raise _BlockError(f"multisection did not converge in {_MAX_SWEEPS} sweeps",
-                          block[hi - lo > 1e-11 * (1.0 + np.abs(0.5 * (lo + hi)))])
     out = 0.5 * (lo + hi)
     drop = (np.diff(out) < -1e-6 * (1.0 + np.abs(out[:-1]))) & (np.diff(block) == 0)
     if np.any(drop):
@@ -659,7 +665,11 @@ def surface_of_revolution_basis(profile, m_max, modes_per_m, grid_n):
     kept = (m_max + 1) * modes_per_m  # block m_max + 1 certifies lambda_max only
     w = vecs[:, :kept]  # scaled in place: the basis holds copies
     w /= math.sqrt(2.0 * math.pi * h)  # 2 pi h sum w^2 = 1
-    w *= np.where(w[np.argmax(np.abs(w), axis=0), np.arange(kept)] < 0, -1.0, 1.0)
+    # the first node reaching half of max |w| is positive: the largest |w|
+    # alone would let a last-bit change pick the other of two mirror peaks
+    half = 0.5 * np.maximum(w.max(axis=0), -w.min(axis=0))
+    lead = np.argmax(np.abs(w) >= half, axis=0)
+    w *= np.where(w[lead, np.arange(kept)] < 0, -1.0, 1.0)
     w /= np.sqrt(r)[:, None]
     u = w.T
     lam = np.where((vals[:kept] > -1e-9) & (vals[:kept] < 0.0), 0.0, vals[:kept])

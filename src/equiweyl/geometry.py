@@ -243,21 +243,24 @@ class SurfaceOfRevolution(_Rotation):
             raise SingularProfileError("|r'(s)| > 1 violates the arclength normalization")
 
     def _point(self, x):
-        """x with s wrapped mod L on a closed profile: one point (s, phi) on
-        Python floats where x holds them (the basis's one-point read), or
-        (P, 2) rows; InvalidPointError at a non-finite coordinate, or at s
-        outside [0, L] on an open profile."""
+        """x with s wrapped mod L on a closed profile: one point exactly
+        (s, phi), returned as a tuple (the basis's one-point read, on Python
+        floats), or (P, 2) rows; InvalidPointError at any other shape, at a
+        non-finite coordinate, or at s outside [0, L] on an open profile."""
         L = self.length
         rows = isinstance(x, np.ndarray) and x.ndim == 2
-        s = x[:, 0] if rows else x[0]
-        # one point is (s, phi), or (s,) where nothing reads phi
-        if not (np.all(np.isfinite(x)) if rows else math.isfinite(s) and math.isfinite(x[-1])):
+        try:  # rows of another width unpack to too few or too many columns
+            s, phi = x.T if rows else x
+            finite = np.all(np.isfinite(x)) if rows else math.isfinite(s) and math.isfinite(phi)
+        except (TypeError, ValueError):
+            raise InvalidPointError("a profile point is (s, phi)") from None
+        if not finite:
             raise InvalidPointError("point has a non-finite coordinate")
         if self.closed:
-            return np.column_stack((s % L, x[:, 1:])) if rows else (s % L, *x[1:])
+            return np.column_stack((s % L, phi)) if rows else (s % L, phi)
         if not (np.all((0.0 <= s) & (s <= L)) if rows else 0.0 <= s <= L):
             raise InvalidPointError("s outside the profile range")
-        return x
+        return x if rows else (s, phi)
 
     def _check_covector(self, x, xi):
         pass  # every xi = (xi_s, xi_phi) is a covector at a point of the chart

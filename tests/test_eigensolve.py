@@ -301,11 +301,43 @@ def test_identical_blocks_keep_their_own_brackets(monkeypatch):
     vals = eigensolve._lowest_eigenvalues(d, off, corner, 3)
     # the shared Gershgorin start is one bracket per block, not one in all
     shifts, block = sweeps[0]
-    assert np.array_equal(np.bincount(block), [63, 63])
+    assert np.array_equal(np.bincount(block), [eigensolve._SECTIONS - 1] * 2)
     assert np.array_equal(shifts[block == 0], shifts[block == 1])
     for shifts, block in sweeps:
         assert np.array_equal(shifts[block == 0], shifts[block == 1])
     assert np.array_equal(vals[:3], vals[3:])
+
+
+def test_sweep_cap_counts_the_last_sweep(monkeypatch):
+    """A cap of exactly the sweeps a solve needs returns its eigenvalues;
+    one sweep fewer raises ConvergenceError naming the unconverged block."""
+    _, _, _, d, off, corner = eigensolve._radial_matrix(geometry.sphere_profile(), 2, 200)
+    sweeps = []
+    count = eigensolve._sturm_counts
+
+    def spy(*args):
+        sweeps.append(None)
+        return count(*args)
+
+    monkeypatch.setattr(eigensolve, "_sturm_counts", spy)
+    want = eigensolve._lowest_eigenvalues(d, off, corner, 3)
+    needed = len(sweeps)
+    monkeypatch.setattr(eigensolve, "_MAX_SWEEPS", needed)
+    assert np.array_equal(eigensolve._lowest_eigenvalues(d, off, corner, 3), want)
+    monkeypatch.setattr(eigensolve, "_MAX_SWEEPS", needed - 1)
+    with pytest.raises(ConvergenceError, match=r"sweeps in block 0$"):
+        eigensolve._lowest_eigenvalues(d, off, corner, 3)
+
+
+def test_mode_signs_do_not_hang_on_the_last_bits(monkeypatch):
+    """A cut of each bracket in 64 moves the eigenvalues in their last bits
+    against a cut in 8; the odd modes' mirror peaks must not flip a mode."""
+    radial = []
+    for sections in (64, 8):
+        monkeypatch.setattr(eigensolve, "_SECTIONS", sections)
+        radial.append(eigensolve.surface_of_revolution_basis(
+            geometry.sphere_profile(), 2, 5, 200).radial)
+    assert np.max(np.abs(radial[0] - radial[1])) <= 1e-10
 
 
 def test_closed_profile_with_vanishing_pivot():
@@ -568,6 +600,10 @@ def test_points_off_the_profile_raise(route):
     for s, phi in ((math.nan, 0.0), (1.0, math.inf), (-math.inf, 0.0)):
         with pytest.raises(InvalidPointError):
             read(torus, s, phi)
+    for basis in (sphere, torus):  # a point is exactly (s, phi)
+        for x in ((1.0,), (1.0, 0.0, 0.0)):
+            with pytest.raises(InvalidPointError):
+                basis.evaluate(x if route == "one point" else [x, x])
     L = torus.manifold.length
     assert np.array_equal(read(torus, -1.0, 0.4), read(torus, L - 1.0, 0.4))
     read(sphere, 0.0, 0.4), read(sphere, math.pi, 0.4)  # the ends lie on the profile

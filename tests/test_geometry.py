@@ -63,13 +63,29 @@ def test_sor_volume_matches_sphere_closed_form():
     """The quadrature route on the sphere profile equals the round-sphere value."""
     prof = geometry.sphere_profile()
     for theta, xi_s, xi_phi in [(1.0, 0.6, 0.4), (0.4, -0.3, 0.2), (2.2, 0.0, 1.0)]:
-        v_sor = geometry.lifted_orbit_volume(prof, (theta,), (xi_s, xi_phi))
+        v_sor = geometry.lifted_orbit_volume(prof, (theta, 0.0), (xi_s, xi_phi))
         x = geometry.sphere_point(theta, 0.0)
         e_th = np.array([math.cos(theta), 0.0, -math.sin(theta)])
         e_ph = np.array([0.0, 1.0, 0.0])
         xi = xi_s * e_th + (xi_phi / math.sin(theta)) * e_ph
         v_sphere = geometry.lifted_orbit_volume(geometry.RoundSphere2(), x, xi)
         assert v_sor == pytest.approx(v_sphere, rel=1e-9)
+
+
+@pytest.mark.parametrize("prof", [geometry.sphere_profile(), geometry.torus_profile()],
+                         ids=["open", "closed"])
+def test_a_profile_point_is_exactly_s_phi(prof):
+    """One point is (s, phi) and rows are two wide: a missing azimuth or a
+    middle coordinate is refused, not read past."""
+    for x in [(1.0,), (1.0, 0.0, 0.0), (1.0, math.nan, 0.0), 1.0, np.ones((3, 1)), np.ones((3, 3))]:
+        with pytest.raises(InvalidPointError, match=r"\(s, phi\)"):
+            geometry.orbit_data(prof, x)
+    for x in [(1.0,), (1.0, 0.0, 0.0)]:
+        with pytest.raises(InvalidPointError):
+            geometry.lifted_orbit_volume(prof, x, (0.5, 0.2))
+        with pytest.raises(InvalidPointError):
+            geometry.cosphere_fiber_slice(prof, x, 8)
+    assert geometry.orbit_data(prof, np.array([1.0, 0.3])) == geometry.orbit_data(prof, (1.0, 0.3))
 
 
 def test_torus_conventions():
