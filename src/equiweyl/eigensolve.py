@@ -19,6 +19,7 @@ The flux form keeps constants exactly harmonic for m = 0.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -89,18 +90,24 @@ class EigenBasis:
     def label_rows(self, m, lam):
         """The rows of the modes in the isotypic component of the label m
         with eigenvalue <= lam, ascending: a prefix of the label's rows."""
-        if m not in self._rows_by_label:
+        rows, _, k = self._label(m, lam)
+        return rows[:k]
+
+    def _label(self, m, lam):
+        """The label's rows, its values node-major, (nodes, label modes), on a
+        discrete basis (else None), and how many have eigenvalue <= lam; built
+        on the label's first read, so the blocks of all labels hold radial once."""
+        if m not in self._labels:
             rows = np.flatnonzero(self.m == m)
-            self._rows_by_label[m] = rows, self.eigenvalues[rows].tolist()
-        rows, eigenvalues = self._rows_by_label[m]
+            block = None if self.radial is None else np.ascontiguousarray(self.radial[rows].T)
+            self._labels[m] = rows, block, self.eigenvalues[rows].tolist()
+        rows, block, eigenvalues = self._labels[m]
         # bisect_right is searchsorted(side="right") on a list, minus a numpy call
-        return rows[: bisect.bisect_right(eigenvalues, lam)]
+        return rows, block, bisect.bisect_right(eigenvalues, lam)
 
     @functools.cached_property
-    def _rows_by_label(self):
-        """Label -> (its rows, their eigenvalues as a list), filled as labels
-        are asked."""
-        return {}
+    def _labels(self):
+        return {}  # label -> (rows, block, eigenvalues as a list), filled as labels are read
 
     def require(self, lam):
         if math.isnan(lam):  # nan compares false, so it would pass as every lambda
@@ -124,40 +131,54 @@ class EigenBasis:
         rows = (np.arange(len(self.eigenvalues)) if modes is None
                 else np.asarray(modes, dtype=np.intp).ravel())
         if self.radial is not None and pts.ndim == 1:
-            return self._evaluate_at(*self.manifold._point(pts.tolist()), rows)
+            s, phi = self.manifold._point(pts.tolist())
+            radial = self._radial_at(self.radial.T, s, rows)
+            return (radial * np.exp(1j * (self.quantum[:, 0][rows] * phi)))[:, None]
         pts = self.manifold._point(pts.reshape(-1, pts.shape[-1]))
         q = self.quantum[rows]
         if self.radial is None:
             return self.manifold._eigenfunctions(q, pts)
-        # np.interp's formula: slope * (s - nodes[j]) + value[j], nodes[j] <= s
-        nodes, slopes, _ = self._interpolation
+        # np.interp's formula: slope * (s - nodes[j]) + value[j], np.diff's slope
+        nodes, widths, _, _ = self._interpolation
         s = pts[:, 0]
         j = nodes.searchsorted(s, side="right") - 1
         col = rows[:, None]
-        radial = slopes[col, j] * (s - nodes[j]) + self.radial[col, j]
+        u0, u1 = self.radial[col, j], self.radial[col, np.minimum(j + 1, len(nodes) - 1)]
+        radial = (u1 - u0) / widths[j] * (s - nodes[j]) + u0
         return radial * np.exp(1j * np.multiply.outer(q[:, 0], pts[:, 1]))
 
-    def _evaluate_at(self, s, phi, rows):
-        """evaluate's formula at one checked point (s, phi), on Python
-        floats: the node interval by bisect, then one column of the rows."""
-        _, slopes, node_list = self._interpolation
-        j = bisect.bisect_right(node_list, s) - 1
-        # a column view, then a 1-D gather: half the cost of [rows, j]
-        radial = slopes[:, j][rows] * (s - node_list[j]) + self.radial[:, j][rows]
-        return (radial * np.exp(1j * (self.quantum[:, 0][rows] * phi)))[:, None]
+    def _label_values(self, m, lam, x):
+        """evaluate(x, label_rows(m, lam))[:, 0] at one point x, bit for bit,
+        x checked even for an empty label; a discrete basis reads two rows of
+        the label's block and one phase e^{i m phi}, shared by the label's modes."""
+        rows, block, k = self._label(m, lam)
+        if not k:
+            self.manifold._point(x)
+            return np.zeros(0, dtype=complex)
+        if block is None:
+            return self.evaluate(x, rows[:k])[:, 0]
+        s, phi = self.manifold._point(np.asarray(x, dtype=float).tolist())
+        return self._radial_at(block, s, slice(k)) * cmath.exp(1j * (m * phi))
+
+    def _radial_at(self, block, s, pick):
+        """evaluate's formula at one checked s on Python floats: the interval j
+        by bisect, rows j and j + 1 of the node-major block, each cut by pick."""
+        _, _, nodes, widths = self._interpolation
+        j = bisect.bisect_right(nodes, s) - 1
+        u0 = block[j][pick]
+        return (block[min(j + 1, len(nodes) - 1)][pick] - u0) / widths[j] * (s - nodes[j]) + u0
 
     @functools.cached_property
     def _interpolation(self):
-        """The nodes of radial, np.interp's slope on each node interval (0
-        after the last node), and the nodes as a list for bisect."""
+        """The nodes of radial and the width of each node interval, inf
+        after the last node (a slope of 0 there), as arrays and as lists."""
         prof, n = self.manifold, self.radial.shape[1] - 2
         h = prof.length / n
         s = (np.arange(n) + 0.5) * h
         ends = ([s[0] - h], [s[-1] + h]) if prof.closed else ([0.0], [prof.length])
         nodes = np.concatenate((ends[0], s, ends[1]))
-        slopes = np.zeros_like(self.radial)
-        slopes[:, :-1] = np.diff(self.radial, axis=1) / np.diff(nodes)
-        return nodes, slopes, nodes.tolist()
+        widths = np.append(np.diff(nodes), np.inf)
+        return nodes, widths, nodes.tolist(), widths.tolist()
 
 
 def _sorted_basis(manifold, eigenvalues, m, quantum, lambda_max, radial=None):

@@ -91,29 +91,23 @@ def torus_count_direct(m, lam):
 # basis-backed layer
 
 
-def _densities(basis, points, rows):
-    """|e_j(x)|^2, shape (rows, points), by hypot as abs(complex) computes
-    it: np.abs of a complex array may round the last bit differently."""
-    vals = basis.evaluate(points, rows)
-    return np.hypot(vals.real, vals.imag) ** 2
+def _densities(values):
+    """|e_j(x)|^2 of values e_j(x) by hypot as abs(complex) computes it:
+    np.abs of a complex array may round the last bit differently."""
+    return np.hypot(values.real, values.imag) ** 2
 
 
 def reduced_spectral_diag(rsf, x, lam):
     """e_m(x, x, lam): the sum of |e_j(x)|^2 over the label's modes with
-    lambda_j <= lam; an empty label costs no evaluation, only the
-    manifold's point rule, which evaluate applies."""
-    basis = rsf.basis
-    basis.require(lam)
-    rows = basis.label_rows(rsf.label, lam)
-    if not rows.size:
-        basis.manifold._point(x)
-        return 0.0
-    return float(pairwise_sum(_densities(basis, x, rows)[:, 0]))
+    lambda_j <= lam, read at the one point x by the basis's label read."""
+    rsf.basis.require(lam)
+    values = rsf.basis._label_values(rsf.label, lam, x)
+    return float(pairwise_sum(_densities(values))) if len(values) else 0.0
 
 
 def counting_function(rsf, lam):
     rsf.basis.require(lam)
-    return len(rsf.basis.label_rows(rsf.label, lam))
+    return rsf.basis._label(rsf.label, lam)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +133,9 @@ def kuznecov_sum(basis, x, lam):
     rotated points, is its test reference.
     """
     basis.require(lam)
-    rows = basis.label_rows(0, lam)
-    sums = pairwise_sum(_densities(basis, x, rows).T)
-    return float(sums[0]) if np.ndim(x) == 1 else sums
+    if np.ndim(x) == 1:
+        return float(pairwise_sum(_densities(basis._label_values(0, lam, x))))
+    return pairwise_sum(_densities(basis.evaluate(x, basis.label_rows(0, lam))).T)
 
 
 def kuznecov_sum_by_rotation(basis, x, lam):

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .geometry import cosphere_fiber_slice, lifted_orbit_volume, orbit_data
 from .util import pairwise_sum
 
 # Gauss nodes of each fiber slice
@@ -37,14 +36,15 @@ class WeylPrediction:
 
 
 def local_leading_coefficient(manifold, x, label):
-    od = orbit_data(manifold, x)
+    x = manifold._point(x)  # checked once: the manifold's methods below take it as it is
+    od = manifold._orbit(x)
     kappa = od.kappa_x
     exponent = (_DIM - kappa) / _OPERATOR_DEGREE
     mult = od.trivial_multiplicity(label)
     if mult == 0.0:
         return WeylPrediction(0.0, exponent)
-    xi, w = cosphere_fiber_slice(manifold, x, _FIBER_NODES)
-    total = float(pairwise_sum(w / lifted_orbit_volume(manifold, x, xi)))
+    xi, w = manifold._fiber_slice(x, _FIBER_NODES)
+    total = float(pairwise_sum(w / manifold._lifted_length(x, xi)))
     return WeylPrediction(mult / (2.0 * math.pi) ** (_DIM - kappa) * total, exponent)
 
 

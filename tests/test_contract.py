@@ -130,7 +130,7 @@ def counted(basis, _):
     nodes, weights, _, to_points = _meridian(basis)
     lam, worst = basis.lambda_max, 0.0
     for m in _labels(basis):
-        densities = spectral._densities(basis, to_points(nodes), basis.label_rows(m, lam))
+        densities = spectral._densities(basis.evaluate(to_points(nodes), basis.label_rows(m, lam)))
         count = spectral.counting_function(spectral.ReducedSpectralFunction(basis, m), lam)
         worst = max(worst, abs(float(weights @ pairwise_sum(densities.T)) - count) / max(1, count))
     return worst

@@ -8,6 +8,7 @@ import pytest
 
 from equiweyl import eigensolve, geometry, lab, specfun, spectral
 from equiweyl.errors import ConvergenceError, DomainError, InvalidPointError, ResourceLimitError
+from equiweyl.util import pairwise_sum
 
 
 def test_sphere_basis_census():
@@ -582,6 +583,67 @@ def test_one_point_route_is_the_point_array_route(prof):
             for rows in modes:
                 one, arr = b.evaluate((s, phi), rows), b.evaluate(np.array([[s, phi]]), rows)
                 assert one.shape == arr.shape and one.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("which", ["open", "closed", "imported"])
+def test_label_read_is_the_point_array_route(which, tmp_path):
+    """A label's one-point read (two rows of its node-major block and one
+    phase) gives, byte for byte, evaluate's values on a (1, 2) array of the
+    point, at every label, at lambda on an eigenvalue and between two; the
+    diagonal and the Kuznecov sum are the sums of their densities.  An
+    empty label still refuses a non-finite point."""
+    prof = geometry.sphere_profile() if which == "open" else geometry.torus_profile()
+    b = eigensolve.surface_of_revolution_basis(prof, 2, 5, 200)
+    if which == "imported":
+        eigensolve.export_basis(b, tmp_path / "b.txt")
+        b = eigensolve.import_basis(tmp_path / "b.txt", prof)
+    L, nodes = prof.length, b.grid[0]
+    s_values = [0.0, L, 0.5 * (nodes[3] + nodes[4]), 1.1]
+    if prof.closed:
+        s_values += [-5e-324, -1e-17, -0.3, math.nextafter(L, math.inf), L + 1e-15, 2 * L + 1.1]
+    phis = [0.0, -0.0, 2.7, -3.9, 1e6, -4e9]
+    points = [(s, phi) for s in s_values for phi in phis]
+    points += [(s, phis[i % len(phis)]) for i, s in enumerate(nodes)]  # every node
+    for m in np.unique(b.m).tolist():
+        rsf = spectral.ReducedSpectralFunction(b, m)
+        levels = b.eigenvalues[b.m == m].tolist()
+        for lam in (-1.0, levels[0], 0.5 * (levels[0] + levels[1]), levels[1], b.lambda_max):
+            rows = b.label_rows(m, lam)
+            for x in points:
+                want = b.evaluate(np.array([x]), rows)[:, 0]
+                got = b._label_values(m, lam, x)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, lam, x)
+                if lam > b.lambda_max:  # past the truncation only the values are defined
+                    continue
+                diag = float(pairwise_sum(np.hypot(want.real, want.imag) ** 2))
+                assert spectral.reduced_spectral_diag(rsf, x, lam) == diag
+                if m == 0:
+                    assert spectral.kuznecov_sum(b, x, lam) == diag
+            for x in ((math.nan, 0.0), (1.0, math.inf)):
+                with pytest.raises(InvalidPointError):
+                    spectral.reduced_spectral_diag(rsf, x, -1.0)
+
+
+def test_label_blocks_hold_radial_once():
+    """Once every label has been read and one array evaluation has run, the
+    arrays a discrete basis keeps come to one copy of radial, in the
+    label blocks: no slope table is kept beside them."""
+    def read(b):
+        for m in np.unique(b.m).tolist():
+            spectral.reduced_spectral_diag(spectral.ReducedSpectralFunction(b, m), (1.0, 0.5),
+                                           b.lambda_max)
+        b.evaluate(np.array([[1.0, 0.5], [2.0, 0.1]]))
+
+    prof = geometry.sphere_profile()
+    read(eigensolve.surface_of_revolution_basis(prof, 1, 2, 100))  # numpy's first-call caches
+    b = eigensolve.surface_of_revolution_basis(prof, 8, 16, 400)
+    tracemalloc.start()
+    try:
+        read(b)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.1 * b.radial.nbytes, kept / b.radial.nbytes
 
 
 @pytest.mark.parametrize("route", ["one point", "array"])

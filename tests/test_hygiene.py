@@ -60,6 +60,10 @@ UNREFERENCED_OK = {
     "spherical_harmonic": "test reference for the normalized ladder",
     "kuznecov_sum_by_rotation": "test reference: the literal rotated-point average",
     "momentum_pairing": "test reference: fiber slices lie on the momentum zero level",
+    "lifted_orbit_volume": "test reference: the lifted-orbit closed forms; weylcoef reads the "
+                           "manifold's length at the point it checks once",
+    "cosphere_fiber_slice": "test reference: the fiber rules' weights; weylcoef reads the "
+                            "manifold's slice at the point it checks once",
     "reports_equal": "the report comparison the determinism tests use",
     "profile_from_file": "public entry point: profiles from data files",
 }

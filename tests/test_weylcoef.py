@@ -5,7 +5,33 @@ import numpy as np
 import pytest
 
 from equiweyl import geometry, spectral, weylcoef
+from equiweyl.errors import InvalidPointError
 from equiweyl.lab import fit_power_law
+from equiweyl.util import pairwise_sum
+
+
+@pytest.mark.parametrize("manifold, x", [
+    (geometry.RoundSphere2(), geometry.sphere_point(1.1, 0.3)),
+    (geometry.RoundSphere2(), geometry.sphere_point(0.0, 0.0)),
+    (geometry.sphere_profile(), (1.1, 0.3)),
+    (geometry.sphere_profile(), (0.0, 0.3)),
+    (geometry.torus_profile(), (0.7, 0.3)),
+    (geometry.FlatTorus2(), [0.3, 0.4]),
+], ids=["sphere", "sphere-pole", "profile", "profile-pole", "closed-profile", "torus"])
+def test_local_coefficient_checks_its_point_once(manifold, x, monkeypatch):
+    """The point rule runs once a coefficient, and the coefficient is the
+    geometry entries' fiber sum bit for bit; a NaN point still raises."""
+    od = geometry.orbit_data(manifold, x)
+    xi, w = geometry.cosphere_fiber_slice(manifold, x, weylcoef._FIBER_NODES)
+    total = float(pairwise_sum(w / geometry.lifted_orbit_volume(manifold, x, xi)))
+    want = 1.0 / (2.0 * math.pi) ** (2 - od.kappa_x) * total
+    calls = []
+    rule = type(manifold)._point
+    monkeypatch.setattr(type(manifold), "_point", lambda self, y: calls.append(y) or rule(self, y))
+    assert weylcoef.local_leading_coefficient(manifold, x, 0).coefficient == want
+    assert len(calls) == 1
+    with pytest.raises(InvalidPointError):
+        weylcoef.local_leading_coefficient(manifold, [math.nan] * len(x), 0)
 
 
 def test_equator_closed_form():
