@@ -11,7 +11,10 @@ import tempfile
 
 import numpy as np
 
+from .errors import ConvergenceError, DomainError
+
 _PANEL = 16
+_NEWTON_STEPS = 10  # passes a Gauss-Legendre rule may take; sizes to 600 take at most 5
 # the most nodes one quadrature rule, tensor grid or table may take: 5 times
 # the largest grid the tests integrate (19.7 M), far below what gauss_nodes
 # could hold
@@ -20,20 +23,22 @@ MAX_GRID_NODES = 10 ** 8
 
 @functools.lru_cache(maxsize=128)
 def gauss_nodes(n):
-    """Gauss rule on [-1, 1] with at least n nodes.
+    """Gauss rule on [-1, 1] with at least n nodes, n a positive whole number.
 
-    Single Gauss-Legendre rule up to 600 nodes; beyond that the companion
-    eigensolve behind leggauss is cubic in n, so switch to composite
+    Single Gauss-Legendre rule up to 600 nodes; its recurrence costs n steps
+    over n/2 nodes, quadratic in n, so beyond that switch to composite
     16-point panels (node count rounds up to a multiple of 16).  Callers
     must use the returned arrays' length, not n.  The panels are uniform:
     they miss oscillation that crowds toward an end, as a spherical
     harmonic's does in cos(theta) at the poles (see _colatitude_nodes).
     """
+    if not (1 <= n < math.inf and n % 1 == 0):
+        raise DomainError(f"a Gauss rule needs a positive whole number of nodes, not {n}")
     if n <= 600:
-        x, w = np.polynomial.legendre.leggauss(int(n))
+        x, w = _legendre_rule(int(n))
     else:
         panels = -(-int(n) // _PANEL)
-        xp, wp = np.polynomial.legendre.leggauss(_PANEL)
+        xp, wp = gauss_nodes(_PANEL)
         edges = np.linspace(-1.0, 1.0, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
@@ -42,6 +47,31 @@ def gauss_nodes(n):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _legendre_rule(n):
+    """Newton on the Legendre recurrence from Tricomi's start (Hale & Townsend 2013)."""
+    theta = math.pi / (4 * n + 2) * np.arange(3, 2 * n + 2, 4)  # the roots x >= 0
+    x = np.cos(theta) * (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4))
+    x[n // 2 :] = 0.0  # an odd rule's middle root, which every pass keeps
+    step = math.inf
+    for _ in range(_NEWTON_STEPS):
+        p0, p1, t = np.ones_like(x), x.copy(), np.empty_like(x)
+        for j in range(1, n):  # P_{j+1} = x P_j + j/(j+1) (x P_j - P_{j-1}), in place
+            np.subtract(np.multiply(x, p1, out=t), p0, out=p0)
+            np.add(np.multiply(p0, j / (j + 1), out=p0), t, out=p0)
+            p0, p1 = p1, p0
+        slope = n * (p0 - x * p1) / ((1 - x) * (1 + x))
+        if np.max(np.abs(step)) <= 2 * np.finfo(float).eps:
+            break  # one pass past the last step: P_n' at the nodes returned
+        step = p1 / slope
+        x -= step
+    else:
+        raise ConvergenceError(f"Gauss-Legendre rule n={n}: no convergence in {_NEWTON_STEPS} passes")
+    w = 2.0 / ((1 - x) * (1 + x) * slope * slope)
+    # mirrored, so the rule is symmetric bit for bit
+    x, w = np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+    return x, w * (2.0 / w.sum())
 
 
 def _colatitude_nodes(n):

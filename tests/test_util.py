@@ -2,12 +2,14 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiweyl import util
+from equiweyl.errors import ConvergenceError, DomainError
 
 
 def test_gauss_nodes_small_rule_exactness():
@@ -31,6 +33,80 @@ def test_gauss_nodes_panel_rule():
     assert got == pytest.approx(math.e - 1.0 / math.e, rel=1e-14)
     osc = complex(np.dot(w, np.exp(1j * 50.0 * x)))
     assert abs(osc - 2.0 * math.sin(50.0) / 50.0) <= 1e-12
+
+
+_RULE_SIZES = [1, 2, 3, 16, 17, 64, 301, 595, 600]
+
+
+def _mp_rule(n, x):
+    """The Gauss-Legendre node near x and its weight, at 50 digits: Newton
+    on mpmath's P_n from the double node."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(float(x))
+        for _ in range(4):
+            p, q = mpmath.legendre(n, t), mpmath.legendre(n - 1, t)
+            slope = n * (q - t * p) / (1 - t * t)
+            t -= p / slope
+        p, q = mpmath.legendre(n, t), mpmath.legendre(n - 1, t)
+        slope = n * (q - t * p) / (1 - t * t)
+        return t, 2 / ((1 - t * t) * slope ** 2)
+
+
+def _rule_errors(n, x, w):
+    """Absolute node errors and relative weight errors against 50 digits,
+    on both ends, the middle and a spread between."""
+    picks = sorted({0, 1, n // 2, (n - 1) // 2, n - 2, n - 1,
+                    *np.linspace(0, n - 1, 9).astype(int)} & set(range(n)))
+    node_err, weight_err = [], []
+    for i in picks:
+        t, wt = _mp_rule(n, x[i])
+        node_err.append(abs(float(x[i] - t)))
+        weight_err.append(abs(float((w[i] - wt) / wt)))
+    return np.array(node_err), np.array(weight_err)
+
+
+@pytest.mark.parametrize("n", _RULE_SIZES)
+def test_gauss_nodes_match_fifty_digits(n):
+    x, w = util.gauss_nodes(n)
+    node_err, weight_err = _rule_errors(n, x, w)
+    assert node_err.max() <= 1.2e-16
+    assert np.median(weight_err) <= 1e-14
+    if n >= 64:
+        # no worse than numpy's companion eigensolve, the rule it replaced
+        _, ref_err = _rule_errors(n, *np.polynomial.legendre.leggauss(n))
+        assert weight_err.max() <= ref_err.max()
+
+
+@pytest.mark.parametrize("n", _RULE_SIZES)
+def test_gauss_nodes_rule_shape(n):
+    x, w = util.gauss_nodes(n)
+    assert len(x) == len(w) == n
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert n % 2 == 0 or (x[n // 2] == 0.0 and not np.signbit(x[n // 2]))
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert abs(math.fsum(w) - 2.0) <= 4 * np.finfo(float).eps
+    for d in range(2 * n):
+        # |x|^d with x's sign, so a mirrored pair cancels exactly in fsum
+        powers = np.copysign(np.abs(x) ** d, x) if d % 2 else np.abs(x) ** d
+        got = math.fsum(w * powers)
+        if d % 2:
+            assert got == 0.0
+        else:
+            # the top degrees weigh the end nodes, whose weights carry
+            # 1 - x's rounding, about 7e-12 relative at n = 595
+            assert got == pytest.approx(2.0 / (d + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, -3, math.nan, 2.5])
+def test_gauss_nodes_refuses_bad_sizes(n):
+    with pytest.raises(DomainError):
+        util.gauss_nodes(n)
+
+
+def test_gauss_nodes_iteration_cap(monkeypatch):
+    monkeypatch.setattr(util, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="n=37"):
+        util.gauss_nodes.__wrapped__(37)
 
 
 def test_gauss_nodes_cached_and_frozen():
