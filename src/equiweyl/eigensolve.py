@@ -286,12 +286,14 @@ def _sturm_counts(d, off, corner, shifts, block=None):
     The rows after the first go in row blocks of at most
     _ROW_BLOCK_ELEMENTS shifted diagonals, as LAPACK xLANEG does (Marques,
     Riedy & Vomel 2006): each block runs the recurrence unguarded and in
-    place, two ufunc calls a row on open chains, then counts its negative
-    pivots at once.  Where every pivot of the block has |q| >= pivmin the
-    guard is the identity, so the block did the guarded recurrence's float
-    operations in its order and the counts are its counts bit for bit; any
-    other block (a tiny pivot, or an inf or nan after one) runs again,
-    guarded, from its saved start.
+    place, two ufunc calls a row, then counts its negative pivots at once.
+    Where every pivot of the block has |q| >= pivmin the guard is the
+    identity, so the block did the guarded recurrence's float operations in
+    its order and the counts are its counts bit for bit; any other block (a
+    tiny pivot, or an inf or nan after one) runs again, guarded, from the
+    pivot before it.  On closed chains the border terms follow from the
+    block's final pivots, in block-wide passes that make the row-by-row
+    code's float operations in its order.
     """
     d = d.reshape(len(d), -1)
     n = len(d)
@@ -318,7 +320,7 @@ def _sturm_counts(d, off, corner, shifts, block=None):
     q = shifted(0, np.empty((1, K)))[0]
     q = np.where(np.abs(q) < pivmin, -pivmin, q)
     counts = (q < 0).astype(np.int64)
-    offs, osq = off.tolist(), (off * off).tolist()
+    osq = (off * off).tolist()
     closed = corner != 0.0
     buf = np.empty(K)
     if closed:
@@ -326,25 +328,36 @@ def _sturm_counts(d, off, corner, shifts, block=None):
         # border column f has entries corner (row 0) and off[n-2] (row n-2)
         ftil = np.full_like(shifts, corner)
         schur = shifted(n - 1, np.empty((1, K)))[0] - ftil * ftil / q
-        l_prev = np.empty(K)
+        neg_off = -off[:, None]
 
     def recur(dsh, i0, q, guard):
         """Rows i0.. of the recurrence after the pivot q, overwriting dsh
-        with the pivots; on closed chains ftil and schur are updated in place."""
+        with the pivots."""
         for i, row in enumerate(dsh, i0):
-            if closed:
-                np.divide(offs[i - 1], q, out=l_prev)
             np.divide(osq[i - 1], q, out=buf)
             np.subtract(row, buf, out=row)
             if guard:
                 np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
-            if closed:
-                np.multiply(l_prev, ftil, out=ftil)
-                np.subtract(offs[n - 2] if i == n - 2 else 0.0, ftil, out=ftil)
-                np.multiply(ftil, ftil, out=buf)
-                np.divide(buf, row, out=buf)
-                np.subtract(schur, buf, out=schur)
             q = row
+
+    def border(dsh, i0, q, t):
+        """Carry ftil and schur over rows i0.. from their final pivots dsh
+        (q: the pivot before them), with t as scratch.  Row by row,
+        ftil_i = f_i - (off[i-1] / q_{i-1}) ftil_{i-1} and
+        schur -= ftil_i^2 / q_i; negating off before the divide and adding
+        f_i after the product round exactly as that subtraction does."""
+        np.divide(neg_off[i0 - 1], q, out=t[0])
+        np.divide(neg_off[i0:i0 + len(t) - 1], dsh[:-1], out=t[1:])
+        np.multiply(t[0], ftil, out=t[0])
+        for j in range(1, len(t)):  # multiply.accumulate along rows is slower
+            np.multiply(t[j], t[j - 1], out=t[j])
+        if i0 + len(t) == n - 1:
+            np.add(t[-1], off[n - 2], out=t[-1])
+        ftil[:] = t[-1]
+        np.multiply(t, t, out=t)
+        np.divide(t, dsh, out=t)
+        np.subtract(schur, t[0], out=t[0])
+        np.subtract.reduce(t, axis=0, out=schur)
 
     end = n - 1 if closed else n
     # fewer than 2^16 rows, so a block's counts are exact in uint16, whose
@@ -356,15 +369,14 @@ def _sturm_counts(d, off, corner, shifts, block=None):
     for i0 in range(1, end, rows):
         r = min(rows, end - i0)
         dsh = shifted(i0, pivots[:r])
-        if closed:
-            start = ftil.copy(), schur.copy()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             recur(dsh, i0, q, False)
         if not np.min(np.abs(dsh, out=size[:r]), initial=np.inf) >= pivmin:  # also true at a nan
-            if closed:
-                ftil[:], schur[:] = start
             recur(shifted(i0, dsh), i0, q, True)
         counts += np.add.reduce(np.less(dsh, 0.0, out=neg[:r]), axis=0, dtype=np.uint16)
+        if closed:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                border(dsh, i0, q, size[:r])
         q[:] = dsh[-1]
     if closed:
         counts += schur < 0
@@ -671,6 +683,10 @@ def surface_of_revolution_basis(profile, m_max, modes_per_m, grid_n):
     every m > 0 as +m and -m.  lambda_max is the least top eigenvalue of the
     blocks m = 0..m_max + 1, the last solved for one mode only to certify
     that no higher m reaches below it.  All blocks are solved together."""
+    sizes = (m_max, modes_per_m, grid_n)
+    if not all(-math.inf < v < math.inf and v % 1 == 0 for v in sizes):
+        raise DomainError(f"m_max, modes_per_m and grid_n must be whole numbers, not {sizes}")
+    m_max, modes_per_m, grid_n = map(int, sizes)
     if grid_n < 100:
         raise DomainError("grid_n must be >= 100")
     if modes_per_m < 1 or m_max < 0:

@@ -351,6 +351,22 @@ def test_closed_profile_with_vanishing_pivot():
     assert lams == sorted(lams)
 
 
+@pytest.mark.parametrize("sizes", [(1, 4, 150.7), (1, 2.5, 200), (1.5, 4, 200), (1, 4, math.nan),
+                                   (1, 4, math.inf), (1, 4, -math.inf), (math.nan, 4, 200),
+                                   (1, math.inf, 200)])
+def test_sor_basis_refuses_sizes_that_are_not_whole(sizes):
+    with pytest.raises(DomainError, match="must be whole numbers"):
+        eigensolve.surface_of_revolution_basis(geometry.sphere_profile(), *sizes)
+
+
+def test_sor_basis_takes_whole_floats():
+    prof = geometry.sphere_profile()
+    want = eigensolve.surface_of_revolution_basis(prof, 1, 2, 100)
+    got = eigensolve.surface_of_revolution_basis(prof, 1.0, np.int64(2), 100.0)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.radial, want.radial)
+
+
 # ---------------------------------------------------------------------------
 # the blocked Sturm counts against the guarded recurrence, row by row
 
@@ -474,6 +490,54 @@ def test_blocked_sturm_counts_redo_a_block_with_a_tiny_pivot(K, where):
     block = np.sort(np.concatenate(([0], rng.integers(0, 3, K - 1))))
     want = _row_counts(d, off, corner, shifts, block)
     assert np.array_equal(eigensolve._sturm_counts(d, off, corner, shifts, block), want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", [1, 200, 20000])
+@pytest.mark.parametrize("case", ["positive-off", "zero-off"] + [f"n={n}" for n in range(3, 9)])
+def test_closed_sturm_counts_are_the_row_recurrence_and_dense(case, K):
+    """Closed chains the torus profile never gives: positive off-diagonals
+    under a negative corner, so every border term flips its sign; three to
+    eight rows, where one row block ends at row n-2, which meets the border
+    entry off[n-2]; and a zero off-diagonal inside the ring, which the
+    corner still closes.  A third of the shifts sit on an eigenvalue."""
+    rng = np.random.default_rng([K, len(case)])
+    n = int(case[2:]) if case.startswith("n=") else 60
+    d = rng.uniform(-2.0, 2.0, (n, 3))
+    off = rng.uniform(0.5, 1.5, n - 1)
+    corner = -rng.uniform(0.5, 1.5)
+    if case.startswith("n="):
+        off *= rng.choice([-1.0, 1.0], n - 1)
+    elif case == "zero-off":
+        off[n // 3] = 0.0
+    lam = np.linalg.eigvalsh(np.stack([_dense(d[:, b], off, corner) for b in range(3)]))
+    block = rng.integers(0, 3, K)
+    shifts = rng.uniform(lam.min() - 0.5, lam.max() + 0.5, K)
+    on = np.arange(K) % 3 == 2
+    shifts[on] = lam[block[on], rng.integers(0, n, K)[on]]
+    got = eigensolve._sturm_counts(d, off, corner, shifts, block)
+    assert np.array_equal(got, _row_counts(d, off, corner, shifts, block))
+    lo, hi = eigensolve._gershgorin(d, off, corner)
+    tol = 1e3 * np.finfo(float).eps * max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+    clear = np.min(np.abs(lam[block] - shifts[:, None]), axis=1) > tol
+    assert np.count_nonzero(clear) > K / 2
+    assert np.array_equal(got[clear], np.sum(lam[block] < shifts[:, None], axis=1)[clear])
+
+
+def test_torus_build_counts_are_the_row_recurrence(monkeypatch):
+    """Every count a torus_profile() build makes is the guarded recurrence's,
+    bit for bit: multisection shifts close in on eigenvalues, where the
+    random shifts above seldom fall."""
+    count, same = eigensolve._sturm_counts, []
+
+    def spy(d, off, corner, shifts, block=None):
+        got = count(d, off, corner, shifts, block)
+        same.append(np.array_equal(got, _row_counts(d, off, corner, shifts, block)))
+        return got
+
+    monkeypatch.setattr(eigensolve, "_sturm_counts", spy)
+    eigensolve.surface_of_revolution_basis(geometry.torus_profile(), 2, 10, 1000)
+    assert len(same) > 10 and all(same)
 
 
 # ---------------------------------------------------------------------------
