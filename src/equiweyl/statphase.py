@@ -745,6 +745,26 @@ def critical_set_scan(x, y):
 # orbit-pair integrals
 
 
+# the phi table: |d/dphi |x - R_phi y|| <= hypot(x0, x1), so the integrand's
+# phi-bandwidth is at most |mu| hypot(x0, x1), and past it the trapezoid rule
+# converges geometrically; a quarter over that bound, plus a floor for small
+# mu r_x (see DECISIONS.md)
+_PHI_OVERSAMPLE = 1.25
+_PHI_FLOOR = 64
+
+
+def _phi_table_size(x, mu, n_rows):
+    """Nodes of the phi table at x and mu; ResourceLimitError when n_rows rows
+    of it would hold more than MAX_GRID_NODES nodes."""
+    # sized as a float first: a huge mu gives inf, which math.ceil refuses,
+    # and mu = inf on the axis gives nan, which the comparison refuses too
+    need = _PHI_OVERSAMPLE * abs(mu) * math.hypot(x[0], x[1])
+    if not (need + _PHI_FLOOR) * n_rows <= MAX_GRID_NODES:
+        raise ResourceLimitError(f"mu={mu} needs a phi table of {need + _PHI_FLOOR:.4g} x "
+                                 f"{n_rows} nodes, more than {MAX_GRID_NODES}")
+    return math.ceil(need) + _PHI_FLOOR
+
+
 def orbit_distance(x, y):
     """Chordal distance from y to the rotation orbit of x; DomainError at a
     non-finite coordinate."""
@@ -761,9 +781,12 @@ def hybrid_integral(x, y, mu):
 
     The inner sphere integral reduces exactly to 4 pi sinc(mu |x - R_phi y|)
     (1D reduction along the axis x - R_phi y); the circle average is a
-    trapezoid rule resolving the phi-oscillation.  Every row shares the phi
-    table, and each row's value is its one-row call's; one point is one
-    row.  Cross-checked against the full tensor quadrature in the tests.
+    trapezoid rule of ceil(1.25 |mu| r_x) + 64 nodes, r_x = hypot(x0, x1).
+    The integrand is periodic and entire in phi with bandwidth at most
+    |mu| r_x, so the rule sits on its rounding floor; I is even in mu.
+    Every row shares the phi table, and each row's value is its one-row
+    call's; one point is one row.  Cross-checked against the full tensor
+    quadrature and an 8-fold trapezoid rule in the tests.
     DomainError at a non-finite x or y or a NaN mu; ResourceLimitError when
     the phi table would hold more than MAX_GRID_NODES nodes over all rows,
     before it is built.
@@ -772,12 +795,7 @@ def hybrid_integral(x, y, mu):
     if math.isnan(mu):
         raise DomainError(f"mu={mu} is not a number")
     rows = np.atleast_2d(y)
-    # sized as a float first: a huge mu gives inf, which math.ceil refuses
-    need = NODES_PER_WAVELENGTH * mu
-    if max(256.0, need) * len(rows) > MAX_GRID_NODES:
-        raise ResourceLimitError(f"mu={mu} needs a phi table of {need:.4g} x {len(rows)} "
-                                 f"nodes, more than {MAX_GRID_NODES}")
-    n_phi = max(256, int(math.ceil(need)))
+    n_phi = _phi_table_size(x, mu, len(rows))
     # the float arange holds the same integers, and the table's sin takes
     # its buffer: no fresh array but the cos
     phis = np.arange(n_phi, dtype=float)

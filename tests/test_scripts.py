@@ -54,3 +54,33 @@ def test_golden_environment_without_dispatched_simd(monkeypatch):
     env = module.environment()
     assert (env["blas"], env["simd_baseline"], env["simd_found"]) == \
         ("openblas 0.3", ["X86_V2"], [])
+
+
+def test_golden_reports_prints_what_moved(tmp_path, capsys):
+    """A rewrite names each file whose content changed: how many numbers
+    moved, the worst relative move, every verdict or check pass that
+    flipped, and how many entries came or went; an unchanged file gets no
+    line."""
+    module = _load("golden_reports")
+    source, target = tmp_path / "reports", tmp_path / "golden"
+
+    def report(name, measured, passed):
+        return {"experiment": name, "params": {"a": 0.1},
+                "series": [{"grid": 1, "measured": 0.5}, {"grid": 2, "measured": measured}],
+                "checks": [{"name": "c", "pass": passed}],
+                "verdict": "pass" if passed else "fail"}
+
+    lab.write_report(report("moved", 0.25, True), source)
+    lab.write_report(report("same", 0.25, True), source)
+    module.main(["--from", str(source), "--to", str(target)])
+    capsys.readouterr()
+    lab.write_report({**report("moved", 0.25 * (1.0 + 1e-11), False), "fit": {"slope": 1.0}},
+                     source)
+    module.main(["--from", str(source), "--to", str(target)])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[-1].startswith("4 golden reports")
+    assert lines[0] == ("moved.csv: 1 numbers moved (worst 1e-11 relative, [1].measured); "
+                        "no verdict or check pass flipped")
+    assert lines[1] == ("moved.json: 1 numbers moved (worst 1e-11 relative, series[1].measured); "
+                        "flipped: checks[0].pass True -> False, verdict pass -> fail; "
+                        "1 entries added or removed")

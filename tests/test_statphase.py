@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from equiweyl import geometry, lab, statphase, util
-from equiweyl.errors import DegenerateCriticalError, DomainError, RegimeWarning
+from equiweyl.errors import DegenerateCriticalError, DomainError, RegimeWarning, ResourceLimitError
 
 
 def rotate_z(phi, v):
@@ -621,7 +621,7 @@ def test_hybrid_fast_path_matches_tensor():
 
 def _hybrid_by_norm(x, y, mu):
     # the one-row formula as first written: np.linalg.norm of x - R_phi y
-    n_phi = max(256, int(math.ceil(statphase.NODES_PER_WAVELENGTH * mu)))
+    n_phi = statphase._phi_table_size(x, mu, 1)
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     dists = np.linalg.norm(x[None, :] - rotate_z(phis, y), axis=1)
     return complex(util.pairwise_sum(4.0 * math.pi * np.sinc(mu * dists / math.pi))) / n_phi
@@ -637,6 +637,92 @@ def test_hybrid_rows_keep_their_one_row_bits(mu):
     assert np.array_equal(statphase.hybrid_integral(x, rows, mu), one)
     assert np.array_equal(one, [_hybrid_by_norm(x, r, mu) for r in rows])
     assert isinstance(statphase.hybrid_integral(x, y, mu), complex)
+
+
+@pytest.mark.parametrize("mu", [20.0, 400.0, 5000.0])
+def test_hybrid_is_even_in_mu(mu):
+    """sinc is even: a negative mu once sized its table at the 256-node floor,
+    and I(-400) read -0.00439 against I(400) = 0.000637."""
+    x = geometry.sphere_point(1.2, 0.3)
+    rows = np.array([geometry.sphere_point(0.8, 1.1), x])
+    assert np.array_equal(statphase.hybrid_integral(x, rows, -mu),
+                          statphase.hybrid_integral(x, rows, mu))
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]], ids=["axis", "off_axis"])
+def test_hybrid_refuses_an_infinite_mu(x):
+    """On the axis the table's demand inf * 0 is nan, which math.ceil refuses
+    with a bare ValueError; it is a resource refusal as off the axis."""
+    with pytest.raises(ResourceLimitError, match="needs a phi table"):
+        statphase.hybrid_integral(np.array(x), [0.0, 0.6, 0.8], math.inf)
+
+
+def _trapezoid(x, y, mu, n_phi):
+    """4 pi times the mean of sinc(mu |x - R_phi y|) over n_phi equispaced phi,
+    summed in chunks of 2^16 nodes, so an 8-fold table's temporaries stay
+    a few MB."""
+    parts = []
+    for start in range(0, n_phi, 1 << 16):
+        phis = np.arange(start, min(n_phi, start + (1 << 16))) * (2.0 * math.pi / n_phi)
+        dists = np.linalg.norm(x[None, :] - rotate_z(phis, y), axis=1)
+        parts.append(np.sinc(mu * dists / math.pi).sum())
+    return 4.0 * math.pi * math.fsum(parts) / n_phi
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@pytest.fixture(scope="module")
+def hybrid_cases():
+    """Seeded (x, rows, mu, dense): |x| and |y| in [0.1, 5], mu log-uniform
+    in [1, 2e4], x anywhere, 1e-4 off the axis or on the equator; the rows a
+    free point, a point of x's orbit, and orbit points 1e-6 and 1e-3 off it;
+    dense the trapezoid rule at 8 times the package's table."""
+    rng = np.random.default_rng(2014)
+    cases = []
+    for k in range(12):
+        u = _unit(rng.normal(size=3))
+        if k % 3 == 1:
+            u = _unit(np.array([1e-4 * u[0], 1e-4 * u[1], u[2]]))
+        elif k % 3 == 2:
+            u = _unit(np.array([u[0], u[1], 0.0]))
+        x = rng.uniform(0.1, 5.0) * u
+        mu = math.exp(rng.uniform(0.0, math.log(2e4)))
+        rows = [rng.uniform(0.1, 5.0) * _unit(rng.normal(size=3))]
+        for off in (0.0, 1e-6, 1e-3):
+            on_orbit = rotate_z(rng.uniform(0.0, 2.0 * math.pi), x)
+            rows.append(on_orbit + off * _unit(rng.normal(size=3)))
+        rows = np.array(rows)
+        n_dense = 8 * statphase._phi_table_size(x, mu, 1)
+        cases.append((x, rows, mu, np.array([_trapezoid(x, r, mu, n_dense) for r in rows])))
+    return cases
+
+
+def _scaled_gap(x, mu, values, dense):
+    """Worst |values - dense| in units of 4 pi / (1 + |mu| r_x), the size of
+    I near the orbit of x."""
+    scale = 4.0 * math.pi / (1.0 + abs(mu) * math.hypot(x[0], x[1]))
+    return np.max(np.abs(values - dense)) / scale
+
+
+def test_hybrid_table_resolves_the_integrand(hybrid_cases):
+    """The table sits on the trapezoid rule's rounding floor: past the
+    bandwidth |mu| r_x the rule converges geometrically.  Here the table
+    reads 5.2e-13 at worst, and 16 times the table 1.9e-13."""
+    for x, rows, mu, dense in hybrid_cases:
+        assert _scaled_gap(x, mu, statphase.hybrid_integral(x, rows, mu), dense) <= 1e-11
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9])
+def test_the_resolution_check_misses_a_table_below_the_bandwidth(hybrid_cases, fraction):
+    """The check above can fail: a table of fraction * |mu| r_x nodes aliases
+    the integrand, and misses the bound by a factor near 1e11."""
+    worst = 0.0
+    for x, rows, mu, dense in hybrid_cases:
+        n_phi = max(1, math.ceil(fraction * abs(mu) * math.hypot(x[0], x[1])))
+        worst = max(worst, _scaled_gap(x, mu, [_trapezoid(x, r, mu, n_phi) for r in rows], dense))
+    assert worst > 1e-11
 
 
 def test_hybrid_report_calls_once_a_distinct_mu(monkeypatch):
