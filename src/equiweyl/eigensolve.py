@@ -700,7 +700,7 @@ def _radial_matrix(profile, m, grid_n):
         raise DomainError("profile radius must be positive at all cell centers")
     faces = np.asarray(profile.r(np.arange(n + 1) * h), dtype=float)
     if not profile.closed:
-        faces[[0, -1]] = 0.0  # the poles: SurfaceOfRevolution holds |r| <= 1e-9 there
+        faces[[0, -1]] = 0.0  # the poles: an open sine series vanishes there
     m = np.asarray(m)
     d = (faces[:-1] + faces[1:]) / (h * h * r) + np.divide.outer(m * m, r * r)
     d = np.ascontiguousarray(d.T)

@@ -198,47 +198,72 @@ class RoundSphere2(_Rotation):
                 lambda t: np.column_stack((np.sin(t), np.zeros_like(t), np.cos(t))))
 
 
-# an open profile's end radii, and a closed profile's seam jump, must lie
-# within this of 0
+# an open profile's end slopes must lie within this of 1 and -1 (smooth poles)
 _END_TOL = 1e-9
-# and an open profile's end slopes within this of 1 and -1 (a smooth pole),
-# a closed profile's within this of each other (a smooth seam); a spline
-# through five samples of sin s misses the pole slopes by 2.3e-3
-_POLE_SLOPE_TOL = 1e-2
+
+
+def _trig_series(const, terms):
+    """s -> const + sum of c * f(k * s) over the terms (c, f, k), in order.
+
+    A float s, one point, stays a float (np.asarray costs more than a term);
+    anything else is read as an array, and gives one of its shape."""
+    def series(s):
+        if isinstance(s, float):
+            total = const
+        else:
+            s = np.asarray(s, dtype=float)
+            total = np.full(s.shape, const)
+        for c, f, k in terms:
+            total = total + c * f(k * s)
+        return total
+    return series
 
 
 class SurfaceOfRevolution(_Rotation):
     """Arclength profile (r(s), z(s)), s in [0, L], rotation action.
 
-    r and r_prime are callables accepting scalars or arrays.  closed=True
-    means the profile wraps (r > 0 everywhere and the ends are identified,
-    so r(0) = r(L)); otherwise r vanishes at both endpoints (sphere-like
-    poles).  Points are x = (s, phi), covectors xi = (xi_s, xi_phi).
+    r is a trigonometric series, and r_prime its term-by-term derivative;
+    both are callables on the instance that accept scalars or arrays.  An
+    open profile (closed=False) is the sine series r = sum_j b_j sin(j pi s /
+    L), j = 1, 2, ...: it vanishes at both ends, poles as on a sphere.  A
+    closed one is r = a_0 + sum_j (a_j cos + b_j sin)(2 pi j s / L): it
+    wraps, its ends identified.  Zero terms are skipped.  Points are x =
+    (s, phi), covectors xi = (xi_s, xi_phi).
     """
 
-    def __init__(self, r, r_prime, length, closed=False, name="sor"):
-        self.r = r
-        self.r_prime = r_prime
-        self.length = float(length)
+    def __init__(self, length, closed=False, a=(), b=(), name="sor"):
+        self.length = L = float(length)
         self.closed = bool(closed)
         self.name = name
-        s = np.linspace(0.0, self.length, 2049)
-        interior = s[1:-1] if not closed else s
+        a = np.asarray(a, dtype=float).ravel()
+        b = np.asarray(b, dtype=float).ravel()
+        if not (math.isfinite(L) and L > 0):
+            raise SingularProfileError(f"profile length {L} is not finite and positive")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise SingularProfileError("profile coefficients must be finite")
+        if not closed and len(a):
+            raise SingularProfileError("an open profile is a sine series: it takes no a_j")
+        # the terms (c, f, k) of r and of r', zeros skipped; a closed
+        # profile's a_0 is r's constant term
+        k = (_TWO_PI if closed else math.pi) / L
+        cos_terms = [(c, j * k) for j, c in enumerate(a[1:], 1) if c != 0.0]
+        sin_terms = [(c, j * k) for j, c in enumerate(b, 1) if c != 0.0]
+        self.r = _trig_series(float(a[0]) if len(a) else 0.0,
+                              [(c, np.cos, kj) for c, kj in cos_terms]
+                              + [(c, np.sin, kj) for c, kj in sin_terms])
+        self.r_prime = _trig_series(0.0, [(-(c * kj), np.sin, kj) for c, kj in cos_terms]
+                                    + [(c * kj, np.cos, kj) for c, kj in sin_terms])
+        s = np.linspace(0.0, L, 2049)
+        interior = s if closed else s[1:-1]
         if np.any(np.asarray(self.r(interior)) <= 0):
             raise SingularProfileError("profile radius vanishes in the interior")
-        r0, r_l = float(self.r(0.0)), float(self.r(self.length))
         rp = np.asarray(self.r_prime(s))
-        # a closed profile's ends meet smoothly; an open profile's ends are
-        # smooth poles
-        ends = ([("s = L", "r(L) - r(0)", r_l - r0, _END_TOL),
-                 ("s = L", "r'(L) - r'(0)", rp[-1] - rp[0], _POLE_SLOPE_TOL)] if closed
-                else [("s = 0", "r", r0, _END_TOL), ("s = L", "r", r_l, _END_TOL),
-                      ("s = 0", "r' - 1", rp[0] - 1.0, _POLE_SLOPE_TOL),
-                      ("s = L", "r' + 1", rp[-1] + 1.0, _POLE_SLOPE_TOL)])
-        for end, what, value, tol in ends:
-            if not abs(value) <= tol:
-                raise SingularProfileError(
-                    f"profile end {end}: {what} = {value}, beyond the tolerance {tol}")
+        if not closed:  # an open series vanishes at both ends; its poles are smooth
+            for end, what, value in [("s = 0", "r' - 1", rp[0] - 1.0),
+                                     ("s = L", "r' + 1", rp[-1] + 1.0)]:
+                if not abs(value) <= _END_TOL:
+                    raise SingularProfileError(
+                        f"profile end {end}: {what} = {value}, beyond the tolerance {_END_TOL}")
         if np.any(np.abs(rp) > 1 + 1e-10):
             raise SingularProfileError("|r'(s)| > 1 violates the arclength normalization")
 
@@ -322,160 +347,15 @@ class SurfaceOfRevolution(_Rotation):
 
 def sphere_profile():
     """Unit-sphere profile r = sin s, z = -cos s, s in [0, pi]."""
-    return SurfaceOfRevolution(np.sin, np.cos, math.pi, closed=False, name="sphere-profile")
+    return SurfaceOfRevolution(math.pi, b=[1.0], name="sphere-profile")
 
 
 def torus_profile(R=2.0, a=0.5):
-    """Torus of revolution, tube radius a around axis distance R, periodic s."""
+    """Torus of revolution, tube radius a around axis distance R, periodic s:
+    r = R + a cos(s / a) on [0, 2 pi a]."""
     if not R > a > 0:
         raise SingularProfileError("need R > a > 0 for an embedded torus profile")
-    L = 2 * math.pi * a
-
-    def r(s):
-        return R + a * np.cos(np.asarray(s) / a)
-
-    def rp(s):
-        return -np.sin(np.asarray(s) / a)
-
-    return SurfaceOfRevolution(r, rp, L, closed=True, name="torus-profile")
-
-
-class _CubicSpline:
-    """Cubic spline on a strictly increasing grid (no scipy): natural, or
-    periodic (m(x_0) = m(x_{n-1}) and r' continuous across the seam)."""
-
-    def __init__(self, x, y, periodic):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n = len(x)
-        if n < 4 or np.any(np.diff(x) <= 0):
-            raise ValueError("need >= 4 strictly increasing sample points")
-        h = np.diff(x)
-        if periodic:
-            self.x, self.y, self.h, self.m = x, y, h, _periodic_moments(h, y)
-            return
-        # natural spline second-derivative system
-        a = np.zeros(n)
-        b = np.ones(n)
-        c = np.zeros(n)
-        d = np.zeros(n)
-        b[1:-1] = 2.0 * (h[:-1] + h[1:])
-        a[1:-1] = h[:-1]
-        c[1:-1] = h[1:]
-        d[1:-1] = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
-        self.x, self.y, self.h, self.m = x, y, h, _thomas(a, b, c, d)
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        i = np.clip(np.searchsorted(self.x, s) - 1, 0, len(self.x) - 2)
-        t = s - self.x[i]
-        h = self.h[i]
-        A = (self.m[i + 1] - self.m[i]) / (6 * h)
-        B = self.m[i] / 2
-        C = (self.y[i + 1] - self.y[i]) / h - h * (2 * self.m[i] + self.m[i + 1]) / 6
-        return self.y[i] + t * (C + t * (B + t * A))
-
-    def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        i = np.clip(np.searchsorted(self.x, s) - 1, 0, len(self.x) - 2)
-        t = s - self.x[i]
-        h = self.h[i]
-        A = (self.m[i + 1] - self.m[i]) / (2 * h)
-        B = self.m[i]
-        C = (self.y[i + 1] - self.y[i]) / h - h * (2 * self.m[i] + self.m[i + 1]) / 6
-        return C + t * (B + t * A)
-
-
-def _thomas(a, b, c, d):
-    """Thomas elimination for the tridiagonal system with sub-diagonal a,
-    diagonal b and super-diagonal c (a[0] and c[-1] are not read), one
-    solution per column of d."""
-    n = len(b)
-    cp = np.zeros(n)
-    dp = np.zeros_like(d)
-    cp[0] = c[0] / b[0]
-    dp[0] = d[0] / b[0]
-    for i in range(1, n):
-        den = b[i] - a[i] * cp[i - 1]
-        cp[i] = c[i] / den if i < n - 1 else 0.0
-        dp[i] = (d[i] - a[i] * dp[i - 1]) / den
-    out = np.zeros_like(d)
-    out[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        out[i] = dp[i] - cp[i] * out[i + 1]
-    return out
-
-
-def _periodic_moments(h, y):
-    """Second derivatives of the periodic spline at the nodes.
-
-    Row i of the cyclic system is h_{i-1} m_{i-1} + 2 (h_{i-1} + h_i) m_i +
-    h_i m_{i+1} = 6 (slope_i - slope_{i-1}), indices mod n - 1 (m_{n-1} is
-    m_0), so both corners are h_{n-2}.  It is solved in O(n) as a
-    tridiagonal system plus a Sherman-Morrison rank-one correction
-    (Numerical Recipes, "cyclic")."""
-    h_before = np.roll(h, 1)
-    slope = np.diff(y) / h
-    b = 2.0 * (h_before + h)
-    corner, gamma = h[-1], -b[0]
-    b[0] -= gamma
-    b[-1] -= corner * corner / gamma
-    u = np.zeros(len(h))
-    u[0], u[-1] = gamma, corner
-    sol, z = _thomas(h_before, b, h, np.column_stack([6.0 * (slope - np.roll(slope, 1)), u])).T
-    m = sol - z * ((sol[0] + corner * sol[-1] / gamma) / (1.0 + z[0] + corner * z[-1] / gamma))
-    return np.append(m, m[0])
-
-
-def profile_from_file(path):
-    """Load a two-column (s, r) text profile; cubic interpolation inside.
-
-    A first line that is not numeric is a header and is skipped.  The profile
-    is closed, and its spline periodic, when both endpoint radii are
-    positive; otherwise the spline is natural.  Malformed input raises
-    SingularProfileError naming the offending line, or the end whose radius
-    is neither a pole (open) nor the other end's (closed).
-    """
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            toks = line.replace(",", " ").split()
-            if not toks or toks[0].startswith("#"):
-                continue
-            if lineno == 1 and not all(_is_float(tok) for tok in toks):
-                continue
-            try:
-                rows.append((lineno, float(toks[0]), float(toks[1])))
-            except (IndexError, ValueError):
-                raise SingularProfileError(
-                    f"{path}:{lineno}: expected two numbers s, r; got {line.strip()!r}"
-                ) from None
-    if not rows:
-        raise SingularProfileError(f"{path}: no (s, r) rows")
-    if rows[0][1] != 0:
-        raise SingularProfileError(f"{path}:{rows[0][0]}: profile must start at s = 0")
-    if len(rows) < 4:
-        raise SingularProfileError(f"{path}: need at least 4 (s, r) rows, got {len(rows)}")
-    for (_, prev, _), (lineno, cur, _) in zip(rows, rows[1:]):
-        if not cur > prev:
-            raise SingularProfileError(f"{path}:{lineno}: s = {cur} does not increase past {prev}")
-    _, s, r = np.array(rows).T
-    closed = r[0] > _END_TOL and r[-1] > _END_TOL
-    spline = _CubicSpline(s, r, periodic=closed)
-    try:
-        return SurfaceOfRevolution(
-            spline, spline.derivative, s[-1], closed=closed, name="file-profile"
-        )
-    except SingularProfileError as exc:
-        raise SingularProfileError(f"{path}: {exc}") from None
-
-
-def _is_float(tok):
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+    return SurfaceOfRevolution(2 * math.pi * a, closed=True, a=[R, a], name="torus-profile")
 
 
 # ---------------------------------------------------------------------------

@@ -271,20 +271,16 @@ def test_eigenpairs_of_a_whole_chain(closed, spare):
 
 
 def _open_profile(a):
-    """r = sin s (1 + a sin^2 s) on [0, pi]: poles at both ends, and
-    |r'| <= 1 for -1/3 <= a <= 1/6."""
-    return geometry.SurfaceOfRevolution(lambda s: np.sin(s) * (1.0 + a * np.sin(s) ** 2),
-                                        lambda s: np.cos(s) * (1.0 + 3.0 * a * np.sin(s) ** 2),
-                                        math.pi)
+    """r = sin s (1 + a sin^2 s) on [0, pi], the series b_1 = 1 + 3a/4,
+    b_3 = -a/4: poles at both ends, and |r'| <= 1 for -1/3 <= a <= 1/6."""
+    return geometry.SurfaceOfRevolution(math.pi, b=[1.0 + 0.75 * a, 0.0, -0.25 * a])
 
 
 def _closed_profile(c, alpha, beta, length):
     """r = c + a cos(2 pi s / L) + b cos(4 pi s / L) with a = alpha L / (2 pi)
     and b = beta L / (2 pi), so |r'| <= |alpha| + 2 |beta|."""
     w = 2.0 * math.pi / length
-    return geometry.SurfaceOfRevolution(
-        lambda s: c + (alpha * np.cos(w * s) + beta * np.cos(2.0 * w * s)) / w,
-        lambda s: -(alpha * np.sin(w * s) + 2.0 * beta * np.sin(2.0 * w * s)), length, closed=True)
+    return geometry.SurfaceOfRevolution(length, closed=True, a=[c, alpha / w, beta / w])
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,8 +343,7 @@ def test_exactly_double_eigenvalues_of_a_circulant_chain():
     """A closed profile of constant radius gives a circulant chain: every
     block's eigenvalues d - 2|off| cos(2 pi k / n) are double for 0 < k < n/2,
     and each pair's two vectors stay apart."""
-    prof = geometry.SurfaceOfRevolution(lambda s: np.full(np.shape(s), 1.5),
-                                        lambda s: np.zeros(np.shape(s)), 2.0, closed=True)
+    prof = geometry.SurfaceOfRevolution(2.0, closed=True, a=[1.5])
     n, want = 200, 7
     _, _, _, d, off, corner = eigensolve._radial_matrix(prof, np.arange(4), n)
     vals, V = eigensolve._eigenpairs(d, off, corner, want, seed=np.arange(4))

@@ -140,59 +140,57 @@ def test_profiles():
     assert tp.r(0.0) == pytest.approx(2.5, rel=1e-12)
 
 
-def test_profile_from_file(tmp_path):
-    s = np.linspace(0.0, math.pi, 200)
-    lines = ["s,r"] + [f"{si},{math.sin(si)}" for si in s]
-    path = tmp_path / "profile.csv"
-    path.write_text("\n".join(lines) + "\n")
-    prof = geometry.profile_from_file(path)
-    assert prof.r(1.0) == pytest.approx(math.sin(1.0), abs=1e-6)
-    assert prof.r_prime(1.0) == pytest.approx(math.cos(1.0), abs=1e-4)
+def test_series_profiles_keep_their_closed_form_bits():
+    """The built-in profiles give the old closed forms' bits, on a grid and
+    at one point: the benchmark's digests and the regressions read them."""
+    s = np.linspace(0.0, math.pi, 1001)
+    sp = geometry.sphere_profile()
+    assert np.array_equal(sp.r(s), np.sin(s)) and np.array_equal(sp.r_prime(s), np.cos(s))
+    assert sp.r(1.3) == np.sin(1.3) and sp.r_prime(1.3) == np.cos(1.3)
+    for R, a, prof in [(2.0, 0.5, geometry.torus_profile()),
+                       (2.3401442037428994, 1.0, geometry.torus_profile(2.3401442037428994, 1.0))]:
+        s = np.linspace(0.0, 2.0 * math.pi * a, 1001)
+        assert np.array_equal(prof.r(s), R + a * np.cos(s / a))
+        assert np.array_equal(prof.r_prime(s), -np.sin(s / a))
+        assert prof.r(1.3) == R + a * np.cos(1.3 / a) and prof.r_prime(1.3) == -np.sin(1.3 / a)
 
 
-def test_closed_file_profile_is_smooth_at_its_seam(tmp_path):
-    # 200 rows of r = 2 + 0.5 cos(s / 0.5): r' is 0 at both ends
-    s = np.linspace(0.0, math.pi, 200)
-    path = tmp_path / "torus.csv"
-    path.write_text("".join(f"{si} {2.0 + 0.5 * math.cos(si / 0.5)}\n" for si in s))
-    prof = geometry.profile_from_file(path)
-    assert prof.closed
-    assert abs(prof.r_prime(0.0)) <= 1e-10 and abs(prof.r_prime(prof.length)) <= 1e-10
-    path.write_text("0 1\n1 1.5\n2 0.8\n3 1\n")
-    prof = geometry.profile_from_file(path)
-    assert prof.r_prime(0.0) == pytest.approx(prof.r_prime(3.0), abs=1e-12)
-    assert prof.r(np.arange(4.0)).tolist() == [1.0, 1.5, 0.8, 1.0]
+@pytest.mark.parametrize("length, a, b", [
+    (0.0, [1.5], []), (-2.0, [1.5], []), (math.inf, [1.5], []), (math.nan, [1.5], []),
+    (2.0, [math.nan], []), (2.0, [1.5, math.inf], []), (2.0, [1.5], [math.nan]),
+], ids=["zero", "negative", "inf", "nan", "nan-a0", "inf-a1", "nan-b1"])
+def test_profile_refuses_a_bad_length_or_coefficient(length, a, b):
+    with pytest.raises(SingularProfileError, match="not finite and positive|must be finite"):
+        geometry.SurfaceOfRevolution(length, closed=True, a=a, b=b)
 
 
-def test_closed_profile_rejects_a_seam_crease():
-    # r(0) = r(L) = 2, but r'(0) = 0.05 against r'(L) = -0.05
-    with pytest.raises(SingularProfileError, match=re.escape("end s = L: r'(L) - r'(0)")):
-        geometry.SurfaceOfRevolution(lambda s: 2.0 + 0.1 * np.sin(np.asarray(s) / 2.0),
-                                     lambda s: 0.05 * np.cos(np.asarray(s) / 2.0),
-                                     2.0 * math.pi, closed=True)
-
-
-@pytest.mark.parametrize("text, where", [
-    ("s,r\n0.0,0.0\n0.5\n1.0,0.8\n1.5,0.9\n", ":3:"),
-    ("s,r\n", "no (s, r) rows"),
-    ("s,r\n0.0,0.0\n0.5,abc\n1.0,0.8\n1.5,0.9\n", ":3:"),
-    ("s,r\n0.0,0.0\n0.5,0.4\n1.0,0.8\n", "at least 4"),
-    ("s,r\n0.0,0.0\n0.5,0.4\n0.5,0.5\n1.0,0.8\n", ":4:"),
-    ("s,r\n0 0.5\n1 0.6\n2 0.4\n3 0.0\n", "end s = 0"),
-    ("s,r\n0 0.5\n1 0.6\n2 0.4\n3 0.9\n", "end s = L"),
-    ("s,r\n0 0\n1 0.5\n2 0.5\n3 0\n", "end s = 0"),
-], ids=["one-column", "header-only", "non-numeric", "too-few", "non-increasing",
-        "open-end-not-a-pole", "closed-seam-jump", "open-pole-cone"])
-def test_profile_from_file_names_the_bad_line(tmp_path, text, where):
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
+@pytest.mark.parametrize("b2, where", [(-2.5e-5, "end s = 0"), (2.5e-5, "end s = L")],
+                         ids=["start", "end"])
+def test_open_profile_refuses_a_cone_point(b2, where):
+    """r = b_1 sin s + b_2 sin 2s with r'(0) = 1 - 1e-4 and r'(pi) = -1, or
+    r'(0) = 1 and r'(pi) = -1 + 1e-4: a cone at one pole."""
     with pytest.raises(SingularProfileError, match=re.escape(where)):
-        geometry.profile_from_file(path)
+        geometry.SurfaceOfRevolution(math.pi, b=[1.0 - 5e-5, b2])
 
 
-def test_profile_from_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("s,r\n0.0,1.0\n")
-    with pytest.raises(SingularProfileError):
-        geometry.profile_from_file(path)
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(closed=True, a=[1.0, 1.0]), "vanishes in the interior"),
+    (dict(closed=True, a=[0.4, 0.5]), "vanishes in the interior"),
+    (dict(closed=True, a=[3.0, 1.1]), "arclength"),
+    (dict(b=[1.375, 0.0, -0.125]), "arclength"),
+    (dict(a=[0.0, 0.1], b=[1.0]), "no a_j"),
+], ids=["closed-touches-zero", "closed-crosses-zero", "closed-steep", "open-steep",
+        "open-with-cosines"])
+def test_series_profile_refusals(kwargs, match):
+    """An interior zero (a_0 <= |a_1|), |r'| > 1 (r = sin s (1 + a sin^2 s)
+    at a = 1/2 on the open side) and cosine terms on an open profile."""
+    length = 2.0 * math.pi if kwargs.get("closed") else math.pi
+    with pytest.raises(SingularProfileError, match=match):
+        geometry.SurfaceOfRevolution(length, **kwargs)
+
+
+@pytest.mark.parametrize("R, a", [(1.0, 1.0), (0.5, 1.0), (2.0, 0.0)])
+def test_torus_profile_needs_R_above_a_above_0(R, a):
+    with pytest.raises(SingularProfileError, match="R > a > 0"):
+        geometry.torus_profile(R, a)
 

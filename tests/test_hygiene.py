@@ -65,7 +65,6 @@ UNREFERENCED_OK = {
     "cosphere_fiber_slice": "test reference: the fiber rules' weights; weylcoef reads the "
                             "manifold's slice at the point it checks once",
     "reports_equal": "the report comparison the determinism tests use",
-    "profile_from_file": "public entry point: profiles from data files",
 }
 
 # defaults that only the tests set, each with the reason it stays settable
