@@ -8,7 +8,8 @@ numpy version, its BLAS and the SIMD features numpy reports, since the
 last bits of a report may move with any of them.  For each golden file
 whose content changes, it prints how many numbers moved, the worst
 relative move, every verdict or check pass that flipped, and how many
-entries came or went.
+entries came or went; then how many golden files kept their bytes, so a
+change that claims bit-identity shows it.
 
 Usage: python3 scripts/golden_reports.py [--from DIR] [--to DIR]
   --from DIR   reports already written by `equiweyl suite --all`
@@ -111,23 +112,28 @@ def moves(old_text, new_text, suffix):
 
 def write(source, target):
     """Replace the golden files in target by the normalized reports in source;
-    a line for each file whose content changed."""
+    a line for each file whose content changed, then one that counts the
+    files that kept their bytes."""
     target.mkdir(parents=True, exist_ok=True)
     before = {}
     for old in [*target.glob("*.json"), *target.glob("*.csv")]:
         before[old.name] = old.read_text()
         old.unlink()
     reports = sorted(p for p in source.iterdir() if p.suffix in (".json", ".csv"))
-    changed = []
+    lines = []
     for path in reports:
         text = normalized(path)
         (target / path.name).write_text(text)
         if path.name not in before:
-            changed.append(f"{path.name}: new")
+            lines.append(f"{path.name}: new")
         elif before[path.name] != text:
-            changed.append(f"{path.name}: {moves(before[path.name], text, path.suffix)}")
-    (target / MANIFEST).write_text(json.dumps(environment(), indent=2) + "\n")
-    return len(reports), changed
+            lines.append(f"{path.name}: {moves(before[path.name], text, path.suffix)}")
+    manifest = json.dumps(environment(), indent=2) + "\n"
+    (target / MANIFEST).write_text(manifest)
+    kept = "kept its bytes" if before.get(MANIFEST) == manifest else "changed"
+    lines.append(f"{len(reports) - len(lines)} of {len(reports)} golden reports "
+                 f"kept their bytes; {MANIFEST} {kept}")
+    return len(reports), lines
 
 
 def main(argv):
@@ -142,8 +148,8 @@ def main(argv):
             # the pole experiment fails on purpose, so the suite exits 1
             with contextlib.redirect_stdout(sys.stderr):
                 cli.main(["suite", "--all", "--out-dir", tmp])
-        count, changed = write(source, args.target)
-    for line in changed:
+        count, lines = write(source, args.target)
+    for line in lines:
         print(line)
     print(f"{count} golden reports and {MANIFEST} written to {args.target}")
     return 0

@@ -254,9 +254,17 @@ class SurfaceOfRevolution(_Rotation):
         self.r_prime = _trig_series(0.0, [(-(c * kj), np.sin, kj) for c, kj in cos_terms]
                                     + [(c * kj, np.cos, kj) for c, kj in sin_terms])
         s = np.linspace(0.0, L, 2049)
-        interior = s if closed else s[1:-1]
-        if np.any(np.asarray(self.r(interior)) <= 0):
-            raise SingularProfileError("profile radius vanishes in the interior")
+        r = np.asarray(self.r(s))
+        if closed:
+            # between samples h apart r dips at most h^2/8 max|r''| below the
+            # lower one, and |r''| <= sum (j k)^2 |c_j|
+            bend = sum(kj * kj * abs(c) for c, kj in cos_terms + sin_terms)
+            low = np.min(r) - (L / 2048) ** 2 / 8 * bend
+        else:  # r = 0 at the poles, the ends
+            low = np.min(r[1:-1])
+        if not low > 0:
+            raise SingularProfileError(
+                f"profile radius vanishes in the interior: its lower bound is {low:.3g}")
         rp = np.asarray(self.r_prime(s))
         if not closed:  # an open series vanishes at both ends; its poles are smooth
             for end, what, value in [("s = 0", "r' - 1", rp[0] - 1.0),

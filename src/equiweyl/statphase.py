@@ -546,7 +546,12 @@ def _pairing_derivs(x, y, W, PH):
 
 
 def _scan_seeds():
-    n_pol, n_az, n_phi = 14, 28, 24
+    """The scan's seeds: 100 sphere directions (7 heights x 14 azimuths and
+    the two poles) times 24 phi angles, 2,400 in all.  The phi count binds:
+    seeds on a phi-circle keep their angles, and the 0.35 linkage radius
+    joins them only while the chord 2 sin(pi / n_phi) = 0.261 stays below it
+    (see DECISIONS.md)."""
+    n_pol, n_az, n_phi = 7, 14, 24
     W = _sphere_points(np.linspace(-0.97, 0.97, n_pol), _azimuths(n_az))
     W = np.concatenate([W, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
     PH = np.arange(n_phi) * (_TWO_PI / n_phi)
@@ -765,12 +770,20 @@ def _phi_table_size(x, mu, n_rows):
     return math.ceil(need) + _PHI_FLOOR
 
 
+def _colatitude(name, v):
+    """The colatitude of v; DomainError naming it when its norm is 0 (the
+    ratio would be 0/0, and the clamp would hide the nan)."""
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise DomainError(f"{name}={v.tolist()} has norm 0: it has no colatitude")
+    return math.acos(max(-1.0, min(1.0, v[2] / norm)))
+
+
 def orbit_distance(x, y):
     """Chordal distance from y to the rotation orbit of x; DomainError at a
-    non-finite coordinate."""
+    non-finite coordinate or a zero vector."""
     x, y = _finite_vector("x", x), _finite_vector("y", y)
-    tx = math.acos(max(-1.0, min(1.0, x[2] / np.linalg.norm(x))))
-    ty = math.acos(max(-1.0, min(1.0, y[2] / np.linalg.norm(y))))
+    tx, ty = _colatitude("x", x), _colatitude("y", y)
     return 2.0 * abs(math.sin((tx - ty) / 2.0))
 
 

@@ -189,6 +189,28 @@ def test_series_profile_refusals(kwargs, match):
         geometry.SurfaceOfRevolution(length, **kwargs)
 
 
+def test_closed_profile_refuses_a_zero_between_samples():
+    """r = 1 + cos(s - 0.001) reaches 0 at s = pi + 0.001, between two of the
+    2049 samples, whose least value is 5.0e-7: the bound h^2/8 sum (jk)^2
+    |c_j| on the dip between samples refuses it."""
+    with pytest.raises(SingularProfileError, match="vanishes in the interior"):
+        geometry.SurfaceOfRevolution(2.0 * math.pi, closed=True, a=[1.0, math.cos(0.001)],
+                                     b=[math.sin(0.001)])
+
+
+@pytest.mark.parametrize("length, a", [
+    (math.pi, [2.0, 0.5]), (2.0 * math.pi, [2.3401442037428994, 1.0]),
+    (2.0, [2.5, 0.1 / math.pi, 0.1 / math.pi]), (1.0, [1.0, 0.0, 0.25 / (2.0 * math.pi)]),
+    (2.0, [1.5]), (2.0 * math.pi, [1.0, 0.999]),
+], ids=["torus", "torus-2.34", "closed-2.5", "half-period", "constant", "thin-neck"])
+def test_closed_profiles_that_stay_positive_are_accepted(length, a):
+    """The torus profiles, the closed profiles of the eigensolver tests, and
+    r = 1 + 0.999 cos s, whose least value 0.001 the bound's 1.2e-6 leaves
+    positive."""
+    prof = geometry.SurfaceOfRevolution(length, closed=True, a=a)
+    assert np.min(prof.r(np.linspace(0.0, length, 10001))) > 0.0
+
+
 @pytest.mark.parametrize("R, a", [(1.0, 1.0), (0.5, 1.0), (2.0, 0.0)])
 def test_torus_profile_needs_R_above_a_above_0(R, a):
     with pytest.raises(SingularProfileError, match="R > a > 0"):

@@ -60,7 +60,7 @@ def test_golden_reports_prints_what_moved(tmp_path, capsys):
     """A rewrite names each file whose content changed: how many numbers
     moved, the worst relative move, every verdict or check pass that
     flipped, and how many entries came or went; an unchanged file gets no
-    line."""
+    line of its own, but the count of files that kept their bytes does."""
     module = _load("golden_reports")
     source, target = tmp_path / "reports", tmp_path / "golden"
 
@@ -73,14 +73,16 @@ def test_golden_reports_prints_what_moved(tmp_path, capsys):
     lab.write_report(report("moved", 0.25, True), source)
     lab.write_report(report("same", 0.25, True), source)
     module.main(["--from", str(source), "--to", str(target)])
-    capsys.readouterr()
+    assert capsys.readouterr().out.splitlines()[-2] == \
+        "0 of 4 golden reports kept their bytes; manifest.json changed"
     lab.write_report({**report("moved", 0.25 * (1.0 + 1e-11), False), "fit": {"slope": 1.0}},
                      source)
     module.main(["--from", str(source), "--to", str(target)])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 and lines[-1].startswith("4 golden reports")
+    assert len(lines) == 4 and lines[-1].startswith("4 golden reports")
     assert lines[0] == ("moved.csv: 1 numbers moved (worst 1e-11 relative, [1].measured); "
                         "no verdict or check pass flipped")
     assert lines[1] == ("moved.json: 1 numbers moved (worst 1e-11 relative, series[1].measured); "
                         "flipped: checks[0].pass True -> False, verdict pass -> fail; "
                         "1 entries added or removed")
+    assert lines[2] == "2 of 4 golden reports kept their bytes; manifest.json kept its bytes"

@@ -564,6 +564,58 @@ def test_scan_degenerate_axis():
     assert np.abs(res["omega"] @ (x - y)) == pytest.approx([gap, gap], rel=1e-12)
 
 
+def _lattice_pairs(rng, kind):
+    """A seeded pair (x, y), colatitudes in [0.05, pi - 0.05]: y off the
+    orbit of x by delta in [1e-3, 1e-1], on it, or on the axis."""
+    lo, hi = 0.05, math.pi - 0.05
+    tx = rng.uniform(lo, hi)
+    x = geometry.sphere_point(tx, rng.uniform(0.0, 2.0 * math.pi))
+    if kind == "axis":
+        return x, np.array([0.0, 0.0, rng.choice([1.0, -1.0])])
+    ty = tx
+    if kind == "off":
+        delta = 10.0 ** rng.uniform(-3.0, -1.0)
+        ty = tx + delta if tx + delta <= hi else tx - delta
+    return x, geometry.sphere_point(ty, rng.uniform(0.0, 2.0 * math.pi))
+
+
+@pytest.mark.parametrize("kind, dims", [
+    ("off", [3, 3, 3, 3]), ("on", [2, 3, 3]), ("axis", [2, 2]),
+], ids=["off-orbit", "on-orbit", "axis"])
+def test_scan_lattice_finds_the_closed_form_set(kind, dims):
+    """The 2,400-seed lattice finds every closed-form component once: four
+    isolated points off the orbit, a circle and two points on it, and two
+    phi-circles for y on the axis."""
+    rng = np.random.default_rng({"off": 441, "on": 442, "axis": 443}[kind])
+    for _ in range(6):
+        x, y = _lattice_pairs(rng, kind)
+        res = statphase.critical_set_scan(x, y)
+        assert sorted(res["trans_dim"].tolist()) == dims
+        assert np.all(res["grad_norm"] <= statphase.SCAN_GRAD_TOL)
+        if kind == "axis":
+            gap = np.linalg.norm(x - y)
+            assert sorted(res["phase_value"]) == pytest.approx([-gap, gap], rel=1e-12)
+        else:
+            assert statphase.closed_form_deviation(x, y, res) <= 1e-9
+
+
+def test_a_twelve_angle_lattice_splits_the_axis_circles(monkeypatch):
+    """The phi count binds: at 12 angles the chord 2 sin(pi / 12) = 0.518
+    between a phi-circle's seeds exceeds the 0.35 linkage radius, so the
+    two circles of y on the axis fall apart into one component a seed."""
+    seeds = statphase._scan_seeds
+
+    def every_other_angle():
+        W, PH = seeds()
+        keep = np.tile(np.arange(24) % 2 == 0, len(PH) // 24)
+        return W[keep], PH[keep]
+
+    x, y = geometry.sphere_point(1.2, 0.0), np.array([0.0, 0.0, 1.0])
+    assert len(statphase.critical_set_scan(x, y)["phi"]) == 2
+    monkeypatch.setattr(statphase, "_scan_seeds", every_other_angle)
+    assert len(statphase.critical_set_scan(x, y)["phi"]) == 24
+
+
 @pytest.mark.parametrize("z", [1.0, -1.0])
 def test_scan_refuses_a_pole_paired_with_itself(z):
     """At x = y on the axis the phase vanishes identically: the scan refuses
@@ -590,10 +642,15 @@ _X = geometry.sphere_point(1.2, 0.3)
     (lambda: statphase.critical_set_scan([math.nan, 0.0, 1.0], [0.0, 0.0, 1.0]), "x="),
     (lambda: statphase.orbit_distance([math.nan, 0.0, 1.0], _X), "x="),
     (lambda: statphase.hybrid_integral(_X, _X, math.nan), "mu="),
-], ids=["critical_set_scan", "orbit_distance", "hybrid_integral"])
+    (lambda: statphase.orbit_distance([0.0, 0.0, 0.0], [0.0, 0.0, -1.0]), "x="),
+    (lambda: statphase.orbit_distance(_X, [0.0, -0.0, 0.0]), "y="),
+], ids=["critical_set_scan", "orbit_distance", "hybrid_integral", "orbit_distance-zero-x",
+        "orbit_distance-zero-y"])
 def test_non_finite_input_is_a_domain_error(call, named):
     """A NaN once gave an empty scan, a distance of 1.129 and a bare
-    ValueError from math.ceil; each now names the input it refuses."""
+    ValueError from math.ceil, and a zero vector, which has no colatitude,
+    a distance of 0.0 or 2.0 from its 0/0; each now names the input it
+    refuses."""
     with pytest.raises(DomainError, match=named):
         call()
 
@@ -859,9 +916,9 @@ def test_dedup_keeps_the_first_index_of_each_cell():
 
 
 def test_every_scan_seed_converges_within_twenty_steps(monkeypatch):
-    """critscan's six (x, y) pairs: every one of the 9,456 seeds ends at or
-    below SCAN_GRAD_TOL within 20 Newton steps (13 to 16 steps, as with the
-    np.linalg.solve step this replaced), and no step calls np.linalg.solve."""
+    """critscan's six (x, y) pairs: every one of the 2,400 seeds ends at or
+    below SCAN_GRAD_TOL within 20 Newton steps (14 to 17 steps), and no step
+    calls np.linalg.solve."""
     steps = []
     newton_step = statphase._newton_step
 
@@ -879,5 +936,5 @@ def test_every_scan_seed_converges_within_twenty_steps(monkeypatch):
         steps.append(0)
         W, PH = statphase._scan_seeds()
         _, _, gn = statphase._newton_polish(x, geometry.sphere_point(1.2 + d, 0.0), W, PH)
-        assert len(gn) == 9456 and np.all(gn <= statphase.SCAN_GRAD_TOL)
+        assert len(gn) == 2400 and np.all(gn <= statphase.SCAN_GRAD_TOL)
     assert max(steps) <= 20, steps
